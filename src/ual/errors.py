@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: bad flags / bad config exit 1, malformed
-or inconsistent data exit 2, numerical failures (non-finite losses, failed
-gradient checks) exit 3.
+The CLI maps these onto exit codes: bad flags exit 1 (usage), bad config
+values and malformed or inconsistent data exit 2, numerical failures
+(non-finite losses, failed gradient checks) exit 3.
 """
 
 

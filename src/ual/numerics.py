@@ -18,6 +18,8 @@ needs the precision anyway.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -70,12 +72,21 @@ def ensure_matrix(
 # seeded RNG
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 finalizer on python ints (masked to 64 bits)."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-    return z ^ (z >> 31)
+_U11, _U27, _U30, _U31 = (np.uint64(v) for v in (11, 27, 30, 31))
+_GAMMA_U = np.uint64(_GAMMA)
+_MIX_A_U = np.uint64(_MIX_A)
+_MIX_B_U = np.uint64(_MIX_B)
+
+
+def _mix64(z):
+    """splitmix64 finalizer on uint64 arrays or scalars (wraps mod 2^64).
+
+    Callers silence numpy's overflow warning for scalars; the wrap-around
+    is the algorithm.
+    """
+    z = (z ^ (z >> _U30)) * _MIX_A_U
+    z = (z ^ (z >> _U27)) * _MIX_B_U
+    return z ^ (z >> _U31)
 
 
 def fnv1a64(data: bytes) -> int:
@@ -85,6 +96,44 @@ def fnv1a64(data: bytes) -> int:
         h ^= byte
         h = (h * _FNV_PRIME) & _MASK64
     return h
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _str_token(part: str) -> np.uint64:
+    # group ids and stream names repeat every epoch: hash each one once
+    return np.uint64(fnv1a64(part.encode("utf-8")))
+
+
+def _words(seeds, start: int, k: int) -> np.ndarray:
+    """Raw words ``start .. start+k-1`` (0-based) of the stream(s) ``seeds``.
+
+    ``seeds`` is one uint64 seed, or an array with a trailing length-1 axis
+    for one row of words per stream.
+    """
+    idx = np.arange(start + 1, start + k + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return _mix64(seeds + idx * _GAMMA_U)
+
+
+def _fold(seed, token):
+    """One ``derive`` step: ``mix(seed ^ (token + GAMMA))``."""
+    return _mix64(seed ^ (token + _GAMMA_U))
+
+
+def _shape(shape: int | tuple[int, ...]) -> tuple[int, ...]:
+    return (int(shape),) if isinstance(shape, (int, np.integer)) else tuple(shape)
+
+
+def _box_muller(words: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` normals of each row of raw words (pairs along the last axis)."""
+    u1 = ((words[..., 0::2] >> _U11).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (words[..., 1::2] >> _U11).astype(np.float64) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * np.pi) * u2
+    out = np.empty(words.shape, dtype=np.float64)
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out[..., :k]
 
 
 class SeededRng:
@@ -102,11 +151,21 @@ class SeededRng:
       ``z0 = sqrt(-2 ln u1) cos(2 pi u2)`` and ``z1 = ... sin(...)``.
       A request for ``k`` normals consumes ``2 * ceil(k / 2)`` raw words;
       no spare value is cached across calls.
+    * ``permutation(n)`` is Fisher-Yates: for ``i = n-1 .. 1`` it takes the
+      next uniform ``u`` and swaps ``i`` with ``j = min(floor(u * (i+1)), i)``,
+      so it consumes ``n - 1`` raw words.
 
     ``derive`` folds extra key material into the seed (not the state), so
     child streams are independent of how much the parent has consumed:
     ``child = mix(seed ^ (token + GAMMA))`` applied per part, where ``token``
     is ``mix(part)`` for ints and FNV-1a64 of the UTF-8 bytes for strings.
+
+    Because a stream is a pure function of its seed and word index, many
+    streams can be drawn at once: :func:`derive_seeds` applies one ``derive``
+    part to an array of parents or an array of int parts, and
+    :func:`block_normals` draws row ``i`` exactly as
+    ``SeededRng(seeds[i]).normals(shape)`` on a fresh stream would. A block
+    is thus bit-identical to the per-stream calls it replaces.
     """
 
     def __init__(self, seed: int):
@@ -114,52 +173,36 @@ class SeededRng:
         self._count = 0  # raw words consumed
 
     def derive(self, *parts: int | str) -> "SeededRng":
-        s = self.seed
-        for part in parts:
-            if isinstance(part, str):
-                token = fnv1a64(part.encode("utf-8"))
-            elif isinstance(part, (int, np.integer)):
-                token = _mix64(int(part) & _MASK64)
-            else:
-                raise TypeError(f"rng stream key parts must be int or str, got {type(part)!r}")
-            s = _mix64(s ^ ((token + _GAMMA) & _MASK64))
-        return SeededRng(s)
+        s = np.uint64(self.seed)
+        with np.errstate(over="ignore"):
+            for part in parts:
+                if isinstance(part, str):
+                    token = _str_token(part)
+                elif isinstance(part, (int, np.integer)):
+                    token = _mix64(np.uint64(int(part) & _MASK64))
+                else:
+                    raise TypeError(f"rng stream key parts must be int or str, got {type(part)!r}")
+                s = _fold(s, token)
+        return SeededRng(int(s))
 
     def _raw(self, k: int) -> np.ndarray:
         """Next ``k`` raw uint64 words, vectorized."""
-        start = self._count + 1
+        start = self._count
         self._count += k
-        with np.errstate(over="ignore"):
-            idx = np.arange(start, start + k, dtype=np.uint64)
-            z = (np.uint64(self.seed) + idx * np.uint64(_GAMMA)).astype(np.uint64)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-            return z ^ (z >> np.uint64(31))
+        return _words(np.uint64(self.seed), start, k)
 
     def uniforms(self, k: int) -> np.ndarray:
         """``k`` i.i.d. uniforms in [0, 1)."""
-        return (self._raw(k) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return (self._raw(k) >> _U11).astype(np.float64) * 2.0**-53
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
 
     def normals(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Standard normal draws with the given shape (Box-Muller)."""
-        if isinstance(shape, (int, np.integer)):
-            shape = (int(shape),)
-        k = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if k == 0:
-            return np.zeros(shape, dtype=np.float64)
-        pairs = (k + 1) // 2
-        words = self._raw(2 * pairs)
-        u1 = ((words[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (words[1::2] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:k].reshape(shape)
+        shape = _shape(shape)
+        k = math.prod(shape)
+        return _box_muller(self._raw(2 * ((k + 1) // 2)), k).reshape(shape)
 
     def normal(self) -> float:
         return float(self.normals(1)[0])
@@ -172,11 +215,43 @@ class SeededRng:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of ``range(n)``."""
-        idx = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.integer(i + 1)
+        idx = list(range(n))
+        span = np.arange(n, 1, -1)  # i + 1 for i = n-1 .. 1
+        picks = np.minimum((self.uniforms(span.size) * span).astype(np.int_), span - 1)
+        for i, j in zip(range(n - 1, 0, -1), picks.tolist()):
             idx[i], idx[j] = idx[j], idx[i]
-        return idx
+        return np.array(idx, dtype=np.int_)
+
+
+def derive_seeds(parent: SeededRng | np.ndarray, part) -> np.ndarray:
+    """uint64 seeds of ``SeededRng(p).derive(q)`` over arrays of streams.
+
+    ``parent`` is one stream or an array of uint64 seeds; ``part`` is one
+    str suffix (such as ``"fiqe"``) or an array of ints. The two broadcast,
+    so one call derives a child per face of a group.
+    """
+    seeds = np.asarray(parent.seed if isinstance(parent, SeededRng) else parent, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        if isinstance(part, str):
+            token = _str_token(part)
+        else:
+            ints = np.asarray(part)
+            if ints.size and ints.dtype.kind not in "iu":
+                raise TypeError(f"rng stream key parts must be ints, got dtype {ints.dtype}")
+            token = _mix64(ints.astype(np.uint64))
+        return np.asarray(_fold(seeds, token), dtype=np.uint64)
+
+
+def block_normals(seeds, shape: int | tuple[int, ...]) -> np.ndarray:
+    """Normals of shape ``seeds.shape + shape``, one fresh stream per seed.
+
+    Row ``i`` equals ``SeededRng(seeds[i]).normals(shape)`` bit for bit.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    shape = _shape(shape)
+    k = math.prod(shape)
+    words = _words(seeds[..., None], 0, 2 * ((k + 1) // 2))
+    return np.ascontiguousarray(_box_muller(words, k)).reshape(seeds.shape + shape)
 
 
 # ---------------------------------------------------------------------------

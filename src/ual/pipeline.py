@@ -23,8 +23,12 @@ RNG streams are derived, not shared: training noise for face ``j`` of group
 ``g`` in epoch ``e`` comes from the stream keyed ``(seed, branch, e, g, j)``,
 inference noise from ``(seed, branch, g, r)`` where ``r`` is the
 individual's dense rank under a content sort. Rank-keyed streams make
-inference invariant to the order individuals are listed in, and give
-byte-identical results between serial and parallel execution.
+inference invariant to the order individuals are listed in, and a rerun
+with the same seed and inputs gives byte-identical models, loss logs and
+reports. Each group derives its key prefix once; the per-individual streams
+and their noise blocks are then drawn in one call
+(:func:`~ual.numerics.derive_seeds`, :func:`~ual.numerics.block_normals`),
+bit-identical to deriving each stream on its own.
 """
 
 from __future__ import annotations
@@ -48,11 +52,13 @@ from .numerics import (
     AffineMap,
     ParameterStore,
     SeededRng,
+    block_normals,
+    derive_seeds,
     softmax,
     softmax_cross_entropy,
     softmax_cross_entropy_grad,
 )
-from .quality_filter import QualityAssessment, filter_faces, fiqe_score
+from .quality_filter import filter_faces
 from .uncertainty_scoring import SCORE_FLOOR, high_low_partition
 
 BRANCH_TAGS = ("face", "object", "scene")
@@ -228,15 +234,14 @@ class FaceBranch:
         self.head.register(store, rng.derive("embed"))
         self.classifier.register(store, rng.derive("classifier"))
 
-    def embeddings(self, store: ParameterStore, group_id: str, faces: np.ndarray):
+    def embed(self, store: ParameterStore, group_id: str, faces: np.ndarray):
+        """``(mu, log_var, sigma)`` of every face; a non-positive sigma raises."""
         mu, log_var, sigma = self.head.forward(store, faces)
-        return [
-            GaussianEmbedding(
-                mu=mu[j], sigma=sigma[j], log_var=log_var[j],
-                source_id=f"{group_id}/face{j}",
-            )
-            for j in range(faces.shape[0])
-        ]
+        bad = np.flatnonzero(~np.all(sigma > 0.0, axis=1))
+        if bad.size:
+            source = f"{group_id}/face{bad[0]}"
+            raise NumericError(f"sigma must be strictly positive (source {source!r})")
+        return mu, log_var, sigma
 
     # -- training ----------------------------------------------------------
 
@@ -358,47 +363,32 @@ class FaceBranch:
         n = faces.shape[0]
         deterministic = ablation in ("no-ual", "no-ual-fiqe")
         use_fiqe = fiqe_enabled and ablation in ("full", "no-ual")
-        ranks = _content_ranks(faces)
-        streams = [rng.derive(self.tag, group.id, r) for r in ranks]
-        embs = self.embeddings(store, group.id, faces)
+        d = self.latent_dim
+        seeds = derive_seeds(rng.derive(self.tag, group.id), _content_ranks(faces))
+        mu, _, sigma = self.embed(store, group.id, faces)
 
-        assessments = []
+        scores = None
         kept = list(range(n))
         if use_fiqe:
             if eps_override is not None:
-                eps_block = np.full(
-                    (fiqe_samples, self.latent_dim), eps_override, dtype=np.float64
-                )
-                scores = [
-                    fiqe_score(e.mu[None, :] + eps_block * e.sigma[None, :]) for e in embs
-                ]
-                kept = [i for i, sc in enumerate(scores) if sc >= fiqe_threshold]
-                if not kept:
-                    kept = [int(np.argmax(scores))]
-                assessments = [
-                    QualityAssessment(embs[i].source_id, scores[i], i in set(kept), fiqe_samples)
-                    for i in range(n)
-                ]
+                eps = np.full((n, fiqe_samples, d), eps_override, dtype=np.float64)
             else:
-                kept, assessments = filter_faces(
-                    embs,
-                    fiqe_samples,
-                    fiqe_threshold,
-                    [st.derive("fiqe") for st in streams],
-                )
+                eps = block_normals(derive_seeds(seeds, "fiqe"), (fiqe_samples, d))
+            kept, scores = filter_faces(mu, sigma, eps, fiqe_threshold)
 
+        kept_set = set(kept)
         diag_faces = [
             {
                 "id": f"{group.id}/face{i}",
                 "index": i,
-                "kept": i in set(kept),
-                "quality": (assessments[i].score if assessments else None),
+                "kept": i in kept_set,
+                "quality": (float(scores[i]) if scores is not None else None),
             }
             for i in range(n)
         ]
 
-        mu = np.stack([embs[i].mu for i in kept])
-        sigma = np.stack([embs[i].sigma for i in kept])
+        mu = mu[kept]
+        sigma = sigma[kept]
         if deterministic:
             x_group = mu.mean(axis=0)
             probs = softmax(self.classifier.forward(store, x_group))
@@ -406,14 +396,13 @@ class FaceBranch:
                 branch=self.tag, probs=probs, diagnostics={"faces": diag_faces}
             )
 
-        k = len(kept)
-        d = self.latent_dim
         if eps_override is not None:
-            eps = np.full((n_samples, k, d), eps_override, dtype=np.float64)
+            eps = np.full((n_samples, len(kept), d), eps_override, dtype=np.float64)
         else:
-            eps = np.stack(
-                [streams[i].derive("mc").normals((n_samples, d)) for i in kept], axis=1
-            )
+            # drawn per face as (k, N, d); the C-order (N, k, d) copy keeps
+            # every reduction below in its per-face summation order
+            block = block_normals(derive_seeds(seeds[kept], "mc"), (n_samples, d))
+            eps = np.ascontiguousarray(block.swapaxes(0, 1))
         z = mu[None, :, :] + eps * sigma[None, :, :]
         t = np.maximum(np.abs(sigma[None, :, :] * eps), SCORE_FLOOR)
         s = d / np.sum(1.0 / t, axis=2)  # (n_samples, k)
@@ -513,6 +502,7 @@ class ObjectBranch:
                 f"group {group.id}: object dim {objects.shape[1]} != model dim {self.in_dim}"
             )
         ranks = _content_ranks(objects)
+        seeds = derive_seeds(derive_seeds(rng.derive(self.tag, group.id), ranks), "mc")
         mu, log_var, sigma = self.head.forward(store, objects)
         per_object = []
         classify = lambda zz: self.classifier.forward(store, zz)  # noqa: E731
@@ -521,7 +511,7 @@ class ObjectBranch:
                 mu=mu[i], sigma=sigma[i], log_var=log_var[i],
                 source_id=f"{group.id}/object{i}",
             )
-            stream = rng.derive(self.tag, group.id, ranks[i]).derive("mc")
+            stream = SeededRng(int(seeds[i]))
             if eps_override is not None:
                 forced = np.full(self.latent_dim, eps_override, dtype=np.float64)
                 p, _ = mc_predict(emb, classify, n_samples, stream, eps_override=forced)
@@ -847,14 +837,14 @@ class Trainer:
             for gi in batch:
                 group = groups[int(gi)]
                 faces = group.faces
-                indices = list(range(faces.shape[0]))
+                indices = np.arange(faces.shape[0])
                 if fiqe_on:
-                    embs = branch.embeddings(self.store, group.id, faces)
-                    streams = [
-                        root.derive("train-fiqe", "face", epoch, group.id, j)
-                        for j in indices
-                    ]
-                    kept, _ = filter_faces(embs, cfg.fiqe_samples, cfg.delta2, streams)
+                    mu, _, sigma = branch.embed(self.store, group.id, faces)
+                    stream = root.derive("train-fiqe", "face", epoch, group.id)
+                    eps = block_normals(
+                        derive_seeds(stream, indices), (cfg.fiqe_samples, cfg.latent_dim)
+                    )
+                    kept, _ = filter_faces(mu, sigma, eps, cfg.delta2)
                     faces = faces[kept]
                     indices = kept
                 with _group_loss(group.id):
@@ -863,14 +853,8 @@ class Trainer:
                             self.store, faces, group.label, weights
                         )
                     else:
-                        eps = np.stack(
-                            [
-                                root.derive("train", "face", epoch, group.id, j).normals(
-                                    cfg.latent_dim
-                                )
-                                for j in indices
-                            ]
-                        )
+                        stream = root.derive("train", "face", epoch, group.id)
+                        eps = block_normals(derive_seeds(stream, indices), cfg.latent_dim)
                         bd, g = branch.loss_and_grads(
                             self.store, faces, group.label, eps, weights, cfg.beta, cfg.delta1
                         )
@@ -901,14 +885,8 @@ class Trainer:
                 k = group.objects.shape[0]
                 if k == 0:
                     continue
-                eps = np.stack(
-                    [
-                        root.derive("train", "object", epoch, group.id, j).normals(
-                            cfg.latent_dim
-                        )
-                        for j in range(k)
-                    ]
-                )
+                stream = root.derive("train", "object", epoch, group.id)
+                eps = block_normals(derive_seeds(stream, np.arange(k)), cfg.latent_dim)
                 with _group_loss(group.id):
                     bd, g = branch.loss_and_grads(
                         self.store, group.objects, group.label, eps, weights

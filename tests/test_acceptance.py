@@ -201,16 +201,13 @@ def test_criterion_6_fiqe():
     never_empty = True
     for trial in range(50):
         n = 1 + rng.integer(6)
-        embs = [
-            GaussianEmbedding(
-                mu=rng.normals(8),
-                sigma=np.exp(rng.normals(8) + 2.0),  # wildly dispersed: most fail
-                log_var=np.zeros(8),
-            )
-            for _ in range(n)
-        ]
+        mu, sigma = np.empty((n, 8)), np.empty((n, 8))
+        for i in range(n):
+            mu[i] = rng.normals(8)
+            sigma[i] = np.exp(rng.normals(8) + 2.0)  # wildly dispersed: most fail
         streams = [rng.derive("f", trial, i) for i in range(n)]
-        kept, _ = filter_faces(embs, 8, 0.3, streams)
+        eps = np.stack([st.normals((8, 8)) for st in streams])
+        kept, _ = filter_faces(mu, sigma, eps, 0.3)
         never_empty = never_empty and len(kept) >= 1
     ok = identical == 1.0 and abs(pair - expected_pair) <= 1e-12 and never_empty
     report(

@@ -1,0 +1,66 @@
+"""Golden-output regression: a small train + eval must keep its bytes.
+
+A 60-train / 30-val run of the bundled spec and config (2 epochs, ``full``
+ablation, all branches), then ``ual eval --mc-samples 1,4``. The sha256 of
+every model, loss-log and report file is pinned. A change that is meant to
+be a pure speed-up must leave them all alone; a change that moves them on
+purpose updates the hashes here and says why. About a third of the faces
+are filtered out in this run, so the quality filter is exercised too.
+
+``manifest.json`` is not pinned (it records dataset paths), nor is the
+``data`` path field of the report's ``run`` records. The hashes were taken
+on x86-64 with numpy 2.4; a platform whose BLAS or libm rounds differently
+can change the last bits and needs its own hashes.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from ual.cli import main
+
+GOLDEN = {
+    "face.params.json": "244bcfcf94a91c7ca39a84cb6665f898f72d5f26cf31741eaedf8a0ca9a3171b",
+    "face_loss.csv": "622e7dc8b8a524abb520ccf4a2b2d21e873a3ccee837020aac5cdbcdaff93747",
+    "object.params.json": "81f73b202c8de85dfcdca6246f9ae791a52a36d9cb1ee2ede001483608ca4134",
+    "object_loss.csv": "86da2bf3cd8897eed593f03c40a727207612f4e32ef745c94c9460bfc7931c33",
+    "report.jsonl": "b5cce439bf9f60c82b73b5e7f55e51b46c67195f44c9f7c2b85fc7ea0034dc5b",
+    "scene.params.json": "b1c470a8f46e42290c5be2aabe10229000b211f60f2a8710565844fd400ddc4b",
+    "scene_loss.csv": "5ae4fa584d0c0ace34ee1d11238a174880f95d96a25e810dae53a8d3800198b1",
+    "val_metrics.jsonl": "4d6539155da1e6af682ad2476af400f471e46f37ea3505975f3fc0f6c560b5f1",
+}
+
+
+def _run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0
+
+
+def _digest(path):
+    data = path.read_bytes()
+    if path.name == "report.jsonl":
+        rows = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+        for row in rows:
+            row.pop("data", None)  # the dataset path
+        data = "".join(json.dumps(row) + "\n" for row in rows).encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    train, val, out = root / "train.jsonl", root / "val.jsonl", root / "model"
+    _run("simulate", "--num-groups", "60", "--out", str(train))
+    _run("simulate", "--num-groups", "30", "--partition", "val", "--out", str(val))
+    _run("train", "--train", str(train), "--val", str(val), "--out", str(out), "--epochs", "2")
+    _run("eval", "--manifest", str(out / "manifest.json"), "--data", str(val),
+         "--mc-samples", "1,4")
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_output_bytes_unchanged(golden_run, name):
+    assert _digest(golden_run / name) == GOLDEN[name]

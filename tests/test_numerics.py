@@ -10,6 +10,8 @@ from ual.numerics import (
     AffineMap,
     ParameterStore,
     SeededRng,
+    block_normals,
+    derive_seeds,
     gradient_check,
     linear_forward,
     softmax,
@@ -122,6 +124,101 @@ class TestSeededRng:
         perm = SeededRng(13).permutation(50)
         assert sorted(perm.tolist()) == list(range(50))
         assert np.array_equal(perm, SeededRng(13).permutation(50))
+
+    @pytest.mark.parametrize("seed", [0, 13, 2**64 - 1])
+    def test_permutation_matches_per_swap_loop(self, seed):
+        # the draw-one-uniform-per-swap Fisher-Yates it replaces
+        def per_swap(rng, n):
+            idx = np.arange(n)
+            for i in range(n - 1, 0, -1):
+                j = rng.integer(i + 1)
+                idx[i], idx[j] = idx[j], idx[i]
+            return idx
+
+        fast, slow = SeededRng(seed), SeededRng(seed)
+        for n in range(71):
+            perm = fast.permutation(n)
+            assert perm.dtype == np.arange(1).dtype
+            assert np.array_equal(perm, per_swap(slow, n))
+        # both consumed the same number of words
+        assert fast.uniform() == slow.uniform()
+
+    def test_derive_follows_documented_algorithm(self):
+        # independent python-int replay of the docstring's derivation
+        mask = (1 << 64) - 1
+
+        def mix(z):
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            return z ^ (z >> 31)
+
+        def fnv(text):
+            h = 0xCBF29CE484222325
+            for byte in text.encode("utf-8"):
+                h = ((h ^ byte) * 0x100000001B3) & mask
+            return h
+
+        cases = [(7, ("train", "face", 3, "g-1", 5)), (0, (-1, "é")), (2**64 - 1, (2**63,))]
+        for seed, parts in cases:
+            s = seed
+            for part in parts:
+                token = fnv(part) if isinstance(part, str) else mix(part & mask)
+                s = mix(s ^ ((token + 0x9E3779B97F4A7C15) & mask))
+            assert SeededRng(seed).derive(*parts).seed == s
+
+    def test_derive_rejects_other_types(self):
+        with pytest.raises(TypeError):
+            SeededRng(1).derive(1.5)
+        with pytest.raises(TypeError):
+            derive_seeds(SeededRng(1), np.array([0.5]))
+
+
+class TestStreamBlocks:
+    """Vectorized stream derivation and block normals equal the scalar calls."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 8])
+    def test_int_parts_match_scalar_derive(self, k):
+        parent = SeededRng(99).derive("train", "face", 4, "group-7")
+        parts = np.arange(k) * 3 - 1  # includes a negative part
+        seeds = derive_seeds(parent, parts)
+        assert seeds.dtype == np.uint64 and seeds.shape == (k,)
+        assert [int(s) for s in seeds] == [parent.derive(int(p)).seed for p in parts]
+        assert [int(s) for s in derive_seeds(parent, parts.tolist())] == [int(s) for s in seeds]
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 6])
+    def test_str_suffix_matches_scalar_derive(self, k):
+        parents = derive_seeds(SeededRng(5).derive("infer"), np.arange(k))
+        for suffix in ("fiqe", "mc", ""):
+            seeds = derive_seeds(parents, suffix)
+            assert seeds.shape == (k,)
+            assert [int(s) for s in seeds] == [
+                SeededRng(int(p)).derive(suffix).seed for p in parents
+            ]
+
+    def test_chained_derivation_equals_one_derive(self):
+        root = SeededRng(3)
+        ranks = [2, 0, 1, 1]
+        seeds = derive_seeds(derive_seeds(root.derive("face", "g"), ranks), "mc")
+        expected = [root.derive("face", "g", r).derive("mc").seed for r in ranks]
+        assert [int(s) for s in seeds] == expected
+
+    @pytest.mark.parametrize("shape", [1, 2, 7, 32, (8, 32), (3, 5), (5, 1), (0,), (2, 0)])
+    @pytest.mark.parametrize("rows", [0, 1, 4])
+    def test_block_normals_rows_equal_fresh_streams(self, shape, rows):
+        seeds = derive_seeds(SeededRng(11), np.arange(rows))
+        block = block_normals(seeds, shape)
+        dims = (shape,) if isinstance(shape, int) else shape
+        assert block.shape == (rows,) + dims
+        assert block.flags["C_CONTIGUOUS"]
+        for i in range(rows):
+            row = SeededRng(int(seeds[i])).normals(shape)
+            assert block[i].tobytes() == row.tobytes()
+
+    def test_block_of_a_seed_grid(self):
+        seeds = derive_seeds(SeededRng(2), np.arange(6)).reshape(2, 3)
+        block = block_normals(seeds, 3)
+        assert block.shape == (2, 3, 3)
+        assert block[1, 2].tobytes() == SeededRng(int(seeds[1, 2])).normals(3).tobytes()
 
 
 class TestParameterStore:

@@ -175,6 +175,17 @@ class TestBranchInfer:
         assert not pred.present
         assert np.allclose(pred.probs, 1.0 / 3.0)
 
+    @pytest.mark.parametrize("ablation", ["full", "no-ual-fiqe"])
+    def test_underflowing_sigma_names_the_group(self, ablation):
+        ds = tiny_dataset()
+        cfg = tiny_config()
+        store, branches = build_model(ds, cfg)
+        store.get("face.embed.logvar.weight")[...] = 0.0
+        store.get("face.embed.logvar.bias")[...] = -2000.0  # sigma = exp(-1000) = 0
+        group = ds.groups[1]
+        with pytest.raises(NumericError, match=f"strictly positive .*'{group.id}/face0'"):
+            branches["face"].infer(store, group, SeededRng(0).derive("infer"), 4, ablation=ablation)
+
     def test_face_infer_matches_from_scratch_oracle(self):
         ds = tiny_dataset(seed=8)
         cfg = tiny_config(mc_samples=6)
@@ -366,6 +377,17 @@ class TestTraining:
         trainer = Trainer(store, {"face": branches["face"]}, cfg)
         losses = [trainer.train_epoch(ds.groups, e)["face"].cls for e in range(cfg.epochs)]
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
+
+    def test_underflowing_sigma_names_the_group(self):
+        ds = tiny_dataset(seed=24)
+        cfg = tiny_config(epochs=1)
+        store, branches = build_model(ds, cfg)
+        store.get("face.embed.logvar.weight")[...] = 0.0
+        store.get("face.embed.logvar.bias")[...] = -2000.0  # sigma = exp(-1000) = 0
+        trainer = Trainer(store, {"face": branches["face"]}, cfg)
+        with pytest.raises(NumericError, match="sigma must be strictly positive") as exc:
+            trainer.train_epoch(ds.groups, 0)
+        assert any(f"'{g.id}/face0'" in str(exc.value) for g in ds.groups)
 
     def test_non_finite_loss_aborts_with_group_and_term(self):
         ds = tiny_dataset(seed=23)

@@ -4,15 +4,36 @@ import numpy as np
 import pytest
 
 from ual.errors import ShapeError
-from ual.gaussian_embedding import GaussianEmbedding
-from ual.numerics import SeededRng
-from ual.quality_filter import fiqe_score, filter_faces, score_face
+from ual.numerics import SeededRng, block_normals, derive_seeds
+from ual.quality_filter import fiqe_score, filter_faces
 
 
-def emb(mu, sigma, source_id=""):
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    return GaussianEmbedding(mu=mu, sigma=sigma, log_var=2.0 * np.log(sigma), source_id=source_id)
+def gaussians(*pairs):
+    """Stack ``(mu, sigma)`` pairs into the (n, dim) arrays filter_faces takes."""
+    mu = np.stack([np.asarray(m, dtype=np.float64) for m, _ in pairs])
+    sigma = np.stack([np.asarray(s, dtype=np.float64) for _, s in pairs])
+    return mu, sigma
+
+
+def eps_block(streams, samples, dim):
+    """Each face's (samples, dim) noise, drawn from its own stream."""
+    return np.stack([st.normals((samples, dim)) for st in streams])
+
+
+def score_one(mu, sigma, eps):
+    """Score of a single face with Gaussian (mu, sigma) under noise ``eps``."""
+    mu, sigma = gaussians((mu, sigma))
+    return filter_faces(mu, sigma, np.asarray(eps)[None], 0.3)[1][0]
+
+
+def reference_score(x):
+    """One face's score the long way: full distance matrix, upper triangle."""
+    m = x.shape[0]
+    diff = x[:, None, :] - x[None, :, :]
+    dist = np.sqrt(np.square(diff).sum(axis=-1))
+    total = float(dist[np.triu_indices(m, k=1)].sum())
+    e = np.exp(-(2.0 / (m * m)) * total)
+    return 2.0 * float(e / (1.0 + e))
 
 
 class TestFiqeScore:
@@ -48,25 +69,37 @@ class TestFiqeScore:
         with pytest.raises(ShapeError):
             fiqe_score(np.ones((1, 4)))
 
+    @pytest.mark.parametrize("n,m,dim", [(1, 2, 1), (5, 8, 32), (7, 8, 5), (6, 3, 9), (2, 11, 4)])
+    def test_batch_equals_one_face_at_a_time(self, n, m, dim):
+        # exact equality: each face's pair distances must be summed in the
+        # same order as a single face's, or about 1 score in 3 moves an ulp
+        rng = SeededRng(100 + n * m)
+        for trial in range(20):
+            x = rng.normals((n, m, dim)) * math.exp(rng.normal())
+            batch = fiqe_score(x)
+            assert batch.shape == (n,)
+            for i in range(n):
+                assert batch[i] == fiqe_score(x[i]) == reference_score(x[i])
+
+    def test_batch_of_zero_faces(self):
+        assert fiqe_score(np.zeros((0, 8, 3))).shape == (0,)
+
 
 class TestScoreFace:
     def test_tiny_sigma_scores_near_one(self):
-        e = emb(np.array([1.0, -1.0]), np.full(2, 1e-9))
-        assert score_face(e, 8, SeededRng(3)) > 0.999999
+        eps = SeededRng(3).normals((8, 2))
+        assert score_one(np.array([1.0, -1.0]), np.full(2, 1e-9), eps) > 0.999999
 
     def test_monotone_in_sigma_with_fixed_eps(self):
         rng = SeededRng(4)
         eps = rng.normals((6, 3))
         mu = np.array([0.5, 0.5, 0.5])
-        scores = [
-            score_face(emb(mu, np.full(3, s)), 6, SeededRng(0), eps=eps)
-            for s in (0.05, 0.2, 0.8, 3.0)
-        ]
+        scores = [score_one(mu, np.full(3, s), eps) for s in (0.05, 0.2, 0.8, 3.0)]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            score_face(emb([0.0], [1.0]), 1, SeededRng(0))
+            score_one([0.0], [1.0], SeededRng(0).normals((1, 1)))
 
 
 class TestFilterFaces:
@@ -75,44 +108,69 @@ class TestFilterFaces:
         return [root.derive("face", i) for i in range(n)]
 
     def test_crisp_faces_all_kept(self):
-        embs = [emb(SeededRng(i).normals(4), np.full(4, 1e-6), f"f{i}") for i in range(5)]
-        kept, assessments = filter_faces(embs, 8, 0.3, self._streams(5))
+        mu, sigma = gaussians(*[(SeededRng(i).normals(4), np.full(4, 1e-6)) for i in range(5)])
+        kept, scores = filter_faces(mu, sigma, eps_block(self._streams(5), 8, 4), 0.3)
         assert kept == [0, 1, 2, 3, 4]
-        assert all(a.kept and a.score > 0.99 for a in assessments)
+        assert all(i in kept and s > 0.99 for i, s in enumerate(scores))
 
     def test_single_noisy_face_dropped(self):
         # sigma large enough that the expected score falls below 0.3:
         # mean pairwise distance ~ sigma * sqrt(2 D) >> threshold scale
-        embs = [
-            emb(np.zeros(8), np.full(8, 1e-6), "crisp0"),
-            emb(np.zeros(8), np.full(8, 5.0), "noisy"),
-            emb(np.zeros(8), np.full(8, 1e-6), "crisp1"),
-        ]
-        kept, assessments = filter_faces(embs, 8, 0.3, self._streams(3))
+        mu, sigma = gaussians(
+            (np.zeros(8), np.full(8, 1e-6)),
+            (np.zeros(8), np.full(8, 5.0)),
+            (np.zeros(8), np.full(8, 1e-6)),
+        )
+        kept, scores = filter_faces(mu, sigma, eps_block(self._streams(3), 8, 8), 0.3)
         assert kept == [0, 2]
-        assert not assessments[1].kept
-        assert assessments[1].score < 0.3
+        assert 1 not in kept
+        assert scores[1] < 0.3
 
     def test_group_never_empties(self):
-        embs = [emb(np.zeros(8), np.full(8, 5.0 + i), f"f{i}") for i in range(4)]
-        kept, assessments = filter_faces(embs, 8, 0.3, self._streams(4))
+        mu, sigma = gaussians(*[(np.zeros(8), np.full(8, 5.0 + i)) for i in range(4)])
+        kept, scores = filter_faces(mu, sigma, eps_block(self._streams(4), 8, 8), 0.3)
         assert len(kept) == 1
-        scores = [a.score for a in assessments]
         assert kept[0] == int(np.argmax(scores))
 
     def test_idempotent(self):
-        embs = [
-            emb(np.zeros(4), np.full(4, 1e-6), "a"),
-            emb(np.zeros(4), np.full(4, 9.0), "b"),
-            emb(np.ones(4), np.full(4, 1e-6), "c"),
-        ]
+        mu, sigma = gaussians(
+            (np.zeros(4), np.full(4, 1e-6)),
+            (np.zeros(4), np.full(4, 9.0)),
+            (np.ones(4), np.full(4, 1e-6)),
+        )
         streams = self._streams(3, seed=7)
-        kept, _ = filter_faces(embs, 8, 0.3, streams)
+        kept, _ = filter_faces(mu, sigma, eps_block(streams, 8, 4), 0.3)
         again, _ = filter_faces(
-            [embs[i] for i in kept], 8, 0.3, [self._streams(3, seed=7)[i] for i in kept]
+            mu[kept], sigma[kept],
+            eps_block([self._streams(3, seed=7)[i] for i in kept], 8, 4), 0.3,
         )
         assert [kept[i] for i in again] == kept
 
     def test_threshold_validated(self):
+        mu, sigma = gaussians(([0.0], [1.0]))
         with pytest.raises(ValueError):
-            filter_faces([emb([0.0], [1.0])], 8, 1.5, self._streams(1))
+            filter_faces(mu, sigma, eps_block(self._streams(1), 8, 1), 1.5)
+
+    def test_shapes_validated(self):
+        mu, sigma = gaussians(([0.0, 1.0], [1.0, 1.0]), ([0.0, 1.0], [1.0, 1.0]))
+        with pytest.raises(ShapeError):
+            filter_faces(mu, sigma, np.zeros((3, 8, 2)), 0.3)  # one block per face
+        with pytest.raises(ShapeError):
+            filter_faces(mu, sigma, np.zeros((2, 8, 3)), 0.3)  # latent width
+        with pytest.raises(ShapeError):
+            filter_faces(mu, sigma[:1], np.zeros((2, 8, 2)), 0.3)
+
+    def test_batch_equals_per_face_reference(self):
+        # a group of n >= 5 faces with m = 8 draws each, eps from one block
+        # call: every score equals the one-face reference bit for bit
+        rng = SeededRng(55)
+        for trial in range(30):
+            n = 5 + rng.integer(4)
+            mu = rng.normals((n, 16))
+            sigma = np.exp(rng.normals((n, 16)) - 1.0)
+            eps = block_normals(derive_seeds(rng.derive("g", trial), np.arange(n)), (8, 16))
+            kept, scores = filter_faces(mu, sigma, eps, 0.3)
+            oracle = [reference_score(mu[i] + eps[i] * sigma[i]) for i in range(n)]
+            assert scores.tolist() == oracle
+            expected = [i for i, s in enumerate(oracle) if s >= 0.3] or [int(np.argmax(oracle))]
+            assert kept == expected
