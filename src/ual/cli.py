@@ -77,10 +77,14 @@ def _setup_logging() -> None:
 
 
 def parse_kv_file(path) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; '#' comments; blank lines ignored."""
+    """Parse flat ``key = value`` lines; '#' comments; blank lines ignored.
+
+    ``path`` is a filesystem path or a packaged resource such as
+    :func:`_bundled` returns.
+    """
     out: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = (path if hasattr(path, "read_text") else Path(path)).read_text(encoding="utf-8")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -97,19 +101,9 @@ def parse_kv_file(path) -> dict[str, str]:
     return out
 
 
-def _bundled(name: str) -> str:
-    return resources.files("ual.configs").joinpath(name).read_text(encoding="utf-8")
-
-
-def _bundled_mapping(name: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for lineno, raw in enumerate(_bundled(name).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
+def _bundled(name: str):
+    """The packaged ``ual/configs/<name>`` resource."""
+    return resources.files("ual.configs").joinpath(name)
 
 
 def sha256_file(path) -> str:
@@ -121,7 +115,7 @@ def sha256_file(path) -> str:
 
 
 def _load_config(path: str | None, overrides: dict) -> TrainingConfig:
-    mapping = parse_kv_file(path) if path else _bundled_mapping("synthetic-default.cfg")
+    mapping = parse_kv_file(path or _bundled("synthetic-default.cfg"))
     source = path or "bundled synthetic-default.cfg"
     cfg = config_from_mapping(mapping, source=str(source))
     if overrides:
@@ -135,7 +129,7 @@ def _load_config(path: str | None, overrides: dict) -> TrainingConfig:
 
 
 def cmd_simulate(args) -> int:
-    mapping = parse_kv_file(args.spec) if args.spec else _bundled_mapping("synthetic-default.gen")
+    mapping = parse_kv_file(args.spec or _bundled("synthetic-default.gen"))
     source = args.spec or "bundled synthetic-default.gen"
     spec = spec_from_mapping(mapping, source=str(source))
     updates = {}
@@ -247,6 +241,25 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+_MANIFEST_KEYS = {"config": dict, "dims": dict, "branches": list, "models": dict, "datasets": dict}
+
+
+def _check_manifest(manifest, path: Path) -> None:
+    """Reject a manifest whose structure ``cmd_eval`` cannot use, naming the key."""
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: manifest must be a JSON object")
+    for key, kind in _MANIFEST_KEYS.items():
+        if not isinstance(manifest.get(key), kind):
+            raise DataError(f"{path}: manifest key {key!r} is missing or not a {kind.__name__}")
+    for key in ("face_dim", "object_dim", "scene_dim", "num_classes"):
+        value = manifest["dims"].get(key)
+        if not isinstance(value, int) or value < 1:
+            raise DataError(f"{path}: manifest key 'dims' needs a positive integer {key!r}")
+    for tag in manifest["branches"]:
+        if tag not in BRANCH_TAGS or not isinstance(manifest["models"].get(tag), str):
+            raise DataError(f"{path}: manifest key 'models' has no file for branch {tag!r}")
+
+
 def _restore_from_manifest(manifest: dict, manifest_dir: Path):
     config = config_from_mapping(
         {k: str(v) for k, v in manifest["config"].items()}, source="manifest config"
@@ -258,18 +271,11 @@ def _restore_from_manifest(manifest: dict, manifest_dir: Path):
         path = manifest_dir / manifest["models"][tag]
         if not path.exists():
             raise DataError(f"missing model file {path}")
-        _restore_branch(store, tag, path)
+        sub = store.subset(f"{tag}.")
+        sub.restore(path)
+        for name in sub.names():
+            store.set(name, sub.get(name))
     return config, branches, store
-
-
-def _restore_branch(store: ParameterStore, tag: str, path: Path) -> None:
-    sub = ParameterStore()
-    for name in store.names():
-        if name.startswith(f"{tag}."):
-            sub.register(name, store.get(name))
-    sub.restore(path)
-    for name in sub.names():
-        store.set(name, sub.get(name))
 
 
 def cmd_eval(args) -> int:
@@ -278,8 +284,9 @@ def cmd_eval(args) -> int:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    _check_manifest(manifest, manifest_path)
     data_hash = sha256_file(args.data)
-    known = {entry["sha256"] for entry in manifest.get("datasets", {}).values()}
+    known = {e.get("sha256") for e in manifest["datasets"].values() if isinstance(e, dict)}
     if data_hash not in known and not args.force:
         raise DataError(
             f"{args.data}: content hash {data_hash[:12]}... does not match the manifest "
@@ -352,7 +359,7 @@ def _gradcheck_units(seed: int):
     units = []
     rng = SeededRng(seed)
 
-    def face_scenario(name, weights, corrupt=False):
+    def face_scenario(name, weights):
         r = rng.derive(name)
         branch = FaceBranch(in_dim=6, latent_dim=5, num_classes=3)
         store = ParameterStore()
@@ -366,13 +373,6 @@ def _gradcheck_units(seed: int):
         def loss_fn(s):
             bd, g = branch.loss_and_grads(s, faces, label, eps, weights, 0.5, 5.0)
             return bd.total, g
-
-        if corrupt:
-            inner = loss_fn
-
-            def loss_fn(s):  # noqa: F811 - deliberate corruption of the backward pass
-                total, g = inner(s)
-                return total, {k: 2.0 * v for k, v in g.items()}
 
         units.append((name, loss_fn, store))
 

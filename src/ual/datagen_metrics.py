@@ -194,16 +194,26 @@ def save_dataset(dataset: Dataset, path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
-def _rows(value, dim: int, what: str, line: int) -> np.ndarray:
+def _numbers(value: list, shape: tuple[int, ...], what: str, where: str) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``; an entry that is not a
+    number, or is null, NaN or infinite, is rejected."""
+    try:
+        arr = np.array(value, dtype=np.float64).reshape(shape)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"{where}: {what} must hold only numbers ({exc})") from exc
+    if not np.isfinite(arr).all():  # json null becomes NaN here
+        raise DataError(f"{where}: {what} must be finite")
+    return arr
+
+
+def _rows(value, dim: int, what: str, where: str) -> np.ndarray:
     if not isinstance(value, list):
-        raise DataError(f"line {line}: {what} must be a list of vectors")
-    out = np.zeros((len(value), dim))
+        raise DataError(f"{where}: {what} must be a list of vectors")
     for i, row in enumerate(value):
         if not isinstance(row, list) or len(row) != dim:
             got = len(row) if isinstance(row, list) else type(row).__name__
-            raise DataError(f"line {line}: {what}[{i}] must have {dim} dims, got {got}")
-        out[i] = row
-    return out
+            raise DataError(f"{where}: {what}[{i}] must have {dim} dims, got {got}")
+    return _numbers(value, (len(value), dim), what, where)
 
 
 def load_dataset(path) -> Dataset:
@@ -227,6 +237,11 @@ def load_dataset(path) -> Dataset:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: line 1: incomplete header: {exc}") from exc
+    if len(dataset.class_names) != dataset.num_classes:
+        raise DataError(
+            f"{path}: line 1: {len(dataset.class_names)} class_names "
+            f"for {dataset.num_classes} classes"
+        )
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -244,18 +259,17 @@ def load_dataset(path) -> Dataset:
                 f"{path}: line {lineno}: label {label} out of range "
                 f"for {dataset.num_classes} classes"
             )
-        faces = _rows(rec.get("faces"), dataset.face_dim, "faces", lineno)
+        where = f"{path}: line {lineno}"
+        faces = _rows(rec.get("faces"), dataset.face_dim, "faces", where)
         if faces.shape[0] < 1:
-            raise DataError(f"{path}: line {lineno}: a group needs at least 1 face")
-        objects = _rows(rec.get("objects", []), dataset.object_dim, "objects", lineno)
+            raise DataError(f"{where}: a group needs at least 1 face")
+        objects = _rows(rec.get("objects", []), dataset.object_dim, "objects", where)
         scene = rec.get("scene")
         if not isinstance(scene, list) or len(scene) != dataset.scene_dim:
-            raise DataError(
-                f"{path}: line {lineno}: scene must have {dataset.scene_dim} dims"
-            )
+            raise DataError(f"{where}: scene must have {dataset.scene_dim} dims")
+        scene = _numbers(scene, (dataset.scene_dim,), "scene", where)
         dataset.groups.append(
-            GroupSample(id=gid, label=label, faces=faces, objects=objects,
-                        scene=np.asarray(scene, dtype=np.float64))
+            GroupSample(id=gid, label=label, faces=faces, objects=objects, scene=scene)
         )
     return dataset
 

@@ -2,21 +2,22 @@
 
 An individual's feature vector is mapped to a diagonal Gaussian
 ``N(mu, diag(sigma^2))`` by two affine heads. The sigma head predicts
-log-variance, so ``sigma = exp(0.5 * logvar)`` is positive by construction
-(and the KL regularizer consumes the log-variance directly). Stochastic
-draws use the reparameterization ``z* = mu + eps * sigma`` with
-``eps ~ N(0, I)``, which keeps the sampling differentiable in ``mu`` and
-``sigma``.
+log-variance, so ``sigma = exp(0.5 * logvar)`` is positive unless it
+underflows, which :meth:`EmbeddingHead.forward_checked` reports (and the KL
+regularizer consumes the log-variance directly). Stochastic draws use the
+reparameterization ``z* = mu + eps * sigma`` with ``eps ~ N(0, I)``, which
+keeps the sampling differentiable in ``mu`` and ``sigma``; the face branch
+draws through :func:`ual.uncertainty_scoring.uncertainty_kernel`, the object
+branch through :func:`mc_predict`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError
 from .numerics import AffineMap, ParameterStore, SeededRng, ensure_vector, softmax
 
 # Initial log-variance bias: start near-deterministic (sigma ~ exp(-2) ~ 0.135)
@@ -24,40 +25,6 @@ from .numerics import AffineMap, ParameterStore, SeededRng, ensure_vector, softm
 # learned upward where it pays off.
 LOGVAR_BIAS_INIT = -4.0
 LOGVAR_WEIGHT_SCALE = 0.01
-
-
-@dataclass(frozen=True)
-class GaussianEmbedding:
-    """Per-individual latent Gaussian: mean, positive scale, log-variance."""
-
-    mu: np.ndarray
-    sigma: np.ndarray
-    log_var: np.ndarray
-    source_id: str = ""
-
-    def __post_init__(self):
-        if self.mu.shape != self.sigma.shape or self.mu.ndim != 1:
-            raise ShapeError(
-                f"mu/sigma must be equal-length vectors, got {self.mu.shape} vs {self.sigma.shape}"
-            )
-        if not np.all(self.sigma > 0.0):
-            raise NumericError(f"sigma must be strictly positive (source {self.source_id!r})")
-
-    @property
-    def dim(self) -> int:
-        return self.mu.shape[0]
-
-
-@dataclass(frozen=True)
-class StochasticDraw:
-    """One reparameterized sample together with the noise that produced it."""
-
-    z_star: np.ndarray
-    eps: np.ndarray
-
-    def __post_init__(self):
-        if self.z_star.shape != self.eps.shape or self.z_star.ndim != 1:
-            raise ShapeError("z_star and eps must be equal-length vectors")
 
 
 class EmbeddingHead:
@@ -69,9 +36,6 @@ class EmbeddingHead:
         self.latent_dim = int(latent_dim)
         self.mu_map = AffineMap(f"{name}.mu", in_dim, latent_dim)
         self.logvar_map = AffineMap(f"{name}.logvar", in_dim, latent_dim)
-
-    def param_names(self) -> list[str]:
-        return self.mu_map.param_names() + self.logvar_map.param_names()
 
     def register(self, store: ParameterStore, rng: SeededRng) -> None:
         self.mu_map.register(store, rng.derive("mu"))
@@ -87,6 +51,20 @@ class EmbeddingHead:
         sigma = np.exp(0.5 * log_var)
         return mu, log_var, sigma
 
+    def forward_checked(
+        self, store: ParameterStore, x: np.ndarray, source: str
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`forward` on an ``(n, in_dim)`` stack; a sigma that is not
+        strictly positive (an underflow) raises :class:`NumericError` naming
+        the first such row as ``source + str(row)``."""
+        mu, log_var, sigma = self.forward(store, x)
+        bad = np.flatnonzero(~np.all(sigma > 0.0, axis=1))
+        if bad.size:
+            raise NumericError(
+                f"sigma must be strictly positive (source {source + str(bad[0])!r})"
+            )
+        return mu, log_var, sigma
+
     def backward(
         self,
         store: ParameterStore,
@@ -100,41 +78,15 @@ class EmbeddingHead:
         return d_in
 
 
-def embed_individual(
-    x, head: EmbeddingHead, store: ParameterStore, source_id: str = ""
-) -> GaussianEmbedding:
-    """Map one feature vector to its latent Gaussian."""
-    vec = ensure_vector(x, dim=head.in_dim, name="feature")
-    mu, log_var, sigma = head.forward(store, vec)
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(log_var))):
-        raise NumericError(f"embedding head produced non-finite output (source {source_id!r})")
-    return GaussianEmbedding(mu=mu, sigma=sigma, log_var=log_var, source_id=source_id)
-
-
-def reparameterize(
-    emb: GaussianEmbedding, rng: SeededRng, eps: np.ndarray | None = None
-) -> StochasticDraw:
-    """Draw ``z* = mu + eps * sigma``.
-
-    ``eps`` can be forced (test hook); otherwise it is drawn i.i.d. standard
-    normal from ``rng``. The draw keeps ``eps`` so the pair stays re-derivable
-    and downstream scoring can reuse the exact noise.
-    """
-    if eps is None:
-        eps = rng.normals(emb.dim)
-    else:
-        eps = ensure_vector(eps, dim=emb.dim, name="eps")
-    return StochasticDraw(z_star=emb.mu + eps * emb.sigma, eps=eps)
-
-
 def mc_predict(
-    emb: GaussianEmbedding,
+    mu: np.ndarray,
+    sigma: np.ndarray,
     classify: Callable[[np.ndarray], np.ndarray],
     n_samples: int,
     rng: SeededRng,
     eps_override: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo class prediction for a single individual.
+    """Monte-Carlo class prediction for a single individual ``N(mu, sigma^2)``.
 
     Averages ``softmax(classify(z*))`` over ``n_samples`` independent draws
     and also returns the mean of the sampled ``z*`` as the individual's
@@ -145,9 +97,9 @@ def mc_predict(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if eps_override is not None:
-        eps = np.tile(ensure_vector(eps_override, dim=emb.dim, name="eps"), (n_samples, 1))
+        eps = np.tile(ensure_vector(eps_override, dim=mu.shape[0], name="eps"), (n_samples, 1))
     else:
-        eps = rng.normals((n_samples, emb.dim))
-    z = emb.mu[None, :] + eps * emb.sigma[None, :]
+        eps = rng.normals((n_samples, mu.shape[0]))
+    z = mu[None, :] + eps * sigma[None, :]
     probs = softmax(classify(z), axis=1)
     return probs.mean(axis=0), z.mean(axis=0)

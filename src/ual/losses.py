@@ -7,21 +7,18 @@ where cls is softmax cross-entropy (on the aggregated group feature for
 faces; a mu/z* mixture per individual for objects), kl is the mean KL
 divergence of the per-individual Gaussians from N(0, I), rank is a margin
 on the gap between high- and low-importance face groups, and rec is the L1
-distance between a stochastic draw and its mean.
+distance between a stochastic draw and its mean. The branches in
+:mod:`ual.pipeline` compute cls and rec next to their backward passes and
+call :func:`kl_loss` and :func:`rank_loss` for the other two terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ShapeError
-from .gaussian_embedding import GaussianEmbedding
-from .numerics import softmax_cross_entropy
-
-Classifier = Callable[[np.ndarray], np.ndarray]  # latent vector(s) -> logits
 
 
 @dataclass(frozen=True)
@@ -47,40 +44,17 @@ class LossBreakdown:
         return (self.cls, self.kl, self.rank, self.rec, self.total)
 
 
-def face_cls_loss(x_group, label: int, classify: Classifier) -> float:
-    """Softmax cross-entropy of the classifier on the aggregated group feature."""
-    loss, _ = softmax_cross_entropy(classify(np.asarray(x_group, dtype=np.float64)), label)
-    return loss
+def kl_loss(mu: np.ndarray, log_var: np.ndarray) -> float:
+    """Mean KL(N(mu, sigma^2) || N(0, I)) over the rows of ``(n, d)`` arrays.
 
-
-def object_cls_loss(mu, z_star, label: int, classify: Classifier, lambda1: float) -> float:
-    """``l1 * CE(classify(mu)) + (1 - l1) * CE(classify(z*))`` for one object."""
-    if not (0.0 <= lambda1 <= 1.0):
-        raise ValueError(f"lambda1 must lie in [0, 1], got {lambda1}")
-    loss_mu, _ = softmax_cross_entropy(classify(np.asarray(mu, dtype=np.float64)), label)
-    loss_z, _ = softmax_cross_entropy(classify(np.asarray(z_star, dtype=np.float64)), label)
-    return lambda1 * loss_mu + (1.0 - lambda1) * loss_z
-
-
-def kl_loss(embeddings: Sequence[GaussianEmbedding]) -> float:
-    """Mean KL(N(mu, sigma^2) || N(0, I)) over a set of individuals.
-
-    Computed as ``-(1 / 2N) sum_n sum_d (1 + log sigma^2 - mu^2 - sigma^2)``;
-    zero exactly when every embedding is the standard normal.
+    Computed as ``-(1 / 2n) sum_i sum_d (1 + log sigma^2 - mu^2 - sigma^2)``;
+    zero exactly when every row is the standard normal.
     """
-    if len(embeddings) == 0:
-        raise ValueError("kl_loss needs at least one embedding")
-    mu = np.stack([e.mu for e in embeddings])
-    log_var = np.stack([e.log_var for e in embeddings])
-    return kl_loss_arrays(mu, log_var)
-
-
-def kl_loss_arrays(mu: np.ndarray, log_var: np.ndarray) -> float:
-    if mu.shape != log_var.shape:
-        raise ShapeError(f"mu/log_var shapes differ: {mu.shape} vs {log_var.shape}")
-    n = mu.shape[0] if mu.ndim == 2 else 1
-    terms = 1.0 + log_var - np.square(mu) - np.exp(log_var)
-    return float(-0.5 * terms.sum() / n + 0.0)  # + 0.0 normalizes -0.0
+    if mu.shape != log_var.shape or mu.ndim != 2:
+        raise ShapeError(f"need equal (n, d) mu/log_var, got {mu.shape} vs {log_var.shape}")
+    if mu.shape[0] == 0:
+        raise ValueError("kl_loss needs at least one individual")
+    return float(-0.5 * np.sum(1.0 + log_var - np.square(mu) - np.exp(log_var)) / mu.shape[0])
 
 
 def rank_loss(alpha_high: float, alpha_low: float, delta1: float) -> float:
@@ -92,15 +66,6 @@ def rank_loss(alpha_high: float, alpha_low: float, delta1: float) -> float:
     if delta1 < 0.0:
         raise ValueError(f"delta1 must be >= 0, got {delta1}")
     return max(0.0, delta1 - (alpha_high - alpha_low))
-
-
-def rec_loss(z_star, mu) -> float:
-    """L1 distance between a stochastic draw and its mean."""
-    z = np.asarray(z_star, dtype=np.float64)
-    m = np.asarray(mu, dtype=np.float64)
-    if z.shape != m.shape:
-        raise ShapeError(f"z_star/mu shapes differ: {z.shape} vs {m.shape}")
-    return float(np.abs(z - m).sum())
 
 
 def total_face_loss(

@@ -2,7 +2,7 @@
 
 Everything downstream is built on three pieces:
 
-* shape-checked float64 vectors/matrices (plain ``numpy`` arrays; any
+* shape-checked float64 vectors (plain ``numpy`` arrays; any
   dimension mismatch raises :class:`~ual.errors.ShapeError`, nothing is
   broadcast silently),
 * :class:`SeededRng`, a splitmix64 counter generator with Box-Muller
@@ -52,19 +52,6 @@ def ensure_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray
         raise ShapeError(f"{name} must be 1-D, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise ShapeError(f"{name} must have length {dim}, got {arr.shape[0]}")
-    return arr
-
-
-def ensure_matrix(
-    w, rows: int | None = None, cols: int | None = None, name: str = "matrix"
-) -> np.ndarray:
-    arr = as_f64(w, name)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got shape {arr.shape}")
-    if rows is not None and arr.shape[0] != rows:
-        raise ShapeError(f"{name} must have {rows} rows, got {arr.shape[0]}")
-    if cols is not None and arr.shape[1] != cols:
-        raise ShapeError(f"{name} must have {cols} cols, got {arr.shape[1]}")
     return arr
 
 
@@ -289,9 +276,6 @@ class ParameterStore:
         self._params[name] = arr
         return arr
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def names(self) -> list[str]:
         return sorted(self._params)
 
@@ -344,7 +328,8 @@ class ParameterStore:
         """Load values from ``path`` into already-registered parameters.
 
         The file must carry exactly the registered names with matching
-        shapes; unknown or missing names are errors.
+        shapes and finite values; anything else is a :class:`DataError`
+        naming the file (and the parameter).
         """
         import json
 
@@ -365,9 +350,15 @@ class ParameterStore:
         if missing:
             raise DataError(f"{path}: parameter names missing from file: {missing}")
         for name, entry in params.items():
-            shape = tuple(entry["shape"])
-            arr = np.array(entry["data"], dtype=np.float64).reshape(shape)
-            self.set(name, arr)
+            try:
+                arr = np.array(entry["data"], dtype=np.float64).reshape(tuple(entry["shape"]))
+                if not np.all(np.isfinite(arr)):
+                    raise ValueError("non-finite values")
+                self.set(name, arr)
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise DataError(
+                    f"{path}: parameter {name!r}: bad entry ({type(exc).__name__}: {exc})"
+                ) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +383,6 @@ class AffineMap:
         self.out_dim = int(out_dim)
         self.weight_name = f"{name}.weight"
         self.bias_name = f"{name}.bias"
-
-    def param_names(self) -> list[str]:
-        return [self.weight_name, self.bias_name]
 
     def register(self, store: ParameterStore, rng: SeededRng, weight_scale: float | None = None):
         scale = weight_scale if weight_scale is not None else self.in_dim**-0.5
@@ -438,14 +426,6 @@ def _accumulate(grads: dict[str, np.ndarray], name: str, value: np.ndarray) -> N
         grads[name] += value
     else:
         grads[name] = np.array(value, dtype=np.float64)
-
-
-def linear_forward(x, W, b) -> np.ndarray:
-    """y = W x + b on explicit vectors; dimension mismatch raises."""
-    x = ensure_vector(x, name="x")
-    W = ensure_matrix(W, cols=x.shape[0], name="W")
-    b = ensure_vector(b, dim=W.shape[0], name="b")
-    return W @ x + b
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -41,10 +41,12 @@ import numpy as np
 
 from .datagen_metrics import Dataset, GroupSample, MetricsReport, compute_metrics
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .gaussian_embedding import EmbeddingHead, GaussianEmbedding, mc_predict
+from .gaussian_embedding import EmbeddingHead, mc_predict
 from .losses import (
     LossBreakdown,
     LossWeights,
+    kl_loss,
+    rank_loss,
     total_face_loss,
     total_object_loss,
 )
@@ -59,7 +61,7 @@ from .numerics import (
     softmax_cross_entropy_grad,
 )
 from .quality_filter import filter_faces
-from .uncertainty_scoring import SCORE_FLOOR, high_low_partition
+from .uncertainty_scoring import SCORE_FLOOR, high_low_partition, uncertainty_kernel
 
 BRANCH_TAGS = ("face", "object", "scene")
 FUSION_STRATEGIES = ("pwfs", "equal", "global-priority", "face-priority")
@@ -194,10 +196,6 @@ class GroupPrediction:
     branch_predictions: dict[str, BranchPrediction]
 
 
-def _onehot_grad(probs: np.ndarray, label: int) -> np.ndarray:
-    return softmax_cross_entropy_grad(probs, label)
-
-
 def _content_ranks(rows: np.ndarray) -> list[int]:
     """Dense rank of each row under lexicographic sort; equal rows share a rank."""
     order = sorted(range(rows.shape[0]), key=lambda i: tuple(rows[i]))
@@ -217,31 +215,25 @@ def _content_ranks(rows: np.ndarray) -> list[int]:
 # face branch
 
 
-class FaceBranch:
-    tag = "face"
+class _GaussianBranch:
+    """A Gaussian embedding head (``<tag>.embed``) and a latent classifier."""
+
+    tag: str
 
     def __init__(self, in_dim: int, latent_dim: int, num_classes: int):
         self.in_dim = int(in_dim)
         self.latent_dim = int(latent_dim)
         self.num_classes = int(num_classes)
-        self.head = EmbeddingHead("face.embed", in_dim, latent_dim)
-        self.classifier = AffineMap("face.classifier", latent_dim, num_classes)
-
-    def param_names(self) -> list[str]:
-        return self.head.param_names() + self.classifier.param_names()
+        self.head = EmbeddingHead(f"{self.tag}.embed", in_dim, latent_dim)
+        self.classifier = AffineMap(f"{self.tag}.classifier", latent_dim, num_classes)
 
     def register(self, store: ParameterStore, rng: SeededRng) -> None:
         self.head.register(store, rng.derive("embed"))
         self.classifier.register(store, rng.derive("classifier"))
 
-    def embed(self, store: ParameterStore, group_id: str, faces: np.ndarray):
-        """``(mu, log_var, sigma)`` of every face; a non-positive sigma raises."""
-        mu, log_var, sigma = self.head.forward(store, faces)
-        bad = np.flatnonzero(~np.all(sigma > 0.0, axis=1))
-        if bad.size:
-            source = f"{group_id}/face{bad[0]}"
-            raise NumericError(f"sigma must be strictly positive (source {source!r})")
-        return mu, log_var, sigma
+
+class FaceBranch(_GaussianBranch):
+    tag = "face"
 
     # -- training ----------------------------------------------------------
 
@@ -261,34 +253,19 @@ class FaceBranch:
         loss a deterministic function of the parameters, which is what the
         finite-difference checker needs.
         """
-        n, d = eps.shape
-        if faces.shape[0] != n:
-            raise ShapeError(f"{n} noise rows for {faces.shape[0]} faces")
         grads: dict[str, np.ndarray] = {}
         mu, log_var, sigma = self.head.forward(store, faces)
-        z = mu + eps * sigma
-        prods = np.abs(sigma * eps)
-        t = np.maximum(prods, SCORE_FLOOR)
-        s = d / np.sum(1.0 / t, axis=1)
-
-        degenerate = n < 2 or not (s.max() > s.min())
-        if degenerate:
-            alpha = np.ones(n)
-        else:
-            i_min = int(np.argmin(s))
-            i_max = int(np.argmax(s))
-            alpha = s[i_min] + s[i_max] - s
-        total_alpha = alpha.sum()
-        x_group = (alpha[:, None] * z).sum(axis=0) / total_alpha
+        z, prods, s, alpha, x_group = uncertainty_kernel(mu, sigma, eps)
+        n, d = eps.shape
 
         logits = self.classifier.forward(store, x_group)
         cls, probs = softmax_cross_entropy(logits, label)
-        kl = float(-0.5 * np.sum(1.0 + log_var - np.square(mu) - np.exp(log_var)) / n)
+        kl = kl_loss(mu, log_var)
         if n >= 2:
             order, n_high = high_low_partition(alpha, beta)
-            alpha_high = float(alpha[order[:n_high]].mean())
-            alpha_low = float(alpha[order[n_high:]].mean())
-            rank = max(0.0, delta1 - (alpha_high - alpha_low))
+            rank = rank_loss(
+                float(alpha[order[:n_high]].mean()), float(alpha[order[n_high:]].mean()), delta1
+            )
         else:
             order, n_high = None, 0
             rank = 0.0
@@ -296,20 +273,23 @@ class FaceBranch:
         breakdown = total_face_loss(cls, kl, rank, rec, weights)
 
         # backward
-        d_logits = _onehot_grad(probs, label)
+        total_alpha = alpha.sum()
+        d_logits = softmax_cross_entropy_grad(probs, label)
         d_xg = self.classifier.backward(store, x_group, d_logits, grads)
         d_z = (alpha / total_alpha)[:, None] * d_xg[None, :]
         d_alpha = (z - x_group[None, :]) @ d_xg / total_alpha
         if rank > 0.0 and order is not None:
             d_alpha[order[:n_high]] += weights.lambda3 * (-1.0 / n_high)
             d_alpha[order[n_high:]] += weights.lambda3 * (1.0 / (n - n_high))
-        if degenerate:
-            d_s = np.zeros(n)
-        else:
+        i_min, i_max = int(np.argmin(s)), int(np.argmax(s))
+        if s[i_max] > s[i_min]:  # alpha = s_min + s_max - s
             d_s = -d_alpha
             shift = d_alpha.sum()
             d_s[i_min] += shift
             d_s[i_max] += shift
+        else:  # degenerate: alpha is the constant 1
+            d_s = np.zeros(n)
+        t = np.maximum(prods, SCORE_FLOOR)
         d_t = (d_s * s * s / d)[:, None] / (t * t)
         above = prods > SCORE_FLOOR
         d_sigma = d_z * eps
@@ -334,7 +314,7 @@ class FaceBranch:
         x_group = mu.mean(axis=0)
         logits = self.classifier.forward(store, x_group)
         cls, probs = softmax_cross_entropy(logits, label)
-        d_logits = _onehot_grad(probs, label)
+        d_logits = softmax_cross_entropy_grad(probs, label)
         d_xg = self.classifier.backward(store, x_group, d_logits, grads)
         d_mu = np.tile(d_xg / n, (n, 1))
         self.head.mu_map.backward(store, faces, d_mu, grads)
@@ -365,7 +345,7 @@ class FaceBranch:
         use_fiqe = fiqe_enabled and ablation in ("full", "no-ual")
         d = self.latent_dim
         seeds = derive_seeds(rng.derive(self.tag, group.id), _content_ranks(faces))
-        mu, _, sigma = self.embed(store, group.id, faces)
+        mu, _, sigma = self.head.forward_checked(store, faces, f"{group.id}/face")
 
         scores = None
         kept = list(range(n))
@@ -403,13 +383,7 @@ class FaceBranch:
             # every reduction below in its per-face summation order
             block = block_normals(derive_seeds(seeds[kept], "mc"), (n_samples, d))
             eps = np.ascontiguousarray(block.swapaxes(0, 1))
-        z = mu[None, :, :] + eps * sigma[None, :, :]
-        t = np.maximum(np.abs(sigma[None, :, :] * eps), SCORE_FLOOR)
-        s = d / np.sum(1.0 / t, axis=2)  # (n_samples, k)
-        s_min = s.min(axis=1, keepdims=True)
-        s_max = s.max(axis=1, keepdims=True)
-        alpha = np.where(s_max > s_min, s_min + s_max - s, 1.0)
-        x_rounds = (alpha[:, :, None] * z).sum(axis=1) / alpha.sum(axis=1)[:, None]
+        _, _, s, alpha, x_rounds = uncertainty_kernel(mu, sigma, eps)  # s, alpha: (n_samples, k)
         x_group = x_rounds.mean(axis=0)
         probs = softmax(self.classifier.forward(store, x_group))
 
@@ -425,22 +399,8 @@ class FaceBranch:
 # object branch
 
 
-class ObjectBranch:
+class ObjectBranch(_GaussianBranch):
     tag = "object"
-
-    def __init__(self, in_dim: int, latent_dim: int, num_classes: int):
-        self.in_dim = int(in_dim)
-        self.latent_dim = int(latent_dim)
-        self.num_classes = int(num_classes)
-        self.head = EmbeddingHead("object.embed", in_dim, latent_dim)
-        self.classifier = AffineMap("object.classifier", latent_dim, num_classes)
-
-    def param_names(self) -> list[str]:
-        return self.head.param_names() + self.classifier.param_names()
-
-    def register(self, store: ParameterStore, rng: SeededRng) -> None:
-        self.head.register(store, rng.derive("embed"))
-        self.classifier.register(store, rng.derive("classifier"))
 
     def loss_and_grads(
         self,
@@ -466,8 +426,7 @@ class ObjectBranch:
         cls = weights.lambda1 * float(np.mean(ce_mu)) + (1.0 - weights.lambda1) * float(
             np.mean(ce_z)
         )
-        kl = float(-0.5 * np.sum(1.0 + log_var - np.square(mu) - np.exp(log_var)) / k)
-        breakdown = total_object_loss(cls, kl, weights)
+        breakdown = total_object_loss(cls, kl_loss(mu, log_var), weights)
 
         onehot = np.zeros(self.num_classes)
         onehot[label] = 1.0
@@ -503,20 +462,15 @@ class ObjectBranch:
             )
         ranks = _content_ranks(objects)
         seeds = derive_seeds(derive_seeds(rng.derive(self.tag, group.id), ranks), "mc")
-        mu, log_var, sigma = self.head.forward(store, objects)
+        mu, _, sigma = self.head.forward_checked(store, objects, f"{group.id}/object")
+        forced = None
+        if eps_override is not None:
+            forced = np.full(self.latent_dim, eps_override, dtype=np.float64)
         per_object = []
         classify = lambda zz: self.classifier.forward(store, zz)  # noqa: E731
         for i in range(objects.shape[0]):
-            emb = GaussianEmbedding(
-                mu=mu[i], sigma=sigma[i], log_var=log_var[i],
-                source_id=f"{group.id}/object{i}",
-            )
             stream = SeededRng(int(seeds[i]))
-            if eps_override is not None:
-                forced = np.full(self.latent_dim, eps_override, dtype=np.float64)
-                p, _ = mc_predict(emb, classify, n_samples, stream, eps_override=forced)
-            else:
-                p, _ = mc_predict(emb, classify, n_samples, stream)
+            p, _ = mc_predict(mu[i], sigma[i], classify, n_samples, stream, eps_override=forced)
             per_object.append(p)
         probs = np.mean(per_object, axis=0)
         diag = [{"index": i, "probs": [float(v) for v in p]} for i, p in enumerate(per_object)]
@@ -535,9 +489,6 @@ class SceneBranch:
         self.num_classes = int(num_classes)
         self.classifier = AffineMap("scene.classifier", in_dim, num_classes)
 
-    def param_names(self) -> list[str]:
-        return self.classifier.param_names()
-
     def register(self, store: ParameterStore, rng: SeededRng) -> None:
         self.classifier.register(store, rng.derive("classifier"))
 
@@ -547,7 +498,7 @@ class SceneBranch:
         grads: dict[str, np.ndarray] = {}
         logits = self.classifier.forward(store, scene)
         cls, probs = softmax_cross_entropy(logits, label)
-        self.classifier.backward(store, scene, _onehot_grad(probs, label), grads)
+        self.classifier.backward(store, scene, softmax_cross_entropy_grad(probs, label), grads)
         return LossBreakdown(cls=cls, kl=0.0, rank=0.0, rec=0.0, total=cls, weights=weights), grads
 
     def infer(self, store: ParameterStore, group: GroupSample) -> BranchPrediction:
@@ -599,7 +550,11 @@ def register_branches(
 def fuse_predictions(
     predictions: Sequence[BranchPrediction], strategy: str = "pwfs"
 ) -> FusionResult:
-    """Combine branch probability vectors into one, excluding absent branches."""
+    """Combine branch probability vectors into one, excluding absent branches.
+
+    ``pwfs`` (proportional-weighted fusion) weights each branch by its share
+    of the total top-class confidence; the other strategies use fixed priors.
+    """
     if strategy not in FUSION_STRATEGIES:
         raise ConfigError(f"unknown fusion strategy {strategy!r}")
     present = [p for p in predictions if p.present]
@@ -616,12 +571,6 @@ def fuse_predictions(
         fused = fused + w * p.probs
     fused = fused / fused.sum()
     return FusionResult(probs=fused, weights={p.branch: float(w) for p, w in zip(present, weights)})
-
-
-def pwfs_fuse(predictions: Sequence[BranchPrediction]) -> FusionResult:
-    """Proportional-weighted fusion: weights are each branch's share of the
-    total top-class confidence."""
-    return fuse_predictions(predictions, "pwfs")
 
 
 # ---------------------------------------------------------------------------
@@ -760,10 +709,15 @@ class _group_loss:
         return False
 
 
-def _mean_breakdown(rows: list[tuple[float, ...]], weights: LossWeights) -> LossBreakdown:
+def _mean_breakdown(
+    rows: list[tuple[float, ...]], row_weights: list[int], weights: LossWeights
+) -> LossBreakdown:
     if not rows:
         return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, weights)
-    cls, kl, rank, rec, total = (float(v) for v in np.asarray(rows).mean(axis=0))
+    w = np.asarray(row_weights, dtype=np.float64)
+    cls, kl, rank, rec, total = (
+        float(v) for v in (np.asarray(rows) * w[:, None]).sum(axis=0) / w.sum()
+    )
     return LossBreakdown(cls, kl, rank, rec, total, weights)
 
 
@@ -798,19 +752,44 @@ class Trainer:
                 self.optimizers[tag] = Sgd(config.scene_lr)
 
     def train_epoch(self, groups: Sequence[GroupSample], epoch: int) -> dict[str, LossBreakdown]:
-        """One pass of mini-batch optimization for every enabled branch."""
+        """One pass of mini-batch optimization for every enabled branch.
+
+        A group enters its batch's gradient with weight ``w / total``: ``w``
+        is 1 for face and scene and the object count for object, and groups
+        (or whole batches) of weight 0 are skipped. The epoch's loss row is
+        the mean of the groups' rows under the same weights.
+        """
         if not groups:
             raise DataError("cannot train on an empty dataset")
         out: dict[str, LossBreakdown] = {}
         for tag in BRANCH_TAGS:
             if tag not in self.branches:
                 continue
-            if tag == "face":
-                out[tag] = self._face_epoch(groups, epoch)
-            elif tag == "object":
-                out[tag] = self._object_epoch(groups, epoch)
-            else:
-                out[tag] = self._scene_epoch(groups, epoch)
+            group_weight, group_loss = self._objective(tag, epoch)
+            rows, row_weights = [], []
+            for batch in self._batches(len(groups), tag, epoch):
+                batch_groups = [groups[int(gi)] for gi in batch]
+                batch_weights = [group_weight(group) for group in batch_groups]
+                total = sum(batch_weights)
+                if total == 0:
+                    continue
+                grads: dict[str, np.ndarray] = {}
+                for group, w in zip(batch_groups, batch_weights):
+                    if w == 0:
+                        continue
+                    with _group_loss(group.id):
+                        bd, g = group_loss(group)
+                    _check_finite(bd, group.id)
+                    rows.append(bd.as_row())
+                    row_weights.append(w)
+                    scale = w / total
+                    for name, val in g.items():
+                        if name in grads:
+                            grads[name] += scale * val
+                        else:
+                            grads[name] = scale * val
+                self.optimizers[tag].step(self.store, grads)
+            out[tag] = _mean_breakdown(rows, row_weights, self.config.loss_weights)
         return out
 
     def _batches(self, n: int, tag: str, epoch: int):
@@ -820,123 +799,59 @@ class Trainer:
         for start in range(0, n, b):
             yield order[start : start + b]
 
-    def _face_epoch(self, groups, epoch: int) -> LossBreakdown:
-        branch: FaceBranch = self.branches["face"]  # type: ignore[assignment]
-        cfg = self.config
-        root = SeededRng(cfg.seed)
-        weights = cfg.loss_weights
-        deterministic = self.ablation in ("no-ual", "no-ual-fiqe")
-        fiqe_on = (
-            self.ablation in ("full", "no-ual")
-            and cfg.fiqe_apply in ("both", "train")
-        )
-        rows = []
-        for batch in self._batches(len(groups), "face", epoch):
-            grads: dict[str, np.ndarray] = {}
-            scale = 1.0 / len(batch)
-            for gi in batch:
-                group = groups[int(gi)]
-                faces = group.faces
-                indices = np.arange(faces.shape[0])
-                if fiqe_on:
-                    mu, _, sigma = branch.embed(self.store, group.id, faces)
-                    stream = root.derive("train-fiqe", "face", epoch, group.id)
-                    eps = block_normals(
-                        derive_seeds(stream, indices), (cfg.fiqe_samples, cfg.latent_dim)
-                    )
-                    kept, _ = filter_faces(mu, sigma, eps, cfg.delta2)
-                    faces = faces[kept]
-                    indices = kept
-                with _group_loss(group.id):
-                    if deterministic:
-                        bd, g = branch.deterministic_loss_and_grads(
-                            self.store, faces, group.label, weights
-                        )
-                    else:
-                        stream = root.derive("train", "face", epoch, group.id)
-                        eps = block_normals(derive_seeds(stream, indices), cfg.latent_dim)
-                        bd, g = branch.loss_and_grads(
-                            self.store, faces, group.label, eps, weights, cfg.beta, cfg.delta1
-                        )
-                _check_finite(bd, group.id)
-                rows.append(bd.as_row())
-                for name, val in g.items():
-                    if name in grads:
-                        grads[name] += scale * val
-                    else:
-                        grads[name] = scale * val
-            self.optimizers["face"].step(self.store, grads)
-        return _mean_breakdown(rows, weights)
+    def _objective(self, tag: str, epoch: int):
+        """``(weight, loss)`` functions of one group for branch ``tag``.
 
-    def _object_epoch(self, groups, epoch: int) -> LossBreakdown:
-        branch: ObjectBranch = self.branches["object"]  # type: ignore[assignment]
+        ``loss(group)`` returns the branch's ``(LossBreakdown, grads)``. Its
+        noise for individual ``j`` comes from the stream keyed
+        ``(seed, "train", tag, epoch, group id, j)``; the face quality filter
+        draws from ``(seed, "train-fiqe", "face", epoch, group id, j)``.
+        """
         cfg = self.config
-        root = SeededRng(cfg.seed)
+        store = self.store
         weights = cfg.loss_weights
-        rows = []
-        counts = []
-        for batch in self._batches(len(groups), "object", epoch):
-            batch_groups = [groups[int(gi)] for gi in batch]
-            total_objects = sum(g.objects.shape[0] for g in batch_groups)
-            if total_objects == 0:
-                continue
-            grads: dict[str, np.ndarray] = {}
-            for group in batch_groups:
-                k = group.objects.shape[0]
-                if k == 0:
-                    continue
+        branch = self.branches[tag]
+        root = SeededRng(cfg.seed)
+
+        if tag == "scene":
+            def scene_loss(group):
+                return branch.loss_and_grads(store, group.scene, group.label, weights)
+
+            return (lambda group: 1), scene_loss
+
+        if tag == "object":
+            def object_loss(group):
                 stream = root.derive("train", "object", epoch, group.id)
+                k = group.objects.shape[0]
                 eps = block_normals(derive_seeds(stream, np.arange(k)), cfg.latent_dim)
-                with _group_loss(group.id):
-                    bd, g = branch.loss_and_grads(
-                        self.store, group.objects, group.label, eps, weights
-                    )
-                _check_finite(bd, group.id)
-                rows.append(bd.as_row())
-                counts.append(k)
-                scale = k / total_objects
-                for name, val in g.items():
-                    if name in grads:
-                        grads[name] += scale * val
-                    else:
-                        grads[name] = scale * val
-            self.optimizers["object"].step(self.store, grads)
-        if not rows:
-            return _mean_breakdown([], weights)
-        arr = np.asarray(rows)
-        w = np.asarray(counts, dtype=np.float64)
-        cls, kl, rank, rec, total = (
-            float(v) for v in (arr * w[:, None]).sum(axis=0) / w.sum()
-        )
-        return LossBreakdown(cls, kl, rank, rec, total, weights)
+                return branch.loss_and_grads(store, group.objects, group.label, eps, weights)
 
-    def _scene_epoch(self, groups, epoch: int) -> LossBreakdown:
-        branch: SceneBranch = self.branches["scene"]  # type: ignore[assignment]
-        weights = self.config.loss_weights
-        rows = []
-        for batch in self._batches(len(groups), "scene", epoch):
-            grads: dict[str, np.ndarray] = {}
-            scale = 1.0 / len(batch)
-            for gi in batch:
-                group = groups[int(gi)]
-                with _group_loss(group.id):
-                    bd, g = branch.loss_and_grads(self.store, group.scene, group.label, weights)
-                _check_finite(bd, group.id)
-                rows.append(bd.as_row())
-                for name, val in g.items():
-                    if name in grads:
-                        grads[name] += scale * val
-                    else:
-                        grads[name] = scale * val
-            self.optimizers["scene"].step(self.store, grads)
-        return _mean_breakdown(rows, weights)
+            return (lambda group: group.objects.shape[0]), object_loss
 
+        deterministic = self.ablation in ("no-ual", "no-ual-fiqe")
+        fiqe_on = self.ablation in ("full", "no-ual") and cfg.fiqe_apply in ("both", "train")
 
-def train_epoch(
-    trainer: Trainer, groups: Sequence[GroupSample], epoch: int
-) -> dict[str, LossBreakdown]:
-    """One optimization pass over the dataset for every enabled branch."""
-    return trainer.train_epoch(groups, epoch)
+        def face_loss(group):
+            faces = group.faces
+            indices = np.arange(faces.shape[0])
+            if fiqe_on:
+                mu, _, sigma = branch.head.forward_checked(store, faces, f"{group.id}/face")
+                stream = root.derive("train-fiqe", "face", epoch, group.id)
+                eps = block_normals(
+                    derive_seeds(stream, indices), (cfg.fiqe_samples, cfg.latent_dim)
+                )
+                kept, _ = filter_faces(mu, sigma, eps, cfg.delta2)
+                faces = faces[kept]
+                indices = kept
+            if deterministic:
+                return branch.deterministic_loss_and_grads(store, faces, group.label, weights)
+            stream = root.derive("train", "face", epoch, group.id)
+            eps = block_normals(derive_seeds(stream, indices), cfg.latent_dim)
+            return branch.loss_and_grads(
+                store, faces, group.label, eps, weights, cfg.beta, cfg.delta1
+            )
+
+        return (lambda group: 1), face_loss
 
 
 # ---------------------------------------------------------------------------
@@ -1018,7 +933,6 @@ class TrainResult:
     config: TrainingConfig
     ablation: str
     loss_log: dict[str, list[LossBreakdown]]
-    val_log: list[dict]
     best_epoch: int | None = None
 
 
@@ -1054,7 +968,6 @@ def train_model(
     register_branches(store, branches, config.seed)
     trainer = Trainer(store, branches, config, ablation)
     loss_log: dict[str, list[LossBreakdown]] = {tag: [] for tag in branches}
-    val_log: list[dict] = []
     best_epoch: int | None = None
     best_micro = -1.0
     best_params: ParameterStore | None = None
@@ -1069,15 +982,6 @@ def train_model(
             result = evaluate_dataset(
                 store, branches, val_ds, config, config.seed, ablation=ablation
             )
-            entry = {
-                "epoch": epoch,
-                "fused_micro": result.fused_report.micro_accuracy,
-                "fused_macro_recall": result.fused_report.macro_recall,
-            }
-            for tag, report in result.branch_reports.items():
-                entry[f"{tag}_micro"] = report.micro_accuracy
-                entry[f"{tag}_macro_recall"] = report.macro_recall
-            val_log.append(entry)
             if config.select_best and result.fused_report.micro_accuracy > best_micro:
                 best_micro = result.fused_report.micro_accuracy
                 best_epoch = epoch
@@ -1093,6 +997,5 @@ def train_model(
         config=config,
         ablation=ablation,
         loss_log=loss_log,
-        val_log=val_log,
         best_epoch=best_epoch,
     )

@@ -11,96 +11,83 @@ Raw ``sigma_d * eps_d`` products can be negative or vanish, so the harmonic
 mean runs over ``max(|sigma_d * eps_d|, 1e-8)``: scores stay positive and
 finite, which keeps every alpha (and hence every aggregation weight)
 positive.
+
+:func:`uncertainty_kernel` is this algebra, written once over the
+individual axis -2: training calls it on a group's ``(n, d)`` noise block,
+inference on an ``(N, k, d)`` block of ``N`` Monte-Carlo rounds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError
-from .gaussian_embedding import GaussianEmbedding, StochasticDraw
 
 SCORE_FLOOR = 1e-8
 
 
-@dataclass(frozen=True)
-class ScoredIndividual:
-    draw: StochasticDraw
-    score: float
-    importance: float
+class UncertainGroup(NamedTuple):
+    """What :func:`uncertainty_kernel` computes, each over the individual axis -2."""
+
+    z: np.ndarray  # draws mu + eps * sigma, shape of eps
+    prods: np.ndarray  # |sigma * eps|, shape of eps
+    s: np.ndarray  # scores, eps.shape[:-1]
+    alpha: np.ndarray  # importance scalars, eps.shape[:-1]
+    x_group: np.ndarray  # alpha-weighted mean draw, eps.shape[:-2] + (d,)
 
 
-def score_individuals(
-    embeddings: Sequence[GaussianEmbedding], draws: Sequence[StochasticDraw]
-) -> list[ScoredIndividual]:
-    """Score a group's draws and attach their importance scalars.
+def uncertainty_kernel(mu: np.ndarray, sigma: np.ndarray, eps: np.ndarray) -> UncertainGroup:
+    """Draw, score, weight and aggregate a group of Gaussian individuals.
 
-    Each draw is scored against its own embedding's sigma using the stored
-    noise (the same eps that produced z*), then the whole group's scores
-    are reflected into importance weights.
+    ``mu`` and ``sigma`` are the ``(k, d)`` Gaussians; ``eps`` is a
+    ``(..., k, d)`` noise block whose leading axes index independent rounds.
     """
-    if len(embeddings) != len(draws):
-        raise ShapeError(f"{len(embeddings)} embeddings for {len(draws)} draws")
-    scores = [uncertainty_score(e.sigma, d.eps) for e, d in zip(embeddings, draws)]
-    alphas = importance_scalars(scores)
-    return [
-        ScoredIndividual(draw=d, score=float(s), importance=float(a))
-        for d, s, a in zip(draws, scores, alphas)
-    ]
+    if mu.shape != sigma.shape or mu.ndim != 2 or eps.shape[-2:] != mu.shape:
+        raise ShapeError(
+            f"need (k, d) mu/sigma and a (..., k, d) eps block, got "
+            f"{mu.shape}, {sigma.shape} and {eps.shape}"
+        )
+    z = mu + eps * sigma
+    prods = np.abs(sigma * eps)
+    s = uncertainty_scores(prods)
+    alpha = importance_scalars(s)
+    return UncertainGroup(z, prods, s, alpha, aggregate_group(z, alpha))
 
 
-def uncertainty_score(sigma, eps) -> float:
-    """Harmonic mean of ``max(|sigma_d * eps_d|, 1e-8)`` over dimensions."""
-    sigma = np.asarray(sigma, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    if sigma.shape != eps.shape or sigma.ndim != 1 or sigma.shape[0] < 1:
-        raise ShapeError(f"sigma/eps must be equal-length vectors, got {sigma.shape} vs {eps.shape}")
-    t = np.maximum(np.abs(sigma * eps), SCORE_FLOOR)
-    return float(sigma.shape[0] / np.sum(1.0 / t))
-
-
-def uncertainty_scores(sigma: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Batched scores over the last axis; leading axes index individuals/draws."""
-    t = np.maximum(np.abs(sigma * eps), SCORE_FLOOR)
-    d = t.shape[-1]
-    return d / np.sum(1.0 / t, axis=-1)
+def uncertainty_scores(prods: np.ndarray) -> np.ndarray:
+    """Harmonic mean of ``max(|sigma_d * eps_d|, 1e-8)`` over the last axis."""
+    t = np.maximum(prods, SCORE_FLOOR)
+    return t.shape[-1] / np.sum(1.0 / t, axis=-1)
 
 
 def importance_scalars(scores) -> np.ndarray:
-    """Reflect scores into weights: ``alpha = s_min + s_max - s``.
+    """Reflect scores into weights along the last axis: ``alpha = s_min + s_max - s``.
 
     The ordering of alpha is the exact reverse of the ordering of the
     scores. When all scores coincide (including a single individual) the
     projection is degenerate and every alpha is 1.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1 or s.shape[0] < 1:
-        raise ShapeError("scores must be a nonempty 1-D sequence")
-    s_min, s_max = float(s.min()), float(s.max())
-    if s_max > s_min:
-        return s_min + s_max - s
-    return np.ones_like(s)
+    if s.ndim < 1 or s.shape[-1] < 1:
+        raise ShapeError("scores must be nonempty along the last axis")
+    s_min = s.min(axis=-1, keepdims=True)
+    s_max = s.max(axis=-1, keepdims=True)
+    return np.where(s_max > s_min, s_min + s_max - s, 1.0)
 
 
-def aggregate_group(draws: Sequence[StochasticDraw] | np.ndarray, alphas) -> np.ndarray:
-    """Alpha-weighted mean of the stochastic draws: ``sum(a z*) / sum(a)``."""
+def aggregate_group(z: np.ndarray, alphas) -> np.ndarray:
+    """Alpha-weighted mean of the draws over axis -2: ``sum(a z*) / sum(a)``."""
     a = np.asarray(alphas, dtype=np.float64)
-    if isinstance(draws, np.ndarray):
-        z = draws
-    else:
-        z = np.stack([d.z_star for d in draws]) if len(draws) else np.zeros((0, 0))
-    if z.shape[0] == 0:
+    if z.ndim < 2 or z.shape[-2] == 0:
         raise ValueError("cannot aggregate an empty group")
-    if a.ndim != 1 or a.shape[0] != z.shape[0]:
-        raise ShapeError(f"{a.shape[0] if a.ndim == 1 else a.shape} weights for {z.shape[0]} draws")
-    if not np.all(a > 0.0):
+    if a.shape != z.shape[:-1]:
+        raise ShapeError(f"weights of shape {a.shape} for draws of shape {z.shape}")
+    if not a.min() > 0.0:  # also rejects NaN
         raise ValueError("aggregation weights must be strictly positive")
-    w = a / a.sum()  # normalize first: a single face aggregates to exactly z*
-    return (w[:, None] * z).sum(axis=0)
+    return (a[..., None] * z).sum(axis=-2) / a.sum(axis=-1)[..., None]
 
 
 def high_low_partition(alphas: np.ndarray, ratio: float) -> tuple[np.ndarray, int]:
@@ -117,10 +104,3 @@ def high_low_partition(alphas: np.ndarray, ratio: float) -> tuple[np.ndarray, in
     order = np.argsort(-a, kind="stable")
     n_high = min(math.ceil(ratio * a.shape[0]), a.shape[0] - 1)
     return order, n_high
-
-
-def split_high_low(alphas, ratio: float) -> tuple[float, float]:
-    """Mean importance of the high and low partitions."""
-    a = np.asarray(alphas, dtype=np.float64)
-    order, n_high = high_low_partition(a, ratio)
-    return float(a[order[:n_high]].mean()), float(a[order[n_high:]].mean())

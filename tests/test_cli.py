@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 
@@ -236,6 +237,80 @@ class TestExitCodes:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0
+
+
+def _rewrite_line(path, lineno, edit):
+    """Apply ``edit`` to the JSON record on 1-based line ``lineno`` of ``path``."""
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[lineno - 1])
+    edit(rec)
+    lines[lineno - 1] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_face_value(value):
+    def edit(rec):
+        rec["faces"][0][1] = value
+    return edit
+
+
+def _set_scene_value(value):
+    def edit(rec):
+        rec["scene"][0] = value
+    return edit
+
+
+def _drop_class_name(rec):
+    rec["class_names"] = rec["class_names"][:-1]
+
+
+class TestBadInputFiles:
+    """Each malformed file ends in exit 2 with a message naming where it is bad."""
+
+    @pytest.mark.parametrize("lineno,edit,detail", [
+        (3, _set_face_value("abc"), "faces must hold only numbers"),
+        (2, _set_scene_value("abc"), "scene must hold only numbers"),
+        (4, _set_face_value(float("nan")), "faces must be finite"),
+        (1, _drop_class_name, "2 class_names for 3 classes"),
+    ], ids=["string-face", "string-scene", "nan-face", "class-names"])
+    def test_bad_dataset_value(self, small_run, tmp_path, capsys, lineno, edit, detail):
+        data = tmp_path / "bad.jsonl"
+        shutil.copy(small_run["val"], data)
+        _rewrite_line(data, lineno, edit)
+        code = run("eval", "--manifest", str(small_run["out"] / "manifest.json"),
+                   "--data", str(data), "--force", "--out", str(tmp_path / "r"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{data}: line {lineno}: {detail}" in err
+
+    @pytest.mark.parametrize("edit,detail", [
+        (lambda entry: entry.pop("shape"), "KeyError: 'shape'"),
+        (lambda entry: entry.update(data=entry["data"][:-1]), "cannot reshape"),
+    ], ids=["no-shape", "short-data"])
+    def test_bad_params_entry(self, small_run, tmp_path, capsys, edit, detail):
+        model = tmp_path / "model"
+        shutil.copytree(small_run["out"], model)
+        params = model / "scene.params.json"
+        doc = json.loads(params.read_text())
+        edit(doc["params"]["scene.classifier.bias"])
+        params.write_text(json.dumps(doc))
+        code = run("eval", "--manifest", str(model / "manifest.json"),
+                   "--data", str(small_run["val"]), "--out", str(tmp_path / "r"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{params}: parameter 'scene.classifier.bias'" in err and detail in err
+
+    def test_manifest_without_dims(self, small_run, tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(small_run["out"], model)
+        manifest = model / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["dims"]
+        manifest.write_text(json.dumps(doc))
+        code = run("eval", "--manifest", str(manifest), "--data", str(small_run["val"]),
+                   "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert f"{manifest}: manifest key 'dims' is missing" in capsys.readouterr().err
 
 
 class TestLogLevelEnv:

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +121,41 @@ class TestDatasetIO:
         lines[1] = json.dumps(rec)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DataError, match="at least 1 face"):
+            load_dataset(path)
+
+    def test_non_numeric_and_non_finite_values_name_the_line(self, tmp_path):
+        ds = self._small()
+        path = tmp_path / "d.jsonl"
+        save_dataset(ds, path)
+        good = path.read_text().splitlines()
+        for key, value, message in [
+            ("faces", "abc", "line 3: faces must hold only numbers"),
+            ("faces", None, "line 3: faces must be finite"),
+            ("faces", float("inf"), "line 3: faces must be finite"),
+            ("scene", "abc", "line 3: scene must hold only numbers"),
+            ("objects", float("nan"), "line 3: objects must be finite"),
+        ]:
+            lines = list(good)
+            rec = json.loads(lines[2])
+            target = rec[key] if key == "scene" else rec[key][0]
+            if not target:
+                continue
+            target[0] = value
+            lines[2] = json.dumps(rec)
+            path.write_text("\n".join(lines) + "\n")
+            with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+                load_dataset(path)
+
+    def test_class_names_must_match_num_classes(self, tmp_path):
+        ds = self._small()
+        path = tmp_path / "d.jsonl"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["class_names"] = header["class_names"] + ["Extra"]
+        lines[0] = json.dumps(header)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 1: 4 class_names")):
             load_dataset(path)
 
     def test_unknown_label_rejected(self, tmp_path):

@@ -3,15 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ual.errors import ShapeError
-from ual.gaussian_embedding import (
-    EmbeddingHead,
-    GaussianEmbedding,
-    embed_individual,
-    mc_predict,
-    reparameterize,
-)
+from ual.errors import NumericError, ShapeError
+from ual.gaussian_embedding import EmbeddingHead, mc_predict
 from ual.numerics import ParameterStore, SeededRng, softmax
+from ual.uncertainty_scoring import uncertainty_kernel
 
 
 def make_head(in_dim=6, latent=4, seed=0):
@@ -21,6 +16,12 @@ def make_head(in_dim=6, latent=4, seed=0):
     return head, store
 
 
+def embed(head, store, x):
+    """``(mu, sigma)`` of one feature vector through the checked forward pass."""
+    mu, _, sigma = head.forward_checked(store, np.asarray(x, dtype=np.float64)[None, :], "x/row")
+    return mu[0], sigma[0]
+
+
 class TestEmbedIndividual:
     def test_constant_heads(self):
         head, store = make_head()
@@ -28,16 +29,16 @@ class TestEmbedIndividual:
         store.get("h.logvar.weight")[...] = 0.0
         store.get("h.mu.bias")[...] = np.array([1.0, -2.0, 0.5, 0.0])
         store.get("h.logvar.bias")[...] = np.array([0.0, 2.0, -2.0, 4.0])
-        emb = embed_individual(np.ones(6) * 13.0, head, store)
-        assert np.array_equal(emb.mu, [1.0, -2.0, 0.5, 0.0])
-        assert np.allclose(emb.sigma, np.exp(0.5 * np.array([0.0, 2.0, -2.0, 4.0])))
+        mu, sigma = embed(head, store, np.ones(6) * 13.0)
+        assert np.array_equal(mu, [1.0, -2.0, 0.5, 0.0])
+        assert np.allclose(sigma, np.exp(0.5 * np.array([0.0, 2.0, -2.0, 4.0])))
 
     def test_zero_logvar_bias_gives_unit_sigma(self):
         head, store = make_head()
         store.get("h.logvar.weight")[...] = 0.0
         store.get("h.logvar.bias")[...] = 0.0
-        emb = embed_individual(SeededRng(1).normals(6), head, store)
-        assert np.array_equal(emb.sigma, np.ones(4))
+        _, sigma = embed(head, store, SeededRng(1).normals(6))
+        assert np.array_equal(sigma, np.ones(4))
 
     def test_random_head_matches_oracle(self):
         head, store = make_head(seed=5)
@@ -45,55 +46,52 @@ class TestEmbedIndividual:
         store.get("h.logvar.weight")[...] = rng.normals((4, 6))
         store.get("h.logvar.bias")[...] = rng.normals(4)
         x = rng.normals(6)
-        emb = embed_individual(x, head, store)
+        mu, sigma = embed(head, store, x)
         # oracle: recompute W x + b and exp(0.5 *) directly
         mu_oracle = store.get("h.mu.weight") @ x + store.get("h.mu.bias")
         lv_oracle = store.get("h.logvar.weight") @ x + store.get("h.logvar.bias")
-        assert np.array_equal(emb.mu, mu_oracle)
-        assert np.array_equal(emb.sigma, np.exp(0.5 * lv_oracle))
+        assert np.array_equal(mu, mu_oracle)
+        assert np.array_equal(sigma, np.exp(0.5 * lv_oracle))
 
     def test_dimension_mismatch(self):
         head, store = make_head()
         with pytest.raises(ShapeError):
-            embed_individual(np.ones(7), head, store)
+            embed(head, store, np.ones(7))
 
     def test_sigma_positive_enforced(self):
-        with pytest.raises(Exception):
-            GaussianEmbedding(
-                mu=np.zeros(2), sigma=np.array([1.0, 0.0]), log_var=np.zeros(2)
-            )
+        head, store = make_head()
+        store.get("h.logvar.weight")[...] = 0.0
+        store.get("h.logvar.bias")[...] = -2000.0  # sigma = exp(-1000) underflows to 0
+        with pytest.raises(NumericError, match="strictly positive .*'g/face0'"):
+            head.forward_checked(store, np.ones((2, 6)), "g/face")
+
+
+def draw(mu, sigma, eps):
+    """One individual's reparameterized draw, taken from the kernel."""
+    rows = [np.asarray(v, dtype=np.float64)[None, :] for v in (mu, sigma, eps)]
+    return uncertainty_kernel(*rows).z[0]
 
 
 class TestReparameterize:
-    def _emb(self, mu, sigma):
-        mu = np.asarray(mu, dtype=np.float64)
-        sigma = np.asarray(sigma, dtype=np.float64)
-        return GaussianEmbedding(mu=mu, sigma=sigma, log_var=2.0 * np.log(sigma))
-
     def test_zero_eps_returns_mu(self):
-        emb = self._emb([0.3, -1.5], [2.0, 0.1])
-        draw = reparameterize(emb, SeededRng(0), eps=np.zeros(2))
-        assert np.array_equal(draw.z_star, emb.mu)
+        mu = np.array([0.3, -1.5])
+        assert np.array_equal(draw(mu, [2.0, 0.1], np.zeros(2)), mu)
 
     def test_unit_gaussian(self):
-        emb = self._emb([0.0, 0.0], [1.0, 1.0])
-        draw = reparameterize(emb, SeededRng(0), eps=np.array([1.0, -1.0]))
-        assert np.array_equal(draw.z_star, [1.0, -1.0])
+        assert np.array_equal(draw([0.0, 0.0], [1.0, 1.0], [1.0, -1.0]), [1.0, -1.0])
 
     def test_direct_substitution(self):
-        emb = self._emb([1.0, 1.0], [2.0, 3.0])
-        draw = reparameterize(emb, SeededRng(0), eps=np.array([0.5, -1.0]))
-        assert np.array_equal(draw.z_star, [2.0, -2.0])
+        assert np.array_equal(draw([1.0, 1.0], [2.0, 3.0], [0.5, -1.0]), [2.0, -2.0])
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=50, deadline=None)
     def test_reconstruction_identity(self, seed):
         rng = SeededRng(seed)
-        mu = rng.normals(5)
-        sigma = np.exp(rng.normals(5))
-        emb = GaussianEmbedding(mu=mu, sigma=sigma, log_var=2.0 * np.log(sigma))
-        draw = reparameterize(emb, rng)
-        assert np.max(np.abs(draw.z_star - (emb.mu + draw.eps * emb.sigma))) == 0.0
+        mu = rng.normals((3, 5))
+        sigma = np.exp(rng.normals((3, 5)))
+        eps = rng.normals((2, 3, 5))
+        z = uncertainty_kernel(mu, sigma, eps).z
+        assert np.max(np.abs(z - (mu + eps * sigma))) == 0.0
 
 
 class _LinearClassifier:
@@ -110,30 +108,24 @@ class TestMcPredict:
     def test_degenerate_sigma_equals_deterministic(self):
         clf = _LinearClassifier(2)
         mu = np.array([0.4, -0.2])
-        emb = GaussianEmbedding(
-            mu=mu, sigma=np.full(2, 1e-12), log_var=np.full(2, 2 * np.log(1e-12))
-        )
         for n in (1, 7, 33):
-            probs, _ = mc_predict(emb, clf, n, SeededRng(9))
+            probs, _ = mc_predict(mu, np.full(2, 1e-12), clf, n, SeededRng(9))
             expected = softmax(clf(mu[None, :])[0])
             assert np.max(np.abs(probs - expected)) < 1e-9
 
     def test_forced_zero_eps_equals_deterministic(self):
         clf = _LinearClassifier(3)
-        emb = GaussianEmbedding(
-            mu=np.array([1.0, 2.0]), sigma=np.array([0.5, 2.0]),
-            log_var=2 * np.log(np.array([0.5, 2.0])),
-        )
-        probs, z_mean = mc_predict(emb, clf, 1, SeededRng(0), eps_override=np.zeros(2))
-        assert np.array_equal(z_mean, emb.mu)
-        assert np.allclose(probs, softmax(clf(emb.mu[None, :])[0]), atol=1e-15)
+        mu = np.array([1.0, 2.0])
+        sigma = np.array([0.5, 2.0])
+        probs, z_mean = mc_predict(mu, sigma, clf, 1, SeededRng(0), eps_override=np.zeros(2))
+        assert np.array_equal(z_mean, mu)
+        assert np.allclose(probs, softmax(clf(mu[None, :])[0]), atol=1e-15)
 
     def test_against_quadrature_oracle(self):
         # E[softmax(W z + b)] for z ~ N(mu, diag sigma^2) via Gauss-Hermite
         clf = _LinearClassifier(4)
         mu = np.array([0.3, -0.7])
         sigma = np.array([1.2, 0.8])
-        emb = GaussianEmbedding(mu=mu, sigma=sigma, log_var=2 * np.log(sigma))
         nodes, weights = np.polynomial.hermite.hermgauss(64)
         expected = np.zeros(3)
         for i, xi in enumerate(nodes):
@@ -141,7 +133,7 @@ class TestMcPredict:
                 z = mu + np.sqrt(2.0) * sigma * np.array([xi, xj])
                 expected += weights[i] * weights[j] * softmax(clf(z[None, :])[0])
         expected /= np.pi
-        probs, _ = mc_predict(emb, clf, 10_000, SeededRng(123))
+        probs, _ = mc_predict(mu, sigma, clf, 10_000, SeededRng(123))
         assert np.max(np.abs(probs - expected)) < 0.01
 
     def test_output_is_simplex(self):
@@ -150,25 +142,22 @@ class TestMcPredict:
         for _ in range(10):
             mu = rng.normals(2)
             sigma = np.exp(rng.normals(2))
-            emb = GaussianEmbedding(mu=mu, sigma=sigma, log_var=2 * np.log(sigma))
-            probs, _ = mc_predict(emb, clf, 5, rng)
+            probs, _ = mc_predict(mu, sigma, clf, 5, rng)
             assert np.all(probs >= 0) and abs(probs.sum() - 1.0) < 1e-12
 
     def test_mc_std_shrinks_with_n(self):
         clf = _LinearClassifier(7)
         mu = np.array([0.1, 0.5])
         sigma = np.ones(2)
-        emb = GaussianEmbedding(mu=mu, sigma=sigma, log_var=np.zeros(2))
         rng = SeededRng(42)
 
         def spread(n, repeats=30):
-            outs = [mc_predict(emb, clf, n, rng)[0] for _ in range(repeats)]
+            outs = [mc_predict(mu, sigma, clf, n, rng)[0] for _ in range(repeats)]
             return np.std(np.stack(outs), axis=0).mean()
 
         assert spread(100) < spread(1)
 
     def test_n_zero_rejected(self):
         clf = _LinearClassifier(8)
-        emb = GaussianEmbedding(mu=np.zeros(2), sigma=np.ones(2), log_var=np.zeros(2))
         with pytest.raises(ValueError):
-            mc_predict(emb, clf, 0, SeededRng(0))
+            mc_predict(np.zeros(2), np.ones(2), clf, 0, SeededRng(0))

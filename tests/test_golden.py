@@ -7,6 +7,11 @@ be a pure speed-up must leave them all alone; a change that moves them on
 purpose updates the hashes here and says why. About a third of the faces
 are filtered out in this run, so the quality filter is exercised too.
 
+The same data is also trained and evaluated under ``--ablation no-fiqe``
+(stochastic faces, no filter) and ``--ablation no-ual`` (deterministic face
+means behind the filter); their face-branch and report files are pinned in
+``GOLDEN_ABLATIONS``, so every face training path is covered.
+
 ``manifest.json`` is not pinned (it records dataset paths), nor is the
 ``data`` path field of the report's ``run`` records. The hashes were taken
 on x86-64 with numpy 2.4; a platform whose BLAS or libm rounds differently
@@ -33,6 +38,21 @@ GOLDEN = {
     "val_metrics.jsonl": "4d6539155da1e6af682ad2476af400f471e46f37ea3505975f3fc0f6c560b5f1",
 }
 
+GOLDEN_ABLATIONS = {
+    "no-fiqe": {
+        "face.params.json": "8cff4c0f9a75dee3156f2a941e27a483817db46bbea39a33a605bc3db32471a9",
+        "face_loss.csv": "82ad2994bf0c7d558675e372611981cf01c9813d148a140078d96d43c55d5b71",
+        "report.jsonl": "e866ddb7bc4012b07bc57de09016b02f10d6a86d665276153013233e570079a0",
+        "val_metrics.jsonl": "a000117623ddc70b54d61be52b3547d98026b5274ab4cd38b85595ce6bf866d1",
+    },
+    "no-ual": {
+        "face.params.json": "b592b43b127fa11a8ff50cb5861c8599e61154f515275f02872053823bef6fc5",
+        "face_loss.csv": "14285c1ed71592ef526168ef5dd41598e36354dd26d9856df1df09df3b44f407",
+        "report.jsonl": "fff0a26a90a05721cfd43c615c369bc5d9c2495a4b45880e0a4eb7f905ff7e66",
+        "val_metrics.jsonl": "a000117623ddc70b54d61be52b3547d98026b5274ab4cd38b85595ce6bf866d1",
+    },
+}
+
 
 def _run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -50,17 +70,43 @@ def _digest(path):
 
 
 @pytest.fixture(scope="module")
-def golden_run(tmp_path_factory):
+def golden_data(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    train, val, out = root / "train.jsonl", root / "val.jsonl", root / "model"
+    train, val = root / "train.jsonl", root / "val.jsonl"
     _run("simulate", "--num-groups", "60", "--out", str(train))
     _run("simulate", "--num-groups", "30", "--partition", "val", "--out", str(val))
-    _run("train", "--train", str(train), "--val", str(val), "--out", str(out), "--epochs", "2")
+    return root, train, val
+
+
+def _train_and_eval(golden_data, ablation):
+    root, train, val = golden_data
+    out = root / ablation
+    _run("train", "--train", str(train), "--val", str(val), "--out", str(out), "--epochs", "2",
+         "--ablation", ablation)
     _run("eval", "--manifest", str(out / "manifest.json"), "--data", str(val),
          "--mc-samples", "1,4")
     return out
 
 
+@pytest.fixture(scope="module")
+def golden_run(golden_data):
+    return _train_and_eval(golden_data, "full")
+
+
+@pytest.fixture(scope="module")
+def ablation_runs(golden_data):
+    return {ablation: _train_and_eval(golden_data, ablation) for ablation in GOLDEN_ABLATIONS}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_unchanged(golden_run, name):
     assert _digest(golden_run / name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize(
+    "ablation,name",
+    [(ablation, name) for ablation in sorted(GOLDEN_ABLATIONS)
+     for name in sorted(GOLDEN_ABLATIONS[ablation])],
+)
+def test_ablation_output_bytes_unchanged(ablation_runs, ablation, name):
+    assert _digest(ablation_runs[ablation] / name) == GOLDEN_ABLATIONS[ablation][name]

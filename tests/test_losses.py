@@ -1,99 +1,131 @@
+"""Loss terms, checked on the branch code that training runs.
+
+The face terms come from ``FaceBranch.loss_and_grads`` and the object
+mixture from ``ObjectBranch.loss_and_grads``; ``kl_loss`` and ``rank_loss``
+are the shared helpers both call.
+"""
+
 import math
 
 import numpy as np
 import pytest
 
-from ual.gaussian_embedding import GaussianEmbedding
+from ual.errors import ConfigError
 from ual.losses import (
     LossWeights,
-    face_cls_loss,
     kl_loss,
-    kl_loss_arrays,
-    object_cls_loss,
     rank_loss,
-    rec_loss,
     total_face_loss,
     total_object_loss,
 )
-from ual.numerics import SeededRng, softmax_cross_entropy
+from ual.numerics import ParameterStore, SeededRng, softmax_cross_entropy
+from ual.pipeline import FaceBranch, ObjectBranch, TrainingConfig
+from ual.uncertainty_scoring import uncertainty_kernel
 
 
-def emb(mu, sigma):
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    return GaussianEmbedding(mu=mu, sigma=sigma, log_var=2.0 * np.log(sigma))
+def make_branch(kind, in_dim=4, latent=3, seed=0):
+    branch = kind(in_dim, latent, 3)
+    store = ParameterStore()
+    branch.register(store, SeededRng(seed).derive("init"))
+    return branch, store
 
 
-class _Linear:
-    def __init__(self, W, b):
-        self.W = np.asarray(W, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
+def face_terms(branch, store, faces, eps, label=1, weights=LossWeights()):
+    bd, _ = branch.loss_and_grads(store, faces, label, eps, weights, 0.5, 0.2)
+    return bd
 
-    def __call__(self, z):
-        return z @ self.W.T + self.b if z.ndim == 2 else self.W @ z + self.b
+
+def classify(store, prefix, x):
+    return store.get(f"{prefix}.classifier.weight") @ x + store.get(f"{prefix}.classifier.bias")
 
 
 class TestFaceClsLoss:
     def test_zero_classifier_uniform(self):
-        clf = _Linear(np.zeros((3, 4)), np.zeros(3))
-        assert face_cls_loss(np.ones(4), 1, clf) == pytest.approx(math.log(3.0), abs=1e-15)
+        branch, store = make_branch(FaceBranch)
+        store.get("face.classifier.weight")[...] = 0.0
+        rng = SeededRng(3)
+        bd = face_terms(branch, store, rng.normals((3, 4)), rng.normals((3, 3)))
+        assert bd.cls == pytest.approx(math.log(3.0), abs=1e-15)
 
     def test_saturated_direction(self):
-        clf = _Linear(np.array([[10.0, 10.0], [-10.0, -10.0], [0.0, 0.0]]), np.zeros(3))
-        assert face_cls_loss(np.array([1.0, 1.0]), 0, clf) < 1e-3
+        branch, store = make_branch(FaceBranch, latent=2)
+        # every face embeds to mu = [1, 1] with a vanishing sigma
+        store.get("face.embed.mu.weight")[...] = 0.0
+        store.get("face.embed.mu.bias")[...] = 1.0
+        store.get("face.embed.logvar.weight")[...] = 0.0
+        store.get("face.embed.logvar.bias")[...] = -40.0
+        store.get("face.classifier.weight")[...] = [[10.0, 10.0], [-10.0, -10.0], [0.0, 0.0]]
+        rng = SeededRng(4)
+        bd = face_terms(branch, store, rng.normals((2, 4)), rng.normals((2, 2)), label=0)
+        assert bd.cls < 1e-3
 
     def test_matches_independent_oracle(self):
+        branch, store = make_branch(FaceBranch, seed=4)
         rng = SeededRng(4)
-        clf = _Linear(rng.normals((3, 5)), rng.normals(3))
-        x = rng.normals(5)
-        loss = face_cls_loss(x, 2, clf)
-        logits = clf(x)
+        faces, eps = rng.normals((4, 4)), rng.normals((4, 3))
+        bd = face_terms(branch, store, faces, eps, label=2)
+        mu, _, sigma = branch.head.forward(store, faces)
+        logits = classify(store, "face", uncertainty_kernel(mu, sigma, eps).x_group)
         oracle = -math.log(math.exp(logits[2]) / sum(math.exp(v) for v in logits))
-        assert loss == pytest.approx(oracle, abs=1e-12)
+        assert bd.cls == pytest.approx(oracle, abs=1e-12)
 
 
 class TestObjectClsLoss:
     def setup_method(self):
+        self.branch, self.store = make_branch(ObjectBranch, seed=5)
         rng = SeededRng(5)
-        self.clf = _Linear(rng.normals((3, 4)), rng.normals(3))
-        self.mu = rng.normals(4)
-        self.z = rng.normals(4)
+        self.objects = rng.normals((1, 4))
+        self.eps = rng.normals((1, 3))
+        self.mu, _, self.sigma = self.branch.head.forward(self.store, self.objects)
+
+    def cls(self, eps, lambda1):
+        bd, _ = self.branch.loss_and_grads(
+            self.store, self.objects, 1, eps, LossWeights(lambda1=lambda1)
+        )
+        return bd.cls
+
+    def ce(self, x):
+        return softmax_cross_entropy(classify(self.store, "object", x), 1)[0]
 
     def test_lambda_one_depends_only_on_mu(self):
-        full = object_cls_loss(self.mu, self.z, 1, self.clf, 1.0)
-        other_z = object_cls_loss(self.mu, -self.z, 1, self.clf, 1.0)
-        assert full == other_z
-        assert full == pytest.approx(softmax_cross_entropy(self.clf(self.mu), 1)[0])
+        full = self.cls(self.eps, 1.0)
+        assert full == self.cls(-self.eps, 1.0)
+        assert full == pytest.approx(self.ce(self.mu[0]))
 
     def test_lambda_zero_is_z_only(self):
-        loss = object_cls_loss(self.mu, self.z, 1, self.clf, 0.0)
-        assert loss == pytest.approx(softmax_cross_entropy(self.clf(self.z), 1)[0])
+        z = self.mu[0] + self.eps[0] * self.sigma[0]
+        assert self.cls(self.eps, 0.0) == pytest.approx(self.ce(z))
 
     def test_zero_noise_half_mix(self):
-        loss = object_cls_loss(self.mu, self.mu, 1, self.clf, 0.5)
-        assert loss == pytest.approx(softmax_cross_entropy(self.clf(self.mu), 1)[0])
+        assert self.cls(np.zeros((1, 3)), 0.5) == pytest.approx(self.ce(self.mu[0]))
 
     def test_lambda_out_of_range(self):
-        with pytest.raises(ValueError):
-            object_cls_loss(self.mu, self.z, 1, self.clf, 1.5)
+        with pytest.raises(ConfigError, match="lambda1"):
+            TrainingConfig(lambda1=1.5).validate()
+
+
+def kl_one(mu, sigma):
+    mu = np.asarray(mu, dtype=np.float64)[None, :]
+    sigma = np.asarray(sigma, dtype=np.float64)[None, :]
+    return kl_loss(mu, 2.0 * np.log(sigma))
 
 
 class TestKlLoss:
     def test_standard_normal_is_zero(self):
-        assert kl_loss([emb([0.0, 0.0], [1.0, 1.0])]) == 0.0
+        assert kl_one([0.0, 0.0], [1.0, 1.0]) == 0.0
 
     def test_unit_mean_single_dim(self):
-        assert kl_loss([emb([1.0], [1.0])]) == pytest.approx(0.5, abs=1e-15)
+        assert kl_one([1.0], [1.0]) == pytest.approx(0.5, abs=1e-15)
 
     def test_variance_e(self):
         # D=1, mu=0, sigma^2 = e: -(1/2)(1 + 1 - 0 - e) = (e - 2) / 2
-        assert kl_loss([emb([0.0], [math.sqrt(math.e)])]) == pytest.approx(
+        assert kl_one([0.0], [math.sqrt(math.e)]) == pytest.approx(
             (math.e - 2.0) / 2.0, abs=1e-12
         )
 
     def test_mean_over_individuals(self):
-        one = kl_loss([emb([1.0], [1.0])])
-        two = kl_loss([emb([1.0], [1.0]), emb([0.0], [1.0])])
+        one = kl_loss(np.ones((1, 1)), np.zeros((1, 1)))
+        two = kl_loss(np.array([[1.0], [0.0]]), np.zeros((2, 1)))
         assert two == pytest.approx(one / 2.0)
 
     def test_nonnegative_on_random_embeddings(self):
@@ -101,17 +133,17 @@ class TestKlLoss:
         for _ in range(500):
             mu = rng.normals(3)
             log_var = rng.normals(3)
-            assert kl_loss_arrays(mu[None, :], log_var[None, :]) >= 0.0
+            assert kl_loss(mu[None, :], log_var[None, :]) >= 0.0
 
     def test_strictly_positive_off_the_standard_normal(self):
         # zero only at mu=0, sigma=1
-        assert kl_loss([emb([0.1], [1.0])]) > 1e-12
-        assert kl_loss([emb([0.0], [1.1])]) > 1e-12
-        assert kl_loss([emb([0.0], [0.9])]) > 1e-12
+        assert kl_one([0.1], [1.0]) > 1e-12
+        assert kl_one([0.0], [1.1]) > 1e-12
+        assert kl_one([0.0], [0.9]) > 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            kl_loss([])
+            kl_loss(np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 class TestRankLoss:
@@ -138,23 +170,28 @@ class TestRankLoss:
 
 class TestRecLoss:
     def test_zero_noise(self):
-        mu = np.array([0.5, -2.0])
-        assert rec_loss(mu, mu) == 0.0
+        branch, store = make_branch(FaceBranch, seed=10)
+        bd = face_terms(branch, store, SeededRng(10).normals((3, 4)), np.zeros((3, 3)))
+        assert bd.rec == 0.0
 
     def test_direct_substitution(self):
-        # sigma = [1, 1], eps = [1, -1]: z - mu = [1, -1], L1 = 2
-        mu = np.array([3.0, 4.0])
-        z = mu + np.array([1.0, -1.0])
-        assert rec_loss(z, mu) == pytest.approx(2.0)
+        # one face, sigma = [1, 1], eps = [1, -1]: z - mu = [1, -1], L1 = 2
+        branch, store = make_branch(FaceBranch, latent=2, seed=10)
+        store.get("face.embed.logvar.weight")[...] = 0.0
+        store.get("face.embed.logvar.bias")[...] = 0.0
+        bd = face_terms(branch, store, np.ones((1, 4)), np.array([[1.0, -1.0]]))
+        assert bd.rec == pytest.approx(2.0)
 
     def test_identity_with_eps_sigma(self):
+        branch, store = make_branch(FaceBranch, seed=10)
+        store.get("face.embed.logvar.weight")[...] = SeededRng(11).normals((3, 4))
         rng = SeededRng(10)
         for _ in range(50):
-            mu = rng.normals(6)
-            sigma = np.exp(rng.normals(6))
-            eps = rng.normals(6)
-            z = mu + eps * sigma
-            assert rec_loss(z, mu) == pytest.approx(np.abs(eps * sigma).sum(), abs=1e-12)
+            faces, eps = rng.normals((3, 4)), rng.normals((3, 3))
+            _, _, sigma = branch.head.forward(store, faces)
+            bd = face_terms(branch, store, faces, eps)
+            # rec is the per-face L1 norm of z* - mu, averaged over the faces
+            assert bd.rec == pytest.approx(np.abs(eps * sigma).sum() / 3, abs=1e-12)
 
 
 class TestTotals:

@@ -13,38 +13,55 @@ from ual.numerics import (
     block_normals,
     derive_seeds,
     gradient_check,
-    linear_forward,
     softmax,
     softmax_cross_entropy,
     softmax_cross_entropy_grad,
 )
 
 
+def affine(W, b):
+    """An AffineMap holding the given weight and bias, with its store."""
+    W = np.asarray(W, dtype=np.float64)
+    unit = AffineMap("lin", W.shape[1], W.shape[0])
+    store = ParameterStore()
+    unit.register(store, SeededRng(0))
+    store.set("lin.weight", W)
+    store.set("lin.bias", b)
+    return unit, store
+
+
 class TestLinearForward:
     def test_identity(self):
-        y = linear_forward([1.0, 0.0], np.eye(2), [0.0, 0.0])
-        assert np.allclose(y, [1.0, 0.0])
+        unit, store = affine(np.eye(2), [0.0, 0.0])
+        assert np.allclose(unit.forward(store, np.array([1.0, 0.0])), [1.0, 0.0])
 
     def test_direct_substitution(self):
-        y = linear_forward([1.0, 2.0], [[1.0, 1.0], [0.0, 1.0]], [1.0, 0.0])
-        assert np.allclose(y, [4.0, 2.0])
+        unit, store = affine([[1.0, 1.0], [0.0, 1.0]], [1.0, 0.0])
+        assert np.allclose(unit.forward(store, np.array([1.0, 2.0])), [4.0, 2.0])
 
     def test_random_map_matches_bruteforce(self):
         rng = SeededRng(3)
         x = rng.normals(8)
         W = rng.normals((4, 8))
         b = rng.normals(4)
-        y = linear_forward(x, W, b)
+        unit, store = affine(W, b)
         # independent oracle: explicit loops (summation order differs from
-        # BLAS by at most an ulp, hence the machine-precision tolerance)
+        # BLAS by at most an ulp, hence the machine-precision tolerance);
+        # the row-stack form is the one the branches use
         expected = np.array([sum(W[i, j] * x[j] for j in range(8)) + b[i] for i in range(4)])
-        np.testing.assert_allclose(y, expected, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(unit.forward(store, x), expected, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(
+            unit.forward(store, x[None, :])[0], expected, rtol=1e-14, atol=1e-14
+        )
 
     def test_dimension_mismatch(self):
+        unit, store = affine(np.eye(2), [0.0, 0.0])
         with pytest.raises(ShapeError):
-            linear_forward([1.0, 2.0, 3.0], np.eye(2), [0.0, 0.0])
+            unit.forward(store, np.array([1.0, 2.0, 3.0]))
         with pytest.raises(ShapeError):
-            linear_forward([1.0, 2.0], np.eye(2), [0.0, 0.0, 0.0])
+            unit.forward(store, np.ones((2, 3)))
+        with pytest.raises(ShapeError):
+            store.set("lin.bias", [0.0, 0.0, 0.0])
 
 
 class TestSoftmaxCrossEntropy:
@@ -257,6 +274,28 @@ class TestParameterStore:
         target.register("also", np.zeros(1))
         with pytest.raises(DataError, match="missing"):
             target.restore(path)
+
+    @pytest.mark.parametrize("edit,detail", [
+        (lambda entry: entry.pop("shape"), "KeyError: 'shape'"),
+        (lambda entry: entry.update(data=entry["data"][:-1]), "cannot reshape"),
+        (lambda entry: entry.update(data=["x", 1.0, 2.0]), "could not convert"),
+        (lambda entry: entry.update(shape=[2]), "cannot reshape"),
+        (lambda entry: entry.update(shape=[3, 1]), "has shape (3,)"),
+        (lambda entry: entry.update(data=[0.0, float("nan"), 1.0]), "non-finite"),
+    ], ids=["no-shape", "short-data", "string", "wrong-shape", "registered-shape", "nan"])
+    def test_bad_entry_names_file_and_parameter(self, tmp_path, edit, detail):
+        import json
+
+        store = ParameterStore()
+        store.register("a.bias", np.array([0.5, 1.5, 2.5]))
+        path = tmp_path / "p.json"
+        store.save(path)
+        doc = json.loads(path.read_text())
+        edit(doc["params"]["a.bias"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="parameter 'a.bias'") as exc:
+            store.restore(path)
+        assert str(path) in str(exc.value) and detail in str(exc.value)
 
     def test_duplicate_register(self):
         store = ParameterStore()

@@ -6,9 +6,11 @@ import pytest
 
 from ual.datagen_metrics import GroupSample, SynthesisSpec, generate_dataset
 from ual.errors import ConfigError, NumericError
+from ual.losses import LossWeights
 from ual.numerics import ParameterStore, SeededRng
 from ual.pipeline import (
     BranchPrediction,
+    FaceBranch,
     Trainer,
     TrainingConfig,
     branch_infer,
@@ -17,11 +19,10 @@ from ual.pipeline import (
     evaluate_dataset,
     fuse_predictions,
     predict_group,
-    pwfs_fuse,
     register_branches,
     train_model,
 )
-from ual.uncertainty_scoring import SCORE_FLOOR
+from ual.uncertainty_scoring import SCORE_FLOOR, uncertainty_kernel
 
 
 def bp(branch, probs, present=True):
@@ -31,12 +32,12 @@ def bp(branch, probs, present=True):
 class TestFusion:
     def test_identical_branches_fixed_point(self):
         p = [0.5, 0.3, 0.2]
-        result = pwfs_fuse([bp("face", p), bp("object", p), bp("scene", p)])
+        result = fuse_predictions([bp("face", p), bp("object", p), bp("scene", p)], "pwfs")
         assert np.allclose(result.probs, p, atol=1e-15)
         assert all(w == pytest.approx(1 / 3) for w in result.weights.values())
 
     def test_single_branch(self):
-        result = pwfs_fuse([bp("face", [0.9, 0.05, 0.05])])
+        result = fuse_predictions([bp("face", [0.9, 0.05, 0.05])], "pwfs")
         assert np.allclose(result.probs, [0.9, 0.05, 0.05])
         assert result.weights == {"face": 1.0}
 
@@ -44,7 +45,7 @@ class TestFusion:
         f = [0.8, 0.1, 0.1]
         o = [0.4, 0.3, 0.3]
         s = [0.5, 0.25, 0.25]
-        result = pwfs_fuse([bp("face", f), bp("object", o), bp("scene", s)])
+        result = fuse_predictions([bp("face", f), bp("object", o), bp("scene", s)], "pwfs")
         assert result.weights["face"] == pytest.approx(8 / 17, abs=1e-12)
         assert result.weights["object"] == pytest.approx(4 / 17, abs=1e-12)
         assert result.weights["scene"] == pytest.approx(5 / 17, abs=1e-12)
@@ -64,18 +65,18 @@ class TestFusion:
                 logits = rng.normals(4)
                 e = np.exp(logits - logits.max())
                 preds.append(bp(tag, e / e.sum()))
-            result = pwfs_fuse(preds)
+            result = fuse_predictions(preds, "pwfs")
             assert all(w >= 0 for w in result.weights.values())
             assert sum(result.weights.values()) == pytest.approx(1.0, abs=1e-12)
             assert result.probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(result.probs >= 0)
 
     def test_absent_branch_excluded(self):
-        result = pwfs_fuse([
+        result = fuse_predictions([
             bp("face", [0.6, 0.2, 0.2]),
             bp("object", [1 / 3, 1 / 3, 1 / 3], present=False),
             bp("scene", [0.6, 0.2, 0.2]),
-        ])
+        ], "pwfs")
         assert set(result.weights) == {"face", "scene"}
         assert np.allclose(result.probs, [0.6, 0.2, 0.2])
 
@@ -97,7 +98,7 @@ class TestFusion:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            pwfs_fuse([])
+            fuse_predictions([], "pwfs")
 
 
 def tiny_dataset(num_groups=12, seed=3, **kw):
@@ -267,6 +268,82 @@ class TestBranchInfer:
         return e / e.sum()
 
 
+class TestFaceLoss:
+    """Forward values of ``FaceBranch.loss_and_grads`` against per-face loops."""
+
+    BETA, DELTA1 = 0.5, 5.0  # a wide margin keeps the rank term active
+
+    def _setup(self, n_faces, seed):
+        branch = FaceBranch(in_dim=6, latent_dim=4, num_classes=3)
+        store = ParameterStore()
+        rng = SeededRng(seed)
+        branch.register(store, rng.derive("init"))
+        store.get("face.embed.logvar.weight")[...] = 0.3 * rng.normals((4, 6))
+        store.get("face.embed.logvar.bias")[...] = 0.2 * rng.normals(4)
+        return branch, store, rng.normals((n_faces, 6))
+
+    @pytest.mark.parametrize("n_faces,seed", [(4, 1), (5, 2), (5, 3)])
+    def test_terms_match_per_face_oracle(self, n_faces, seed):
+        branch, store, faces = self._setup(n_faces, seed)
+        eps = SeededRng(seed).derive("eps").normals((n_faces, 4))
+        weights = LossWeights()
+        bd, _ = branch.loss_and_grads(store, faces, 1, eps, weights, self.BETA, self.DELTA1)
+        oracle = self._face_loss_oracle(store, faces, 1, eps, self.BETA, self.DELTA1)
+        assert oracle["rank"] > 0.0
+        for term in ("cls", "kl", "rank", "rec"):
+            assert getattr(bd, term) == pytest.approx(oracle[term], rel=1e-9, abs=1e-12), term
+        expected_total = (oracle["cls"] + weights.lambda2 * oracle["kl"]
+                          + weights.lambda3 * oracle["rank"] + weights.lambda4 * oracle["rec"])
+        assert bd.total == pytest.approx(expected_total, rel=1e-9)
+
+    def test_zero_noise_draws_the_means(self):
+        branch, store, faces = self._setup(5, 4)
+        eps = np.zeros((5, 4))
+        bd, _ = branch.loss_and_grads(store, faces, 2, eps, LossWeights(), self.BETA, self.DELTA1)
+        mu, _, sigma = branch.head.forward(store, faces)
+        assert np.array_equal(uncertainty_kernel(mu, sigma, eps).z, mu)
+        assert bd.rec == 0.0
+        # every score sits at the floor, so alpha is 1 and the rank gap is 0
+        assert bd.rank == self.DELTA1
+        oracle = self._face_loss_oracle(store, faces, 2, eps, self.BETA, self.DELTA1)
+        assert bd.cls == pytest.approx(oracle["cls"], rel=1e-9, abs=1e-12)
+
+    @staticmethod
+    def _face_loss_oracle(store, faces, label, eps, beta, delta1):
+        """The face loss terms recomputed one face and one dimension at a time."""
+        n, d = eps.shape
+        in_dim = faces.shape[1]
+        Wm, bm = store.get("face.embed.mu.weight"), store.get("face.embed.mu.bias")
+        Ws, bs = store.get("face.embed.logvar.weight"), store.get("face.embed.logvar.bias")
+        Wc, bc = store.get("face.classifier.weight"), store.get("face.classifier.bias")
+        mus, lvs, sigmas, zs, scores = [], [], [], [], []
+        for i in range(n):
+            mu = [sum(Wm[a, b] * faces[i][b] for b in range(in_dim)) + bm[a] for a in range(d)]
+            lv = [sum(Ws[a, b] * faces[i][b] for b in range(in_dim)) + bs[a] for a in range(d)]
+            sigma = [math.exp(0.5 * v) for v in lv]
+            mus.append(mu)
+            lvs.append(lv)
+            sigmas.append(sigma)
+            zs.append([mu[a] + eps[i][a] * sigma[a] for a in range(d)])
+            scores.append(d / sum(1.0 / max(abs(sigma[a] * eps[i][a]), SCORE_FLOOR)
+                                  for a in range(d)))
+        lo, hi = min(scores), max(scores)
+        alpha = [lo + hi - s for s in scores] if hi > lo else [1.0] * n
+        x = [sum(alpha[i] * zs[i][a] for i in range(n)) / sum(alpha) for a in range(d)]
+        logits = [sum(Wc[c, a] * x[a] for a in range(d)) + bc[c] for c in range(Wc.shape[0])]
+        top = max(logits)
+        cls = math.log(sum(math.exp(v - top) for v in logits)) + top - logits[label]
+        kl = -0.5 * sum(1.0 + lvs[i][a] - mus[i][a] ** 2 - math.exp(lvs[i][a])
+                        for i in range(n) for a in range(d)) / n
+        order = sorted(range(n), key=lambda i: -alpha[i])  # stable: ties keep face order
+        n_high = min(math.ceil(beta * n), n - 1)
+        high = sum(alpha[i] for i in order[:n_high]) / n_high
+        low = sum(alpha[i] for i in order[n_high:]) / (n - n_high)
+        rank = max(0.0, delta1 - (high - low))
+        rec = sum(abs(sigmas[i][a] * eps[i][a]) for i in range(n) for a in range(d)) / n
+        return {"cls": cls, "kl": kl, "rank": rank, "rec": rec}
+
+
 class TestPredictGroup:
     def test_uniform_branches_tie_break_to_zero(self):
         ds = tiny_dataset()
@@ -282,7 +359,7 @@ class TestPredictGroup:
 
     def test_dominant_branch_decides(self):
         preds = [bp("face", [0.97, 0.02, 0.01]), bp("scene", [0.3, 0.4, 0.3])]
-        fused = pwfs_fuse(preds)
+        fused = fuse_predictions(preds, "pwfs")
         assert int(np.argmax(fused.probs)) == 0
 
     def test_group_without_objects_uses_face_scene(self):

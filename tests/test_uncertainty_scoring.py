@@ -4,39 +4,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ual.errors import ShapeError
-from ual.gaussian_embedding import GaussianEmbedding, StochasticDraw, reparameterize
 from ual.numerics import SeededRng
 from ual.uncertainty_scoring import (
+    SCORE_FLOOR,
     aggregate_group,
+    high_low_partition,
     importance_scalars,
-    score_individuals,
-    split_high_low,
-    uncertainty_score,
+    uncertainty_kernel,
 )
+
+
+def score(sigma, eps):
+    """Kernel score of one individual with the given sigma and noise vectors."""
+    sigma = np.asarray(sigma, dtype=np.float64)[None, :]
+    eps = np.asarray(eps, dtype=np.float64)[None, :]
+    return float(uncertainty_kernel(np.zeros_like(sigma), sigma, eps).s[0])
 
 
 class TestUncertaintyScore:
     def test_equal_products(self):
-        assert uncertainty_score([1.0, 1.0], [1.0, 1.0]) == pytest.approx(1.0)
+        assert score([1.0, 1.0], [1.0, 1.0]) == pytest.approx(1.0)
 
     def test_scaling(self):
-        assert uncertainty_score([2.0, 2.0], [1.0, 1.0]) == pytest.approx(2.0)
+        assert score([2.0, 2.0], [1.0, 1.0]) == pytest.approx(2.0)
 
     def test_hand_evaluated_harmonic_mean(self):
         # harmonic mean of {1, 3} = 2 / (1 + 1/3) = 1.5
-        assert uncertainty_score([1.0, 3.0], [1.0, 1.0]) == pytest.approx(1.5)
+        assert score([1.0, 3.0], [1.0, 1.0]) == pytest.approx(1.5)
 
     def test_negative_products_use_magnitude(self):
-        assert uncertainty_score([1.0, 3.0], [-1.0, 1.0]) == pytest.approx(1.5)
+        assert score([1.0, 3.0], [-1.0, 1.0]) == pytest.approx(1.5)
 
     def test_zero_product_floored(self):
-        s = uncertainty_score([1.0, 1.0], [0.0, 1.0])
+        s = score([1.0, 1.0], [0.0, 1.0])
         assert s > 0.0
-        assert s == pytest.approx(2.0 / (1e8 + 1.0))
+        assert s == pytest.approx(2.0 / (1.0 / SCORE_FLOOR + 1.0))
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            uncertainty_score([1.0, 2.0], [1.0])
+            uncertainty_kernel(np.zeros((1, 2)), np.ones((1, 2)), np.ones((1, 1)))
 
 
 class TestImportanceScalars:
@@ -52,6 +58,13 @@ class TestImportanceScalars:
     def test_two_point_swap(self):
         assert np.allclose(importance_scalars([0.5, 1.0]), [1.0, 0.5])
 
+    def test_rows_are_independent_groups(self):
+        s = SeededRng(12).uniforms(12).reshape(4, 3)
+        s[2] = 0.4  # one degenerate round among ordinary ones
+        batched = importance_scalars(s)
+        assert np.array_equal(batched, np.stack([importance_scalars(row) for row in s]))
+        assert np.array_equal(batched[2], np.ones(3))
+
     @given(st.integers(0, 2**32), st.integers(2, 12))
     @settings(max_examples=60, deadline=None)
     def test_conservation_and_antimonotonicity(self, seed, n):
@@ -65,36 +78,36 @@ class TestImportanceScalars:
         assert np.array_equal(np.argsort(alpha, kind="stable")[::-1], np.argsort(s, kind="stable"))
 
 
-def _draws(z_rows):
-    return [StochasticDraw(z_star=np.asarray(z, dtype=np.float64), eps=np.zeros(len(z))) for z in z_rows]
-
-
 class TestAggregateGroup:
     def test_uniform_weights_mean(self):
-        z = [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]
-        out = aggregate_group(_draws(z), [0.4, 0.4, 0.4])
+        z = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
+        out = aggregate_group(z, [0.4, 0.4, 0.4])
         assert np.allclose(out, np.mean(z, axis=0))
 
     def test_dominant_weight(self):
-        z = [[5.0, -1.0], [100.0, 100.0]]
-        out = aggregate_group(_draws(z), [1.0, 1e-12])
+        z = np.array([[5.0, -1.0], [100.0, 100.0]])
+        out = aggregate_group(z, [1.0, 1e-12])
         assert np.max(np.abs(out - np.array([5.0, -1.0]))) < 1e-9
 
     def test_hand_evaluated(self):
-        out = aggregate_group(_draws([[1.0, 0.0], [0.0, 1.0]]), [2.0, 1.0])
+        out = aggregate_group(np.array([[1.0, 0.0], [0.0, 1.0]]), [2.0, 1.0])
         assert np.allclose(out, [2.0 / 3.0, 1.0 / 3.0])
 
     def test_single_face_identity(self):
-        out = aggregate_group(_draws([[3.0, 4.0]]), [0.2])
-        assert np.array_equal(out, [3.0, 4.0])
+        # a lone face is degenerate (alpha = 1), so its draw is the group feature
+        rng = SeededRng(31)
+        mu, sigma, eps = rng.normals((1, 4)), np.exp(rng.normals((1, 4))), rng.normals((3, 1, 4))
+        out = uncertainty_kernel(mu, sigma, eps)
+        assert np.array_equal(out.alpha, np.ones((3, 1)))
+        assert np.array_equal(out.x_group, out.z[:, 0, :])
 
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_group([], [])
+            aggregate_group(np.zeros((0, 2)), np.zeros(0))
 
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_group(_draws([[1.0], [2.0]]), [1.0, 0.0])
+            aggregate_group(np.array([[1.0], [2.0]]), [1.0, 0.0])
 
     @given(st.integers(0, 2**32), st.integers(1, 8))
     @settings(max_examples=50, deadline=None)
@@ -113,25 +126,38 @@ class TestAggregateGroup:
 class TestScoreIndividuals:
     def test_scores_use_stored_noise_and_importance_bounds(self):
         rng = SeededRng(44)
-        embs, draws = [], []
+        mu = rng.normals((5, 6))
+        sigma = np.exp(rng.normals((5, 6)))
+        eps = rng.normals((5, 6))
+        out = uncertainty_kernel(mu, sigma, eps)
+        assert np.array_equal(out.z, mu + eps * sigma)
         for i in range(5):
-            mu = rng.normals(6)
-            sigma = np.exp(rng.normals(6))
-            emb = GaussianEmbedding(mu=mu, sigma=sigma, log_var=2 * np.log(sigma))
-            embs.append(emb)
-            draws.append(reparameterize(emb, rng))
-        scored = score_individuals(embs, draws)
-        scores = np.array([si.score for si in scored])
-        for si, emb, draw in zip(scored, embs, draws):
-            assert si.score == pytest.approx(uncertainty_score(emb.sigma, draw.eps))
+            # each score is the harmonic mean of its own |sigma * eps|
+            assert out.s[i] == pytest.approx(6.0 / np.sum(1.0 / np.abs(sigma[i] * eps[i])))
             # the closed form (s_min + s_max) - s can undershoot the range
             # bound by one ulp, hence the 1e-12 slack
-            assert scores.min() - 1e-12 <= si.importance <= scores.max() + 1e-12
-            assert si.importance + si.score == pytest.approx(scores.min() + scores.max())
+            assert out.s.min() - 1e-12 <= out.alpha[i] <= out.s.max() + 1e-12
+            assert out.alpha[i] + out.s[i] == pytest.approx(out.s.min() + out.s.max())
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            score_individuals([], [StochasticDraw(np.zeros(2), np.zeros(2))])
+            uncertainty_kernel(np.zeros((2, 3)), np.ones((2, 3)), np.ones((3, 3)))
+
+    def test_rounds_equal_one_round_at_a_time(self):
+        rng = SeededRng(45)
+        mu, sigma, eps = rng.normals((4, 5)), np.exp(rng.normals((4, 5))), rng.normals((6, 4, 5))
+        batched = uncertainty_kernel(mu, sigma, eps)
+        for r in range(6):
+            one = uncertainty_kernel(mu, sigma, eps[r])
+            for a, b in zip(batched, one):
+                assert np.array_equal(a[r], b)
+
+
+def split_high_low(alphas, ratio):
+    """Mean importance of the high and low partitions, as the face rank term takes them."""
+    a = np.asarray(alphas, dtype=np.float64)
+    order, n_high = high_low_partition(a, ratio)
+    return float(a[order[:n_high]].mean()), float(a[order[n_high:]].mean())
 
 
 class TestSplitHighLow:
