@@ -28,6 +28,7 @@ from .datagen_metrics import (
     Dataset,
     generate_dataset,
     load_dataset,
+    open_data_file,
     save_dataset,
     spec_from_mapping,
 )
@@ -108,7 +109,7 @@ def _bundled(name: str):
 
 def sha256_file(path) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as fh:
+    with open_data_file(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()

@@ -172,6 +172,17 @@ def generate_dataset(spec: SynthesisSpec) -> Dataset:
 # file I/O
 
 
+def open_data_file(path, mode: str = "r"):
+    """``open(path, mode)``, with an OS failure (a missing file, a missing
+    directory, no permission) raised as a :class:`DataError` naming ``path``."""
+    try:
+        if "b" in mode:
+            return open(path, mode)
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open: {exc.strerror or exc}") from exc
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     header = {
         "schema": SCHEMA,
@@ -181,7 +192,7 @@ def save_dataset(dataset: Dataset, path) -> None:
         "num_classes": dataset.num_classes,
         "class_names": list(dataset.class_names),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_data_file(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
         for group in dataset.groups:
             record = {
@@ -217,7 +228,7 @@ def _rows(value, dim: int, what: str, where: str) -> np.ndarray:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_data_file(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise DataError(f"{path}: empty dataset file")

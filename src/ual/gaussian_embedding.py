@@ -13,7 +13,7 @@ branch through :func:`mc_predict`.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -45,24 +45,26 @@ class EmbeddingHead:
     def forward(
         self, store: ParameterStore, x: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns ``(mu, log_var, sigma)``; accepts a vector or a row stack."""
+        """Returns ``(mu, log_var, sigma)``; accepts a vector, a row stack or
+        a stack of row stacks (see :class:`~ual.numerics.AffineMap`)."""
         mu = self.mu_map.forward(store, x)
         log_var = self.logvar_map.forward(store, x)
         sigma = np.exp(0.5 * log_var)
         return mu, log_var, sigma
 
     def forward_checked(
-        self, store: ParameterStore, x: np.ndarray, source: str
+        self, store: ParameterStore, x: np.ndarray, source: str | Sequence[str]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`forward` on an ``(n, in_dim)`` stack; a sigma that is not
-        strictly positive (an underflow) raises :class:`NumericError` naming
-        the first such row as ``source + str(row)``."""
+        """:meth:`forward` on an ``(n, in_dim)`` stack, or on a ``(G, n, in_dim)``
+        stack with one ``source`` per item; a sigma that is not strictly
+        positive (an underflow) raises :class:`NumericError` naming the first
+        such row as ``source + str(row)``."""
         mu, log_var, sigma = self.forward(store, x)
-        bad = np.flatnonzero(~np.all(sigma > 0.0, axis=1))
-        if bad.size:
-            raise NumericError(
-                f"sigma must be strictly positive (source {source + str(bad[0])!r})"
-            )
+        bad = ~np.all(sigma > 0.0, axis=-1)
+        if bad.any():
+            *item, row = np.argwhere(bad)[0].tolist()
+            where = source[item[0]] if item else source
+            raise NumericError(f"sigma must be strictly positive (source {where + str(row)!r})")
         return mu, log_var, sigma
 
     def backward(
@@ -72,10 +74,11 @@ class EmbeddingHead:
         d_mu: np.ndarray,
         d_log_var: np.ndarray,
         grads: dict[str, np.ndarray],
-    ) -> np.ndarray:
-        d_in = self.mu_map.backward(store, x, d_mu, grads)
-        d_in = d_in + self.logvar_map.backward(store, x, d_log_var, grads)
-        return d_in
+    ) -> None:
+        """Accumulate both maps' parameter gradients. The input gradient is
+        not computed: the inputs are data."""
+        self.mu_map.param_grads(store, x, d_mu, grads)
+        self.logvar_map.param_grads(store, x, d_log_var, grads)
 
 
 def mc_predict(

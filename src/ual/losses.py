@@ -33,6 +33,8 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class LossBreakdown:
+    """One group's loss terms, or a stacked call's terms as arrays of one value per group."""
+
     cls: float
     kl: float
     rank: float
@@ -44,37 +46,44 @@ class LossBreakdown:
         return (self.cls, self.kl, self.rank, self.rec, self.total)
 
 
-def kl_loss(mu: np.ndarray, log_var: np.ndarray) -> float:
+def kl_loss(mu: np.ndarray, log_var: np.ndarray) -> float | np.ndarray:
     """Mean KL(N(mu, sigma^2) || N(0, I)) over the rows of ``(n, d)`` arrays.
 
     Computed as ``-(1 / 2n) sum_i sum_d (1 + log sigma^2 - mu^2 - sigma^2)``;
-    zero exactly when every row is the standard normal.
+    zero exactly when every row is the standard normal. A ``(..., n, d)``
+    stack gives one KL per ``(n, d)`` item, each summed as the 2-D call sums it.
     """
-    if mu.shape != log_var.shape or mu.ndim != 2:
-        raise ShapeError(f"need equal (n, d) mu/log_var, got {mu.shape} vs {log_var.shape}")
-    if mu.shape[0] == 0:
+    if mu.shape != log_var.shape or mu.ndim < 2:
+        raise ShapeError(f"need equal (..., n, d) mu/log_var, got {mu.shape} vs {log_var.shape}")
+    n = mu.shape[-2]
+    if n == 0:
         raise ValueError("kl_loss needs at least one individual")
-    return float(-0.5 * np.sum(1.0 + log_var - np.square(mu) - np.exp(log_var)) / mu.shape[0])
+    terms = 1.0 + log_var - np.square(mu) - np.exp(log_var)
+    kl = -0.5 * terms.reshape(mu.shape[:-2] + (-1,)).sum(axis=-1) / n
+    return float(kl) if mu.ndim == 2 else kl
 
 
-def rank_loss(alpha_high: float, alpha_low: float, delta1: float) -> float:
+def rank_loss(alpha_high, alpha_low, delta1: float) -> float | np.ndarray:
     """Margin loss ``max(0, delta1 - (alpha_high - alpha_low))``.
 
-    Groups with fewer than two faces have no high/low partition; callers
-    define their rank term as 0 in that case.
+    Takes floats, or arrays of one group mean per group. Groups with fewer
+    than two faces have no high/low partition; callers define their rank
+    term as 0 in that case.
     """
     if delta1 < 0.0:
         raise ValueError(f"delta1 must be >= 0, got {delta1}")
-    return max(0.0, delta1 - (alpha_high - alpha_low))
+    gap = delta1 - (np.asarray(alpha_high, dtype=np.float64) - alpha_low)
+    rank = np.where(gap > 0.0, gap, 0.0)  # a NaN gap gives 0.0, as max(0.0, gap) does
+    return float(rank) if rank.ndim == 0 else rank
 
 
-def total_face_loss(
-    cls: float, kl: float, rank: float, rec: float, weights: LossWeights
-) -> LossBreakdown:
+def total_face_loss(cls, kl, rank, rec, weights: LossWeights) -> LossBreakdown:
+    """The weighted face total; the terms are floats, or arrays of one value per group."""
     total = cls + weights.lambda2 * kl + weights.lambda3 * rank + weights.lambda4 * rec
     return LossBreakdown(cls=cls, kl=kl, rank=rank, rec=rec, total=total, weights=weights)
 
 
-def total_object_loss(cls: float, kl: float, weights: LossWeights) -> LossBreakdown:
+def total_object_loss(cls, kl, weights: LossWeights) -> LossBreakdown:
     total = cls + weights.lambda2 * kl
-    return LossBreakdown(cls=cls, kl=kl, rank=0.0, rec=0.0, total=total, weights=weights)
+    zero = np.zeros_like(cls) if isinstance(cls, np.ndarray) else 0.0
+    return LossBreakdown(cls=cls, kl=kl, rank=zero, rec=zero, total=total, weights=weights)

@@ -214,18 +214,25 @@ def derive_seeds(parent: SeededRng | np.ndarray, part) -> np.ndarray:
     """uint64 seeds of ``SeededRng(p).derive(q)`` over arrays of streams.
 
     ``parent`` is one stream or an array of uint64 seeds; ``part`` is one
-    str suffix (such as ``"fiqe"``) or an array of ints. The two broadcast,
-    so one call derives a child per face of a group.
+    str suffix (such as ``"fiqe"``), an array of ints, or an array of strs
+    (such as a batch's group ids). The two broadcast, so one call derives a
+    child per group of a batch or per face of a group.
     """
     seeds = np.asarray(parent.seed if isinstance(parent, SeededRng) else parent, dtype=np.uint64)
     with np.errstate(over="ignore"):
         if isinstance(part, str):
             token = _str_token(part)
         else:
-            ints = np.asarray(part)
-            if ints.size and ints.dtype.kind not in "iu":
-                raise TypeError(f"rng stream key parts must be ints, got dtype {ints.dtype}")
-            token = _mix64(ints.astype(np.uint64))
+            parts = np.asarray(part)
+            if parts.dtype.kind == "U":
+                token = np.array([_str_token(p) for p in parts.ravel().tolist()], dtype=np.uint64)
+                token = token.reshape(parts.shape)
+            elif parts.size and parts.dtype.kind not in "iu":
+                raise TypeError(
+                    f"rng stream key parts must be ints or strs, got dtype {parts.dtype}"
+                )
+            else:
+                token = _mix64(parts.astype(np.uint64))
         return np.asarray(_fold(seeds, token), dtype=np.uint64)
 
 
@@ -372,9 +379,13 @@ class ParameterStore:
 class AffineMap:
     """y = W x + b with a manual backward pass.
 
-    ``W`` has shape ``(out_dim, in_dim)``. Forward accepts a single vector or
-    a stack of rows ``(n, in_dim)``; gradients are accumulated into a plain
-    ``{name: array}`` dict so several units can share one backward sweep.
+    ``W`` has shape ``(out_dim, in_dim)``. Forward accepts a single vector,
+    a stack of rows ``(n, in_dim)``, or a stack of such row stacks
+    ``(..., n, in_dim)``. A stack goes through one ``np.matmul``, which
+    multiplies each ``(n, in_dim)`` item exactly as a 2-D call on it would;
+    its parameter gradients keep the leading stack axes, one gradient per
+    item. Gradients are accumulated into a plain ``{name: array}`` dict so
+    several units can share one backward sweep.
     """
 
     def __init__(self, name: str, in_dim: int, out_dim: int):
@@ -392,15 +403,24 @@ class AffineMap:
     def forward(self, store: ParameterStore, x: np.ndarray) -> np.ndarray:
         W = store.get(self.weight_name)
         b = store.get(self.bias_name)
+        if x.ndim == 0 or x.shape[-1] != self.in_dim:
+            raise ShapeError(f"{self.name}: input has shape {x.shape}, need width {self.in_dim}")
         if x.ndim == 1:
-            if x.shape[0] != self.in_dim:
-                raise ShapeError(f"{self.name}: input has length {x.shape[0]}, need {self.in_dim}")
             return W @ x + b
-        if x.ndim == 2:
-            if x.shape[1] != self.in_dim:
-                raise ShapeError(f"{self.name}: input has width {x.shape[1]}, need {self.in_dim}")
-            return x @ W.T + b
-        raise ShapeError(f"{self.name}: input must be 1-D or 2-D, got shape {x.shape}")
+        return x @ W.T + b
+
+    def param_grads(
+        self,
+        store: ParameterStore,
+        x: np.ndarray,
+        d_out: np.ndarray,
+        grads: dict[str, np.ndarray],
+    ) -> None:
+        """Accumulate the weight and bias gradients of ``d_out`` at input ``x``."""
+        if x.ndim == 1:
+            x, d_out = x[None, :], d_out[None, :]
+        _accumulate(grads, self.weight_name, np.matmul(d_out.swapaxes(-1, -2), x))
+        _accumulate(grads, self.bias_name, d_out.sum(axis=-2))
 
     def backward(
         self,
@@ -409,23 +429,20 @@ class AffineMap:
         d_out: np.ndarray,
         grads: dict[str, np.ndarray],
     ) -> np.ndarray:
+        """:meth:`param_grads`, and the gradient with respect to the input."""
+        self.param_grads(store, x, d_out, grads)
         W = store.get(self.weight_name)
         if x.ndim == 1:
-            x2 = x[None, :]
-            d2 = d_out[None, :]
-        else:
-            x2, d2 = x, d_out
-        _accumulate(grads, self.weight_name, d2.T @ x2)
-        _accumulate(grads, self.bias_name, d2.sum(axis=0))
-        d_in = d2 @ W
-        return d_in[0] if x.ndim == 1 else d_in
+            return (d_out[None, :] @ W)[0]
+        return np.matmul(d_out, W)
 
 
 def _accumulate(grads: dict[str, np.ndarray], name: str, value: np.ndarray) -> None:
+    # ``value`` is always a freshly computed array, so it is stored, not copied
     if name in grads:
         grads[name] += value
     else:
-        grads[name] = np.array(value, dtype=np.float64)
+        grads[name] = value
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -436,30 +453,41 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax_cross_entropy(logits, label: int) -> tuple[float, np.ndarray]:
+def softmax_cross_entropy(logits, label) -> tuple[float | np.ndarray, np.ndarray]:
     """Loss ``-log p[label]`` and the probability vector, via max-subtraction.
 
-    Stable for any finite logits; ``label`` outside ``[0, C)`` raises.
+    ``logits`` is one ``(C,)`` vector, giving a float loss, or a ``(..., C)``
+    stack with an int label array that broadcasts against ``logits.shape[:-1]``,
+    giving one loss per vector. Stable for any finite logits; non-finite
+    logits or a label outside ``[0, C)`` raise.
     """
-    z = ensure_vector(logits, name="logits")
-    c = z.shape[0]
-    if c < 2:
-        raise ShapeError(f"need at least 2 classes, got {c}")
-    if not (0 <= int(label) < c):
+    z = as_f64(logits, "logits")
+    if z.ndim == 0 or z.shape[-1] < 2:
+        raise ShapeError(f"need at least 2 classes, got logits of shape {z.shape}")
+    c = z.shape[-1]
+    labels = np.asarray(label)
+    if not np.all((labels >= 0) & (labels < c)):
         raise DataError(f"label {label} out of range for {c} classes")
-    m = float(z.max())
+    m = z.max(axis=-1, keepdims=True)
     e = np.exp(z - m)
-    total = float(e.sum())
+    total = e.sum(axis=-1, keepdims=True)
     probs = e / total
-    loss = float(np.log(total) + m - z[int(label)])
-    return loss, probs
+    picked = z.reshape(-1, c)[_label_index(labels, z.shape)].reshape(z.shape[:-1] + (1,))
+    loss = (np.log(total) + m - picked)[..., 0]
+    return (float(loss) if z.ndim == 1 else loss), probs
 
 
-def softmax_cross_entropy_grad(probs: np.ndarray, label: int) -> np.ndarray:
-    """d loss / d logits for :func:`softmax_cross_entropy`."""
+def softmax_cross_entropy_grad(probs: np.ndarray, label) -> np.ndarray:
+    """d loss / d logits for :func:`softmax_cross_entropy`, for one vector or a stack."""
     g = probs.copy()
-    g[int(label)] -= 1.0
+    g.reshape(-1, g.shape[-1])[_label_index(np.asarray(label), g.shape)] -= 1.0
     return g
+
+
+def _label_index(labels: np.ndarray, shape: tuple[int, ...]):
+    """Index of each vector's label entry in the ``(-1, C)`` view of a ``shape`` stack."""
+    flat = np.broadcast_to(labels, shape[:-1]).reshape(-1)
+    return np.arange(flat.size), flat
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,29 @@ reports. Each group derives its key prefix once; the per-individual streams
 and their noise blocks are then drawn in one call
 (:func:`~ual.numerics.derive_seeds`, :func:`~ual.numerics.block_normals`),
 bit-identical to deriving each stream on its own.
+
+Training runs each mini-batch as stacked arrays. The batch's groups are
+bucketed by the count that sets the matmul shapes: faces for the quality
+filter's Gaussians, kept faces for the face loss, objects for the object
+loss; the scene is one bucket. Each branch loss then runs once per bucket
+on a leading stack axis, and all faces of the batch are scored in one
+quality-filter call. Models, loss logs and reports stay byte-identical to a
+loop over the groups because the stacked arithmetic keeps these rules:
+
+* Groups stack on a leading axis into one ``np.matmul``, which makes one
+  BLAS call per item, equal to the 2-D call on that group. Rows of
+  different groups are never concatenated into one 2-D matmul (a larger
+  matrix takes other BLAS paths, and the last bits change), and
+  ``einsum`` is not used (it sums in another order).
+* A per-group vector product ``W @ x`` is ``np.matmul(X[:, None, :], W.T)[:, 0]``;
+  a matrix-vector product ``A @ v`` is ``np.matmul(A, V[..., None])[..., 0]``.
+* A whole-array sum becomes ``reshape(G, -1).sum(-1)``; every other
+  reduction runs along the same axis, in the same order, as in the
+  one-group call.
+* The batch gradient, ``sum of (w / total) * g`` in batch order, is
+  ``np.add.reduce`` along axis 0 of the scaled per-group gradients stacked
+  in batch order.
+* The embedding heads' input gradients are not computed: the inputs are data.
 """
 
 from __future__ import annotations
@@ -211,6 +234,29 @@ def _content_ranks(rows: np.ndarray) -> list[int]:
     return ranks
 
 
+def _stacked(x: np.ndarray, label, eps: np.ndarray | None = None, item_ndim: int = 2):
+    """Lift one group's loss inputs to a stack of one group.
+
+    ``x`` is one group's input (``item_ndim`` axes) or a stack of them; the
+    label and noise follow it. Returns ``(x, labels, eps, single)``.
+    """
+    single = x.ndim == item_ndim
+    if single:
+        x, label = x[None], [label]
+        eps = None if eps is None else eps[None]
+    return x, np.asarray(label), eps, single
+
+
+def _unstacked(
+    breakdown: LossBreakdown, grads: dict[str, np.ndarray], single: bool
+) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
+    """Undo :func:`_stacked`: a one-group call gets floats and parameter-shaped grads."""
+    if not single:
+        return breakdown, grads
+    terms = (float(v[0]) for v in breakdown.as_row())
+    return LossBreakdown(*terms, weights=breakdown.weights), {k: v[0] for k, v in grads.items()}
+
+
 # ---------------------------------------------------------------------------
 # face branch
 
@@ -241,7 +287,7 @@ class FaceBranch(_GaussianBranch):
         self,
         store: ParameterStore,
         faces: np.ndarray,
-        label: int,
+        label,
         eps: np.ndarray,
         weights: LossWeights,
         beta: float,
@@ -251,46 +297,53 @@ class FaceBranch(_GaussianBranch):
 
         ``eps`` is the (n_faces, latent_dim) noise block; fixing it makes the
         loss a deterministic function of the parameters, which is what the
-        finite-difference checker needs.
+        finite-difference checker needs. With a leading stack axis (``G``
+        groups of ``n`` faces, ``G`` labels, a ``(G, n, latent_dim)`` block)
+        every breakdown term is a length-``G`` array and every gradient
+        carries the stack axis first; see :func:`_stacked`.
         """
+        faces, label, eps, single = _stacked(faces, label, eps)
         grads: dict[str, np.ndarray] = {}
         mu, log_var, sigma = self.head.forward(store, faces)
         z, prods, s, alpha, x_group = uncertainty_kernel(mu, sigma, eps)
-        n, d = eps.shape
+        g, n, d = eps.shape
+        rows = np.arange(g)
 
-        logits = self.classifier.forward(store, x_group)
+        # each group's feature goes through the classifier as a one-row matrix
+        logits = self.classifier.forward(store, x_group[:, None])[:, 0]
         cls, probs = softmax_cross_entropy(logits, label)
         kl = kl_loss(mu, log_var)
         if n >= 2:
             order, n_high = high_low_partition(alpha, beta)
+            ranked = alpha[rows[:, None], order]
             rank = rank_loss(
-                float(alpha[order[:n_high]].mean()), float(alpha[order[n_high:]].mean()), delta1
+                ranked[:, :n_high].mean(axis=-1), ranked[:, n_high:].mean(axis=-1), delta1
             )
         else:
             order, n_high = None, 0
-            rank = 0.0
-        rec = float(prods.sum() / n)
+            rank = np.zeros(g)
+        rec = prods.reshape(g, -1).sum(axis=-1) / n
         breakdown = total_face_loss(cls, kl, rank, rec, weights)
 
         # backward
-        total_alpha = alpha.sum()
+        total_alpha = alpha.sum(axis=-1)
         d_logits = softmax_cross_entropy_grad(probs, label)
-        d_xg = self.classifier.backward(store, x_group, d_logits, grads)
-        d_z = (alpha / total_alpha)[:, None] * d_xg[None, :]
-        d_alpha = (z - x_group[None, :]) @ d_xg / total_alpha
-        if rank > 0.0 and order is not None:
-            d_alpha[order[:n_high]] += weights.lambda3 * (-1.0 / n_high)
-            d_alpha[order[n_high:]] += weights.lambda3 * (1.0 / (n - n_high))
-        i_min, i_max = int(np.argmin(s)), int(np.argmax(s))
-        if s[i_max] > s[i_min]:  # alpha = s_min + s_max - s
-            d_s = -d_alpha
-            shift = d_alpha.sum()
-            d_s[i_min] += shift
-            d_s[i_max] += shift
-        else:  # degenerate: alpha is the constant 1
-            d_s = np.zeros(n)
+        d_xg = self.classifier.backward(store, x_group[:, None], d_logits[:, None], grads)[:, 0]
+        d_z = (alpha / total_alpha[:, None])[..., None] * d_xg[:, None, :]
+        d_alpha = np.matmul(z - x_group[:, None, :], d_xg[..., None])[..., 0] / total_alpha[:, None]
+        if order is not None:
+            act = np.flatnonzero(rank > 0.0)
+            d_alpha[act[:, None], order[act, :n_high]] += weights.lambda3 * (-1.0 / n_high)
+            d_alpha[act[:, None], order[act, n_high:]] += weights.lambda3 * (1.0 / (n - n_high))
+        i_min, i_max = np.argmin(s, axis=-1), np.argmax(s, axis=-1)
+        spread = s[rows, i_max] > s[rows, i_min]  # else alpha is the constant 1
+        d_s = np.where(spread[:, None], -d_alpha, 0.0)  # alpha = s_min + s_max - s
+        shift = d_alpha.sum(axis=-1)
+        r = rows[spread]
+        d_s[r, i_min[r]] += shift[r]
+        d_s[r, i_max[r]] += shift[r]
         t = np.maximum(prods, SCORE_FLOOR)
-        d_t = (d_s * s * s / d)[:, None] / (t * t)
+        d_t = (d_s * s * s / d)[..., None] / (t * t)
         above = prods > SCORE_FLOOR
         d_sigma = d_z * eps
         d_sigma += d_t * np.abs(eps) * above
@@ -298,28 +351,32 @@ class FaceBranch(_GaussianBranch):
         d_mu = d_z + weights.lambda2 * mu / n
         d_log_var = 0.5 * sigma * d_sigma + weights.lambda2 * (np.exp(log_var) - 1.0) / (2.0 * n)
         self.head.backward(store, faces, d_mu, d_log_var, grads)
-        return breakdown, grads
+        return _unstacked(breakdown, grads, single)
 
     def deterministic_loss_and_grads(
         self,
         store: ParameterStore,
         faces: np.ndarray,
-        label: int,
+        label,
         weights: LossWeights,
     ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-        """Baseline: classify the unweighted mean of the face means, CE only."""
-        n = faces.shape[0]
+        """Baseline: classify the unweighted mean of the face means, CE only.
+
+        Takes one group or a stack of groups, as :meth:`loss_and_grads` does.
+        """
+        faces, label, _, single = _stacked(faces, label)
+        g, n = faces.shape[:2]
         grads: dict[str, np.ndarray] = {}
         mu = self.head.mu_map.forward(store, faces)
-        x_group = mu.mean(axis=0)
-        logits = self.classifier.forward(store, x_group)
+        x_group = mu.mean(axis=-2)
+        logits = self.classifier.forward(store, x_group[:, None])[:, 0]
         cls, probs = softmax_cross_entropy(logits, label)
         d_logits = softmax_cross_entropy_grad(probs, label)
-        d_xg = self.classifier.backward(store, x_group, d_logits, grads)
-        d_mu = np.tile(d_xg / n, (n, 1))
-        self.head.mu_map.backward(store, faces, d_mu, grads)
-        breakdown = total_face_loss(cls, 0.0, 0.0, 0.0, weights)
-        return breakdown, grads
+        d_xg = self.classifier.backward(store, x_group[:, None], d_logits[:, None], grads)[:, 0]
+        d_mu = np.repeat((d_xg / n)[:, None, :], n, axis=1)
+        self.head.mu_map.param_grads(store, faces, d_mu, grads)
+        zero = np.zeros(g)
+        return _unstacked(total_face_loss(cls, zero, zero, zero, weights), grads, single)
 
     # -- inference ---------------------------------------------------------
 
@@ -406,30 +463,29 @@ class ObjectBranch(_GaussianBranch):
         self,
         store: ParameterStore,
         objects: np.ndarray,
-        label: int,
+        label,
         eps: np.ndarray,
         weights: LossWeights,
     ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-        """Mean per-object loss: lambda1-mixed CE on mu and z*, plus KL."""
-        k, d = eps.shape
-        if objects.shape[0] != k or k == 0:
-            raise ShapeError(f"{k} noise rows for {objects.shape[0]} objects")
+        """Mean per-object loss: lambda1-mixed CE on mu and z*, plus KL.
+
+        Takes one group's ``(k, in_dim)`` objects and ``(k, latent_dim)``
+        noise, or a stack of groups of ``k`` objects each (see :func:`_stacked`).
+        """
+        objects, label, eps, single = _stacked(objects, label, eps)
+        k = eps.shape[1]
+        if objects.shape[:2] != eps.shape[:2] or k == 0:
+            raise ShapeError(f"{k} noise rows for {objects.shape[1]} objects")
         grads: dict[str, np.ndarray] = {}
         mu, log_var, sigma = self.head.forward(store, objects)
         z = mu + eps * sigma
-        logits_mu = self.classifier.forward(store, mu)
-        logits_z = self.classifier.forward(store, z)
-        probs_mu = softmax(logits_mu, axis=1)
-        probs_z = softmax(logits_z, axis=1)
-        ce_mu = [softmax_cross_entropy(logits_mu[i], label)[0] for i in range(k)]
-        ce_z = [softmax_cross_entropy(logits_z[i], label)[0] for i in range(k)]
-        cls = weights.lambda1 * float(np.mean(ce_mu)) + (1.0 - weights.lambda1) * float(
-            np.mean(ce_z)
-        )
+        per_object = label[:, None]
+        ce_mu, probs_mu = softmax_cross_entropy(self.classifier.forward(store, mu), per_object)
+        ce_z, probs_z = softmax_cross_entropy(self.classifier.forward(store, z), per_object)
+        cls = weights.lambda1 * ce_mu.mean(axis=-1) + (1.0 - weights.lambda1) * ce_z.mean(axis=-1)
         breakdown = total_object_loss(cls, kl_loss(mu, log_var), weights)
 
-        onehot = np.zeros(self.num_classes)
-        onehot[label] = 1.0
+        onehot = (np.arange(self.num_classes) == per_object).astype(np.float64)[:, None, :]
         d_logits_mu = (probs_mu - onehot) * (weights.lambda1 / k)
         d_logits_z = (probs_z - onehot) * ((1.0 - weights.lambda1) / k)
         d_mu = self.classifier.backward(store, mu, d_logits_mu, grads)
@@ -438,7 +494,7 @@ class ObjectBranch(_GaussianBranch):
         d_sigma = d_z * eps
         d_log_var = 0.5 * sigma * d_sigma + weights.lambda2 * (np.exp(log_var) - 1.0) / (2.0 * k)
         self.head.backward(store, objects, d_mu, d_log_var, grads)
-        return breakdown, grads
+        return _unstacked(breakdown, grads, single)
 
     def infer(
         self,
@@ -493,13 +549,19 @@ class SceneBranch:
         self.classifier.register(store, rng.derive("classifier"))
 
     def loss_and_grads(
-        self, store: ParameterStore, scene: np.ndarray, label: int, weights: LossWeights
+        self, store: ParameterStore, scene: np.ndarray, label, weights: LossWeights
     ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
+        """Cross-entropy of one ``(in_dim,)`` scene, or of a ``(G, in_dim)``
+        stack with ``G`` labels (see :func:`_stacked`)."""
+        scene, label, _, single = _stacked(scene, label, item_ndim=1)
         grads: dict[str, np.ndarray] = {}
-        logits = self.classifier.forward(store, scene)
-        cls, probs = softmax_cross_entropy(logits, label)
-        self.classifier.backward(store, scene, softmax_cross_entropy_grad(probs, label), grads)
-        return LossBreakdown(cls=cls, kl=0.0, rank=0.0, rec=0.0, total=cls, weights=weights), grads
+        rows = scene[:, None]  # each scene goes through the classifier as a one-row matrix
+        cls, probs = softmax_cross_entropy(self.classifier.forward(store, rows)[:, 0], label)
+        d_logits = softmax_cross_entropy_grad(probs, label)
+        self.classifier.param_grads(store, rows, d_logits[:, None], grads)
+        zero = np.zeros_like(cls)
+        breakdown = LossBreakdown(cls=cls, kl=zero, rank=zero, rec=zero, total=cls, weights=weights)
+        return _unstacked(breakdown, grads, single)
 
     def infer(self, store: ParameterStore, group: GroupSample) -> BranchPrediction:
         scene = group.scene
@@ -554,13 +616,18 @@ def fuse_predictions(
 
     ``pwfs`` (proportional-weighted fusion) weights each branch by its share
     of the total top-class confidence; the other strategies use fixed priors.
+    When every branch is absent (an object-only model on a group without
+    objects), their vectors are fused as given, with equal weights.
     """
     if strategy not in FUSION_STRATEGIES:
         raise ConfigError(f"unknown fusion strategy {strategy!r}")
+    if not predictions:
+        raise ValueError("no branch predictions to fuse")
     present = [p for p in predictions if p.present]
     if not present:
-        raise ValueError("no present branch predictions to fuse")
-    if strategy == "pwfs":
+        present = list(predictions)
+        conf = np.ones(len(present))
+    elif strategy == "pwfs":
         conf = np.array([float(np.max(p.probs)) for p in present])
     else:
         priors = _FUSION_PRIORS[strategy]
@@ -684,9 +751,12 @@ class Adam:
 # training
 
 
-def _check_finite(breakdown: LossBreakdown, group_id: str) -> None:
-    for term in ("cls", "kl", "rank", "rec", "total"):
-        if not math.isfinite(getattr(breakdown, term)):
+_TERMS = ("cls", "kl", "rank", "rec", "total")
+
+
+def _check_finite(row: np.ndarray, group_id: str) -> None:
+    for term, value in zip(_TERMS, row):
+        if not math.isfinite(value):
             raise NumericError(f"group {group_id}: non-finite loss term {term!r}")
 
 
@@ -710,15 +780,49 @@ class _group_loss:
 
 
 def _mean_breakdown(
-    rows: list[tuple[float, ...]], row_weights: list[int], weights: LossWeights
+    rows: list[np.ndarray], row_weights: list[int], weights: LossWeights
 ) -> LossBreakdown:
     if not rows:
         return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, weights)
     w = np.asarray(row_weights, dtype=np.float64)
     cls, kl, rank, rec, total = (
-        float(v) for v in (np.asarray(rows) * w[:, None]).sum(axis=0) / w.sum()
+        float(v) for v in (np.concatenate(rows) * w[:, None]).sum(axis=0) / w.sum()
     )
     return LossBreakdown(cls, kl, rank, rec, total, weights)
+
+
+def _bucketed(counts: Sequence[int], step) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Per-group loss rows and gradients of a batch, one ``step`` per bucket.
+
+    Groups with the same count (faces or objects: the count that sets the
+    matmul shapes) form a bucket; ``step(positions)`` runs the branch loss
+    on the stack of those groups. Its rows and gradients are put back in
+    batch order: ``rows`` is ``(G, 5)`` and each gradient ``(G, *shape)``.
+    """
+    counts = np.asarray(counts)
+    rows = np.empty((counts.size, len(_TERMS)))
+    grads: dict[str, np.ndarray] = {}
+    for count in np.unique(counts).tolist():
+        pos = np.flatnonzero(counts == count)
+        breakdown, bucket_grads = step(pos)
+        rows[pos] = np.column_stack(breakdown.as_row())
+        for name, g in bucket_grads.items():
+            if name not in grads:
+                grads[name] = np.empty((counts.size,) + g.shape[1:])
+            grads[name][pos] = g
+    return rows, grads
+
+
+def _individual_seeds(stream: SeededRng, groups: Sequence[GroupSample], indices) -> np.ndarray:
+    """Seeds of ``stream.derive(group.id, j)`` for every group and each ``j``
+    of its ``indices``, flat in group order."""
+    per_group = derive_seeds(stream, [group.id for group in groups])
+    counts = [len(idx) for idx in indices]
+    return derive_seeds(np.repeat(per_group, counts), np.concatenate(indices))
+
+
+def _split(flat: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
+    return np.split(flat, np.cumsum(counts)[:-1])
 
 
 class Trainer:
@@ -757,7 +861,9 @@ class Trainer:
         A group enters its batch's gradient with weight ``w / total``: ``w``
         is 1 for face and scene and the object count for object, and groups
         (or whole batches) of weight 0 are skipped. The epoch's loss row is
-        the mean of the groups' rows under the same weights.
+        the mean of the groups' rows under the same weights. Each batch is
+        one stacked step per bucket (see :func:`_bucketed`), summed in batch
+        order as a loop over its groups would sum it.
         """
         if not groups:
             raise DataError("cannot train on an empty dataset")
@@ -765,7 +871,7 @@ class Trainer:
         for tag in BRANCH_TAGS:
             if tag not in self.branches:
                 continue
-            group_weight, group_loss = self._objective(tag, epoch)
+            group_weight, batch_loss = self._objective(tag, epoch)
             rows, row_weights = [], []
             for batch in self._batches(len(groups), tag, epoch):
                 batch_groups = [groups[int(gi)] for gi in batch]
@@ -773,21 +879,15 @@ class Trainer:
                 total = sum(batch_weights)
                 if total == 0:
                     continue
-                grads: dict[str, np.ndarray] = {}
-                for group, w in zip(batch_groups, batch_weights):
-                    if w == 0:
-                        continue
-                    with _group_loss(group.id):
-                        bd, g = group_loss(group)
-                    _check_finite(bd, group.id)
-                    rows.append(bd.as_row())
-                    row_weights.append(w)
-                    scale = w / total
-                    for name, val in g.items():
-                        if name in grads:
-                            grads[name] += scale * val
-                        else:
-                            grads[name] = scale * val
+                members = [g for g, w in zip(batch_groups, batch_weights) if w]
+                member_weights = [w for w in batch_weights if w]
+                batch_rows, grads = _checked_batch(batch_loss, members)
+                rows.append(batch_rows)
+                row_weights.extend(member_weights)
+                scales = np.array([w / total for w in member_weights])
+                for name, g in grads.items():
+                    g *= scales.reshape((-1,) + (1,) * (g.ndim - 1))
+                    grads[name] = np.add.reduce(g, axis=0)
                 self.optimizers[tag].step(self.store, grads)
             out[tag] = _mean_breakdown(rows, row_weights, self.config.loss_weights)
         return out
@@ -800,12 +900,14 @@ class Trainer:
             yield order[start : start + b]
 
     def _objective(self, tag: str, epoch: int):
-        """``(weight, loss)`` functions of one group for branch ``tag``.
+        """``(weight, loss)`` functions for branch ``tag``.
 
-        ``loss(group)`` returns the branch's ``(LossBreakdown, grads)``. Its
-        noise for individual ``j`` comes from the stream keyed
-        ``(seed, "train", tag, epoch, group id, j)``; the face quality filter
-        draws from ``(seed, "train-fiqe", "face", epoch, group id, j)``.
+        ``weight(group)`` is a group's weight; ``loss(groups)`` returns the
+        per-group ``(rows, grads)`` of a batch's groups (see
+        :func:`_bucketed`). Noise for individual ``j`` of a group comes from
+        the stream keyed ``(seed, "train", tag, epoch, group id, j)``; the
+        face quality filter draws from
+        ``(seed, "train-fiqe", "face", epoch, group id, j)``.
         """
         cfg = self.config
         store = self.store
@@ -813,45 +915,121 @@ class Trainer:
         branch = self.branches[tag]
         root = SeededRng(cfg.seed)
 
+        def labels(groups):
+            return np.array([group.label for group in groups])
+
         if tag == "scene":
-            def scene_loss(group):
-                return branch.loss_and_grads(store, group.scene, group.label, weights)
+            def scene_loss(groups):
+                scene = np.stack([group.scene for group in groups])
+                return _bucketed(  # one bucket: every scene has the same shape
+                    [0] * len(groups),
+                    lambda pos: branch.loss_and_grads(store, scene, labels(groups), weights),
+                )
 
             return (lambda group: 1), scene_loss
 
         if tag == "object":
-            def object_loss(group):
-                stream = root.derive("train", "object", epoch, group.id)
-                k = group.objects.shape[0]
-                eps = block_normals(derive_seeds(stream, np.arange(k)), cfg.latent_dim)
-                return branch.loss_and_grads(store, group.objects, group.label, eps, weights)
+            def object_loss(groups):
+                counts = [group.objects.shape[0] for group in groups]
+                stream = root.derive("train", "object", epoch)
+                seeds = _individual_seeds(stream, groups, [np.arange(k) for k in counts])
+                eps = _split(block_normals(seeds, cfg.latent_dim), counts)
+                y = labels(groups)
+
+                def bucket(pos):
+                    objects = np.stack([groups[p].objects for p in pos])
+                    noise = np.stack([eps[p] for p in pos])
+                    return branch.loss_and_grads(store, objects, y[pos], noise, weights)
+
+                return _bucketed(counts, bucket)
 
             return (lambda group: group.objects.shape[0]), object_loss
 
         deterministic = self.ablation in ("no-ual", "no-ual-fiqe")
         fiqe_on = self.ablation in ("full", "no-ual") and cfg.fiqe_apply in ("both", "train")
 
-        def face_loss(group):
-            faces = group.faces
-            indices = np.arange(faces.shape[0])
+        def face_loss(groups):
+            faces = [group.faces for group in groups]
+            indices = [np.arange(f.shape[0]) for f in faces]
             if fiqe_on:
-                mu, _, sigma = branch.head.forward_checked(store, faces, f"{group.id}/face")
-                stream = root.derive("train-fiqe", "face", epoch, group.id)
-                eps = block_normals(
-                    derive_seeds(stream, indices), (cfg.fiqe_samples, cfg.latent_dim)
-                )
-                kept, _ = filter_faces(mu, sigma, eps, cfg.delta2)
-                faces = faces[kept]
-                indices = kept
+                indices = self._fiqe_kept(branch, groups, epoch)
+                faces = [f[kept] for f, kept in zip(faces, indices)]
+            counts = [len(idx) for idx in indices]
+            y = labels(groups)
             if deterministic:
-                return branch.deterministic_loss_and_grads(store, faces, group.label, weights)
-            stream = root.derive("train", "face", epoch, group.id)
-            eps = block_normals(derive_seeds(stream, indices), cfg.latent_dim)
-            return branch.loss_and_grads(
-                store, faces, group.label, eps, weights, cfg.beta, cfg.delta1
-            )
+                return _bucketed(
+                    counts,
+                    lambda pos: branch.deterministic_loss_and_grads(
+                        store, np.stack([faces[p] for p in pos]), y[pos], weights
+                    ),
+                )
+            seeds = _individual_seeds(root.derive("train", "face", epoch), groups, indices)
+            eps = _split(block_normals(seeds, cfg.latent_dim), counts)
+
+            def bucket(pos):
+                stack = np.stack([faces[p] for p in pos])
+                noise = np.stack([eps[p] for p in pos])
+                return branch.loss_and_grads(
+                    store, stack, y[pos], noise, weights, cfg.beta, cfg.delta1
+                )
+
+            return _bucketed(counts, bucket)
 
         return (lambda group: 1), face_loss
+
+    def _fiqe_kept(
+        self, branch: FaceBranch, groups: Sequence[GroupSample], epoch: int
+    ) -> list[np.ndarray]:
+        """Indices of the faces of each group that pass the quality filter.
+
+        The Gaussians are computed one stack per face count; all faces of
+        the batch are then scored in one :func:`filter_faces` call.
+        """
+        cfg = self.config
+        sizes = [group.faces.shape[0] for group in groups]
+        starts = np.cumsum(sizes) - sizes
+        mu = np.empty((sum(sizes), cfg.latent_dim))
+        sigma = np.empty_like(mu)
+        for n in sorted(set(sizes)):
+            pos = [p for p, size in enumerate(sizes) if size == n]
+            bucket_mu, _, bucket_sigma = branch.head.forward_checked(
+                self.store,
+                np.stack([groups[p].faces for p in pos]),
+                [f"{groups[p].id}/face" for p in pos],
+            )
+            flat = (starts[pos][:, None] + np.arange(n)).ravel()
+            mu[flat] = bucket_mu.reshape(-1, cfg.latent_dim)
+            sigma[flat] = bucket_sigma.reshape(-1, cfg.latent_dim)
+        stream = SeededRng(cfg.seed).derive("train-fiqe", "face", epoch)
+        seeds = _individual_seeds(stream, groups, [np.arange(n) for n in sizes])
+        eps = block_normals(seeds, (cfg.fiqe_samples, cfg.latent_dim))
+        kept = np.asarray(filter_faces(mu, sigma, eps, cfg.delta2, sizes)[0], dtype=np.intp)
+        owner = np.searchsorted(starts, kept, side="right") - 1
+        return _split(kept - starts[owner], np.bincount(owner, minlength=len(groups)))
+
+
+def _checked_batch(batch_loss, groups: Sequence[GroupSample]):
+    """``batch_loss(groups)`` with finite rows, under silenced overflow warnings.
+
+    A batch that fails (an exception or a non-finite loss term) is run
+    again one group at a time in batch order, so the error names the first
+    failing group, and its first failing check, as a per-group step would.
+    """
+    failure = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            rows, grads = batch_loss(groups)
+            if np.isfinite(rows).all():
+                return rows, grads
+        except (ValueError, ArithmeticError) as exc:  # the errors a group's data can cause
+            failure = exc
+    for group in groups:
+        with _group_loss(group.id):
+            rows, _ = batch_loss([group])
+        _check_finite(rows[0], group.id)
+    if failure is not None:
+        raise failure
+    raise NumericError("non-finite loss in a batch that no single group reproduces")
 
 
 # ---------------------------------------------------------------------------

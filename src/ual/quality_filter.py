@@ -9,17 +9,24 @@ high-variance (low-quality) faces fall below the keep threshold.
 Dropping every face would leave the group aggregation undefined, so when a
 whole group fails the threshold the single best-scoring face is kept.
 
-All faces of a group are scored in one call. Each face's score is summed in
-the same order as a one-face call would sum it, so batching changes no bit.
+All faces of a group, or of a whole training batch of groups, are scored in
+one call. Each face's score is summed in the same order as a one-face call
+would sum it, so batching changes no bit.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ShapeError
+
+# Faces scored per step: a training batch's few hundred faces are scored in
+# chunks whose pair arrays stay small (about 0.2 MB at 8 draws of 32 dims)
+_CHUNK = 32
 
 
 @functools.lru_cache(maxsize=64)
@@ -43,15 +50,20 @@ def fiqe_score(embeddings) -> float | np.ndarray:
         )
     m = x.shape[-2]
     iu, ju = _pairs(m)
-    # np.take, not x[..., iu, :]: fancy indexing after a slice lays the pair
-    # axis out first, and a row sum over such a strided view adds in another
-    # order than the 1-D sum of a single face (1 ulp on about 1 score in 3)
-    diff = np.take(x, iu, axis=-2) - np.take(x, ju, axis=-2)
-    dist = np.sqrt(np.square(diff).sum(axis=-1))
-    # the exponent is never positive, so e / (1 + e) is the stable sigmoid
-    e = np.exp(-(2.0 / (m * m)) * dist.sum(axis=-1))
-    scores = 2.0 * (e / (1.0 + e))
-    return float(scores) if x.ndim == 2 else scores
+    faces = x.reshape(-1, m, x.shape[-1])
+    scores = np.empty(faces.shape[0])
+    for lo in range(0, faces.shape[0], _CHUNK):
+        part = faces[lo : lo + _CHUNK]
+        # np.take, not part[:, iu, :]: fancy indexing after a slice lays the
+        # pair axis out first, and a row sum over such a strided view adds in
+        # another order than the 1-D sum of a single face (1 ulp on about 1
+        # score in 3)
+        diff = np.take(part, iu, axis=-2) - np.take(part, ju, axis=-2)
+        dist = np.sqrt(np.square(diff).sum(axis=-1))
+        # the exponent is never positive, so e / (1 + e) is the stable sigmoid
+        e = np.exp(-(2.0 / (m * m)) * dist.sum(axis=-1))
+        scores[lo : lo + _CHUNK] = 2.0 * (e / (1.0 + e))
+    return float(scores[0]) if x.ndim == 2 else scores
 
 
 def filter_faces(
@@ -59,15 +71,17 @@ def filter_faces(
     sigma: np.ndarray,
     eps: np.ndarray,
     threshold: float,
+    sizes: Sequence[int] | None = None,
 ) -> tuple[list[int], np.ndarray]:
     """Keep the faces whose quality score reaches ``threshold``.
 
     ``mu`` and ``sigma`` are the ``(n, dim)`` Gaussians of a group's faces
     and ``eps`` the ``(n, m, dim)`` noise block; face ``i`` is scored from
-    its ``m`` draws ``mu[i] + eps[i] * sigma[i]``. If no face passes, the
-    single best-scoring one (first on ties) is kept so the group never
-    becomes empty. Returns the kept indices in original order and every
-    face's score.
+    its ``m`` draws ``mu[i] + eps[i] * sigma[i]``. ``sizes`` splits the
+    ``n`` rows into consecutive groups (default: one group). If no face of a
+    group passes, its single best-scoring one (first on ties) is kept so no
+    group becomes empty. Returns the kept row indices in original order and
+    every face's score.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
@@ -76,8 +90,15 @@ def filter_faces(
             f"need (n, dim) mu/sigma and an (n, m, dim) eps block, got "
             f"{mu.shape}, {sigma.shape} and {eps.shape}"
         )
+    if sizes is None:
+        sizes = (mu.shape[0],)
+    elif min(sizes, default=0) < 0 or sum(sizes) != mu.shape[0]:
+        raise ShapeError(f"group sizes {list(sizes)} do not split {mu.shape[0]} faces")
     scores = fiqe_score(mu[:, None, :] + eps * sigma[:, None, :])
     kept = np.flatnonzero(scores >= threshold).tolist()
-    if not kept and scores.size:
-        kept = [int(np.argmax(scores))]
-    return kept, scores
+    fallback, lo = [], 0
+    for size in sizes:
+        if size and bisect.bisect_left(kept, lo) == bisect.bisect_left(kept, lo + size):
+            fallback.append(lo + int(np.argmax(scores[lo : lo + size])))
+        lo += size
+    return (sorted(kept + fallback) if fallback else kept), scores

@@ -13,8 +13,9 @@ finite, which keeps every alpha (and hence every aggregation weight)
 positive.
 
 :func:`uncertainty_kernel` is this algebra, written once over the
-individual axis -2: training calls it on a group's ``(n, d)`` noise block,
-inference on an ``(N, k, d)`` block of ``N`` Monte-Carlo rounds.
+individual axis -2: training calls it on a ``(G, n, d)`` stack of ``G``
+groups of ``n`` faces (``G = 1`` for a single group), inference on an
+``(N, k, d)`` block of ``N`` Monte-Carlo rounds of one group.
 """
 
 from __future__ import annotations
@@ -40,14 +41,15 @@ class UncertainGroup(NamedTuple):
 
 
 def uncertainty_kernel(mu: np.ndarray, sigma: np.ndarray, eps: np.ndarray) -> UncertainGroup:
-    """Draw, score, weight and aggregate a group of Gaussian individuals.
+    """Draw, score, weight and aggregate groups of Gaussian individuals.
 
-    ``mu`` and ``sigma`` are the ``(k, d)`` Gaussians; ``eps`` is a
-    ``(..., k, d)`` noise block whose leading axes index independent rounds.
+    ``mu`` and ``sigma`` are ``(..., k, d)`` Gaussians: one group's ``(k, d)``
+    or a stack of groups. ``eps`` is a noise block whose shape ends with
+    ``mu.shape``; its extra leading axes index independent rounds.
     """
-    if mu.shape != sigma.shape or mu.ndim != 2 or eps.shape[-2:] != mu.shape:
+    if mu.shape != sigma.shape or mu.ndim < 2 or eps.shape[eps.ndim - mu.ndim :] != mu.shape:
         raise ShapeError(
-            f"need (k, d) mu/sigma and a (..., k, d) eps block, got "
+            f"need (..., k, d) mu/sigma and an eps block ending in that shape, got "
             f"{mu.shape}, {sigma.shape} and {eps.shape}"
         )
     z = mu + eps * sigma
@@ -93,14 +95,16 @@ def aggregate_group(z: np.ndarray, alphas) -> np.ndarray:
 def high_low_partition(alphas: np.ndarray, ratio: float) -> tuple[np.ndarray, int]:
     """Descending stable sort order and the size of the high partition.
 
-    The top ``ceil(ratio * n)`` indices form the high group, capped at
-    ``n - 1`` so the low group is never empty; ties keep original order.
+    ``alphas`` holds one group's ``n`` weights, or a ``(..., n)`` stack of
+    groups sorted row by row. The top ``ceil(ratio * n)`` indices form the
+    high group, capped at ``n - 1`` so the low group is never empty; ties
+    keep original order.
     """
     a = np.asarray(alphas, dtype=np.float64)
-    if a.ndim != 1 or a.shape[0] < 2:
+    if a.ndim < 1 or a.shape[-1] < 2:
         raise ShapeError("high/low partition needs at least 2 individuals")
     if not (0.0 < ratio < 1.0):
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
-    order = np.argsort(-a, kind="stable")
-    n_high = min(math.ceil(ratio * a.shape[0]), a.shape[0] - 1)
+    order = np.argsort(-a, axis=-1, kind="stable")
+    n_high = min(math.ceil(ratio * a.shape[-1]), a.shape[-1] - 1)
     return order, n_high

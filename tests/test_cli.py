@@ -126,6 +126,46 @@ class TestTrain:
         assert "latent_dmi" in capsys.readouterr().err
 
 
+class TestObjectOnly:
+    def test_object_branch_alone_trains_and_evaluates(self, tmp_path, capsys):
+        train, val = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+        assert run("simulate", "--num-groups", "40", "--out", str(train)) == 0
+        assert run("simulate", "--num-groups", "40", "--partition", "val", "--out", str(val)) == 0
+        # validation meets groups whose only enabled branch is absent
+        assert any(g.objects.shape[0] == 0 for g in load_dataset(val).groups)
+        out = tmp_path / "model"
+        assert run("train", "--train", str(train), "--val", str(val), "--out", str(out),
+                   "--branch", "object", "--epochs", "1") == 0
+        assert run("eval", "--manifest", str(out / "manifest.json"), "--data", str(val)) == 0
+        records = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()]
+        groups = [r for r in records if r["record"] == "group"]
+        absent = [r for r in groups if not r["branches"]["object"]["present"]]
+        assert absent and all(r["weights"] == {"object": 1.0} for r in absent)
+
+
+class TestMissingPaths:
+    """A path that cannot be opened is a data error (exit 2) naming it."""
+
+    def test_missing_train_file(self, small_run, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        code = run("train", "--config", str(small_run["cfg"]), "--train", str(missing),
+                   "--val", str(small_run["val"]), "--out", str(tmp_path / "m"))
+        assert code == 2
+        assert f"data error: {missing}: cannot open" in capsys.readouterr().err
+
+    def test_missing_eval_data(self, small_run, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        code = run("eval", "--manifest", str(small_run["out"] / "manifest.json"),
+                   "--data", str(missing), "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert f"data error: {missing}: cannot open" in capsys.readouterr().err
+
+    def test_simulate_into_missing_directory(self, tmp_path, capsys):
+        target = tmp_path / "nonexistent" / "dir" / "x.jsonl"
+        assert run("simulate", "--num-groups", "3", "--out", str(target)) == 2
+        assert f"data error: {target}: cannot open" in capsys.readouterr().err
+
+
 class TestEval:
     def test_eval_twice_identical_reports(self, small_run, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

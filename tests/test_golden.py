@@ -12,6 +12,12 @@ The same data is also trained and evaluated under ``--ablation no-fiqe``
 means behind the filter); their face-branch and report files are pinned in
 ``GOLDEN_ABLATIONS``, so every face training path is covered.
 
+A third run trains with a custom config, ``batch_size = 7`` (a batch size
+that divides neither set, so every epoch ends with a partial batch) and
+``fiqe_apply = train`` (the filter in training only); its files are pinned
+in ``GOLDEN_ODD_BATCH``. These hashes, too, were recorded before training
+was batched across groups.
+
 ``manifest.json`` is not pinned (it records dataset paths), nor is the
 ``data`` path field of the report's ``run`` records. The hashes were taken
 on x86-64 with numpy 2.4; a platform whose BLAS or libm rounds differently
@@ -22,6 +28,7 @@ import contextlib
 import hashlib
 import io
 import json
+from importlib import resources
 
 import pytest
 
@@ -53,6 +60,17 @@ GOLDEN_ABLATIONS = {
     },
 }
 
+GOLDEN_ODD_BATCH = {
+    "face.params.json": "b09ed453e5227285e4ace8bd99ef0d7b8fc7b0ed790d9603b4dd2b4372ee601c",
+    "face_loss.csv": "f692b37f4be1a1bf105f21faef919735362798f9d254efb6920390d49d4fd985",
+    "object.params.json": "8462f487ceca777252fafd09cf8cf78b004fba0037d2bc8eb77a8c4783447f99",
+    "object_loss.csv": "8d38e5a35508e70d2c408a620fed8e49ca34fd10c722ed247d6ff0939b23a6da",
+    "report.jsonl": "ea56b98128e825755501927f855f6477241f20f0081d8d4346c233a0804abc82",
+    "scene.params.json": "91932c917eb2c44e6bbfdc8a8bdccb138c70dcece65a582a6a7a67daf2848bbd",
+    "scene_loss.csv": "d93965f238c77af7b627a124a8d0a5b2707ebbb3a7f80c6835d8765feab0b4a2",
+    "val_metrics.jsonl": "31b7bf2247ebf0849a17f53d79c7b3c61aacb015ba39a33f7db876d40fee94eb",
+}
+
 
 def _run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -78,11 +96,11 @@ def golden_data(tmp_path_factory):
     return root, train, val
 
 
-def _train_and_eval(golden_data, ablation):
+def _train_and_eval(golden_data, ablation, *config):
     root, train, val = golden_data
-    out = root / ablation
+    out = root / (ablation if not config else "custom")
     _run("train", "--train", str(train), "--val", str(val), "--out", str(out), "--epochs", "2",
-         "--ablation", ablation)
+         "--ablation", ablation, *config)
     _run("eval", "--manifest", str(out / "manifest.json"), "--data", str(val),
          "--mc-samples", "1,4")
     return out
@@ -98,6 +116,21 @@ def ablation_runs(golden_data):
     return {ablation: _train_and_eval(golden_data, ablation) for ablation in GOLDEN_ABLATIONS}
 
 
+@pytest.fixture(scope="module")
+def odd_batch_run(golden_data):
+    root = golden_data[0]
+    text = (resources.files("ual.configs") / "synthetic-default.cfg").read_text(encoding="utf-8")
+    config = root / "odd-batch.cfg"
+    config.write_text(
+        text.replace("batch_size = 64", "batch_size = 7").replace(
+            "fiqe_apply = both", "fiqe_apply = train"
+        ),
+        encoding="utf-8",
+    )
+    assert "batch_size = 7" in config.read_text() and "fiqe_apply = train" in config.read_text()
+    return _train_and_eval(golden_data, "full", "--config", str(config))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_unchanged(golden_run, name):
     assert _digest(golden_run / name) == GOLDEN[name]
@@ -110,3 +143,8 @@ def test_output_bytes_unchanged(golden_run, name):
 )
 def test_ablation_output_bytes_unchanged(ablation_runs, ablation, name):
     assert _digest(ablation_runs[ablation] / name) == GOLDEN_ABLATIONS[ablation][name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ODD_BATCH))
+def test_odd_batch_output_bytes_unchanged(odd_batch_run, name):
+    assert _digest(odd_batch_run / name) == GOLDEN_ODD_BATCH[name]

@@ -212,6 +212,18 @@ class TestStreamBlocks:
                 SeededRng(int(p)).derive(suffix).seed for p in parents
             ]
 
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_str_array_parts_match_scalar_derive(self, k):
+        parent = SeededRng(8).derive("train", "object", 2)
+        ids = [f"train-{i:05d}" for i in range(k)] + ["g/é"][:k]
+        for parts in (ids, np.array(ids)):
+            seeds = derive_seeds(parent, parts)
+            assert seeds.dtype == np.uint64 and seeds.shape == (len(ids),)
+            assert [int(s) for s in seeds] == [parent.derive(gid).seed for gid in ids]
+        grid = derive_seeds(parent, np.array(ids * 2).reshape(2, -1))
+        assert grid.shape == (2, len(ids))
+        assert [int(s) for s in grid[1]] == [parent.derive(gid).seed for gid in ids]
+
     def test_chained_derivation_equals_one_derive(self):
         root = SeededRng(3)
         ranks = [2, 0, 1, 1]

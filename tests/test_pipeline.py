@@ -100,6 +100,19 @@ class TestFusion:
         with pytest.raises(ValueError):
             fuse_predictions([], "pwfs")
 
+    @pytest.mark.parametrize("strategy", ["pwfs", "global-priority"])
+    def test_all_absent_fused_as_given(self, strategy):
+        uniform = [1 / 3, 1 / 3, 1 / 3]
+        result = fuse_predictions([bp("object", uniform, present=False)], strategy)
+        assert result.weights == {"object": 1.0}
+        assert np.allclose(result.probs, uniform)
+        both = fuse_predictions(
+            [bp("object", uniform, present=False), bp("scene", [0.5, 0.25, 0.25], present=False)],
+            strategy,
+        )
+        assert both.weights == {"object": 0.5, "scene": 0.5}
+        assert np.allclose(both.probs, [5 / 12, 7 / 24, 7 / 24])
+
 
 def tiny_dataset(num_groups=12, seed=3, **kw):
     spec = SynthesisSpec(

@@ -160,6 +160,35 @@ class TestFilterFaces:
         with pytest.raises(ShapeError):
             filter_faces(mu, sigma[:1], np.zeros((2, 8, 2)), 0.3)
 
+    def test_sizes_filter_each_group_on_its_own(self):
+        # three groups in one flat stack: mixed, all failing, all crisp
+        mu, sigma = gaussians(
+            (np.zeros(8), np.full(8, 1e-6)),
+            (np.zeros(8), np.full(8, 5.0)),
+            (np.zeros(8), np.full(8, 6.0)),
+            (np.zeros(8), np.full(8, 5.0)),
+            (np.ones(8), np.full(8, 1e-6)),
+            (np.ones(8), np.full(8, 1e-6)),
+        )
+        sizes = [2, 2, 2]
+        eps = eps_block(self._streams(6, seed=3), 8, 8)
+        kept, scores = filter_faces(mu, sigma, eps, 0.3, sizes)
+        assert (scores[2:4] < 0.3).all()  # no face of the middle group passes
+        expected, start = [], 0
+        for n in sizes:
+            part = slice(start, start + n)
+            one_kept, one_scores = filter_faces(mu[part], sigma[part], eps[part], 0.3)
+            assert one_scores.tobytes() == scores[part].tobytes()
+            expected += [start + i for i in one_kept]
+            start += n
+        assert kept == expected == [0, 2 + int(np.argmax(scores[2:4])), 4, 5]
+
+    def test_sizes_must_split_the_stack(self):
+        mu, sigma = gaussians(*[(np.zeros(2), np.ones(2))] * 3)
+        with pytest.raises(ShapeError):
+            filter_faces(mu, sigma, np.zeros((3, 4, 2)), 0.3, [1, 1])
+        assert filter_faces(mu, sigma, np.zeros((3, 4, 2)), 0.3, [0, 3, 0])[0] == [0, 1, 2]
+
     def test_batch_equals_per_face_reference(self):
         # a group of n >= 5 faces with m = 8 draws each, eps from one block
         # call: every score equals the one-face reference bit for bit
