@@ -107,6 +107,16 @@ def _bundled(name: str):
     return resources.files("ual.configs").joinpath(name)
 
 
+def _out_dir(path) -> Path:
+    """``path`` as an existing directory, made if needed; a data error if it cannot be."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{out_dir}: cannot use as output directory: {exc}") from exc
+    return out_dir
+
+
 def sha256_file(path) -> str:
     h = hashlib.sha256()
     with open_data_file(path, "rb") as fh:
@@ -174,8 +184,7 @@ def cmd_train(args) -> int:
         raise DataError("train and val datasets disagree on dims/classes")
     tags = BRANCH_TAGS if args.branch == "all" else (args.branch,)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     loss_files = {
         tag: open(out_dir / f"{tag}_loss.csv", "w", encoding="utf-8")
         for tag in tags
@@ -305,8 +314,7 @@ def cmd_eval(args) -> int:
     if any(n < 1 for n in sample_counts):
         raise SystemExit_(EXIT_USAGE, "--mc-samples values must be >= 1")
 
-    out_dir = Path(args.out) if args.out else manifest_path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out or manifest_path.parent)
     report_path = out_dir / "report.jsonl"
     sweep_rows = []
     with open(report_path, "w", encoding="utf-8") as fh:

@@ -19,7 +19,6 @@ group (see ``SCHEMA``).
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -303,18 +302,6 @@ def macro_average(values: Sequence[float]) -> float:
     return float(np.mean(values))
 
 
-def support_weighted_average(values: Sequence[float], supports: Sequence[int]) -> float:
-    """Mean over classes weighted by class support."""
-    v = np.asarray(values, dtype=np.float64)
-    s = np.asarray(supports, dtype=np.float64)
-    if v.shape != s.shape or v.ndim != 1 or v.shape[0] == 0:
-        raise ShapeError("values/supports must be equal-length nonempty vectors")
-    total = s.sum()
-    if total <= 0:
-        raise ValueError("total support must be positive")
-    return float((v * s).sum() / total)
-
-
 @dataclass
 class MetricsReport:
     """Per-class recall/precision/F plus macro ("Ave") and micro aggregates.
@@ -426,9 +413,3 @@ def spec_from_mapping(mapping: dict, source: str = "spec") -> SynthesisSpec:
     out.validate()
     return out
 
-
-def binomial_99_interval(n: int, p: float) -> tuple[float, float]:
-    """Normal-approximation 99% interval for a Binomial(n, p) count."""
-    mean = n * p
-    sd = math.sqrt(n * p * (1.0 - p))
-    return mean - 2.576 * sd, mean + 2.576 * sd

@@ -6,9 +6,10 @@ log-variance, so ``sigma = exp(0.5 * logvar)`` is positive unless it
 underflows, which :meth:`EmbeddingHead.forward_checked` reports (and the KL
 regularizer consumes the log-variance directly). Stochastic draws use the
 reparameterization ``z* = mu + eps * sigma`` with ``eps ~ N(0, I)``, which
-keeps the sampling differentiable in ``mu`` and ``sigma``; the face branch
-draws through :func:`ual.uncertainty_scoring.uncertainty_kernel`, the object
-branch through :func:`mc_predict`.
+keeps the sampling differentiable in ``mu`` and ``sigma``. Every draw takes
+its noise from a block the caller passes in: the face branch draws through
+:func:`ual.uncertainty_scoring.uncertainty_kernel`, the object branch through
+:func:`mc_predict`, one ``(k, N, D)`` block per group.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericError
-from .numerics import AffineMap, ParameterStore, SeededRng, ensure_vector, softmax
+from .errors import NumericError, ShapeError
+from .numerics import AffineMap, ParameterStore, SeededRng, softmax
 
 # Initial log-variance bias: start near-deterministic (sigma ~ exp(-2) ~ 0.135)
 # so early quality filtering keeps everything and the variance has to be
@@ -85,24 +86,20 @@ def mc_predict(
     mu: np.ndarray,
     sigma: np.ndarray,
     classify: Callable[[np.ndarray], np.ndarray],
-    n_samples: int,
-    rng: SeededRng,
-    eps_override: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo class prediction for a single individual ``N(mu, sigma^2)``.
+    eps: np.ndarray,
+) -> np.ndarray:
+    """Monte-Carlo class prediction for ``k`` individuals ``N(mu_i, sigma_i^2)``.
 
-    Averages ``softmax(classify(z*))`` over ``n_samples`` independent draws
-    and also returns the mean of the sampled ``z*`` as the individual's
-    final representation. ``classify`` maps a ``(k, D)`` stack of latents to
-    ``(k, C)`` logits. ``eps_override`` fixes every draw's noise vector
-    (test hook).
+    ``mu`` and ``sigma`` are ``(k, D)`` and ``eps`` is the ``(k, N, D)`` noise
+    block: individual ``i`` is drawn ``N`` times as ``z* = mu[i] + eps[i] *
+    sigma[i]``. ``classify`` maps the ``(k, N, D)`` stack of latents to
+    ``(k, N, C)`` logits. Returns the ``(k, C)`` mean of ``softmax(classify(z*))``
+    over each individual's draws.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if eps_override is not None:
-        eps = np.tile(ensure_vector(eps_override, dim=mu.shape[0], name="eps"), (n_samples, 1))
-    else:
-        eps = rng.normals((n_samples, mu.shape[0]))
-    z = mu[None, :] + eps * sigma[None, :]
-    probs = softmax(classify(z), axis=1)
-    return probs.mean(axis=0), z.mean(axis=0)
+    if mu.shape != sigma.shape or eps.ndim != 3 or eps.shape[::2] != mu.shape or not eps.shape[1]:
+        raise ShapeError(
+            f"need (k, D) mu/sigma and a (k, N >= 1, D) eps block, got "
+            f"{mu.shape}, {sigma.shape} and {eps.shape}"
+        )
+    z = mu[:, None, :] + eps * sigma[:, None, :]
+    return softmax(classify(z)).mean(axis=1)

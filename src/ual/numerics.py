@@ -46,15 +46,6 @@ def as_f64(a, name: str = "array") -> np.ndarray:
     return arr
 
 
-def ensure_vector(x, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    arr = as_f64(x, name)
-    if arr.ndim != 1:
-        raise ShapeError(f"{name} must be 1-D, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ShapeError(f"{name} must have length {dim}, got {arr.shape[0]}")
-    return arr
-
-
 # ---------------------------------------------------------------------------
 # seeded RNG
 
@@ -190,9 +181,6 @@ class SeededRng:
         shape = _shape(shape)
         k = math.prod(shape)
         return _box_muller(self._raw(2 * ((k + 1) // 2)), k).reshape(shape)
-
-    def normal(self) -> float:
-        return float(self.normals(1)[0])
 
     def integer(self, n: int) -> int:
         """Uniform integer in ``[0, n)``."""

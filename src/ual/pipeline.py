@@ -2,12 +2,13 @@
 
 The face branch embeds each face as a latent Gaussian, draws stochastic
 samples, down-weights uncertain faces via importance scalars, aggregates the
-group feature, and classifies it. The object branch classifies individual
-objects through Monte-Carlo prediction and averages their probability
-vectors. The scene branch is a plain affine classifier on the scene
-feature. Branches are trained independently (face with Adam, object and
-scene with SGD) and combined at prediction time by a proportional-weighted
-fusion of their class scores.
+group feature, and classifies it. The object branch embeds each object as a
+latent Gaussian, classifies ``N`` draws of every object of a group in one
+:func:`~ual.gaussian_embedding.mc_predict` call on a ``(k, N, d)`` noise
+block, and averages the objects' mean probability vectors. The scene branch
+is a plain affine classifier on the scene feature. Branches are trained
+independently (face with Adam, object and scene with SGD) and combined at
+prediction time by a proportional-weighted fusion of their class scores.
 
 Ablations mirror the model variants used for analysis:
 
@@ -378,7 +379,43 @@ class FaceBranch(_GaussianBranch):
         zero = np.zeros(g)
         return _unstacked(total_face_loss(cls, zero, zero, zero, weights), grads, single)
 
-    # -- inference ---------------------------------------------------------
+    # -- quality filter and inference -------------------------------------
+
+    def quality_stage(
+        self,
+        store: ParameterStore,
+        groups: Sequence[GroupSample],
+        seeds: np.ndarray,
+        config: TrainingConfig,
+    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
+        """The quality filter over the faces of ``groups``, for training and inference.
+
+        The faces' Gaussians are computed one stack per face count. Face
+        ``i`` (flat, in group order) is drawn ``config.fiqe_samples`` times
+        from the stream ``seeds[i]``, and all faces are scored in one
+        :func:`filter_faces` call. Returns the flat ``mu`` and ``sigma``,
+        each group's kept face indices and every face's score.
+        """
+        sizes = [group.faces.shape[0] for group in groups]
+        starts = np.cumsum(sizes) - sizes
+        mu = np.empty((sum(sizes), self.latent_dim))
+        sigma = np.empty_like(mu)
+        for n in sorted(set(sizes)):
+            pos = [p for p, size in enumerate(sizes) if size == n]
+            bucket_mu, _, bucket_sigma = self.head.forward_checked(
+                store,
+                np.stack([groups[p].faces for p in pos]),
+                [f"{groups[p].id}/face" for p in pos],
+            )
+            flat = (starts[pos][:, None] + np.arange(n)).ravel()
+            mu[flat] = bucket_mu.reshape(-1, self.latent_dim)
+            sigma[flat] = bucket_sigma.reshape(-1, self.latent_dim)
+        eps = block_normals(seeds, (config.fiqe_samples, self.latent_dim))
+        kept, scores = filter_faces(mu, sigma, eps, config.delta2, sizes)
+        kept = np.asarray(kept, dtype=np.intp)
+        owner = np.searchsorted(starts, kept, side="right") - 1
+        per_group = _split(kept - starts[owner], np.bincount(owner, minlength=len(groups)))
+        return mu, sigma, per_group, scores
 
     def infer(
         self,
@@ -386,11 +423,8 @@ class FaceBranch(_GaussianBranch):
         group: GroupSample,
         rng: SeededRng,
         n_samples: int,
+        config: TrainingConfig,
         ablation: str = "full",
-        fiqe_samples: int = 8,
-        fiqe_threshold: float = 0.3,
-        fiqe_enabled: bool = True,
-        eps_override: np.ndarray | float | None = None,
     ) -> BranchPrediction:
         faces = group.faces
         if faces.shape[1] != self.in_dim:
@@ -398,22 +432,15 @@ class FaceBranch(_GaussianBranch):
                 f"group {group.id}: face dim {faces.shape[1]} != model dim {self.in_dim}"
             )
         n = faces.shape[0]
-        deterministic = ablation in ("no-ual", "no-ual-fiqe")
-        use_fiqe = fiqe_enabled and ablation in ("full", "no-ual")
-        d = self.latent_dim
         seeds = derive_seeds(rng.derive(self.tag, group.id), _content_ranks(faces))
-        mu, _, sigma = self.head.forward_checked(store, faces, f"{group.id}/face")
+        if ablation in ("full", "no-ual") and config.fiqe_apply in ("both", "eval"):
+            fiqe_seeds = derive_seeds(seeds, "fiqe")
+            mu, sigma, (kept,), scores = self.quality_stage(store, [group], fiqe_seeds, config)
+        else:
+            mu, _, sigma = self.head.forward_checked(store, faces, f"{group.id}/face")
+            kept, scores = np.arange(n), None
 
-        scores = None
-        kept = list(range(n))
-        if use_fiqe:
-            if eps_override is not None:
-                eps = np.full((n, fiqe_samples, d), eps_override, dtype=np.float64)
-            else:
-                eps = block_normals(derive_seeds(seeds, "fiqe"), (fiqe_samples, d))
-            kept, scores = filter_faces(mu, sigma, eps, fiqe_threshold)
-
-        kept_set = set(kept)
+        kept_set = set(kept.tolist())
         diag_faces = [
             {
                 "id": f"{group.id}/face{i}",
@@ -426,27 +453,24 @@ class FaceBranch(_GaussianBranch):
 
         mu = mu[kept]
         sigma = sigma[kept]
-        if deterministic:
+        if ablation in ("no-ual", "no-ual-fiqe"):
             x_group = mu.mean(axis=0)
             probs = softmax(self.classifier.forward(store, x_group))
             return BranchPrediction(
                 branch=self.tag, probs=probs, diagnostics={"faces": diag_faces}
             )
 
-        if eps_override is not None:
-            eps = np.full((n_samples, len(kept), d), eps_override, dtype=np.float64)
-        else:
-            # drawn per face as (k, N, d); the C-order (N, k, d) copy keeps
-            # every reduction below in its per-face summation order
-            block = block_normals(derive_seeds(seeds[kept], "mc"), (n_samples, d))
-            eps = np.ascontiguousarray(block.swapaxes(0, 1))
+        # drawn per face as (k, N, d); the C-order (N, k, d) copy keeps
+        # every reduction below in its per-face summation order
+        block = block_normals(derive_seeds(seeds[kept], "mc"), (n_samples, self.latent_dim))
+        eps = np.ascontiguousarray(block.swapaxes(0, 1))
         _, _, s, alpha, x_rounds = uncertainty_kernel(mu, sigma, eps)  # s, alpha: (n_samples, k)
         x_group = x_rounds.mean(axis=0)
         probs = softmax(self.classifier.forward(store, x_group))
 
         mean_s = s.mean(axis=0)
         mean_alpha = alpha.mean(axis=0)
-        for pos, i in enumerate(kept):
+        for pos, i in enumerate(kept.tolist()):
             diag_faces[i]["score"] = float(mean_s[pos])
             diag_faces[i]["alpha"] = float(mean_alpha[pos])
         return BranchPrediction(branch=self.tag, probs=probs, diagnostics={"faces": diag_faces})
@@ -502,7 +526,6 @@ class ObjectBranch(_GaussianBranch):
         group: GroupSample,
         rng: SeededRng,
         n_samples: int,
-        eps_override: np.ndarray | float | None = None,
     ) -> BranchPrediction:
         objects = group.objects
         if objects.shape[0] == 0:
@@ -519,16 +542,9 @@ class ObjectBranch(_GaussianBranch):
         ranks = _content_ranks(objects)
         seeds = derive_seeds(derive_seeds(rng.derive(self.tag, group.id), ranks), "mc")
         mu, _, sigma = self.head.forward_checked(store, objects, f"{group.id}/object")
-        forced = None
-        if eps_override is not None:
-            forced = np.full(self.latent_dim, eps_override, dtype=np.float64)
-        per_object = []
-        classify = lambda zz: self.classifier.forward(store, zz)  # noqa: E731
-        for i in range(objects.shape[0]):
-            stream = SeededRng(int(seeds[i]))
-            p, _ = mc_predict(mu[i], sigma[i], classify, n_samples, stream, eps_override=forced)
-            per_object.append(p)
-        probs = np.mean(per_object, axis=0)
+        eps = block_normals(seeds, (n_samples, self.latent_dim))
+        per_object = mc_predict(mu, sigma, lambda z: self.classifier.forward(store, z), eps)
+        probs = per_object.mean(axis=0)
         diag = [{"index": i, "probs": [float(v) for v in p]} for i, p in enumerate(per_object)]
         return BranchPrediction(branch=self.tag, probs=probs, diagnostics={"objects": diag})
 
@@ -652,26 +668,15 @@ def branch_infer(
     rng: SeededRng,
     n_samples: int | None = None,
     ablation: str = "full",
-    eps_override: np.ndarray | float | None = None,
 ) -> BranchPrediction:
     """Run one branch on one group using the run-level inference stream."""
     if ablation not in ABLATIONS:
         raise ConfigError(f"unknown ablation {ablation!r}")
     n = n_samples if n_samples is not None else config.mc_samples
     if isinstance(branch, FaceBranch):
-        return branch.infer(
-            store,
-            group,
-            rng,
-            n,
-            ablation=ablation,
-            fiqe_samples=config.fiqe_samples,
-            fiqe_threshold=config.delta2,
-            fiqe_enabled=config.fiqe_apply in ("both", "eval"),
-            eps_override=eps_override,
-        )
+        return branch.infer(store, group, rng, n, config, ablation=ablation)
     if isinstance(branch, ObjectBranch):
-        return branch.infer(store, group, rng, n, eps_override=eps_override)
+        return branch.infer(store, group, rng, n)
     return branch.infer(store, group)
 
 
@@ -684,13 +689,11 @@ def predict_group(
     n_samples: int | None = None,
     ablation: str = "full",
     fusion: str = "pwfs",
-    eps_override: np.ndarray | float | None = None,
 ) -> GroupPrediction:
     """Fuse all available branches and pick the argmax class (ties: lowest index)."""
     preds = {
         tag: branch_infer(
-            branches[tag], group, store, config, rng,
-            n_samples=n_samples, ablation=ablation, eps_override=eps_override,
+            branches[tag], group, store, config, rng, n_samples=n_samples, ablation=ablation
         )
         for tag in BRANCH_TAGS
         if tag in branches
@@ -758,25 +761,6 @@ def _check_finite(row: np.ndarray, group_id: str) -> None:
     for term, value in zip(_TERMS, row):
         if not math.isfinite(value):
             raise NumericError(f"group {group_id}: non-finite loss term {term!r}")
-
-
-class _group_loss:
-    """Context that tags numeric failures with the offending group id and
-    silences the transient overflow warnings that precede them."""
-
-    def __init__(self, group_id: str):
-        self.group_id = group_id
-        self._errstate = np.errstate(over="ignore", invalid="ignore")
-
-    def __enter__(self):
-        self._errstate.__enter__()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self._errstate.__exit__(exc_type, exc, tb)
-        if exc_type is not None and issubclass(exc_type, NumericError):
-            raise NumericError(f"group {self.group_id}: {exc}") from exc
-        return False
 
 
 def _mean_breakdown(
@@ -947,12 +931,14 @@ class Trainer:
 
         deterministic = self.ablation in ("no-ual", "no-ual-fiqe")
         fiqe_on = self.ablation in ("full", "no-ual") and cfg.fiqe_apply in ("both", "train")
+        fiqe_stream = root.derive("train-fiqe", "face", epoch)
 
         def face_loss(groups):
             faces = [group.faces for group in groups]
             indices = [np.arange(f.shape[0]) for f in faces]
             if fiqe_on:
-                indices = self._fiqe_kept(branch, groups, epoch)
+                seeds = _individual_seeds(fiqe_stream, groups, indices)
+                indices = branch.quality_stage(store, groups, seeds, cfg)[2]
                 faces = [f[kept] for f, kept in zip(faces, indices)]
             counts = [len(idx) for idx in indices]
             y = labels(groups)
@@ -977,36 +963,6 @@ class Trainer:
 
         return (lambda group: 1), face_loss
 
-    def _fiqe_kept(
-        self, branch: FaceBranch, groups: Sequence[GroupSample], epoch: int
-    ) -> list[np.ndarray]:
-        """Indices of the faces of each group that pass the quality filter.
-
-        The Gaussians are computed one stack per face count; all faces of
-        the batch are then scored in one :func:`filter_faces` call.
-        """
-        cfg = self.config
-        sizes = [group.faces.shape[0] for group in groups]
-        starts = np.cumsum(sizes) - sizes
-        mu = np.empty((sum(sizes), cfg.latent_dim))
-        sigma = np.empty_like(mu)
-        for n in sorted(set(sizes)):
-            pos = [p for p, size in enumerate(sizes) if size == n]
-            bucket_mu, _, bucket_sigma = branch.head.forward_checked(
-                self.store,
-                np.stack([groups[p].faces for p in pos]),
-                [f"{groups[p].id}/face" for p in pos],
-            )
-            flat = (starts[pos][:, None] + np.arange(n)).ravel()
-            mu[flat] = bucket_mu.reshape(-1, cfg.latent_dim)
-            sigma[flat] = bucket_sigma.reshape(-1, cfg.latent_dim)
-        stream = SeededRng(cfg.seed).derive("train-fiqe", "face", epoch)
-        seeds = _individual_seeds(stream, groups, [np.arange(n) for n in sizes])
-        eps = block_normals(seeds, (cfg.fiqe_samples, cfg.latent_dim))
-        kept = np.asarray(filter_faces(mu, sigma, eps, cfg.delta2, sizes)[0], dtype=np.intp)
-        owner = np.searchsorted(starts, kept, side="right") - 1
-        return _split(kept - starts[owner], np.bincount(owner, minlength=len(groups)))
-
 
 def _checked_batch(batch_loss, groups: Sequence[GroupSample]):
     """``batch_loss(groups)`` with finite rows, under silenced overflow warnings.
@@ -1023,10 +979,12 @@ def _checked_batch(batch_loss, groups: Sequence[GroupSample]):
                 return rows, grads
         except (ValueError, ArithmeticError) as exc:  # the errors a group's data can cause
             failure = exc
-    for group in groups:
-        with _group_loss(group.id):
-            rows, _ = batch_loss([group])
-        _check_finite(rows[0], group.id)
+        for group in groups:
+            try:
+                rows, _ = batch_loss([group])
+            except NumericError as exc:
+                raise NumericError(f"group {group.id}: {exc}") from exc
+            _check_finite(rows[0], group.id)
     if failure is not None:
         raise failure
     raise NumericError("non-finite loss in a batch that no single group reproduces")

@@ -43,3 +43,42 @@ def test_trace_keys_read_the_arguments_they_expect():
     # the train_epoch span is keyed by args[2], the predict_group span by args[0].id
     assert list(inspect.signature(Trainer.train_epoch).parameters)[2] == "epoch"
     assert list(inspect.signature(predict_group).parameters)[0] == "group"
+
+
+# the span of each binding that inference calls
+_INFERENCE_SPANS = (
+    "pipeline.predict_group",
+    "pipeline.face.infer",
+    "pipeline.object.infer",
+    "gaussian_embedding.mc_predict",
+    "quality_filter.filter_faces",
+    "gaussian_embedding.head_forward",
+)
+
+
+def test_inference_bindings_record_spans(tmp_path):
+    # a binding that still resolves but that the package no longer calls
+    # (say, inlined into its caller) would record nothing in the benchmark
+    from ual.cli import main
+
+    spec = tmp_path / "spec.gen"
+    spec.write_text(
+        "num_groups = 16\ngroup_size_min = 2\ngroup_size_max = 4\nface_dim = 6\n"
+        "object_dim = 5\nscene_dim = 4\nobject_count_min = 1\nseed = 5\n"
+    )
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("latent_dim = 4\nepochs = 1\nmc_samples = 3\nfiqe_samples = 4\n")
+    data, model = tmp_path / "data.jsonl", tmp_path / "model"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["simulate", "--spec", str(spec), "--out", str(data)]) == 0
+        assert main(["train", "--config", str(cfg), "--train", str(data),
+                     "--val", str(data), "--out", str(model)]) == 0
+        tracer.reset("eval")
+        assert main(["eval", "--manifest", str(model / "manifest.json"),
+                     "--data", str(data), "--out", str(tmp_path / "report")]) == 0
+    finally:
+        tracer.uninstall()
+    recorded = {span[0] for span in tracer.spans}
+    assert [name for name in _INFERENCE_SPANS if name not in recorded] == []

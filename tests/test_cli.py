@@ -160,6 +160,22 @@ class TestMissingPaths:
         assert code == 2
         assert f"data error: {missing}: cannot open" in capsys.readouterr().err
 
+    def test_train_out_is_a_file(self, small_run, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = run("train", "--config", str(small_run["cfg"]), "--train", str(small_run["train"]),
+                   "--val", str(small_run["val"]), "--out", str(taken))
+        assert code == 2
+        assert f"data error: {taken}: cannot use as output directory" in capsys.readouterr().err
+
+    def test_eval_out_is_a_file(self, small_run, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = run("eval", "--manifest", str(small_run["out"] / "manifest.json"),
+                   "--data", str(small_run["val"]), "--out", str(taken))
+        assert code == 2
+        assert f"data error: {taken}: cannot use as output directory" in capsys.readouterr().err
+
     def test_simulate_into_missing_directory(self, tmp_path, capsys):
         target = tmp_path / "nonexistent" / "dir" / "x.jsonl"
         assert run("simulate", "--num-groups", "3", "--out", str(target)) == 2

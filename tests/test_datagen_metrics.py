@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import replace
 
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from ual.datagen_metrics import (
     SynthesisSpec,
-    binomial_99_interval,
     compute_metrics,
     f_measure,
     generate_dataset,
@@ -17,9 +17,22 @@ from ual.datagen_metrics import (
     macro_average,
     save_dataset,
     spec_from_mapping,
-    support_weighted_average,
 )
 from ual.errors import DataError
+
+
+def binomial_99_interval(n: int, p: float) -> tuple[float, float]:
+    """Normal-approximation 99% interval for a Binomial(n, p) count."""
+    mean = n * p
+    sd = math.sqrt(n * p * (1.0 - p))
+    return mean - 2.576 * sd, mean + 2.576 * sd
+
+
+def support_weighted_average(values, supports) -> float:
+    """Mean over classes weighted by class support."""
+    v = np.asarray(values, dtype=np.float64)
+    s = np.asarray(supports, dtype=np.float64)
+    return float((v * s).sum() / s.sum())
 
 
 class TestGenerateDataset:

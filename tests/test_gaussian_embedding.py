@@ -107,19 +107,19 @@ class _LinearClassifier:
 class TestMcPredict:
     def test_degenerate_sigma_equals_deterministic(self):
         clf = _LinearClassifier(2)
-        mu = np.array([0.4, -0.2])
+        mu = np.array([[0.4, -0.2]])
         for n in (1, 7, 33):
-            probs, _ = mc_predict(mu, np.full(2, 1e-12), clf, n, SeededRng(9))
-            expected = softmax(clf(mu[None, :])[0])
+            eps = SeededRng(9).normals((1, n, 2))
+            probs = mc_predict(mu, np.full((1, 2), 1e-12), clf, eps)[0]
+            expected = softmax(clf(mu)[0])
             assert np.max(np.abs(probs - expected)) < 1e-9
 
     def test_forced_zero_eps_equals_deterministic(self):
         clf = _LinearClassifier(3)
-        mu = np.array([1.0, 2.0])
-        sigma = np.array([0.5, 2.0])
-        probs, z_mean = mc_predict(mu, sigma, clf, 1, SeededRng(0), eps_override=np.zeros(2))
-        assert np.array_equal(z_mean, mu)
-        assert np.allclose(probs, softmax(clf(mu[None, :])[0]), atol=1e-15)
+        mu = np.array([[1.0, 2.0]])
+        sigma = np.array([[0.5, 2.0]])
+        probs = mc_predict(mu, sigma, clf, np.zeros((1, 1, 2)))[0]
+        assert np.allclose(probs, softmax(clf(mu)[0]), atol=1e-15)
 
     def test_against_quadrature_oracle(self):
         # E[softmax(W z + b)] for z ~ N(mu, diag sigma^2) via Gauss-Hermite
@@ -133,26 +133,27 @@ class TestMcPredict:
                 z = mu + np.sqrt(2.0) * sigma * np.array([xi, xj])
                 expected += weights[i] * weights[j] * softmax(clf(z[None, :])[0])
         expected /= np.pi
-        probs, _ = mc_predict(mu, sigma, clf, 10_000, SeededRng(123))
+        eps = SeededRng(123).normals((1, 10_000, 2))
+        probs = mc_predict(mu[None], sigma[None], clf, eps)[0]
         assert np.max(np.abs(probs - expected)) < 0.01
 
     def test_output_is_simplex(self):
         clf = _LinearClassifier(5)
         rng = SeededRng(6)
         for _ in range(10):
-            mu = rng.normals(2)
-            sigma = np.exp(rng.normals(2))
-            probs, _ = mc_predict(mu, sigma, clf, 5, rng)
+            mu = rng.normals((1, 2))
+            sigma = np.exp(rng.normals((1, 2)))
+            probs = mc_predict(mu, sigma, clf, rng.normals((1, 5, 2)))[0]
             assert np.all(probs >= 0) and abs(probs.sum() - 1.0) < 1e-12
 
     def test_mc_std_shrinks_with_n(self):
         clf = _LinearClassifier(7)
-        mu = np.array([0.1, 0.5])
-        sigma = np.ones(2)
+        mu = np.array([[0.1, 0.5]])
+        sigma = np.ones((1, 2))
         rng = SeededRng(42)
 
         def spread(n, repeats=30):
-            outs = [mc_predict(mu, sigma, clf, n, rng)[0] for _ in range(repeats)]
+            outs = [mc_predict(mu, sigma, clf, rng.normals((1, n, 2)))[0] for _ in range(repeats)]
             return np.std(np.stack(outs), axis=0).mean()
 
         assert spread(100) < spread(1)
@@ -160,4 +161,4 @@ class TestMcPredict:
     def test_n_zero_rejected(self):
         clf = _LinearClassifier(8)
         with pytest.raises(ValueError):
-            mc_predict(np.zeros(2), np.ones(2), clf, 0, SeededRng(0))
+            mc_predict(np.zeros((1, 2)), np.ones((1, 2)), clf, np.zeros((1, 0, 2)))

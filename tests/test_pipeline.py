@@ -7,7 +7,7 @@ import pytest
 from ual.datagen_metrics import GroupSample, SynthesisSpec, generate_dataset
 from ual.errors import ConfigError, NumericError
 from ual.losses import LossWeights
-from ual.numerics import ParameterStore, SeededRng
+from ual.numerics import ParameterStore, SeededRng, derive_seeds, softmax
 from ual.pipeline import (
     BranchPrediction,
     FaceBranch,
@@ -22,6 +22,7 @@ from ual.pipeline import (
     register_branches,
     train_model,
 )
+from ual.quality_filter import filter_faces
 from ual.uncertainty_scoring import SCORE_FLOOR, uncertainty_kernel
 
 
@@ -140,7 +141,12 @@ def build_model(dataset, config, tags=("face", "object", "scene")):
 
 
 class TestBranchInfer:
-    def test_single_face_deterministic_collapse(self):
+    def test_single_face_deterministic_collapse(self, monkeypatch):
+        # every inference draw is zero noise
+        monkeypatch.setattr(
+            "ual.pipeline.block_normals",
+            lambda seeds, shape: np.zeros(np.shape(seeds) + tuple(np.atleast_1d(shape))),
+        )
         ds = tiny_dataset()
         cfg = tiny_config(fiqe_apply="off")
         store, branches = build_model(ds, cfg)
@@ -151,10 +157,7 @@ class TestBranchInfer:
         # sigma -> 0 via a very negative log-variance bias
         store.get("face.embed.logvar.weight")[...] = 0.0
         store.get("face.embed.logvar.bias")[...] = -80.0
-        pred = branch_infer(
-            branches["face"], group, store, cfg, SeededRng(0).derive("infer"),
-            eps_override=0.0,
-        )
+        pred = branch_infer(branches["face"], group, store, cfg, SeededRng(0).derive("infer"))
         W = store.get("face.classifier.weight")
         b = store.get("face.classifier.bias")
         mu = store.get("face.embed.mu.weight") @ group.faces[0] + store.get("face.embed.mu.bias")
@@ -198,7 +201,9 @@ class TestBranchInfer:
         store.get("face.embed.logvar.bias")[...] = -2000.0  # sigma = exp(-1000) = 0
         group = ds.groups[1]
         with pytest.raises(NumericError, match=f"strictly positive .*'{group.id}/face0'"):
-            branches["face"].infer(store, group, SeededRng(0).derive("infer"), 4, ablation=ablation)
+            branches["face"].infer(
+                store, group, SeededRng(0).derive("infer"), 4, cfg, ablation=ablation
+            )
 
     def test_face_infer_matches_from_scratch_oracle(self):
         ds = tiny_dataset(seed=8)
@@ -279,6 +284,68 @@ class TestBranchInfer:
                            for a in range(Wc.shape[0])])
         e = np.exp(logits - logits.max())
         return e / e.sum()
+
+
+class TestBlockInference:
+    """The block draws of inference against one stream per individual (``==``)."""
+
+    @pytest.mark.parametrize("n_samples", [1, 8, 25])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_object_infer_equals_per_object_loop(self, k, n_samples):
+        ds = tiny_dataset()
+        cfg = tiny_config()
+        store, branches = build_model(ds, cfg)
+        branch = branches["object"]
+        objects = SeededRng(20 + k).normals((k, 5))
+        group = GroupSample(id="g7", label=0, faces=ds.groups[0].faces,
+                            objects=objects, scene=np.zeros(4))
+        rng = SeededRng(4).derive("infer")
+        pred = branch.infer(store, group, rng, n_samples)
+
+        # one stream, one (N, d) draw and one 2-D classifier call per object
+        order = sorted(range(k), key=lambda i: tuple(objects[i]))  # distinct rows: rank = position
+        mu, _, sigma = branch.head.forward(store, objects)
+        per_object = []
+        for i in range(k):
+            stream = SeededRng(rng.derive("object", "g7", order.index(i), "mc").seed)
+            eps = stream.normals((n_samples, cfg.latent_dim))
+            z = mu[i][None, :] + eps * sigma[i][None, :]
+            per_object.append(softmax(branch.classifier.forward(store, z), axis=1).mean(axis=0))
+        assert np.array_equal(pred.probs, np.mean(per_object, axis=0))
+        for diag, expected in zip(pred.diagnostics["objects"], per_object):
+            assert diag["probs"] == [float(v) for v in expected]
+
+    @pytest.mark.parametrize("all_fail", [False, True])
+    @pytest.mark.parametrize("num_groups", [1, 5])
+    def test_face_quality_stage_equals_direct_filter(self, num_groups, all_fail):
+        ds = tiny_dataset(seed=8)
+        cfg = tiny_config()
+        store, branches = build_model(ds, cfg)
+        branch = branches["face"]
+        if all_fail:
+            store.get("face.embed.logvar.bias")[...] = 8.0  # sigma ~ e^4: no face passes
+        groups = ds.groups[2 : 2 + num_groups]
+        sizes = [group.faces.shape[0] for group in groups]
+        seeds = derive_seeds(SeededRng(6).derive("stage"), np.arange(sum(sizes)))
+        mu, sigma, kept, scores = branch.quality_stage(store, groups, seeds, cfg)
+
+        lo = 0
+        for group, size, group_kept in zip(groups, sizes, kept):
+            ref_mu, _, ref_sigma = branch.head.forward_checked(
+                store, group.faces, f"{group.id}/face"
+            )
+            eps = np.stack([
+                SeededRng(int(seed)).normals((cfg.fiqe_samples, cfg.latent_dim))
+                for seed in seeds[lo : lo + size]
+            ])
+            ref_kept, ref_scores = filter_faces(ref_mu, ref_sigma, eps, cfg.delta2)
+            assert np.array_equal(mu[lo : lo + size], ref_mu)
+            assert np.array_equal(sigma[lo : lo + size], ref_sigma)
+            assert np.array_equal(scores[lo : lo + size], ref_scores)
+            assert group_kept.tolist() == ref_kept
+            if all_fail:
+                assert ref_scores.max() < cfg.delta2 and len(ref_kept) == 1
+            lo += size
 
 
 class TestFaceLoss:

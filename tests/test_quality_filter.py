@@ -75,7 +75,7 @@ class TestFiqeScore:
         # same order as a single face's, or about 1 score in 3 moves an ulp
         rng = SeededRng(100 + n * m)
         for trial in range(20):
-            x = rng.normals((n, m, dim)) * math.exp(rng.normal())
+            x = rng.normals((n, m, dim)) * math.exp(rng.normals(1)[0])
             batch = fiqe_score(x)
             assert batch.shape == (n,)
             for i in range(n):
