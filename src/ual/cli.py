@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import sys
+import time
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -316,14 +317,19 @@ def cmd_eval(args) -> int:
 
     out_dir = _out_dir(args.out or manifest_path.parent)
     report_path = out_dir / "report.jsonl"
-    sweep_rows = []
+    start = time.perf_counter()
+    results = evaluate_dataset(
+        store, branches, dataset, config, seed,
+        sample_counts=sample_counts, ablation=ablation, fusion=args.fusion,
+        collect_diagnostics=True,
+    )
+    log.debug(
+        "inference: %d groups, mc_samples %s, %.3f s",
+        len(dataset.groups), ",".join(map(str, sample_counts)), time.perf_counter() - start,
+    )
+    sweep_rows = list(zip(sample_counts, results))
     with open(report_path, "w", encoding="utf-8") as fh:
-        for n in sample_counts:
-            result = evaluate_dataset(
-                store, branches, dataset, config, seed,
-                n_samples=n, ablation=ablation, fusion=args.fusion,
-                collect_diagnostics=True,
-            )
+        for n, result in sweep_rows:
             meta = {
                 "record": "run",
                 "mc_samples": n,
@@ -344,7 +350,6 @@ def cmd_eval(args) -> int:
             )
             for rec in result.records:
                 fh.write(json.dumps({**rec, "mc_samples": n}) + "\n")
-            sweep_rows.append((n, result))
     for n, result in sweep_rows:
         print(f"== mc_samples = {n} (fusion {args.fusion}, ablation {ablation}) ==")
         for tag, report in result.branch_reports.items():

@@ -143,7 +143,8 @@ class SeededRng:
     part to an array of parents or an array of int parts, and
     :func:`block_normals` draws row ``i`` exactly as
     ``SeededRng(seeds[i]).normals(shape)`` on a fresh stream would. A block
-    is thus bit-identical to the per-stream calls it replaces.
+    is thus bit-identical to the per-stream calls it replaces. Normals are
+    laid out in word order, so a shorter draw is a prefix of a longer one.
     """
 
     def __init__(self, seed: int):
@@ -227,7 +228,10 @@ def derive_seeds(parent: SeededRng | np.ndarray, part) -> np.ndarray:
 def block_normals(seeds, shape: int | tuple[int, ...]) -> np.ndarray:
     """Normals of shape ``seeds.shape + shape``, one fresh stream per seed.
 
-    Row ``i`` equals ``SeededRng(seeds[i]).normals(shape)`` bit for bit.
+    Row ``i`` equals ``SeededRng(seeds[i]).normals(shape)`` bit for bit, and
+    ``block_normals(seeds, (n, d))`` equals ``block_normals(seeds, (m, d))[:, :n]``
+    bit for bit for every ``n <= m``: one draw at the largest count serves
+    every smaller one.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
     shape = _shape(shape)

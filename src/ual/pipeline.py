@@ -31,6 +31,21 @@ and their noise blocks are then drawn in one call
 (:func:`~ual.numerics.derive_seeds`, :func:`~ual.numerics.block_normals`),
 bit-identical to deriving each stream on its own.
 
+Inference serves a sweep of Monte-Carlo sample counts in one pass.
+:func:`evaluate_dataset`, :func:`predict_group`, :func:`branch_infer` and
+the branches' ``infer`` take ``sample_counts`` (default
+``(config.mc_samples,)``) and return one result per entry, in order,
+repeats included. Per group, what does not depend on the count runs once:
+the content ranks and seeds, the face quality stage, the face and object
+Gaussians, the scene branch, and one noise block per branch drawn at the
+largest count, with the face kernel run on all of its rounds. Each entry
+``N`` then uses the first ``N`` rounds, which equal the block an
+``N``-sample draw gives (:func:`~ual.numerics.block_normals`); the round
+means, the object ``mc_predict`` (a matmul over ``M`` rows may take
+another BLAS path than over ``N``), the classifiers, fusion and the
+diagnostics run per entry, and every entry gets its own diagnostics dicts.
+So each entry is bit-identical to a one-count call.
+
 Training runs each mini-batch as stacked arrays. The batch's groups are
 bucketed by the count that sets the matmul shapes: faces for the quality
 filter's Gaussians, kept faces for the face loss, objects for the object
@@ -220,18 +235,20 @@ class GroupPrediction:
     branch_predictions: dict[str, BranchPrediction]
 
 
-def _content_ranks(rows: np.ndarray) -> list[int]:
-    """Dense rank of each row under lexicographic sort; equal rows share a rank."""
-    order = sorted(range(rows.shape[0]), key=lambda i: tuple(rows[i]))
-    ranks = [0] * rows.shape[0]
-    rank = 0
-    prev: tuple | None = None
-    for i in order:
-        key = tuple(rows[i])
-        if prev is not None and key != prev:
-            rank += 1
-        ranks[i] = rank
-        prev = key
+def _content_ranks(rows: np.ndarray) -> np.ndarray:
+    """Dense rank of each row under lexicographic sort; equal rows share a rank.
+
+    Feature rows rarely tie in their first value, and then a stable sort of
+    that column is the lexicographic order; ``np.lexsort`` over every column
+    costs one sort pass per column, so it runs only on a tie.
+    """
+    order = np.argsort(rows[:, 0], kind="stable")
+    lead = rows[order, 0]
+    if (lead[1:] == lead[:-1]).any():
+        order = np.lexsort(rows.T[::-1])  # column 0 is the primary key
+    ordered = rows[order]
+    ranks = np.zeros(rows.shape[0], dtype=np.intp)
+    ranks[order[1:]] = np.cumsum((ordered[1:] != ordered[:-1]).any(axis=1))
     return ranks
 
 
@@ -422,10 +439,17 @@ class FaceBranch(_GaussianBranch):
         store: ParameterStore,
         group: GroupSample,
         rng: SeededRng,
-        n_samples: int,
+        sample_counts: Sequence[int],
         config: TrainingConfig,
         ablation: str = "full",
-    ) -> BranchPrediction:
+    ) -> list[BranchPrediction]:
+        """One prediction of ``group`` per entry of ``sample_counts``.
+
+        The quality stage, the Gaussians and the kernel run once, on a noise
+        block drawn at the largest count; the entry for ``N`` averages the
+        first ``N`` rounds, which are the rounds an ``N``-sample block holds
+        (see :func:`~ual.numerics.block_normals`).
+        """
         faces = group.faces
         if faces.shape[1] != self.in_dim:
             raise ShapeError(
@@ -440,8 +464,9 @@ class FaceBranch(_GaussianBranch):
             mu, _, sigma = self.head.forward_checked(store, faces, f"{group.id}/face")
             kept, scores = np.arange(n), None
 
-        kept_set = set(kept.tolist())
-        diag_faces = [
+        kept_rows = kept.tolist()
+        kept_set = set(kept_rows)
+        base = [
             {
                 "id": f"{group.id}/face{i}",
                 "index": i,
@@ -456,24 +481,36 @@ class FaceBranch(_GaussianBranch):
         if ablation in ("no-ual", "no-ual-fiqe"):
             x_group = mu.mean(axis=0)
             probs = softmax(self.classifier.forward(store, x_group))
-            return BranchPrediction(
-                branch=self.tag, probs=probs, diagnostics={"faces": diag_faces}
-            )
+            return [
+                BranchPrediction(
+                    branch=self.tag, probs=probs, diagnostics={"faces": [dict(f) for f in base]}
+                )
+                for _ in sample_counts
+            ]
 
-        # drawn per face as (k, N, d); the C-order (N, k, d) copy keeps
-        # every reduction below in its per-face summation order
-        block = block_normals(derive_seeds(seeds[kept], "mc"), (n_samples, self.latent_dim))
+        # drawn per face as (k, M, d); the C-order (M, k, d) copy keeps
+        # every reduction below in its per-face summation order. Rounds are
+        # independent, and a C-order prefix of N rounds has the strides of
+        # an (N, ...) array, so its means add as an N-sample call's do.
+        block = block_normals(
+            derive_seeds(seeds[kept], "mc"), (max(sample_counts), self.latent_dim)
+        )
         eps = np.ascontiguousarray(block.swapaxes(0, 1))
-        _, _, s, alpha, x_rounds = uncertainty_kernel(mu, sigma, eps)  # s, alpha: (n_samples, k)
-        x_group = x_rounds.mean(axis=0)
-        probs = softmax(self.classifier.forward(store, x_group))
-
-        mean_s = s.mean(axis=0)
-        mean_alpha = alpha.mean(axis=0)
-        for pos, i in enumerate(kept.tolist()):
-            diag_faces[i]["score"] = float(mean_s[pos])
-            diag_faces[i]["alpha"] = float(mean_alpha[pos])
-        return BranchPrediction(branch=self.tag, probs=probs, diagnostics={"faces": diag_faces})
+        _, _, s, alpha, x_rounds = uncertainty_kernel(mu, sigma, eps)  # s, alpha: (M, k)
+        out = []
+        for count in sample_counts:
+            x_group = x_rounds[:count].mean(axis=0)
+            probs = softmax(self.classifier.forward(store, x_group))
+            diag_faces = [dict(f) for f in base]
+            mean_s = s[:count].mean(axis=0)
+            mean_alpha = alpha[:count].mean(axis=0)
+            for pos, i in enumerate(kept_rows):
+                diag_faces[i]["score"] = float(mean_s[pos])
+                diag_faces[i]["alpha"] = float(mean_alpha[pos])
+            out.append(
+                BranchPrediction(branch=self.tag, probs=probs, diagnostics={"faces": diag_faces})
+            )
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -525,16 +562,21 @@ class ObjectBranch(_GaussianBranch):
         store: ParameterStore,
         group: GroupSample,
         rng: SeededRng,
-        n_samples: int,
-    ) -> BranchPrediction:
+        sample_counts: Sequence[int],
+    ) -> list[BranchPrediction]:
+        """One prediction of ``group`` per entry of ``sample_counts``, from
+        one Gaussian pass and one noise block drawn at the largest count."""
         objects = group.objects
         if objects.shape[0] == 0:
-            return BranchPrediction(
-                branch=self.tag,
-                probs=np.full(self.num_classes, 1.0 / self.num_classes),
-                present=False,
-                diagnostics={"objects": []},
-            )
+            return [
+                BranchPrediction(
+                    branch=self.tag,
+                    probs=np.full(self.num_classes, 1.0 / self.num_classes),
+                    present=False,
+                    diagnostics={"objects": []},
+                )
+                for _ in sample_counts
+            ]
         if objects.shape[1] != self.in_dim:
             raise ShapeError(
                 f"group {group.id}: object dim {objects.shape[1]} != model dim {self.in_dim}"
@@ -542,11 +584,16 @@ class ObjectBranch(_GaussianBranch):
         ranks = _content_ranks(objects)
         seeds = derive_seeds(derive_seeds(rng.derive(self.tag, group.id), ranks), "mc")
         mu, _, sigma = self.head.forward_checked(store, objects, f"{group.id}/object")
-        eps = block_normals(seeds, (n_samples, self.latent_dim))
-        per_object = mc_predict(mu, sigma, lambda z: self.classifier.forward(store, z), eps)
-        probs = per_object.mean(axis=0)
-        diag = [{"index": i, "probs": [float(v) for v in p]} for i, p in enumerate(per_object)]
-        return BranchPrediction(branch=self.tag, probs=probs, diagnostics={"objects": diag})
+        block = block_normals(seeds, (max(sample_counts), self.latent_dim))
+        out = []
+        for count in sample_counts:
+            per_object = mc_predict(
+                mu, sigma, lambda z: self.classifier.forward(store, z), block[:, :count]
+            )
+            probs = per_object.mean(axis=0)
+            diag = [{"index": i, "probs": [float(v) for v in p]} for i, p in enumerate(per_object)]
+            out.append(BranchPrediction(branch=self.tag, probs=probs, diagnostics={"objects": diag}))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -660,24 +707,34 @@ def fuse_predictions(
 # inference entry points
 
 
+def _sample_counts(sample_counts: Sequence[int] | None, config: TrainingConfig) -> tuple[int, ...]:
+    counts = (config.mc_samples,) if sample_counts is None else tuple(sample_counts)
+    if not counts or min(counts) < 1:
+        raise ConfigError(f"sample counts must be a nonempty list of ints >= 1, got {counts}")
+    return counts
+
+
 def branch_infer(
     branch: Branch,
     group: GroupSample,
     store: ParameterStore,
     config: TrainingConfig,
     rng: SeededRng,
-    n_samples: int | None = None,
+    sample_counts: Sequence[int] | None = None,
     ablation: str = "full",
-) -> BranchPrediction:
-    """Run one branch on one group using the run-level inference stream."""
+) -> list[BranchPrediction]:
+    """Run one branch on one group using the run-level inference stream:
+    one prediction per entry of ``sample_counts`` (default
+    ``(config.mc_samples,)``)."""
     if ablation not in ABLATIONS:
         raise ConfigError(f"unknown ablation {ablation!r}")
-    n = n_samples if n_samples is not None else config.mc_samples
+    counts = _sample_counts(sample_counts, config)
     if isinstance(branch, FaceBranch):
-        return branch.infer(store, group, rng, n, config, ablation=ablation)
+        return branch.infer(store, group, rng, counts, config, ablation=ablation)
     if isinstance(branch, ObjectBranch):
-        return branch.infer(store, group, rng, n)
-    return branch.infer(store, group)
+        return branch.infer(store, group, rng, counts)
+    pred = branch.infer(store, group)
+    return [BranchPrediction(branch=pred.branch, probs=pred.probs) for _ in counts]
 
 
 def predict_group(
@@ -686,25 +743,33 @@ def predict_group(
     branches: dict[str, Branch],
     config: TrainingConfig,
     rng: SeededRng,
-    n_samples: int | None = None,
+    sample_counts: Sequence[int] | None = None,
     ablation: str = "full",
     fusion: str = "pwfs",
-) -> GroupPrediction:
-    """Fuse all available branches and pick the argmax class (ties: lowest index)."""
-    preds = {
+) -> list[GroupPrediction]:
+    """Fuse all available branches and pick the argmax class (ties: lowest
+    index), once per entry of ``sample_counts`` (default ``(config.mc_samples,)``)."""
+    counts = _sample_counts(sample_counts, config)
+    per_branch = {
         tag: branch_infer(
-            branches[tag], group, store, config, rng, n_samples=n_samples, ablation=ablation
+            branches[tag], group, store, config, rng, sample_counts=counts, ablation=ablation
         )
         for tag in BRANCH_TAGS
         if tag in branches
     }
-    fused = fuse_predictions(list(preds.values()), fusion)
-    return GroupPrediction(
-        label=int(np.argmax(fused.probs)),
-        probs=fused.probs,
-        weights=fused.weights,
-        branch_predictions=preds,
-    )
+    out = []
+    for i in range(len(counts)):
+        preds = {tag: entries[i] for tag, entries in per_branch.items()}
+        fused = fuse_predictions(list(preds.values()), fusion)
+        out.append(
+            GroupPrediction(
+                label=int(np.argmax(fused.probs)),
+                probs=fused.probs,
+                weights=fused.weights,
+                branch_predictions=preds,
+            )
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1009,57 +1074,65 @@ def evaluate_dataset(
     dataset: Dataset,
     config: TrainingConfig,
     seed: int,
-    n_samples: int | None = None,
+    sample_counts: Sequence[int] | None = None,
     ablation: str = "full",
     fusion: str = "pwfs",
     collect_diagnostics: bool = False,
-) -> EvalResult:
-    """Predict every group and compute per-branch plus fused metrics."""
-    n = n_samples if n_samples is not None else config.mc_samples
+) -> list[EvalResult]:
+    """Predict every group and compute per-branch plus fused metrics.
+
+    One pass over the dataset serves every entry of ``sample_counts``
+    (default ``(config.mc_samples,)``); returns one result per entry, in
+    order, each equal to a one-entry call.
+    """
+    counts = _sample_counts(sample_counts, config)
     rng = SeededRng(seed).derive("infer")
-    y_true: list[int] = []
-    branch_pred: dict[str, list[int]] = {tag: [] for tag in branches}
-    fused_pred: list[int] = []
-    records: list[dict] = []
+    y_true = [group.label for group in dataset.groups]
+    branch_pred = [{tag: [] for tag in branches} for _ in counts]
+    fused_pred: list[list[int]] = [[] for _ in counts]
+    records: list[list[dict]] = [[] for _ in counts]
     for group in dataset.groups:
-        outcome = predict_group(
+        outcomes = predict_group(
             group, store, branches, config, rng,
-            n_samples=n, ablation=ablation, fusion=fusion,
+            sample_counts=counts, ablation=ablation, fusion=fusion,
         )
-        y_true.append(group.label)
-        fused_pred.append(outcome.label)
-        for tag, bp in outcome.branch_predictions.items():
-            branch_pred[tag].append(int(np.argmax(bp.probs)))
-        if collect_diagnostics:
-            rec = {
-                "record": "group",
-                "id": group.id,
-                "label": int(group.label),
-                "pred": int(outcome.label),
-                "fused_probs": [float(v) for v in outcome.probs],
-                "weights": {k: float(v) for k, v in outcome.weights.items()},
-                "branches": {
-                    tag: {
-                        "present": bp.present,
-                        "probs": [float(v) for v in bp.probs],
-                        **bp.diagnostics,
-                    }
-                    for tag, bp in outcome.branch_predictions.items()
-                },
-            }
-            records.append(rec)
-    reports = {
-        tag: compute_metrics(y_true, preds, dataset.num_classes, dataset.class_names)
-        for tag, preds in branch_pred.items()
-    }
-    fused_report = compute_metrics(y_true, fused_pred, dataset.num_classes, dataset.class_names)
-    return EvalResult(
-        branch_reports=reports,
-        fused_report=fused_report,
-        records=records,
-        fusion=fusion,
-        n_samples=n,
-    )
+        # reduced to labels and records at once: the predictions of every
+        # group and entry, kept to the end, would hold about 2 MB more
+        for i, outcome in enumerate(outcomes):
+            fused_pred[i].append(outcome.label)
+            for tag, bp in outcome.branch_predictions.items():
+                branch_pred[i][tag].append(int(np.argmax(bp.probs)))
+            if collect_diagnostics:
+                records[i].append({
+                    "record": "group",
+                    "id": group.id,
+                    "label": int(group.label),
+                    "pred": int(outcome.label),
+                    "fused_probs": [float(v) for v in outcome.probs],
+                    "weights": {k: float(v) for k, v in outcome.weights.items()},
+                    "branches": {
+                        tag: {
+                            "present": bp.present,
+                            "probs": [float(v) for v in bp.probs],
+                            **bp.diagnostics,
+                        }
+                        for tag, bp in outcome.branch_predictions.items()
+                    },
+                })
+
+    def metrics(preds: list[int]) -> MetricsReport:
+        return compute_metrics(y_true, preds, dataset.num_classes, dataset.class_names)
+
+    return [
+        EvalResult(
+            branch_reports={tag: metrics(preds) for tag, preds in branch_pred[i].items()},
+            fused_report=metrics(fused_pred[i]),
+            records=records[i],
+            fusion=fusion,
+            n_samples=n,
+        )
+        for i, n in enumerate(counts)
+    ]
 
 
 @dataclass
@@ -1115,7 +1188,7 @@ def train_model(
         if val_ds is not None and val_every and (
             epoch % val_every == 0 or epoch == config.epochs - 1
         ):
-            result = evaluate_dataset(
+            (result,) = evaluate_dataset(
                 store, branches, val_ds, config, config.seed, ablation=ablation
             )
             if config.select_best and result.fused_report.micro_accuracy > best_micro:

@@ -92,7 +92,7 @@ def trained_face(seed: int, ablation: str, **cfg_kw):
 
 def face_micro(result, seed: int, ablation: str) -> float:
     _, val = bundled_datasets()
-    out = evaluate_dataset(
+    (out,) = evaluate_dataset(
         result.store, result.branches, val, result.config, seed, ablation=ablation
     )
     return out.branch_reports["face"].micro_accuracy
@@ -312,16 +312,18 @@ def test_criterion_10_mc_sampling_study():
     repeats = 20
     smaller = 0
     for group in val.groups:
+        counts = (1, 64)
+        sweeps = [
+            branch_infer(
+                result.branches["face"], group, result.store, cfg,
+                SeededRng(1000 + rep).derive("infer"),
+                sample_counts=counts, ablation="no-fiqe",
+            )
+            for rep in range(repeats)
+        ]
         spreads = {}
-        for n in (1, 64):
-            probs = [
-                branch_infer(
-                    result.branches["face"], group, result.store, cfg,
-                    SeededRng(1000 + rep).derive("infer"),
-                    n_samples=n, ablation="no-fiqe",
-                ).probs
-                for rep in range(repeats)
-            ]
+        for i, n in enumerate(counts):
+            probs = [sweep[i].probs for sweep in sweeps]
             spreads[n] = float(np.std(np.stack(probs), axis=0).mean())
         if spreads[64] < spreads[1]:
             smaller += 1

@@ -6,6 +6,7 @@ benchmark, whose own tests are not part of this suite, so this test resolves
 every binding without running any workload.
 """
 
+import collections
 import importlib.util
 import inspect
 import sys
@@ -82,3 +83,32 @@ def test_inference_bindings_record_spans(tmp_path):
         tracer.uninstall()
     recorded = {span[0] for span in tracer.spans}
     assert [name for name in _INFERENCE_SPANS if name not in recorded] == []
+
+
+def test_sweep_runs_each_group_once(tmp_path):
+    # a sweep of sample counts is one pass over the dataset: the stages that
+    # do not depend on the count run once per group, not once per count
+    from ual.cli import main
+
+    spec = tmp_path / "spec.gen"
+    spec.write_text(
+        "num_groups = 16\ngroup_size_min = 2\ngroup_size_max = 4\nface_dim = 6\n"
+        "object_dim = 5\nscene_dim = 4\nobject_count_min = 1\nseed = 5\n"
+    )
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("latent_dim = 4\nepochs = 1\nmc_samples = 3\nfiqe_samples = 4\n")
+    data, model = tmp_path / "data.jsonl", tmp_path / "model"
+    assert main(["simulate", "--spec", str(spec), "--out", str(data)]) == 0
+    assert main(["train", "--config", str(cfg), "--train", str(data),
+                 "--val", str(data), "--out", str(model)]) == 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["eval", "--manifest", str(model / "manifest.json"), "--data", str(data),
+                     "--mc-samples", "1,3,2", "--out", str(tmp_path / "report")]) == 0
+    finally:
+        tracer.uninstall()
+    calls = collections.Counter(span[0] for span in tracer.spans)
+    per_group = ("pipeline.predict_group", "pipeline.face.infer", "pipeline.object.infer",
+                 "quality_filter.filter_faces")
+    assert {name: calls[name] for name in per_group} == dict.fromkeys(per_group, 16)

@@ -1,4 +1,6 @@
 import json
+import os
+import re
 import shutil
 import subprocess
 import sys
@@ -374,3 +376,20 @@ class TestLogLevelEnv:
         monkeypatch.setenv("UAL_LOG_LEVEL", "loud")
         assert main(["gradcheck", "--seeds", "1"]) == 1
         assert "UAL_LOG_LEVEL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level,lines", [("info", 0), ("debug", 1)])
+    def test_debug_level_times_the_inference_pass(self, small_run, tmp_path, level, lines):
+        argv = ["eval", "--manifest", str(small_run["out"] / "manifest.json"),
+                "--data", str(small_run["val"]), "--mc-samples", "1,4"]
+        assert run(*argv, "--out", str(tmp_path / "plain")) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "ual.cli", *argv, "--out", str(tmp_path / level)],
+            capture_output=True, text=True, env={**os.environ, "UAL_LOG_LEVEL": level},
+        )
+        assert proc.returncode == 0, proc.stderr
+        timed = [line for line in proc.stderr.splitlines() if line.startswith("inference:")]
+        assert len(timed) == lines
+        for line in timed:
+            assert re.fullmatch(r"inference: 12 groups, mc_samples 1,4, \d+\.\d{3} s", line)
+        report = (tmp_path / level / "report.jsonl").read_bytes()
+        assert report == (tmp_path / "plain" / "report.jsonl").read_bytes()

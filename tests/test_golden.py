@@ -18,6 +18,11 @@ that divides neither set, so every epoch ends with a partial batch) and
 in ``GOLDEN_ODD_BATCH``. These hashes, too, were recorded before training
 was batched across groups.
 
+``GOLDEN_SWEEP`` pins the report of one more ``ual eval`` of the first
+run's model, ``--mc-samples 8,1,8``: an unsorted sweep with a repeated
+count, so the entries cannot share or reorder anything that moves a byte.
+It was recorded before a sweep became one pass over the dataset.
+
 ``manifest.json`` is not pinned (it records dataset paths), nor is the
 ``data`` path field of the report's ``run`` records. The hashes were taken
 on x86-64 with numpy 2.4; a platform whose BLAS or libm rounds differently
@@ -71,6 +76,10 @@ GOLDEN_ODD_BATCH = {
     "val_metrics.jsonl": "31b7bf2247ebf0849a17f53d79c7b3c61aacb015ba39a33f7db876d40fee94eb",
 }
 
+GOLDEN_SWEEP = {
+    "report.jsonl": "65ff7070e3c99b95470b65d2286f29bf81117f3721369c13fe8673dbe31fff2d",
+}
+
 
 def _run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -112,6 +121,14 @@ def golden_run(golden_data):
 
 
 @pytest.fixture(scope="module")
+def sweep_run(golden_data, golden_run):
+    out = golden_data[0] / "sweep"
+    _run("eval", "--manifest", str(golden_run / "manifest.json"), "--data", str(golden_data[2]),
+         "--mc-samples", "8,1,8", "--out", str(out))
+    return out
+
+
+@pytest.fixture(scope="module")
 def ablation_runs(golden_data):
     return {ablation: _train_and_eval(golden_data, ablation) for ablation in GOLDEN_ABLATIONS}
 
@@ -148,3 +165,8 @@ def test_ablation_output_bytes_unchanged(ablation_runs, ablation, name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_ODD_BATCH))
 def test_odd_batch_output_bytes_unchanged(odd_batch_run, name):
     assert _digest(odd_batch_run / name) == GOLDEN_ODD_BATCH[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SWEEP))
+def test_sweep_output_bytes_unchanged(sweep_run, name):
+    assert _digest(sweep_run / name) == GOLDEN_SWEEP[name]

@@ -243,6 +243,17 @@ class TestStreamBlocks:
             row = SeededRng(int(seeds[i])).normals(shape)
             assert block[i].tobytes() == row.tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 32, 33])
+    def test_block_normals_prefix_of_a_longer_draw(self, d):
+        # odd d gives odd and even n * d: an odd draw ends on the cosine half
+        # of a Box-Muller pair whose sine half only the longer draw uses
+        seeds = derive_seeds(SeededRng(21), np.arange(3))
+        for m in (1, 2, 7, 40):
+            longer = block_normals(seeds, (m, d))
+            for n in range(1, m + 1):
+                prefix = np.ascontiguousarray(longer[:, :n])
+                assert block_normals(seeds, (n, d)).tobytes() == prefix.tobytes()
+
     def test_block_of_a_seed_grid(self):
         seeds = derive_seeds(SeededRng(2), np.arange(6)).reshape(2, 3)
         block = block_normals(seeds, 3)

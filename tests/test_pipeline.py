@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from ual.numerics import ParameterStore, SeededRng, derive_seeds, softmax
 from ual.pipeline import (
     BranchPrediction,
     FaceBranch,
+    _content_ranks,
     Trainer,
     TrainingConfig,
     branch_infer,
@@ -157,7 +159,7 @@ class TestBranchInfer:
         # sigma -> 0 via a very negative log-variance bias
         store.get("face.embed.logvar.weight")[...] = 0.0
         store.get("face.embed.logvar.bias")[...] = -80.0
-        pred = branch_infer(branches["face"], group, store, cfg, SeededRng(0).derive("infer"))
+        (pred,) = branch_infer(branches["face"], group, store, cfg, SeededRng(0).derive("infer"))
         W = store.get("face.classifier.weight")
         b = store.get("face.classifier.bias")
         mu = store.get("face.embed.mu.weight") @ group.faces[0] + store.get("face.embed.mu.bias")
@@ -175,8 +177,8 @@ class TestBranchInfer:
                          objects=obj[None, :], scene=np.zeros(4))
         g2 = GroupSample(id="g", label=0, faces=ds.groups[0].faces,
                          objects=np.stack([obj, obj]), scene=np.zeros(4))
-        p1 = branch_infer(branches["object"], g1, store, cfg, SeededRng(0).derive("infer"))
-        p2 = branch_infer(branches["object"], g2, store, cfg, SeededRng(0).derive("infer"))
+        (p1,) = branch_infer(branches["object"], g1, store, cfg, SeededRng(0).derive("infer"))
+        (p2,) = branch_infer(branches["object"], g2, store, cfg, SeededRng(0).derive("infer"))
         # identical objects share a content-keyed noise stream, so their
         # predictions coincide (up to the BLAS kernel's last ulp) and the
         # mean of two equal vectors is that vector
@@ -188,7 +190,7 @@ class TestBranchInfer:
         store, branches = build_model(ds, cfg)
         group = GroupSample(id="g", label=1, faces=ds.groups[0].faces,
                             objects=np.zeros((0, 5)), scene=SeededRng(1).normals(4))
-        pred = branch_infer(branches["object"], group, store, cfg, SeededRng(0).derive("infer"))
+        (pred,) = branch_infer(branches["object"], group, store, cfg, SeededRng(0).derive("infer"))
         assert not pred.present
         assert np.allclose(pred.probs, 1.0 / 3.0)
 
@@ -202,7 +204,7 @@ class TestBranchInfer:
         group = ds.groups[1]
         with pytest.raises(NumericError, match=f"strictly positive .*'{group.id}/face0'"):
             branches["face"].infer(
-                store, group, SeededRng(0).derive("infer"), 4, cfg, ablation=ablation
+                store, group, SeededRng(0).derive("infer"), (4,), cfg, ablation=ablation
             )
 
     def test_face_infer_matches_from_scratch_oracle(self):
@@ -211,9 +213,9 @@ class TestBranchInfer:
         store, branches = build_model(ds, cfg)
         group = ds.groups[2]
         seed = 77
-        pred = branch_infer(
+        (pred,) = branch_infer(
             branches["face"], group, store, cfg,
-            SeededRng(seed).derive("infer"), n_samples=6,
+            SeededRng(seed).derive("infer"), sample_counts=(6,),
         )
         oracle = self._face_oracle(store, group, cfg, seed, n_samples=6)
         assert np.max(np.abs(pred.probs - oracle)) < 1e-9
@@ -300,7 +302,7 @@ class TestBlockInference:
         group = GroupSample(id="g7", label=0, faces=ds.groups[0].faces,
                             objects=objects, scene=np.zeros(4))
         rng = SeededRng(4).derive("infer")
-        pred = branch.infer(store, group, rng, n_samples)
+        (pred,) = branch.infer(store, group, rng, (n_samples,))
 
         # one stream, one (N, d) draw and one 2-D classifier call per object
         order = sorted(range(k), key=lambda i: tuple(objects[i]))  # distinct rows: rank = position
@@ -424,6 +426,109 @@ class TestFaceLoss:
         return {"cls": cls, "kl": kl, "rank": rank, "rec": rec}
 
 
+def _tuple_sort_ranks(rows):
+    """Dense content ranks the loop way: sort the row tuples, count changes."""
+    order = sorted(range(rows.shape[0]), key=lambda i: tuple(rows[i]))
+    ranks, rank, prev = [0] * rows.shape[0], 0, None
+    for i in order:
+        key = tuple(rows[i])
+        if prev is not None and key != prev:
+            rank += 1
+        ranks[i] = rank
+        prev = key
+    return ranks
+
+
+class TestContentRanks:
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 3), (7, 1), (7, 2), (7, 64), (40, 3)])
+    def test_equals_tuple_sort(self, n, d):
+        x = SeededRng(100 * n + d).normals((n, d))
+        coarse = np.sign(x) * (np.abs(x) > 0.6)  # -1, -0.0, 0.0 or 1: ties in every column
+        flipped = np.where(coarse == 0.0, -coarse, coarse)[:3]  # +0.0 <-> -0.0 only
+        for rows in (x, np.concatenate([coarse, coarse[::-2], flipped])):
+            assert _content_ranks(rows).tolist() == _tuple_sort_ranks(rows)
+
+    def test_signed_zeros_share_a_rank(self):
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [-1.0, 0.0], [-1.0, -0.0]])
+        assert _content_ranks(rows).tolist() == _tuple_sort_ranks(rows) == [1, 1, 0, 0]
+
+
+class TestSweep:
+    """A sweep of sample counts equals one one-count call per entry (``==``)."""
+
+    COUNTS = (8, 1, 8, 3)  # unsorted, with a repeated count
+
+    @pytest.mark.parametrize("fiqe_apply", ["eval", "off"])
+    @pytest.mark.parametrize("ablation", ["full", "no-ual", "no-fiqe", "no-ual-fiqe"])
+    def test_sweep_equals_one_count_calls(self, ablation, fiqe_apply):
+        ds = tiny_dataset(seed=33)
+        assert any(group.objects.shape[0] == 0 for group in ds.groups)
+        # a threshold inside this model's score range: the filter drops 13 of 39 faces
+        cfg = tiny_config(fiqe_apply=fiqe_apply, delta2=0.86)
+        store, branches = build_model(ds, cfg)
+        rng = SeededRng(5).derive("infer")
+        for group in ds.groups:
+            sweep = predict_group(
+                group, store, branches, cfg, rng, sample_counts=self.COUNTS, ablation=ablation
+            )
+            assert len(sweep) == len(self.COUNTS)
+            for n, got in zip(self.COUNTS, sweep):
+                (want,) = predict_group(
+                    group, store, branches, cfg, rng, sample_counts=(n,), ablation=ablation
+                )
+                assert np.array_equal(got.probs, want.probs)
+                assert (got.label, got.weights) == (want.label, want.weights)
+                assert list(got.branch_predictions) == list(want.branch_predictions)
+                for tag, pred in got.branch_predictions.items():
+                    other = want.branch_predictions[tag]
+                    assert np.array_equal(pred.probs, other.probs)
+                    assert (pred.present, pred.diagnostics) == (other.present, other.diagnostics)
+
+        results = evaluate_dataset(
+            store, branches, ds, cfg, seed=5, sample_counts=self.COUNTS, ablation=ablation,
+            collect_diagnostics=True,
+        )
+        assert [result.n_samples for result in results] == list(self.COUNTS)
+        dropped = [not face["kept"] for rec in results[0].records
+                   for face in rec["branches"]["face"]["faces"]]
+        filtered = ablation in ("full", "no-ual") and fiqe_apply == "eval"
+        assert sum(dropped) == (13 if filtered else 0)
+        for n, got in zip(self.COUNTS, results):
+            (want,) = evaluate_dataset(
+                store, branches, ds, cfg, seed=5, sample_counts=(n,), ablation=ablation,
+                collect_diagnostics=True,
+            )
+            assert got.records == want.records
+            assert got.fused_report.to_dict() == want.fused_report.to_dict()
+            assert {tag: r.to_dict() for tag, r in got.branch_reports.items()} == {
+                tag: r.to_dict() for tag, r in want.branch_reports.items()
+            }
+
+    def test_entries_own_their_diagnostics(self):
+        ds = tiny_dataset(seed=33)
+        cfg = tiny_config()
+        store, branches = build_model(ds, cfg)
+        group = next(g for g in ds.groups if g.objects.shape[0])
+        first, _, again, _ = predict_group(
+            group, store, branches, cfg, SeededRng(5).derive("infer"), sample_counts=self.COUNTS
+        )
+        expected = copy.deepcopy(again.branch_predictions)
+        for pred in first.branch_predictions.values():
+            for rows in pred.diagnostics.values():
+                rows[0]["mutated"] = True
+            pred.diagnostics["extra"] = []
+        for tag, pred in again.branch_predictions.items():
+            assert pred.diagnostics == expected[tag].diagnostics
+
+    def test_empty_or_nonpositive_counts_rejected(self):
+        ds = tiny_dataset()
+        cfg = tiny_config()
+        store, branches = build_model(ds, cfg)
+        for counts in ((), (4, 0)):
+            with pytest.raises(ConfigError, match="sample counts"):
+                evaluate_dataset(store, branches, ds, cfg, seed=0, sample_counts=counts)
+
+
 class TestPredictGroup:
     def test_uniform_branches_tie_break_to_zero(self):
         ds = tiny_dataset()
@@ -433,7 +538,7 @@ class TestPredictGroup:
         for name in store.names():
             if "classifier" in name:
                 store.get(name)[...] = 0.0
-        out = predict_group(ds.groups[0], store, branches, cfg, SeededRng(0).derive("infer"))
+        (out,) = predict_group(ds.groups[0], store, branches, cfg, SeededRng(0).derive("infer"))
         assert out.label == 0
         assert np.allclose(out.probs, 1.0 / 3.0, atol=1e-12)
 
@@ -448,7 +553,7 @@ class TestPredictGroup:
         store, branches = build_model(ds, cfg)
         group = GroupSample(id="g", label=0, faces=ds.groups[0].faces,
                             objects=np.zeros((0, 5)), scene=SeededRng(2).normals(4))
-        out = predict_group(group, store, branches, cfg, SeededRng(0).derive("infer"))
+        (out,) = predict_group(group, store, branches, cfg, SeededRng(0).derive("infer"))
         assert set(out.weights) == {"face", "scene"}
 
     def test_permutation_invariance(self):
@@ -461,8 +566,8 @@ class TestPredictGroup:
             id=group.id, label=group.label, faces=group.faces[perm],
             objects=group.objects, scene=group.scene,
         )
-        a = predict_group(group, store, branches, cfg, SeededRng(9).derive("infer"))
-        b = predict_group(shuffled, store, branches, cfg, SeededRng(9).derive("infer"))
+        (a,) = predict_group(group, store, branches, cfg, SeededRng(9).derive("infer"))
+        (b,) = predict_group(shuffled, store, branches, cfg, SeededRng(9).derive("infer"))
         assert np.array_equal(a.probs, b.probs)
         assert a.label == b.label
 
@@ -574,8 +679,8 @@ class TestTrainModel:
         ds = tiny_dataset(seed=33)
         cfg = tiny_config()
         store, branches = build_model(ds, cfg)
-        a = evaluate_dataset(store, branches, ds, cfg, seed=5, collect_diagnostics=True)
-        b = evaluate_dataset(store, branches, ds, cfg, seed=5, collect_diagnostics=True)
+        (a,) = evaluate_dataset(store, branches, ds, cfg, seed=5, collect_diagnostics=True)
+        (b,) = evaluate_dataset(store, branches, ds, cfg, seed=5, collect_diagnostics=True)
         assert a.fused_report.to_dict() == b.fused_report.to_dict()
         assert a.records == b.records
 
