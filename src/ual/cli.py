@@ -70,12 +70,30 @@ class SystemExit_(Exception):
         self.message = message
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is when the record arrives."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
 def _setup_logging() -> None:
+    """Apply ``UAL_LOG_LEVEL`` to the ``ual`` logger; on every call, so that
+    each in-process ``main()`` runs at its own level."""
     level_name = os.environ.get("UAL_LOG_LEVEL", "info").strip().lower()
     levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
     if level_name not in levels:
         raise SystemExit_(EXIT_USAGE, f"UAL_LOG_LEVEL must be error/info/debug, got {level_name!r}")
-    logging.basicConfig(stream=sys.stderr, level=levels[level_name], format="%(message)s")
+    if not log.handlers:
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("%(message)s"))
+        log.addHandler(handler)
+        log.propagate = False  # the line is written here, not again by a root handler
+    log.setLevel(levels[level_name])
 
 
 def parse_kv_file(path) -> dict[str, str]:

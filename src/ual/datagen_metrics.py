@@ -19,13 +19,15 @@ group (see ``SCHEMA``).
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, ShapeError
-from .numerics import SeededRng
+from .numerics import SeededRng, _box_muller, _normal_words, _uniforms
 
 SCHEMA = "ual-groups/v1"
 DEFAULT_CLASS_NAMES = ("Positive", "Neutral", "Negative")
@@ -82,6 +84,10 @@ class SynthesisSpec:
     partition: str = "train"
 
     def validate(self) -> None:
+        for name in self.__dataclass_fields__:
+            v = getattr(self, name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise DataError(f"{name} must be finite, got {v}")
         if self.num_groups < 1:
             raise DataError("num_groups must be >= 1")
         if not (2 <= self.group_size_min <= self.group_size_max):
@@ -109,7 +115,32 @@ def class_names_for(num_classes: int) -> tuple[str, ...]:
 
 
 def generate_dataset(spec: SynthesisSpec) -> Dataset:
-    """Generate a synthetic dataset; deterministic given the spec."""
+    """Generate a synthetic dataset; deterministic given the spec.
+
+    The class centers come from the stream ``derive("centers")``: one
+    ``normals((num_classes, dim))`` draw each for faces, objects and the
+    scene, in that order. Group ``i`` owns the stream ``derive("group",
+    partition, i)``. Its words are laid out as follows, where a draw of
+    ``k`` normals takes ``nw(k) = 2 * ceil(k / 2)`` words and a "pick" is
+    one uniform compared with a fraction:
+
+    * the head, words 0-2: ``integer`` draws of the label, the face count
+      and the object count;
+    * per face: an inconsistency pick, plus one ``integer(num_classes - 1)``
+      word for the other class when it hits; then ``nw(face_dim)`` words of
+      noise; then a corruption pick, plus ``nw(face_dim)`` words of clutter
+      when it hits;
+    * per object: an inconsistency pick as for a face, then
+      ``nw(object_dim)`` words of noise;
+    * the scene: ``nw(scene_dim)`` words of noise.
+
+    This layout is what one ``uniform``, ``integer`` or ``normals`` call per
+    item would consume, and the values are those calls' values bit for bit.
+    The body after the head is drawn as one block of words, as many as a
+    group of its size can use. The picks are walked in order, and one
+    Box-Muller pass covers the noise segments they select: each segment
+    has an even length, so no Box-Muller pair straddles two of them.
+    """
     spec.validate()
     root = SeededRng(spec.seed)
     centers = root.derive("centers")
@@ -117,6 +148,12 @@ def generate_dataset(spec: SynthesisSpec) -> Dataset:
     object_centers = spec.center_scale * centers.normals((spec.num_classes, spec.object_dim))
     scene_centers = spec.center_scale * centers.normals((spec.num_classes, spec.scene_dim))
 
+    n_other = spec.num_classes - 1
+    nw_face, nw_object, nw_scene = (
+        _normal_words(k) for k in (spec.face_dim, spec.object_dim, spec.scene_dim)
+    )
+    face_steps, object_steps = np.arange(nw_face), np.arange(nw_object)
+    clutter_scale = spec.corrupt_scale * spec.spread
     stats = {"faces": 0, "objects": 0, "corrupted_faces": 0, "inconsistent_individuals": 0}
     groups: list[GroupSample] = []
     for i in range(spec.num_groups):
@@ -126,27 +163,52 @@ def generate_dataset(spec: SynthesisSpec) -> Dataset:
         n_objects = spec.object_count_min + g.integer(
             spec.object_count_max - spec.object_count_min + 1
         )
-        faces = np.empty((n_faces, spec.face_dim))
-        for j in range(n_faces):
-            base = label
-            if g.uniform() < spec.inconsistent_fraction and spec.num_classes > 1:
-                base = (label + 1 + g.integer(spec.num_classes - 1)) % spec.num_classes
+        words = g._raw(n_faces * (3 + 2 * nw_face) + n_objects * (2 + nw_object) + nw_scene)
+        u = _uniforms(words).tolist()
+        pos = 0  # the next unread word of the block
+        bases: list[int] = []  # the class center of each face, then of each object
+        # where each noise segment starts, by kind
+        face_at: list[int] = []
+        clutter_at: list[int] = []
+        object_at: list[int] = []
+        corrupted: list[int] = []
+        for j in range(n_faces + n_objects):
+            if u[pos] < spec.inconsistent_fraction:
+                other = min(int(u[pos + 1] * n_other), n_other - 1)
+                bases.append((label + 1 + other) % spec.num_classes)
                 stats["inconsistent_individuals"] += 1
-            x = face_centers[base] + spec.spread * g.normals(spec.face_dim)
-            if g.uniform() < spec.corrupt_fraction:
-                x = x + spec.corrupt_scale * spec.spread * np.abs(g.normals(spec.face_dim))
-                stats["corrupted_faces"] += 1
-            faces[j] = x
-        objects = np.empty((n_objects, spec.object_dim))
-        for j in range(n_objects):
-            base = label
-            if g.uniform() < spec.inconsistent_fraction and spec.num_classes > 1:
-                base = (label + 1 + g.integer(spec.num_classes - 1)) % spec.num_classes
-                stats["inconsistent_individuals"] += 1
-            objects[j] = object_centers[base] + spec.spread * g.normals(spec.object_dim)
-        scene = scene_centers[label] + spec.spread * g.normals(spec.scene_dim)
+                pos += 2
+            else:
+                bases.append(label)
+                pos += 1
+            if j < n_faces:
+                face_at.append(pos)
+                pos += nw_face + 1
+                if u[pos - 1] < spec.corrupt_fraction:
+                    corrupted.append(j)
+                    clutter_at.append(pos)
+                    pos += nw_face
+            else:
+                object_at.append(pos)
+                pos += nw_object
+        idx = np.concatenate((
+            np.add.outer(np.array(face_at + clutter_at, dtype=np.intp), face_steps).ravel(),
+            np.add.outer(np.array(object_at, dtype=np.intp), object_steps).ravel(),
+            np.arange(pos, pos + nw_scene),
+        ))
+        z = _box_muller(words[idx], idx.size)
+        n_face_rows = n_faces + len(corrupted)
+        face_z = z[: n_face_rows * nw_face].reshape(n_face_rows, nw_face)[:, : spec.face_dim]
+        object_z = z[n_face_rows * nw_face : -nw_scene].reshape(n_objects, nw_object)
+        rows = np.array(bases, dtype=np.intp)
+        faces = face_centers[rows[:n_faces]] + spec.spread * face_z[:n_faces]
+        if corrupted:
+            faces[corrupted] = faces[corrupted] + clutter_scale * np.abs(face_z[n_faces:])
+        objects = object_centers[rows[n_faces:]] + spec.spread * object_z[:, : spec.object_dim]
+        scene = scene_centers[label] + spec.spread * z[-nw_scene:][: spec.scene_dim]
         stats["faces"] += n_faces
         stats["objects"] += n_objects
+        stats["corrupted_faces"] += len(corrupted)
         groups.append(
             GroupSample(
                 id=f"{spec.partition}-{i:05d}",
@@ -191,17 +253,26 @@ def save_dataset(dataset: Dataset, path) -> None:
         "num_classes": dataset.num_classes,
         "class_names": list(dataset.class_names),
     }
+    # json.dumps would write NaN and Infinity, which no JSON reader (and
+    # not load_dataset) accepts
+    encode = json.JSONEncoder(allow_nan=False).encode
     with open_data_file(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
         for group in dataset.groups:
             record = {
                 "id": group.id,
                 "label": int(group.label),
-                "faces": [[float(v) for v in row] for row in group.faces],
-                "objects": [[float(v) for v in row] for row in group.objects],
-                "scene": [float(v) for v in group.scene],
+                "faces": group.faces.tolist(),
+                "objects": group.objects.tolist(),
+                "scene": group.scene.tolist(),
             }
-            fh.write(json.dumps(record) + "\n")
+            try:
+                line = encode(record)
+            except ValueError as exc:
+                fh.close()
+                os.remove(path)  # leave no truncated dataset behind
+                raise DataError(f"{path}: group {group.id}: features must be finite") from exc
+            fh.write(line + "\n")
 
 
 def _numbers(value: list, shape: tuple[int, ...], what: str, where: str) -> np.ndarray:

@@ -102,6 +102,16 @@ def _shape(shape: int | tuple[int, ...]) -> tuple[int, ...]:
     return (int(shape),) if isinstance(shape, (int, np.integer)) else tuple(shape)
 
 
+def _normal_words(k: int) -> int:
+    """Raw words a draw of ``k`` normals consumes: Box-Muller works in pairs."""
+    return 2 * ((k + 1) // 2)
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniform in [0, 1) of each raw word."""
+    return (words >> _U11).astype(np.float64) * 2.0**-53
+
+
 def _box_muller(words: np.ndarray, k: int) -> np.ndarray:
     """The first ``k`` normals of each row of raw words (pairs along the last axis)."""
     u1 = ((words[..., 0::2] >> _U11).astype(np.float64) + 1.0) * 2.0**-53
@@ -172,7 +182,7 @@ class SeededRng:
 
     def uniforms(self, k: int) -> np.ndarray:
         """``k`` i.i.d. uniforms in [0, 1)."""
-        return (self._raw(k) >> _U11).astype(np.float64) * 2.0**-53
+        return _uniforms(self._raw(k))
 
     def uniform(self) -> float:
         return float(self.uniforms(1)[0])
@@ -181,7 +191,7 @@ class SeededRng:
         """Standard normal draws with the given shape (Box-Muller)."""
         shape = _shape(shape)
         k = math.prod(shape)
-        return _box_muller(self._raw(2 * ((k + 1) // 2)), k).reshape(shape)
+        return _box_muller(self._raw(_normal_words(k)), k).reshape(shape)
 
     def integer(self, n: int) -> int:
         """Uniform integer in ``[0, n)``."""
@@ -236,7 +246,7 @@ def block_normals(seeds, shape: int | tuple[int, ...]) -> np.ndarray:
     seeds = np.asarray(seeds, dtype=np.uint64)
     shape = _shape(shape)
     k = math.prod(shape)
-    words = _words(seeds[..., None], 0, 2 * ((k + 1) // 2))
+    words = _words(seeds[..., None], 0, _normal_words(k))
     return np.ascontiguousarray(_box_muller(words, k)).reshape(seeds.shape + shape)
 
 

@@ -148,6 +148,10 @@ class TrainingConfig:
     select_best: bool = False
 
     def validate(self) -> None:
+        for name in self.__dataclass_fields__:
+            v = getattr(self, name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{name} must be finite, got {v}")
         if self.latent_dim < 1:
             raise ConfigError("latent_dim must be >= 1")
         for name in ("lambda1", "lambda2", "lambda3", "lambda4"):

@@ -85,6 +85,32 @@ def test_inference_bindings_record_spans(tmp_path):
     assert [name for name in _INFERENCE_SPANS if name not in recorded] == []
 
 
+# the span of each binding that `ual simulate` and a read-back call
+_SIMULATE_SPANS = (
+    "datagen_metrics.generate",
+    "datagen_metrics.save",
+    "datagen_metrics.load",
+    "numerics.rng.integer",
+    "numerics.rng.uniform",
+)
+
+
+def test_simulate_bindings_record_spans(tmp_path):
+    from ual import datagen_metrics
+    from ual.cli import main
+
+    data = tmp_path / "data.jsonl"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["simulate", "--num-groups", "16", "--out", str(data)]) == 0
+        datagen_metrics.load_dataset(data)
+    finally:
+        tracer.uninstall()
+    recorded = {span[0] for span in tracer.spans}
+    assert [name for name in _SIMULATE_SPANS if name not in recorded] == []
+
+
 def test_sweep_runs_each_group_once(tmp_path):
     # a sweep of sample counts is one pass over the dataset: the stages that
     # do not depend on the count run once per group, not once per count

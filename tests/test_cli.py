@@ -73,6 +73,29 @@ class TestSimulate:
         assert code == 2
         assert "corrupt_fraction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,key", [
+        ("spread = nan", "spread"),
+        ("center_scale = inf", "center_scale"),
+        ("corrupt_scale = inf", "corrupt_scale"),
+    ])
+    def test_non_finite_spec_value(self, tmp_path, capsys, line, key):
+        spec, out = tmp_path / "bad.gen", tmp_path / "x.jsonl"
+        spec.write_text(line + "\n")
+        assert run("simulate", "--spec", str(spec), "--out", str(out)) == 2
+        assert f"data error: {key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_spread_names_the_group(self, tmp_path, capsys):
+        spec, out = tmp_path / "big.gen", tmp_path / "x.jsonl"
+        spec.write_text("spread = 1e308\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run("simulate", "--spec", str(spec), "--out", str(out), "--num-groups", "3")
+        assert code == 2
+        assert f"data error: {out}: group train-00000: features must be finite" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
 
 class TestTrain:
     def test_epochs_zero_keeps_initialization(self, small_run, tmp_path):
@@ -126,6 +149,15 @@ class TestTrain:
                    "--val", str(small_run["val"]), "--out", str(tmp_path / "x"))
         assert code == 2
         assert "latent_dmi" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["face_lr", "lambda2", "delta1"])
+    def test_non_finite_config_value_exits_2(self, small_run, tmp_path, capsys, key):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(f"{key} = nan\n")
+        code = run("train", "--config", str(cfg), "--train", str(small_run["train"]),
+                   "--val", str(small_run["val"]), "--out", str(tmp_path / "m"))
+        assert code == 2
+        assert f"config error: {key} must be finite, got nan" in capsys.readouterr().err
 
 
 class TestObjectOnly:
@@ -376,6 +408,16 @@ class TestLogLevelEnv:
         monkeypatch.setenv("UAL_LOG_LEVEL", "loud")
         assert main(["gradcheck", "--seeds", "1"]) == 1
         assert "UAL_LOG_LEVEL" in capsys.readouterr().err
+
+    def test_each_call_applies_its_own_level(self, monkeypatch, capsys, tmp_path):
+        out = tmp_path / "d.jsonl"
+        argv = ("simulate", "--num-groups", "2", "--out", str(out))
+        monkeypatch.setenv("UAL_LOG_LEVEL", "error")
+        assert run(*argv) == 0
+        assert "wrote" not in capsys.readouterr().err
+        monkeypatch.setenv("UAL_LOG_LEVEL", "info")
+        assert run(*argv) == 0
+        assert capsys.readouterr().err.startswith(f"wrote {out}: 2 groups")
 
     @pytest.mark.parametrize("level,lines", [("info", 0), ("debug", 1)])
     def test_debug_level_times_the_inference_pass(self, small_run, tmp_path, level, lines):

@@ -5,11 +5,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ual.datagen_metrics import (
+    Dataset,
+    GroupSample,
     SynthesisSpec,
+    class_names_for,
     compute_metrics,
     f_measure,
     generate_dataset,
@@ -19,6 +22,7 @@ from ual.datagen_metrics import (
     spec_from_mapping,
 )
 from ual.errors import DataError
+from ual.numerics import SeededRng
 
 
 def binomial_99_interval(n: int, p: float) -> tuple[float, float]:
@@ -35,7 +39,99 @@ def support_weighted_average(values, supports) -> float:
     return float((v * s).sum() / s.sum())
 
 
+def scalar_generate(spec: SynthesisSpec) -> Dataset:
+    """The generator as one ``uniform``/``integer``/``normals`` call per item:
+    the reference for the block walk of ``generate_dataset``."""
+    root = SeededRng(spec.seed)
+    centers = root.derive("centers")
+    face_centers = spec.center_scale * centers.normals((spec.num_classes, spec.face_dim))
+    object_centers = spec.center_scale * centers.normals((spec.num_classes, spec.object_dim))
+    scene_centers = spec.center_scale * centers.normals((spec.num_classes, spec.scene_dim))
+
+    stats = {"faces": 0, "objects": 0, "corrupted_faces": 0, "inconsistent_individuals": 0}
+    groups = []
+    for i in range(spec.num_groups):
+        g = root.derive("group", spec.partition, i)
+        label = g.integer(spec.num_classes)
+        n_faces = spec.group_size_min + g.integer(spec.group_size_max - spec.group_size_min + 1)
+        n_objects = spec.object_count_min + g.integer(
+            spec.object_count_max - spec.object_count_min + 1
+        )
+        faces = np.empty((n_faces, spec.face_dim))
+        for j in range(n_faces):
+            base = label
+            if g.uniform() < spec.inconsistent_fraction and spec.num_classes > 1:
+                base = (label + 1 + g.integer(spec.num_classes - 1)) % spec.num_classes
+                stats["inconsistent_individuals"] += 1
+            x = face_centers[base] + spec.spread * g.normals(spec.face_dim)
+            if g.uniform() < spec.corrupt_fraction:
+                x = x + spec.corrupt_scale * spec.spread * np.abs(g.normals(spec.face_dim))
+                stats["corrupted_faces"] += 1
+            faces[j] = x
+        objects = np.empty((n_objects, spec.object_dim))
+        for j in range(n_objects):
+            base = label
+            if g.uniform() < spec.inconsistent_fraction and spec.num_classes > 1:
+                base = (label + 1 + g.integer(spec.num_classes - 1)) % spec.num_classes
+                stats["inconsistent_individuals"] += 1
+            objects[j] = object_centers[base] + spec.spread * g.normals(spec.object_dim)
+        scene = scene_centers[label] + spec.spread * g.normals(spec.scene_dim)
+        stats["faces"] += n_faces
+        stats["objects"] += n_objects
+        groups.append(GroupSample(id=f"{spec.partition}-{i:05d}", label=label,
+                                  faces=faces, objects=objects, scene=scene))
+    return Dataset(spec.face_dim, spec.object_dim, spec.scene_dim, spec.num_classes,
+                   class_names_for(spec.num_classes), groups, stats)
+
+
+_FRACTIONS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def synthesis_specs(draw):
+    size_min = draw(st.integers(2, 5))
+    objects_min = draw(st.integers(0, 2))
+    return SynthesisSpec(
+        num_groups=draw(st.integers(1, 4)),
+        group_size_min=size_min,
+        group_size_max=draw(st.integers(size_min, 7)),
+        face_dim=draw(st.integers(1, 10)),
+        object_dim=draw(st.integers(1, 10)),
+        scene_dim=draw(st.integers(1, 10)),
+        num_classes=draw(st.sampled_from([2, 5])),
+        spread=draw(st.sampled_from([0.0, 1.5])),
+        corrupt_fraction=draw(_FRACTIONS),
+        inconsistent_fraction=draw(_FRACTIONS),
+        object_count_min=objects_min,
+        object_count_max=draw(st.integers(objects_min, 3)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        partition=draw(st.sampled_from(["train", "val"])),
+    )
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestGenerateDataset:
+    @given(synthesis_specs())
+    @example(SynthesisSpec(num_groups=1, group_size_min=4, group_size_max=4, face_dim=7,
+                           object_dim=2, scene_dim=3, object_count_min=0, object_count_max=0))
+    @example(SynthesisSpec(num_groups=3, face_dim=33, object_dim=7, scene_dim=5, num_classes=2,
+                           corrupt_fraction=1.0, inconsistent_fraction=1.0))
+    @example(SynthesisSpec(num_groups=3, face_dim=8, object_dim=4, scene_dim=2, num_classes=5,
+                           corrupt_fraction=0.0, inconsistent_fraction=0.0, spread=0.0))
+    @settings(max_examples=100, deadline=None)
+    def test_block_walk_equals_scalar_draws(self, spec):
+        got, want = generate_dataset(spec), scalar_generate(spec)
+        assert got.synthesis_stats == want.synthesis_stats
+        assert [g.id for g in got.groups] == [g.id for g in want.groups]
+        assert [g.label for g in got.groups] == [g.label for g in want.groups]
+        for a, b in zip(got.groups, want.groups):
+            assert _same_bits(a.faces, b.faces)
+            assert _same_bits(a.objects, b.objects)
+            assert _same_bits(a.scene, b.scene)
+
     def test_noiseless_limit(self):
         spec = SynthesisSpec(
             num_groups=10, spread=0.0, corrupt_fraction=0.0, inconsistent_fraction=0.0,
@@ -87,6 +183,13 @@ class TestGenerateDataset:
         with pytest.raises(DataError):
             generate_dataset(SynthesisSpec(group_size_min=1))
 
+    @pytest.mark.parametrize("key,value", [
+        ("spread", math.nan), ("center_scale", math.inf), ("corrupt_scale", math.inf),
+    ])
+    def test_non_finite_spec_value_names_the_key(self, key, value):
+        with pytest.raises(DataError, match=f"{key} must be finite"):
+            SynthesisSpec(**{key: value}).validate()
+
     def test_spec_from_mapping_rejects_unknown_field(self):
         with pytest.raises(DataError, match="unknown field"):
             spec_from_mapping({"num_gruops": "5"})
@@ -111,6 +214,14 @@ class TestDatasetIO:
             assert np.array_equal(a.faces, b.faces)
             assert np.array_equal(a.objects, b.objects)
             assert np.array_equal(a.scene, b.scene)
+
+    def test_save_refuses_non_finite_and_names_the_group(self, tmp_path):
+        ds = self._small()
+        ds.groups[2].scene[0] = math.inf
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(DataError, match=re.escape(f"{path}: group {ds.groups[2].id}: ")):
+            save_dataset(ds, path)
+        assert not path.exists()
 
     def test_wrong_face_dim_names_line(self, tmp_path):
         ds = self._small()

@@ -23,6 +23,11 @@ run's model, ``--mc-samples 8,1,8``: an unsorted sweep with a repeated
 count, so the entries cannot share or reorder anything that moves a byte.
 It was recorded before a sweep became one pass over the dataset.
 
+``GOLDEN_SIMULATE`` pins the ``ual simulate`` files themselves: the 60-group
+train and 30-group val sets above, and one set from ``ODD_SPEC`` (odd dims,
+2 classes, every face corrupted, no objects). These hashes were recorded
+before the generator drew each group's noise as one block of words.
+
 ``manifest.json`` is not pinned (it records dataset paths), nor is the
 ``data`` path field of the report's ``run`` records. The hashes were taken
 on x86-64 with numpy 2.4; a platform whose BLAS or libm rounds differently
@@ -80,6 +85,17 @@ GOLDEN_SWEEP = {
     "report.jsonl": "65ff7070e3c99b95470b65d2286f29bf81117f3721369c13fe8673dbe31fff2d",
 }
 
+GOLDEN_SIMULATE = {
+    "odd.jsonl": "639555948eb20c77070c006cac0e5d6b2620ff22d30f1054d439ff52c0a656cb",
+    "train.jsonl": "41f8d5e71ee9bb034155efbbeaf95a3f666b5709b50d32b64cc084f471798940",
+    "val.jsonl": "75dcc49bf729fa0b7f40511501325c1ffacde22322b53da253bddb790b86b68f",
+}
+
+ODD_SPEC = (
+    "num_groups = 40\nface_dim = 33\nobject_dim = 7\nscene_dim = 5\nnum_classes = 2\n"
+    "corrupt_fraction = 1.0\nobject_count_max = 0\nseed = 13\n"
+)
+
 
 def _run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -129,6 +145,15 @@ def sweep_run(golden_data, golden_run):
 
 
 @pytest.fixture(scope="module")
+def simulate_files(golden_data):
+    root = golden_data[0]
+    spec = root / "odd.gen"
+    spec.write_text(ODD_SPEC, encoding="utf-8")
+    _run("simulate", "--spec", str(spec), "--out", str(root / "odd.jsonl"))
+    return root
+
+
+@pytest.fixture(scope="module")
 def ablation_runs(golden_data):
     return {ablation: _train_and_eval(golden_data, ablation) for ablation in GOLDEN_ABLATIONS}
 
@@ -170,3 +195,8 @@ def test_odd_batch_output_bytes_unchanged(odd_batch_run, name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEP))
 def test_sweep_output_bytes_unchanged(sweep_run, name):
     assert _digest(sweep_run / name) == GOLDEN_SWEEP[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SIMULATE))
+def test_simulate_output_bytes_unchanged(simulate_files, name):
+    assert _digest(simulate_files / name) == GOLDEN_SIMULATE[name]
