@@ -20,18 +20,20 @@ import logging
 import os
 import sys
 import time
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .datagen_metrics import (
     Dataset,
+    SynthesisSpec,
     generate_dataset,
     load_dataset,
     open_data_file,
     save_dataset,
-    spec_from_mapping,
+    settings_from_mapping,
 )
 from .errors import ConfigError, DataError, NumericError, UalError
 from .numerics import ParameterStore, SeededRng, gradient_check
@@ -105,7 +107,7 @@ def parse_kv_file(path) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
         text = (path if hasattr(path, "read_text") else Path(path)).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -144,14 +146,12 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _load_config(path: str | None, overrides: dict) -> TrainingConfig:
-    mapping = parse_kv_file(path or _bundled("synthetic-default.cfg"))
-    source = path or "bundled synthetic-default.cfg"
-    cfg = config_from_mapping(mapping, source=str(source))
-    if overrides:
-        cfg = replace(cfg, **overrides)
-        cfg.validate()
-    return cfg
+def _settings(kind, path: str | None, bundled: str, flags: dict):
+    """A validated ``kind`` from the file at ``path``, or the bundled file, with
+    each flag that was given (not None) set as its key, as text, as a file sets it."""
+    mapping = parse_kv_file(path or _bundled(bundled))
+    mapping.update({key: str(value) for key, value in flags.items() if value is not None})
+    return settings_from_mapping(kind, mapping, str(path or f"bundled {bundled}"))
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +159,13 @@ def _load_config(path: str | None, overrides: dict) -> TrainingConfig:
 
 
 def cmd_simulate(args) -> int:
-    mapping = parse_kv_file(args.spec or _bundled("synthetic-default.gen"))
-    source = args.spec or "bundled synthetic-default.gen"
-    spec = spec_from_mapping(mapping, source=str(source))
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.num_groups is not None:
-        updates["num_groups"] = args.num_groups
-    if args.partition is not None:
-        updates["partition"] = args.partition
-    if updates:
-        spec = replace(spec, **updates)
-        spec.validate()
-    dataset = generate_dataset(spec)
+    spec = _settings(
+        SynthesisSpec, args.spec, "synthetic-default.gen",
+        {"seed": args.seed, "num_groups": args.num_groups, "partition": args.partition},
+    )
+    # features that overflow are refused, naming the group, by save_dataset
+    with np.errstate(over="ignore", invalid="ignore"):
+        dataset = generate_dataset(spec)
     save_dataset(dataset, args.out)
     log.info(
         "wrote %s: %d groups (%s)", args.out, len(dataset), json.dumps(dataset.synthesis_stats)
@@ -190,12 +183,10 @@ def _dims(dataset: Dataset) -> dict:
 
 
 def cmd_train(args) -> int:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
-    config = _load_config(args.config, overrides)
+    config = _settings(
+        TrainingConfig, args.config, "synthetic-default.cfg",
+        {"seed": args.seed, "epochs": args.epochs},
+    )
     train_ds = load_dataset(args.train)
     val_ds = load_dataset(args.val)
     dims = _dims(train_ds)
@@ -289,15 +280,15 @@ def _check_manifest(manifest, path: Path) -> None:
             raise DataError(f"{path}: manifest key 'models' has no file for branch {tag!r}")
 
 
-def _restore_from_manifest(manifest: dict, manifest_dir: Path):
+def _restore_from_manifest(manifest: dict, manifest_path: Path):
     config = config_from_mapping(
-        {k: str(v) for k, v in manifest["config"].items()}, source="manifest config"
+        {k: str(v) for k, v in manifest["config"].items()}, source=str(manifest_path)
     )
     branches = build_branches(config, manifest["dims"], tuple(manifest["branches"]))
     store = ParameterStore()
     register_branches(store, branches, config.seed)
     for tag in branches:
-        path = manifest_dir / manifest["models"][tag]
+        path = manifest_path.parent / manifest["models"][tag]
         if not path.exists():
             raise DataError(f"missing model file {path}")
         sub = store.subset(f"{tag}.")
@@ -311,7 +302,7 @@ def cmd_eval(args) -> int:
     manifest_path = Path(args.manifest)
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
     _check_manifest(manifest, manifest_path)
     data_hash = sha256_file(args.data)
@@ -321,7 +312,7 @@ def cmd_eval(args) -> int:
             f"{args.data}: content hash {data_hash[:12]}... does not match the manifest "
             "(use --force to evaluate anyway)"
         )
-    config, branches, store = _restore_from_manifest(manifest, manifest_path.parent)
+    config, branches, store = _restore_from_manifest(manifest, manifest_path)
     dataset = load_dataset(args.data)
     seed = args.seed if args.seed is not None else config.seed
     ablation = args.ablation or manifest.get("ablation", "full")
@@ -386,12 +377,11 @@ def cmd_eval(args) -> int:
 
 def _gradcheck_units(seed: int):
     """Scenario list: (name, loss_fn factory, store). Shared by cmd and tests."""
-    from .losses import LossWeights
-
     units = []
     rng = SeededRng(seed)
 
-    def face_scenario(name, weights):
+    def face_scenario(name, **weights):
+        cfg = TrainingConfig(beta=0.5, delta1=5.0, **weights)
         r = rng.derive(name)
         branch = FaceBranch(in_dim=6, latent_dim=5, num_classes=3)
         store = ParameterStore()
@@ -403,16 +393,16 @@ def _gradcheck_units(seed: int):
         label = r.integer(3)
 
         def loss_fn(s):
-            bd, g = branch.loss_and_grads(s, faces, label, eps, weights, 0.5, 5.0)
+            bd, g = branch.loss_and_grads(s, faces, label, eps, cfg)
             return bd.total, g
 
         units.append((name, loss_fn, store))
 
-    face_scenario("face.cls", LossWeights(lambda2=0.0, lambda3=0.0, lambda4=0.0))
-    face_scenario("face.kl", LossWeights(lambda2=1.0, lambda3=0.0, lambda4=0.0))
-    face_scenario("face.rank", LossWeights(lambda2=0.0, lambda3=1.0, lambda4=0.0))
-    face_scenario("face.rec", LossWeights(lambda2=0.0, lambda3=0.0, lambda4=1.0))
-    face_scenario("face.total", LossWeights())
+    face_scenario("face.cls", lambda2=0.0, lambda3=0.0, lambda4=0.0)
+    face_scenario("face.kl", lambda2=1.0, lambda3=0.0, lambda4=0.0)
+    face_scenario("face.rank", lambda2=0.0, lambda3=1.0, lambda4=0.0)
+    face_scenario("face.rec", lambda2=0.0, lambda3=0.0, lambda4=1.0)
+    face_scenario("face.total")
 
     r = rng.derive("object")
     branch = ObjectBranch(in_dim=4, latent_dim=5, num_classes=3)
@@ -422,10 +412,10 @@ def _gradcheck_units(seed: int):
     objects = r.normals((3, 4))
     eps = r.normals((3, 5))
     label = r.integer(3)
-    weights = LossWeights(lambda2=0.5)
+    cfg = TrainingConfig(lambda2=0.5)
 
-    def object_loss(s, _b=branch, _o=objects, _l=label, _e=eps, _w=weights):
-        bd, g = _b.loss_and_grads(s, _o, _l, _e, _w)
+    def object_loss(s, _b=branch, _o=objects, _l=label, _e=eps, _c=cfg):
+        bd, g = _b.loss_and_grads(s, _o, _l, _e, _c)
         return bd.total, g
 
     units.append(("object.total", object_loss, store))

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .numerics import SeededRng, _box_muller, _normal_words, _uniforms
 
 SCHEMA = "ual-groups/v1"
@@ -91,11 +91,11 @@ class SynthesisSpec:
         if self.num_groups < 1:
             raise DataError("num_groups must be >= 1")
         if not (2 <= self.group_size_min <= self.group_size_max):
-            raise DataError("group sizes must satisfy 2 <= min <= max")
+            raise DataError("group_size_min and group_size_max must satisfy 2 <= min <= max")
         if not (0 <= self.object_count_min <= self.object_count_max):
-            raise DataError("object counts must satisfy 0 <= min <= max")
+            raise DataError("object_count_min and object_count_max must satisfy 0 <= min <= max")
         if min(self.face_dim, self.object_dim, self.scene_dim) < 1:
-            raise DataError("feature dims must be >= 1")
+            raise DataError("face_dim, object_dim and scene_dim must be >= 1")
         if self.num_classes < 2:
             raise DataError("num_classes must be >= 2")
         for name in ("corrupt_fraction", "inconsistent_fraction"):
@@ -299,7 +299,10 @@ def _rows(value, dim: int, what: str, where: str) -> np.ndarray:
 
 def load_dataset(path) -> Dataset:
     with open_data_file(path) as fh:
-        lines = fh.read().splitlines()
+        try:
+            lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
     if not lines:
         raise DataError(f"{path}: empty dataset file")
     try:
@@ -462,25 +465,32 @@ def compute_metrics(
     )
 
 
-def spec_from_mapping(mapping: dict, source: str = "spec") -> SynthesisSpec:
-    """Build a SynthesisSpec from a {key: string} mapping, typo-safe."""
-    spec = SynthesisSpec()
-    fields = {f: type(getattr(spec, f)) for f in spec.__dataclass_fields__}
+def settings_from_mapping(kind, mapping: dict, source: str):
+    """A validated ``kind`` (:class:`SynthesisSpec` or ``TrainingConfig``) from
+    a ``{key: text}`` mapping. Each value is parsed to the type of its field's
+    default (a bool is ``true`` or ``false``, in any case); an unknown key or
+    a bad value is a :class:`ConfigError` naming ``source`` and the key."""
+    base = kind()
     updates = {}
     for key, raw in mapping.items():
-        if key not in fields:
-            raise DataError(f"{source}: unknown field {key!r}")
-        kind = fields[key]
+        if key not in base.__dataclass_fields__:
+            raise ConfigError(f"{source}: unknown key {key!r}")
+        field_type = type(getattr(base, key))
         try:
-            if kind is int:
-                updates[key] = int(raw)
-            elif kind is float:
-                updates[key] = float(raw)
+            if field_type is bool:
+                text = str(raw).strip().lower()
+                if text not in ("true", "false"):
+                    raise ValueError(f"expected true/false, got {raw!r}")
+                updates[key] = text == "true"
             else:
-                updates[key] = str(raw)
+                updates[key] = field_type(str(raw))
         except ValueError as exc:
-            raise DataError(f"{source}: field {key!r}: {exc}") from exc
-    out = replace(spec, **updates)
+            raise ConfigError(f"{source}: key {key!r}: {exc}") from exc
+    out = replace(base, **updates)
     out.validate()
     return out
 
+
+def spec_from_mapping(mapping: dict, source: str = "spec") -> SynthesisSpec:
+    """Build a SynthesisSpec from a {key: string} mapping; see :func:`settings_from_mapping`."""
+    return settings_from_mapping(SynthesisSpec, mapping, source)

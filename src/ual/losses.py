@@ -22,16 +22,6 @@ from .errors import ShapeError
 
 
 @dataclass(frozen=True)
-class LossWeights:
-    """Per-term weights; defaults match the trained configuration."""
-
-    lambda1: float = 0.1  # mu/z* mixing in the object classification loss
-    lambda2: float = 1e-4  # KL regularizer
-    lambda3: float = 1.0  # rank regularizer
-    lambda4: float = 0.01  # reconstruction
-
-
-@dataclass(frozen=True)
 class LossBreakdown:
     """One group's loss terms, or a stacked call's terms as arrays of one value per group."""
 
@@ -40,7 +30,6 @@ class LossBreakdown:
     rank: float
     rec: float
     total: float
-    weights: LossWeights
 
     def as_row(self) -> tuple[float, float, float, float, float]:
         return (self.cls, self.kl, self.rank, self.rec, self.total)
@@ -77,13 +66,15 @@ def rank_loss(alpha_high, alpha_low, delta1: float) -> float | np.ndarray:
     return float(rank) if rank.ndim == 0 else rank
 
 
-def total_face_loss(cls, kl, rank, rec, weights: LossWeights) -> LossBreakdown:
-    """The weighted face total; the terms are floats, or arrays of one value per group."""
-    total = cls + weights.lambda2 * kl + weights.lambda3 * rank + weights.lambda4 * rec
-    return LossBreakdown(cls=cls, kl=kl, rank=rank, rec=rec, total=total, weights=weights)
+def total_face_loss(cls, kl, rank, rec, cfg) -> LossBreakdown:
+    """The face total weighted by ``cfg.lambda2``-``lambda4`` (``cfg`` is a
+    ``TrainingConfig``); the terms are floats, or arrays of one value per group."""
+    total = cls + cfg.lambda2 * kl + cfg.lambda3 * rank + cfg.lambda4 * rec
+    return LossBreakdown(cls=cls, kl=kl, rank=rank, rec=rec, total=total)
 
 
-def total_object_loss(cls, kl, weights: LossWeights) -> LossBreakdown:
-    total = cls + weights.lambda2 * kl
+def total_object_loss(cls, kl, cfg) -> LossBreakdown:
+    """The object total under ``cfg``'s lambda2; rank and rec are zero."""
+    total = cls + cfg.lambda2 * kl
     zero = np.zeros_like(cls) if isinstance(cls, np.ndarray) else 0.0
-    return LossBreakdown(cls=cls, kl=kl, rank=zero, rec=zero, total=total, weights=weights)
+    return LossBreakdown(cls=cls, kl=kl, rank=zero, rec=zero, total=total)

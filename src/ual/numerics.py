@@ -345,7 +345,7 @@ class ParameterStore:
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise DataError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("version") != PARAM_FORMAT_VERSION:
             raise DataError(f"{path}: unsupported parameter file version")

@@ -73,22 +73,16 @@ loop over the groups because the stacked arithmetic keeps these rules:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .datagen_metrics import Dataset, GroupSample, MetricsReport, compute_metrics
+from .datagen_metrics import settings_from_mapping
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .gaussian_embedding import EmbeddingHead, mc_predict
-from .losses import (
-    LossBreakdown,
-    LossWeights,
-    kl_loss,
-    rank_loss,
-    total_face_loss,
-    total_object_loss,
-)
+from .losses import LossBreakdown, kl_loss, rank_loss, total_face_loss, total_object_loss
 from .numerics import (
     AffineMap,
     ParameterStore,
@@ -174,45 +168,13 @@ class TrainingConfig:
         if self.fiqe_apply not in ("both", "train", "eval", "off"):
             raise ConfigError(f"fiqe_apply must be both/train/eval/off, got {self.fiqe_apply!r}")
 
-    @property
-    def loss_weights(self) -> LossWeights:
-        return LossWeights(
-            lambda1=self.lambda1,
-            lambda2=self.lambda2,
-            lambda3=self.lambda3,
-            lambda4=self.lambda4,
-        )
-
     def to_dict(self) -> dict:
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
 
 def config_from_mapping(mapping: dict, source: str = "config") -> TrainingConfig:
-    """Build a TrainingConfig from a {key: string} mapping; unknown keys error."""
-    base = TrainingConfig()
-    kinds = {f: type(getattr(base, f)) for f in base.__dataclass_fields__}
-    updates = {}
-    for key, raw in mapping.items():
-        if key not in kinds:
-            raise ConfigError(f"{source}: unknown key {key!r}")
-        kind = kinds[key]
-        try:
-            if kind is bool:
-                text = str(raw).strip().lower()
-                if text not in ("true", "false"):
-                    raise ValueError(f"expected true/false, got {raw!r}")
-                updates[key] = text == "true"
-            elif kind is int:
-                updates[key] = int(str(raw))
-            elif kind is float:
-                updates[key] = float(str(raw))
-            else:
-                updates[key] = str(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{source}: key {key!r}: {exc}") from exc
-    cfg = replace(base, **updates)
-    cfg.validate()
-    return cfg
+    """Build a TrainingConfig from a {key: string} mapping; see :func:`settings_from_mapping`."""
+    return settings_from_mapping(TrainingConfig, mapping, source)
 
 
 @dataclass
@@ -276,7 +238,7 @@ def _unstacked(
     if not single:
         return breakdown, grads
     terms = (float(v[0]) for v in breakdown.as_row())
-    return LossBreakdown(*terms, weights=breakdown.weights), {k: v[0] for k, v in grads.items()}
+    return LossBreakdown(*terms), {k: v[0] for k, v in grads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +273,17 @@ class FaceBranch(_GaussianBranch):
         faces: np.ndarray,
         label,
         eps: np.ndarray,
-        weights: LossWeights,
-        beta: float,
-        delta1: float,
+        cfg: TrainingConfig,
     ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
         """Full uncertainty-aware loss for one group, with analytic gradients.
 
         ``eps`` is the (n_faces, latent_dim) noise block; fixing it makes the
         loss a deterministic function of the parameters, which is what the
-        finite-difference checker needs. With a leading stack axis (``G``
-        groups of ``n`` faces, ``G`` labels, a ``(G, n, latent_dim)`` block)
-        every breakdown term is a length-``G`` array and every gradient
-        carries the stack axis first; see :func:`_stacked`.
+        finite-difference checker needs. ``cfg`` gives the weights lambda2-4,
+        the high/low ratio ``beta`` and the rank margin ``delta1``. With a
+        leading stack axis (``G`` groups of ``n`` faces, ``G`` labels, a
+        ``(G, n, latent_dim)`` block) every breakdown term is a length-``G``
+        array and every gradient carries the stack axis first; see :func:`_stacked`.
         """
         faces, label, eps, single = _stacked(faces, label, eps)
         grads: dict[str, np.ndarray] = {}
@@ -336,16 +297,16 @@ class FaceBranch(_GaussianBranch):
         cls, probs = softmax_cross_entropy(logits, label)
         kl = kl_loss(mu, log_var)
         if n >= 2:
-            order, n_high = high_low_partition(alpha, beta)
+            order, n_high = high_low_partition(alpha, cfg.beta)
             ranked = alpha[rows[:, None], order]
             rank = rank_loss(
-                ranked[:, :n_high].mean(axis=-1), ranked[:, n_high:].mean(axis=-1), delta1
+                ranked[:, :n_high].mean(axis=-1), ranked[:, n_high:].mean(axis=-1), cfg.delta1
             )
         else:
             order, n_high = None, 0
             rank = np.zeros(g)
         rec = prods.reshape(g, -1).sum(axis=-1) / n
-        breakdown = total_face_loss(cls, kl, rank, rec, weights)
+        breakdown = total_face_loss(cls, kl, rank, rec, cfg)
 
         # backward
         total_alpha = alpha.sum(axis=-1)
@@ -355,8 +316,8 @@ class FaceBranch(_GaussianBranch):
         d_alpha = np.matmul(z - x_group[:, None, :], d_xg[..., None])[..., 0] / total_alpha[:, None]
         if order is not None:
             act = np.flatnonzero(rank > 0.0)
-            d_alpha[act[:, None], order[act, :n_high]] += weights.lambda3 * (-1.0 / n_high)
-            d_alpha[act[:, None], order[act, n_high:]] += weights.lambda3 * (1.0 / (n - n_high))
+            d_alpha[act[:, None], order[act, :n_high]] += cfg.lambda3 * (-1.0 / n_high)
+            d_alpha[act[:, None], order[act, n_high:]] += cfg.lambda3 * (1.0 / (n - n_high))
         i_min, i_max = np.argmin(s, axis=-1), np.argmax(s, axis=-1)
         spread = s[rows, i_max] > s[rows, i_min]  # else alpha is the constant 1
         d_s = np.where(spread[:, None], -d_alpha, 0.0)  # alpha = s_min + s_max - s
@@ -369,9 +330,9 @@ class FaceBranch(_GaussianBranch):
         above = prods > SCORE_FLOOR
         d_sigma = d_z * eps
         d_sigma += d_t * np.abs(eps) * above
-        d_sigma += (weights.lambda4 / n) * np.abs(eps)
-        d_mu = d_z + weights.lambda2 * mu / n
-        d_log_var = 0.5 * sigma * d_sigma + weights.lambda2 * (np.exp(log_var) - 1.0) / (2.0 * n)
+        d_sigma += (cfg.lambda4 / n) * np.abs(eps)
+        d_mu = d_z + cfg.lambda2 * mu / n
+        d_log_var = 0.5 * sigma * d_sigma + cfg.lambda2 * (np.exp(log_var) - 1.0) / (2.0 * n)
         self.head.backward(store, faces, d_mu, d_log_var, grads)
         return _unstacked(breakdown, grads, single)
 
@@ -380,7 +341,7 @@ class FaceBranch(_GaussianBranch):
         store: ParameterStore,
         faces: np.ndarray,
         label,
-        weights: LossWeights,
+        cfg: TrainingConfig,
     ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
         """Baseline: classify the unweighted mean of the face means, CE only.
 
@@ -398,7 +359,7 @@ class FaceBranch(_GaussianBranch):
         d_mu = np.repeat((d_xg / n)[:, None, :], n, axis=1)
         self.head.mu_map.param_grads(store, faces, d_mu, grads)
         zero = np.zeros(g)
-        return _unstacked(total_face_loss(cls, zero, zero, zero, weights), grads, single)
+        return _unstacked(total_face_loss(cls, zero, zero, zero, cfg), grads, single)
 
     # -- quality filter and inference -------------------------------------
 
@@ -530,9 +491,10 @@ class ObjectBranch(_GaussianBranch):
         objects: np.ndarray,
         label,
         eps: np.ndarray,
-        weights: LossWeights,
+        cfg: TrainingConfig,
     ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-        """Mean per-object loss: lambda1-mixed CE on mu and z*, plus KL.
+        """Mean per-object loss: ``cfg.lambda1``-mixed CE on mu and z*, plus
+        ``cfg.lambda2`` times the KL.
 
         Takes one group's ``(k, in_dim)`` objects and ``(k, latent_dim)``
         noise, or a stack of groups of ``k`` objects each (see :func:`_stacked`).
@@ -547,17 +509,17 @@ class ObjectBranch(_GaussianBranch):
         per_object = label[:, None]
         ce_mu, probs_mu = softmax_cross_entropy(self.classifier.forward(store, mu), per_object)
         ce_z, probs_z = softmax_cross_entropy(self.classifier.forward(store, z), per_object)
-        cls = weights.lambda1 * ce_mu.mean(axis=-1) + (1.0 - weights.lambda1) * ce_z.mean(axis=-1)
-        breakdown = total_object_loss(cls, kl_loss(mu, log_var), weights)
+        cls = cfg.lambda1 * ce_mu.mean(axis=-1) + (1.0 - cfg.lambda1) * ce_z.mean(axis=-1)
+        breakdown = total_object_loss(cls, kl_loss(mu, log_var), cfg)
 
         onehot = (np.arange(self.num_classes) == per_object).astype(np.float64)[:, None, :]
-        d_logits_mu = (probs_mu - onehot) * (weights.lambda1 / k)
-        d_logits_z = (probs_z - onehot) * ((1.0 - weights.lambda1) / k)
+        d_logits_mu = (probs_mu - onehot) * (cfg.lambda1 / k)
+        d_logits_z = (probs_z - onehot) * ((1.0 - cfg.lambda1) / k)
         d_mu = self.classifier.backward(store, mu, d_logits_mu, grads)
         d_z = self.classifier.backward(store, z, d_logits_z, grads)
-        d_mu = d_mu + d_z + weights.lambda2 * mu / k
+        d_mu = d_mu + d_z + cfg.lambda2 * mu / k
         d_sigma = d_z * eps
-        d_log_var = 0.5 * sigma * d_sigma + weights.lambda2 * (np.exp(log_var) - 1.0) / (2.0 * k)
+        d_log_var = 0.5 * sigma * d_sigma + cfg.lambda2 * (np.exp(log_var) - 1.0) / (2.0 * k)
         self.head.backward(store, objects, d_mu, d_log_var, grads)
         return _unstacked(breakdown, grads, single)
 
@@ -616,7 +578,7 @@ class SceneBranch:
         self.classifier.register(store, rng.derive("classifier"))
 
     def loss_and_grads(
-        self, store: ParameterStore, scene: np.ndarray, label, weights: LossWeights
+        self, store: ParameterStore, scene: np.ndarray, label
     ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
         """Cross-entropy of one ``(in_dim,)`` scene, or of a ``(G, in_dim)``
         stack with ``G`` labels (see :func:`_stacked`)."""
@@ -627,7 +589,7 @@ class SceneBranch:
         d_logits = softmax_cross_entropy_grad(probs, label)
         self.classifier.param_grads(store, rows, d_logits[:, None], grads)
         zero = np.zeros_like(cls)
-        breakdown = LossBreakdown(cls=cls, kl=zero, rank=zero, rec=zero, total=cls, weights=weights)
+        breakdown = LossBreakdown(cls=cls, kl=zero, rank=zero, rec=zero, total=cls)
         return _unstacked(breakdown, grads, single)
 
     def infer(self, store: ParameterStore, group: GroupSample) -> BranchPrediction:
@@ -832,16 +794,14 @@ def _check_finite(row: np.ndarray, group_id: str) -> None:
             raise NumericError(f"group {group_id}: non-finite loss term {term!r}")
 
 
-def _mean_breakdown(
-    rows: list[np.ndarray], row_weights: list[int], weights: LossWeights
-) -> LossBreakdown:
+def _mean_breakdown(rows: list[np.ndarray], row_weights: list[int]) -> LossBreakdown:
     if not rows:
-        return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, weights)
+        return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
     w = np.asarray(row_weights, dtype=np.float64)
     cls, kl, rank, rec, total = (
         float(v) for v in (np.concatenate(rows) * w[:, None]).sum(axis=0) / w.sum()
     )
-    return LossBreakdown(cls, kl, rank, rec, total, weights)
+    return LossBreakdown(cls, kl, rank, rec, total)
 
 
 def _bucketed(counts: Sequence[int], step) -> tuple[np.ndarray, dict[str, np.ndarray]]:
@@ -942,7 +902,7 @@ class Trainer:
                     g *= scales.reshape((-1,) + (1,) * (g.ndim - 1))
                     grads[name] = np.add.reduce(g, axis=0)
                 self.optimizers[tag].step(self.store, grads)
-            out[tag] = _mean_breakdown(rows, row_weights, self.config.loss_weights)
+            out[tag] = _mean_breakdown(rows, row_weights)
         return out
 
     def _batches(self, n: int, tag: str, epoch: int):
@@ -964,7 +924,6 @@ class Trainer:
         """
         cfg = self.config
         store = self.store
-        weights = cfg.loss_weights
         branch = self.branches[tag]
         root = SeededRng(cfg.seed)
 
@@ -976,7 +935,7 @@ class Trainer:
                 scene = np.stack([group.scene for group in groups])
                 return _bucketed(  # one bucket: every scene has the same shape
                     [0] * len(groups),
-                    lambda pos: branch.loss_and_grads(store, scene, labels(groups), weights),
+                    lambda pos: branch.loss_and_grads(store, scene, labels(groups)),
                 )
 
             return (lambda group: 1), scene_loss
@@ -992,7 +951,7 @@ class Trainer:
                 def bucket(pos):
                     objects = np.stack([groups[p].objects for p in pos])
                     noise = np.stack([eps[p] for p in pos])
-                    return branch.loss_and_grads(store, objects, y[pos], noise, weights)
+                    return branch.loss_and_grads(store, objects, y[pos], noise, cfg)
 
                 return _bucketed(counts, bucket)
 
@@ -1015,7 +974,7 @@ class Trainer:
                 return _bucketed(
                     counts,
                     lambda pos: branch.deterministic_loss_and_grads(
-                        store, np.stack([faces[p] for p in pos]), y[pos], weights
+                        store, np.stack([faces[p] for p in pos]), y[pos], cfg
                     ),
                 )
             seeds = _individual_seeds(root.derive("train", "face", epoch), groups, indices)
@@ -1024,9 +983,7 @@ class Trainer:
             def bucket(pos):
                 stack = np.stack([faces[p] for p in pos])
                 noise = np.stack([eps[p] for p in pos])
-                return branch.loss_and_grads(
-                    store, stack, y[pos], noise, weights, cfg.beta, cfg.delta1
-                )
+                return branch.loss_and_grads(store, stack, y[pos], noise, cfg)
 
             return _bucketed(counts, bucket)
 
@@ -1155,16 +1112,15 @@ def train_model(
     val_ds: Dataset | None = None,
     branch_tags: Sequence[str] = BRANCH_TAGS,
     ablation: str = "full",
-    val_every: int = 1,
     on_epoch=None,
 ) -> TrainResult:
     """Train the selected branches for ``config.epochs`` epochs.
 
-    With ``select_best`` set (and a validation set), the parameters of the
-    epoch with the highest fused micro accuracy are restored at the end.
-    ``val_every = 0`` skips per-epoch validation entirely. ``on_epoch`` is
-    called after each epoch as ``on_epoch(epoch, breakdowns, eval_result)``
-    where ``eval_result`` is None on epochs without validation.
+    With a validation set, every epoch ends with an evaluation of it; with
+    ``select_best`` also set, the parameters of the epoch with the highest
+    fused micro accuracy are restored at the end. ``on_epoch`` is called
+    after each epoch as ``on_epoch(epoch, breakdowns, eval_result)``, where
+    ``eval_result`` is that evaluation, or None when ``val_ds`` is None.
     """
     dims = {
         "face_dim": train_ds.face_dim,
@@ -1189,9 +1145,7 @@ def train_model(
         for tag, bd in breakdowns.items():
             loss_log[tag].append(bd)
         result = None
-        if val_ds is not None and val_every and (
-            epoch % val_every == 0 or epoch == config.epochs - 1
-        ):
+        if val_ds is not None:
             (result,) = evaluate_dataset(
                 store, branches, val_ds, config, config.seed, ablation=ablation
             )

@@ -84,9 +84,7 @@ def trained_face(seed: int, ablation: str, **cfg_kw):
     if key not in _cache:
         train, _ = bundled_datasets()
         cfg = face_config(seed, **cfg_kw)
-        _cache[key] = train_model(
-            train, cfg, branch_tags=("face",), ablation=ablation, val_every=0
-        )
+        _cache[key] = train_model(train, cfg, branch_tags=("face",), ablation=ablation)
     return _cache[key]
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from ual.datagen_metrics import GroupSample
-from ual.losses import LossWeights
 from ual.numerics import ParameterStore, SeededRng, gradient_check
 from ual.pipeline import (
     BRANCH_TAGS,
@@ -57,13 +56,10 @@ class TestStackedFaceLoss:
     BETA = 0.5
 
     def _call(self, branch, store, faces, labels, eps, delta1):
-        stacked = branch.loss_and_grads(
-            store, faces, labels, eps, LossWeights(), self.BETA, delta1
-        )
+        cfg = TrainingConfig(beta=self.BETA, delta1=delta1)
+        stacked = branch.loss_and_grads(store, faces, labels, eps, cfg)
         singles = [
-            branch.loss_and_grads(
-                store, faces[g], int(labels[g]), eps[g], LossWeights(), self.BETA, delta1
-            )
+            branch.loss_and_grads(store, faces[g], int(labels[g]), eps[g], cfg)
             for g in range(len(labels))
         ]
         return stacked, singles
@@ -111,11 +107,13 @@ class TestStackedFaceLoss:
         if case == "degenerate-alpha":
             faces[:], eps[:], delta1 = faces[0], eps[0], 0.2
 
+        cfg = TrainingConfig(beta=self.BETA, delta1=delta1)
+
         def loss_fn(s):
-            bd, grads = branch.loss_and_grads(s, faces, 1, eps, LossWeights(), self.BETA, delta1)
+            bd, grads = branch.loss_and_grads(s, faces, 1, eps, cfg)
             return bd.total, grads
 
-        bd, _ = branch.loss_and_grads(store, faces, 1, eps, LossWeights(), self.BETA, delta1)
+        bd, _ = branch.loss_and_grads(store, faces, 1, eps, cfg)
         assert bd.rank == delta1  # inactive: 0; degenerate: the whole margin, constant
         result = gradient_check(loss_fn, store, tolerance=1e-4)
         assert result.passed, result.max_rel_error
@@ -125,9 +123,9 @@ class TestStackedFaceLoss:
         branch, store, rng = gaussian_branch(FaceBranch, 7 + n)
         faces = rng.normals((4, n, IN_DIM))
         labels = np.array([1, 0, 2, 1])
-        stacked = branch.deterministic_loss_and_grads(store, faces, labels, LossWeights())
+        stacked = branch.deterministic_loss_and_grads(store, faces, labels, TrainingConfig())
         singles = [
-            branch.deterministic_loss_and_grads(store, faces[g], int(labels[g]), LossWeights())
+            branch.deterministic_loss_and_grads(store, faces[g], int(labels[g]), TrainingConfig())
             for g in range(4)
         ]
         assert_rows_match(stacked, singles)
@@ -138,10 +136,10 @@ def test_stacked_object_loss(k):
     branch, store, rng = gaussian_branch(ObjectBranch, 20 + k)
     objects, eps = rng.normals((4, k, IN_DIM)), rng.normals((4, k, LATENT))
     labels = np.array([2, 0, 1, 0])
-    weights = LossWeights(lambda2=0.5)
-    stacked = branch.loss_and_grads(store, objects, labels, eps, weights)
+    cfg = TrainingConfig(lambda2=0.5)
+    stacked = branch.loss_and_grads(store, objects, labels, eps, cfg)
     singles = [
-        branch.loss_and_grads(store, objects[g], int(labels[g]), eps[g], weights)
+        branch.loss_and_grads(store, objects[g], int(labels[g]), eps[g], cfg)
         for g in range(4)
     ]
     assert_rows_match(stacked, singles)
@@ -154,8 +152,8 @@ def test_stacked_scene_loss():
     branch.register(store, rng.derive("init"))
     scene = rng.normals((5, IN_DIM))
     labels = np.array([0, 2, 1, 1, 0])
-    stacked = branch.loss_and_grads(store, scene, labels, LossWeights())
-    singles = [branch.loss_and_grads(store, scene[g], int(labels[g]), LossWeights())
+    stacked = branch.loss_and_grads(store, scene, labels)
+    singles = [branch.loss_and_grads(store, scene[g], int(labels[g]))
                for g in range(5)]
     assert_rows_match(stacked, singles)
 
@@ -201,13 +199,12 @@ def oracle_model(config):
 def per_group_loss(tag, branch, store, cfg, ablation, group, epoch):
     """One group's loss and gradients, as the trainer defines them."""
     root = SeededRng(cfg.seed)
-    weights = cfg.loss_weights
     if tag == "scene":
-        return branch.loss_and_grads(store, group.scene, group.label, weights)
+        return branch.loss_and_grads(store, group.scene, group.label)
     if tag == "object":
         eps = np.stack([root.derive("train", "object", epoch, group.id, j).normals(cfg.latent_dim)
                         for j in range(group.objects.shape[0])])
-        return branch.loss_and_grads(store, group.objects, group.label, eps, weights)
+        return branch.loss_and_grads(store, group.objects, group.label, eps, cfg)
     faces, kept = group.faces, list(range(group.faces.shape[0]))
     if ablation in ("full", "no-ual") and cfg.fiqe_apply in ("both", "train"):
         mu, _, sigma = branch.head.forward(store, faces)
@@ -219,10 +216,10 @@ def per_group_loss(tag, branch, store, cfg, ablation, group, epoch):
         kept, _ = filter_faces(mu, sigma, eps, cfg.delta2)
         faces = faces[kept]
     if ablation in ("no-ual", "no-ual-fiqe"):
-        return branch.deterministic_loss_and_grads(store, faces, group.label, weights)
+        return branch.deterministic_loss_and_grads(store, faces, group.label, cfg)
     eps = np.stack([root.derive("train", "face", epoch, group.id, j).normals(cfg.latent_dim)
                     for j in kept])
-    return branch.loss_and_grads(store, faces, group.label, eps, weights, cfg.beta, cfg.delta1)
+    return branch.loss_and_grads(store, faces, group.label, eps, cfg)
 
 
 def oracle_epoch(store, branches, optimizers, cfg, ablation, groups, epoch):

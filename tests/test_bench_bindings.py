@@ -1,31 +1,34 @@
-"""The benchmark's traced bindings must exist in the package.
+"""The benchmark's traced bindings and settings entry points must exist in the package.
 
 ``perfbench/tracing.py`` patches each binding in its ``TARGETS`` where the
-package's callers look it up. Deleting or renaming one breaks only the
-benchmark, whose own tests are not part of this suite, so this test resolves
-every binding without running any workload.
+package's callers look it up, and ``perfbench/workloads.py`` reads the
+bundled spec and config and restores models through the public API.
+Breaking either breaks only the benchmark, whose own tests are not part of
+this suite, so these tests check both without running any workload.
 """
 
 import collections
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-_TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
 
 
-tracing = _load_tracing()
+tracing = _load_perfbench("tracing")
+workloads = _load_perfbench("workloads")
 
 
 @pytest.mark.parametrize(
@@ -138,3 +141,39 @@ def test_sweep_runs_each_group_once(tmp_path):
     per_group = ("pipeline.predict_group", "pipeline.face.infer", "pipeline.object.infer",
                  "quality_filter.filter_faces")
     assert {name: calls[name] for name in per_group} == dict.fromkeys(per_group, 16)
+
+
+def test_workload_settings_equal_the_cli_parse():
+    from ual import cli
+    from ual.datagen_metrics import SynthesisSpec
+    from ual.pipeline import TrainingConfig
+
+    spec = cli._settings(SynthesisSpec, None, "synthetic-default.gen", {})
+    config = cli._settings(TrainingConfig, None, "synthetic-default.cfg", {})
+    assert workloads.bundled_spec() == spec
+    assert workloads.bundled_spec(num_groups=7) == cli._settings(
+        SynthesisSpec, None, "synthetic-default.gen", {"num_groups": 7})
+    assert workloads.bundled_config() == config
+
+
+def test_workload_restores_a_trained_model(tmp_path):
+    from ual.cli import _restore_from_manifest, main
+    from ual.pipeline import BRANCH_TAGS
+
+    spec = tmp_path / "spec.gen"
+    spec.write_text(
+        "num_groups = 16\ngroup_size_min = 2\ngroup_size_max = 4\nface_dim = 6\n"
+        "object_dim = 5\nscene_dim = 4\nobject_count_min = 1\nseed = 5\n"
+    )
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("latent_dim = 4\nepochs = 1\nmc_samples = 3\nfiqe_samples = 4\n")
+    data, model = tmp_path / "data.jsonl", tmp_path / "model"
+    assert main(["simulate", "--spec", str(spec), "--out", str(data)]) == 0
+    assert main(["train", "--config", str(cfg), "--train", str(data),
+                 "--val", str(data), "--out", str(model)]) == 0
+    manifest = model / "manifest.json"
+    branches, store = workloads.restore_model(manifest)
+    _, want_branches, want = _restore_from_manifest(json.loads(manifest.read_text()), manifest)
+    assert tuple(branches) == tuple(want_branches) == BRANCH_TAGS
+    assert store.names() == want.names()
+    assert all(store.get(name).tobytes() == want.get(name).tobytes() for name in want.names())

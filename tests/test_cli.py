@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -88,13 +89,30 @@ class TestSimulate:
     def test_overflowing_spread_names_the_group(self, tmp_path, capsys):
         spec, out = tmp_path / "big.gen", tmp_path / "x.jsonl"
         spec.write_text("spread = 1e308\n")
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run("simulate", "--spec", str(spec), "--out", str(out), "--num-groups", "3")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert code == 2
         assert f"data error: {out}: group train-00000: features must be finite" in (
             capsys.readouterr().err
         )
         assert not out.exists()
+
+    def test_flags_parse_like_spec_keys(self, tmp_path):
+        base = "group_size_min = 2\ngroup_size_max = 4\nface_dim = 6\nobject_dim = 5\n"
+        spec, keyed = tmp_path / "base.gen", tmp_path / "keyed.gen"
+        spec.write_text(base + "seed = 1\n")
+        keyed.write_text(base + "seed = 7\nnum_groups = 10\npartition = val\n")
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert run("simulate", "--spec", str(spec), "--out", str(a), "--seed", "7",
+                   "--num-groups", "10", "--partition", "val") == 0
+        assert run("simulate", "--spec", str(keyed), "--out", str(b)) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_zero_groups_flag_names_the_key(self, tmp_path, capsys):
+        assert run("simulate", "--out", str(tmp_path / "x.jsonl"), "--num-groups", "0") == 2
+        assert "num_groups must be >= 1" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -158,6 +176,27 @@ class TestTrain:
                    "--val", str(small_run["val"]), "--out", str(tmp_path / "m"))
         assert code == 2
         assert f"config error: {key} must be finite, got nan" in capsys.readouterr().err
+
+    def test_flags_parse_like_config_keys(self, small_run, tmp_path):
+        base = "".join(line + "\n" for line in small_run["cfg"].read_text().splitlines()
+                       if not line.startswith(("seed", "epochs")))
+        cfg, keyed = tmp_path / "base.cfg", tmp_path / "keyed.cfg"
+        cfg.write_text(base)
+        keyed.write_text(base + "seed = 3\nepochs = 1\n")
+        data = ("--train", str(small_run["train"]), "--val", str(small_run["val"]))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("train", "--config", str(cfg), *data, "--out", str(a),
+                   "--seed", "3", "--epochs", "1") == 0
+        assert run("train", "--config", str(keyed), *data, "--out", str(b)) == 0
+        names = sorted(path.name for path in a.iterdir())
+        assert names == sorted(path.name for path in b.iterdir())
+        assert all((a / name).read_bytes() == (b / name).read_bytes() for name in names)
+
+    def test_negative_epochs_flag_names_the_key(self, small_run, tmp_path, capsys):
+        code = run("train", "--train", str(small_run["train"]), "--val", str(small_run["val"]),
+                   "--out", str(tmp_path / "m"), "--epochs", "-1")
+        assert code == 2
+        assert "epochs >= 0" in capsys.readouterr().err
 
 
 class TestObjectOnly:
@@ -401,6 +440,48 @@ class TestBadInputFiles:
                    "--out", str(tmp_path / "r"))
         assert code == 2
         assert f"{manifest}: manifest key 'dims' is missing" in capsys.readouterr().err
+
+    def test_manifest_with_unknown_config_key(self, small_run, tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(small_run["out"], model)
+        manifest = model / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["config"]["latent_dmi"] = 4
+        manifest.write_text(json.dumps(doc))
+        code = run("eval", "--manifest", str(manifest), "--data", str(small_run["val"]),
+                   "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert f"config error: {manifest}: unknown key 'latent_dmi'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["spec", "config", "dataset", "manifest", "params"])
+    def test_non_utf8_file_names_the_path(self, small_run, tmp_path, capsys, kind):
+        model = tmp_path / "model"
+        shutil.copytree(small_run["out"], model)
+        manifest = model / "manifest.json"
+        files = {
+            "spec": (tmp_path / "bad.gen", small_run["spec"]),
+            "config": (tmp_path / "bad.cfg", small_run["cfg"]),
+            "dataset": (tmp_path / "bad.jsonl", small_run["train"]),
+            "manifest": (manifest, manifest),
+            "params": (model / "scene.params.json", model / "scene.params.json"),
+        }
+        bad, source = files[kind]
+        text = source.read_bytes()
+        bad.write_bytes(text[:20] + b"\xff" + text[20:])
+        out = str(tmp_path / "out")
+        train = ("--train", str(small_run["train"]), "--val", str(small_run["val"]), "--out", out)
+        argv = {
+            "spec": ("simulate", "--spec", str(bad), "--out", out),
+            "config": ("train", "--config", str(bad), *train),
+            "dataset": ("train", "--config", str(small_run["cfg"]), "--train", str(bad),
+                        "--val", str(small_run["val"]), "--out", out),
+            "manifest": ("eval", "--manifest", str(manifest), "--data", str(small_run["val"])),
+            "params": ("eval", "--manifest", str(manifest), "--data", str(small_run["val"])),
+        }
+        code = run(*argv[kind])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(bad) in err and "Traceback" not in err
 
 
 class TestLogLevelEnv:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ual.cli import parse_kv_file
 from ual.datagen_metrics import (
     Dataset,
     GroupSample,
@@ -23,6 +24,7 @@ from ual.datagen_metrics import (
 )
 from ual.errors import DataError
 from ual.numerics import SeededRng
+from ual.pipeline import TrainingConfig, config_from_mapping
 
 
 def binomial_99_interval(n: int, p: float) -> tuple[float, float]:
@@ -191,8 +193,54 @@ class TestGenerateDataset:
             SynthesisSpec(**{key: value}).validate()
 
     def test_spec_from_mapping_rejects_unknown_field(self):
-        with pytest.raises(DataError, match="unknown field"):
+        with pytest.raises(DataError, match="unknown key 'num_gruops'"):
             spec_from_mapping({"num_gruops": "5"})
+
+
+_SETTINGS = {
+    "spec": (SynthesisSpec, spec_from_mapping),
+    "config": (TrainingConfig, config_from_mapping),
+}
+_VALUES = st.one_of(
+    st.integers(-3, 10**6).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e308", "1e309", "", "0x10", str(10**40), "9" * 5000]),
+    st.sampled_from(["true", "FALSE", "True", "yes", "both", "eval", "sometimes", "val"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+
+
+@st.composite
+def _settings_file(draw, kind):
+    """``key = value`` lines over ``kind``'s field names and some unknown keys."""
+    keys = st.sampled_from(sorted(kind.__dataclass_fields__) + ["num_gruops", "latent_dmi", ""])
+    line = st.one_of(
+        st.builds("{} = {}".format, keys, _VALUES),
+        st.builds("{}={}  # note".format, keys, _VALUES),
+        st.sampled_from(["# comment", "", "  ", "# seed = 1", "no equals sign"]),
+    )
+    return draw(st.lists(line, max_size=8))
+
+
+class TestSettingsFiles:
+    """Any spec or config file parses to a validated object, or fails naming
+    the file or one of its keys; it raises nothing else."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), which=st.sampled_from(sorted(_SETTINGS)))
+    def test_parse_or_named_error(self, tmp_path_factory, data, which):
+        kind, from_mapping = _SETTINGS[which]
+        lines = data.draw(_settings_file(kind))
+        path = tmp_path_factory.mktemp("settings") / f"drawn.{which}"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            out = from_mapping(parse_kv_file(path), source=str(path))
+        except DataError as exc:  # ConfigError is a DataError
+            named = [key for key in kind.__dataclass_fields__ if key in str(exc)]
+            assert str(path) in str(exc) or named, str(exc)
+        else:
+            assert isinstance(out, kind)
+            out.validate()
 
 
 class TestDatasetIO:

@@ -12,7 +12,6 @@ import pytest
 
 from ual.errors import ConfigError
 from ual.losses import (
-    LossWeights,
     kl_loss,
     rank_loss,
     total_face_loss,
@@ -30,8 +29,8 @@ def make_branch(kind, in_dim=4, latent=3, seed=0):
     return branch, store
 
 
-def face_terms(branch, store, faces, eps, label=1, weights=LossWeights()):
-    bd, _ = branch.loss_and_grads(store, faces, label, eps, weights, 0.5, 0.2)
+def face_terms(branch, store, faces, eps, label=1, cfg=TrainingConfig(beta=0.5, delta1=0.2)):
+    bd, _ = branch.loss_and_grads(store, faces, label, eps, cfg)
     return bd
 
 
@@ -80,7 +79,7 @@ class TestObjectClsLoss:
 
     def cls(self, eps, lambda1):
         bd, _ = self.branch.loss_and_grads(
-            self.store, self.objects, 1, eps, LossWeights(lambda1=lambda1)
+            self.store, self.objects, 1, eps, TrainingConfig(lambda1=lambda1)
         )
         return bd.cls
 
@@ -196,21 +195,21 @@ class TestRecLoss:
 
 class TestTotals:
     def test_all_lambdas_zero_is_cls_only(self):
-        w = LossWeights(lambda2=0.0, lambda3=0.0, lambda4=0.0)
+        w = TrainingConfig(lambda2=0.0, lambda3=0.0, lambda4=0.0)
         bd = total_face_loss(1.25, 17.0, 3.0, 9.0, w)
         assert bd.total == 1.25
 
     def test_default_weighted_sum_oracle(self):
         rng = SeededRng(11)
         cls, kl, rank, rec = rng.uniforms(4)
-        w = LossWeights()
+        w = TrainingConfig()
         bd = total_face_loss(cls, kl, rank, rec, w)
         assert bd.total == pytest.approx(cls + 1e-4 * kl + 1.0 * rank + 0.01 * rec, abs=1e-15)
         assert bd.as_row() == (cls, kl, rank, rec, bd.total)
 
     def test_object_total(self):
-        w = LossWeights(lambda2=0.0)
+        w = TrainingConfig(lambda2=0.0)
         bd = total_object_loss(0.9, 5.0, w)
         assert bd.total == 0.9
-        w2 = LossWeights(lambda2=2.0)
+        w2 = TrainingConfig(lambda2=2.0)
         assert total_object_loss(0.9, 5.0, w2).total == pytest.approx(10.9)

@@ -7,10 +7,10 @@ import pytest
 
 from ual.datagen_metrics import GroupSample, SynthesisSpec, generate_dataset
 from ual.errors import ConfigError, NumericError
-from ual.losses import LossWeights
 from ual.numerics import ParameterStore, SeededRng, derive_seeds, softmax
 from ual.pipeline import (
     BranchPrediction,
+    EvalResult,
     FaceBranch,
     _content_ranks,
     Trainer,
@@ -368,20 +368,21 @@ class TestFaceLoss:
     def test_terms_match_per_face_oracle(self, n_faces, seed):
         branch, store, faces = self._setup(n_faces, seed)
         eps = SeededRng(seed).derive("eps").normals((n_faces, 4))
-        weights = LossWeights()
-        bd, _ = branch.loss_and_grads(store, faces, 1, eps, weights, self.BETA, self.DELTA1)
+        cfg = TrainingConfig(beta=self.BETA, delta1=self.DELTA1)
+        bd, _ = branch.loss_and_grads(store, faces, 1, eps, cfg)
         oracle = self._face_loss_oracle(store, faces, 1, eps, self.BETA, self.DELTA1)
         assert oracle["rank"] > 0.0
         for term in ("cls", "kl", "rank", "rec"):
             assert getattr(bd, term) == pytest.approx(oracle[term], rel=1e-9, abs=1e-12), term
-        expected_total = (oracle["cls"] + weights.lambda2 * oracle["kl"]
-                          + weights.lambda3 * oracle["rank"] + weights.lambda4 * oracle["rec"])
+        expected_total = (oracle["cls"] + cfg.lambda2 * oracle["kl"]
+                          + cfg.lambda3 * oracle["rank"] + cfg.lambda4 * oracle["rec"])
         assert bd.total == pytest.approx(expected_total, rel=1e-9)
 
     def test_zero_noise_draws_the_means(self):
         branch, store, faces = self._setup(5, 4)
         eps = np.zeros((5, 4))
-        bd, _ = branch.loss_and_grads(store, faces, 2, eps, LossWeights(), self.BETA, self.DELTA1)
+        cfg = TrainingConfig(beta=self.BETA, delta1=self.DELTA1)
+        bd, _ = branch.loss_and_grads(store, faces, 2, eps, cfg)
         mu, _, sigma = branch.head.forward(store, faces)
         assert np.array_equal(uncertainty_kernel(mu, sigma, eps).z, mu)
         assert bd.rec == 0.0
@@ -587,7 +588,7 @@ class TestTraining:
         cfg = tiny_config(epochs=3)
 
         def run():
-            out = train_model(ds, cfg, branch_tags=("face", "scene"), val_every=0)
+            out = train_model(ds, cfg, branch_tags=("face", "scene"))
             return [bd.as_row() for bd in out.loss_log["face"]]
 
         assert run() == run()
@@ -674,6 +675,19 @@ class TestTrainModel:
         out = train_model(train, cfg, val_ds=val, branch_tags=("scene",))
         assert out.best_epoch is not None
         assert 0 <= out.best_epoch < cfg.epochs
+
+    def test_on_epoch_gets_a_result_exactly_when_validating(self):
+        train = tiny_dataset(seed=32, num_groups=8)
+        cfg = tiny_config(epochs=3)
+        for val_ds in (None, train):
+            seen = []
+            train_model(train, cfg, val_ds=val_ds, branch_tags=("scene",),
+                        on_epoch=lambda epoch, breakdowns, result: seen.append((epoch, result)))
+            assert [epoch for epoch, _ in seen] == [0, 1, 2]
+            if val_ds is None:
+                assert all(result is None for _, result in seen)
+            else:
+                assert all(isinstance(result, EvalResult) for _, result in seen)
 
     def test_evaluate_dataset_deterministic(self):
         ds = tiny_dataset(seed=33)
