@@ -27,7 +27,6 @@ import numpy as np
 
 from . import __version__
 from .datagen_metrics import (
-    Dataset,
     SynthesisSpec,
     generate_dataset,
     load_dataset,
@@ -173,15 +172,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _dims(dataset: Dataset) -> dict:
-    return {
-        "face_dim": dataset.face_dim,
-        "object_dim": dataset.object_dim,
-        "scene_dim": dataset.scene_dim,
-        "num_classes": dataset.num_classes,
-    }
-
-
 def cmd_train(args) -> int:
     config = _settings(
         TrainingConfig, args.config, "synthetic-default.cfg",
@@ -189,8 +179,8 @@ def cmd_train(args) -> int:
     )
     train_ds = load_dataset(args.train)
     val_ds = load_dataset(args.val)
-    dims = _dims(train_ds)
-    if _dims(val_ds) != dims:
+    dims = train_ds.dims
+    if val_ds.dims != dims:
         raise DataError("train and val datasets disagree on dims/classes")
     tags = BRANCH_TAGS if args.branch == "all" else (args.branch,)
 
@@ -275,24 +265,32 @@ def _check_manifest(manifest, path: Path) -> None:
         value = manifest["dims"].get(key)
         if not isinstance(value, int) or value < 1:
             raise DataError(f"{path}: manifest key 'dims' needs a positive integer {key!r}")
+    if not manifest["branches"]:
+        raise DataError(f"{path}: manifest key 'branches' names no branch")
     for tag in manifest["branches"]:
         if tag not in BRANCH_TAGS or not isinstance(manifest["models"].get(tag), str):
             raise DataError(f"{path}: manifest key 'models' has no file for branch {tag!r}")
+    if manifest.get("ablation", "full") not in ABLATIONS:
+        raise DataError(f"{path}: manifest key 'ablation' is not one of {', '.join(ABLATIONS)}")
 
 
 def _restore_from_manifest(manifest: dict, manifest_path: Path):
-    config = config_from_mapping(
-        {k: str(v) for k, v in manifest["config"].items()}, source=str(manifest_path)
-    )
+    source = str(manifest_path)
+    try:
+        config = config_from_mapping({k: str(v) for k, v in manifest["config"].items()}, source)
+    except ConfigError as exc:  # a failed validation does not name the file yet
+        if not str(exc).startswith(source):
+            raise ConfigError(f"{source}: {exc}") from exc
+        raise
     branches = build_branches(config, manifest["dims"], tuple(manifest["branches"]))
     store = ParameterStore()
     register_branches(store, branches, config.seed)
     for tag in branches:
-        path = manifest_path.parent / manifest["models"][tag]
-        if not path.exists():
-            raise DataError(f"missing model file {path}")
         sub = store.subset(f"{tag}.")
-        sub.restore(path)
+        try:
+            sub.restore(manifest_path.parent / manifest["models"][tag])
+        except DataError as exc:
+            raise DataError(f"{manifest_path}: model of branch {tag!r}: {exc}") from exc
         for name in sub.names():
             store.set(name, sub.get(name))
     return config, branches, store
@@ -306,11 +304,11 @@ def cmd_eval(args) -> int:
         raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
     _check_manifest(manifest, manifest_path)
     data_hash = sha256_file(args.data)
-    known = {e.get("sha256") for e in manifest["datasets"].values() if isinstance(e, dict)}
+    known = [e.get("sha256") for e in manifest["datasets"].values() if isinstance(e, dict)]
     if data_hash not in known and not args.force:
         raise DataError(
             f"{args.data}: content hash {data_hash[:12]}... does not match the manifest "
-            "(use --force to evaluate anyway)"
+            f"{manifest_path} (use --force to evaluate anyway)"
         )
     config, branches, store = _restore_from_manifest(manifest, manifest_path)
     dataset = load_dataset(args.data)
@@ -380,45 +378,32 @@ def _gradcheck_units(seed: int):
     units = []
     rng = SeededRng(seed)
 
-    def face_scenario(name, **weights):
+    def scenario(name, key, branch, in_dim, n, **weights):
         cfg = TrainingConfig(beta=0.5, delta1=5.0, **weights)
-        r = rng.derive(name)
-        branch = FaceBranch(in_dim=6, latent_dim=5, num_classes=3)
+        r = rng.derive(key)
         store = ParameterStore()
         branch.register(store, r.derive("init"))
-        store.get("face.embed.logvar.weight")[...] = 0.3 * r.normals((5, 6))
-        store.get("face.embed.logvar.bias")[...] = 0.2 * r.normals(5)
-        faces = r.normals((4, 6))
-        eps = r.normals((4, 5))
-        label = r.integer(3)
+        store.get(f"{branch.tag}.embed.logvar.weight")[...] = 0.3 * r.normals((5, in_dim))
+        if branch.tag == "face":
+            store.get("face.embed.logvar.bias")[...] = 0.2 * r.normals(5)
+        x, eps, label = r.normals((n, in_dim)), r.normals((n, 5)), r.integer(3)
 
         def loss_fn(s):
-            bd, g = branch.loss_and_grads(s, faces, label, eps, cfg)
+            bd, g = branch.loss_and_grads(s, x, label, eps, cfg)
             return bd.total, g
 
         units.append((name, loss_fn, store))
 
-    face_scenario("face.cls", lambda2=0.0, lambda3=0.0, lambda4=0.0)
-    face_scenario("face.kl", lambda2=1.0, lambda3=0.0, lambda4=0.0)
-    face_scenario("face.rank", lambda2=0.0, lambda3=1.0, lambda4=0.0)
-    face_scenario("face.rec", lambda2=0.0, lambda3=0.0, lambda4=1.0)
-    face_scenario("face.total")
-
-    r = rng.derive("object")
-    branch = ObjectBranch(in_dim=4, latent_dim=5, num_classes=3)
-    store = ParameterStore()
-    branch.register(store, r.derive("init"))
-    store.get("object.embed.logvar.weight")[...] = 0.3 * r.normals((5, 4))
-    objects = r.normals((3, 4))
-    eps = r.normals((3, 5))
-    label = r.integer(3)
-    cfg = TrainingConfig(lambda2=0.5)
-
-    def object_loss(s, _b=branch, _o=objects, _l=label, _e=eps, _c=cfg):
-        bd, g = _b.loss_and_grads(s, _o, _l, _e, _c)
-        return bd.total, g
-
-    units.append(("object.total", object_loss, store))
+    for name, weights in (
+        ("face.cls", dict(lambda2=0.0, lambda3=0.0, lambda4=0.0)),
+        ("face.kl", dict(lambda2=1.0, lambda3=0.0, lambda4=0.0)),
+        ("face.rank", dict(lambda2=0.0, lambda3=1.0, lambda4=0.0)),
+        ("face.rec", dict(lambda2=0.0, lambda3=0.0, lambda4=1.0)),
+        ("face.total", {}),
+    ):
+        scenario(name, name, FaceBranch(in_dim=6, latent_dim=5, num_classes=3), 6, 4, **weights)
+    scenario("object.total", "object", ObjectBranch(in_dim=4, latent_dim=5, num_classes=3), 4, 3,
+             lambda2=0.5)
     return units
 
 

@@ -57,6 +57,11 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.groups)
 
+    @property
+    def dims(self) -> dict[str, int]:
+        """The feature dims and the class count, which a model must match."""
+        return {k: getattr(self, k) for k in ("face_dim", "object_dim", "scene_dim", "num_classes")}
+
 
 @dataclass(frozen=True)
 class SynthesisSpec:

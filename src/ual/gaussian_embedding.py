@@ -3,22 +3,24 @@
 An individual's feature vector is mapped to a diagonal Gaussian
 ``N(mu, diag(sigma^2))`` by two affine heads. The sigma head predicts
 log-variance, so ``sigma = exp(0.5 * logvar)`` is positive unless it
-underflows, which :meth:`EmbeddingHead.forward_checked` reports (and the KL
-regularizer consumes the log-variance directly). Stochastic draws use the
-reparameterization ``z* = mu + eps * sigma`` with ``eps ~ N(0, I)``, which
-keeps the sampling differentiable in ``mu`` and ``sigma``. Every draw takes
+underflows, which the branches report for each step of groups they embed
+(and the KL regularizer consumes the log-variance directly). Stochastic
+draws use the reparameterization ``z* = mu + eps * sigma`` with
+``eps ~ N(0, I)``, which keeps the sampling differentiable in ``mu`` and
+``sigma``. Every draw takes
 its noise from a block the caller passes in: the face branch draws through
 :func:`ual.uncertainty_scoring.uncertainty_kernel`, the object branch through
-:func:`mc_predict`, one ``(k, N, D)`` block per group.
+:func:`mc_predict`, one ``(G, k, N, D)`` block per stack of ``G`` groups of
+``k`` objects.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 from .numerics import AffineMap, ParameterStore, SeededRng, softmax
 
 # Initial log-variance bias: start near-deterministic (sigma ~ exp(-2) ~ 0.135)
@@ -53,21 +55,6 @@ class EmbeddingHead:
         sigma = np.exp(0.5 * log_var)
         return mu, log_var, sigma
 
-    def forward_checked(
-        self, store: ParameterStore, x: np.ndarray, source: str | Sequence[str]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`forward` on an ``(n, in_dim)`` stack, or on a ``(G, n, in_dim)``
-        stack with one ``source`` per item; a sigma that is not strictly
-        positive (an underflow) raises :class:`NumericError` naming the first
-        such row as ``source + str(row)``."""
-        mu, log_var, sigma = self.forward(store, x)
-        bad = ~np.all(sigma > 0.0, axis=-1)
-        if bad.any():
-            *item, row = np.argwhere(bad)[0].tolist()
-            where = source[item[0]] if item else source
-            raise NumericError(f"sigma must be strictly positive (source {where + str(row)!r})")
-        return mu, log_var, sigma
-
     def backward(
         self,
         store: ParameterStore,
@@ -90,16 +77,17 @@ def mc_predict(
 ) -> np.ndarray:
     """Monte-Carlo class prediction for ``k`` individuals ``N(mu_i, sigma_i^2)``.
 
-    ``mu`` and ``sigma`` are ``(k, D)`` and ``eps`` is the ``(k, N, D)`` noise
-    block: individual ``i`` is drawn ``N`` times as ``z* = mu[i] + eps[i] *
-    sigma[i]``. ``classify`` maps the ``(k, N, D)`` stack of latents to
-    ``(k, N, C)`` logits. Returns the ``(k, C)`` mean of ``softmax(classify(z*))``
-    over each individual's draws.
+    ``mu`` and ``sigma`` are ``(..., k, D)`` and ``eps`` is the ``(..., k, N, D)``
+    noise block: individual ``i`` is drawn ``N`` times as ``z* = mu[i] + eps[i] *
+    sigma[i]``. ``classify`` maps the stack of latents to ``(..., k, N, C)``
+    logits. Returns the ``(..., k, C)`` mean of ``softmax(classify(z*))`` over
+    each individual's draws. Leading axes stack groups of ``k`` individuals.
     """
-    if mu.shape != sigma.shape or eps.ndim != 3 or eps.shape[::2] != mu.shape or not eps.shape[1]:
+    k_d = eps.shape[:-2] + eps.shape[-1:]  # eps without its draw axis
+    if mu.shape != sigma.shape or mu.ndim < 2 or k_d != mu.shape or not eps.shape[-2]:
         raise ShapeError(
-            f"need (k, D) mu/sigma and a (k, N >= 1, D) eps block, got "
+            f"need (..., k, D) mu/sigma and a (..., k, N >= 1, D) eps block, got "
             f"{mu.shape}, {sigma.shape} and {eps.shape}"
         )
-    z = mu[:, None, :] + eps * sigma[:, None, :]
-    return softmax(classify(z)).mean(axis=1)
+    z = mu[..., None, :] + eps * sigma[..., None, :]
+    return softmax(classify(z)).mean(axis=-2)

@@ -119,8 +119,9 @@ def _box_muller(words: np.ndarray, k: int) -> np.ndarray:
     r = np.sqrt(-2.0 * np.log(u1))
     theta = (2.0 * np.pi) * u2
     out = np.empty(words.shape, dtype=np.float64)
-    out[..., 0::2] = r * np.cos(theta)
-    out[..., 1::2] = r * np.sin(theta)
+    even, odd = out[..., 0::2], out[..., 1::2]  # r * cos and r * sin, written in place
+    np.multiply(r, np.cos(theta, out=even), out=even)
+    np.multiply(r, np.sin(theta, out=odd), out=odd)
     return out[..., :k]
 
 
@@ -312,10 +313,7 @@ class ParameterStore:
         return sub
 
     def clone(self) -> "ParameterStore":
-        out = ParameterStore()
-        for name in self.names():
-            out.register(name, self._params[name].copy())
-        return out
+        return self.subset("")
 
     def save(self, path) -> None:
         lines = ['{"version": %d, "params": {' % PARAM_FORMAT_VERSION]
@@ -342,11 +340,11 @@ class ParameterStore:
         """
         import json
 
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise DataError(f"{path}: not valid JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+            raise DataError(f"cannot read {path} as JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("version") != PARAM_FORMAT_VERSION:
             raise DataError(f"{path}: unsupported parameter file version")
         params = doc.get("params")

@@ -3,12 +3,12 @@
 The face branch embeds each face as a latent Gaussian, draws stochastic
 samples, down-weights uncertain faces via importance scalars, aggregates the
 group feature, and classifies it. The object branch embeds each object as a
-latent Gaussian, classifies ``N`` draws of every object of a group in one
-:func:`~ual.gaussian_embedding.mc_predict` call on a ``(k, N, d)`` noise
-block, and averages the objects' mean probability vectors. The scene branch
-is a plain affine classifier on the scene feature. Branches are trained
-independently (face with Adam, object and scene with SGD) and combined at
-prediction time by a proportional-weighted fusion of their class scores.
+latent Gaussian, classifies ``N`` draws of each object with
+:func:`~ual.gaussian_embedding.mc_predict`, and averages the objects' mean
+probability vectors. The scene branch is a plain affine classifier on the
+scene feature. Branches are trained independently (face with Adam, object
+and scene with SGD) and combined at prediction time by a proportional-weighted
+fusion of their class scores.
 
 Ablations mirror the model variants used for analysis:
 
@@ -26,33 +26,32 @@ inference noise from ``(seed, branch, g, r)`` where ``r`` is the
 individual's dense rank under a content sort. Rank-keyed streams make
 inference invariant to the order individuals are listed in, and a rerun
 with the same seed and inputs gives byte-identical models, loss logs and
-reports. Each group derives its key prefix once; the per-individual streams
-and their noise blocks are then drawn in one call
-(:func:`~ual.numerics.derive_seeds`, :func:`~ual.numerics.block_normals`),
-bit-identical to deriving each stream on its own.
+reports. The streams of many individuals and their noise blocks are derived
+and drawn in one call (:func:`~ual.numerics.derive_seeds`,
+:func:`~ual.numerics.block_normals`), bit-identical to one stream at a time.
 
-Inference serves a sweep of Monte-Carlo sample counts in one pass.
-:func:`evaluate_dataset`, :func:`predict_group`, :func:`branch_infer` and
-the branches' ``infer`` take ``sample_counts`` (default
-``(config.mc_samples,)``) and return one result per entry, in order,
-repeats included. Per group, what does not depend on the count runs once:
-the content ranks and seeds, the face quality stage, the face and object
-Gaussians, the scene branch, and one noise block per branch drawn at the
-largest count, with the face kernel run on all of its rounds. Each entry
-``N`` then uses the first ``N`` rounds, which equal the block an
-``N``-sample draw gives (:func:`~ual.numerics.block_normals`); the round
-means, the object ``mc_predict`` (a matmul over ``M`` rows may take
-another BLAS path than over ``N``), the classifiers, fusion and the
-diagnostics run per entry, and every entry gets its own diagnostics dicts.
-So each entry is bit-identical to a one-count call.
+Training and inference run groups as stacked arrays: training one
+mini-batch at a time, :func:`evaluate_dataset` one step of ``_INFER_STEP``
+groups at a time (one :func:`branch_infer` call per branch and step, then
+one :func:`predict_group` call per group, which fuses the group's sweep
+entries in one :func:`fuse_predictions` call on ``(E, C)`` stacks). Groups
+are bucketed by the count that sets the matmul shapes: faces for the faces'
+Gaussians, kept faces for the face loss and kernel, objects for the object
+loss and draws; the scene is one bucket. Each branch runs once per bucket on
+a leading stack axis, and all faces are scored in one quality-filter call.
 
-Training runs each mini-batch as stacked arrays. The batch's groups are
-bucketed by the count that sets the matmul shapes: faces for the quality
-filter's Gaussians, kept faces for the face loss, objects for the object
-loss; the scene is one bucket. Each branch loss then runs once per bucket
-on a leading stack axis, and all faces of the batch are scored in one
-quality-filter call. Models, loss logs and reports stay byte-identical to a
-loop over the groups because the stacked arithmetic keeps these rules:
+Inference serves a sweep of sample counts (``sample_counts``, default
+``(config.mc_samples,)``) in one pass, one result per entry, in order: per
+bucket, one ``(G, k, M, d)`` noise block at the largest count ``M`` and the
+face kernel on all ``M`` rounds; the entry for ``N`` averages the first
+``N`` rounds, which equal an ``N``-sample block
+(:func:`~ual.numerics.block_normals`), and runs the object ``mc_predict`` on
+the first ``N`` draws (a matmul over ``M`` rows may take another BLAS path
+than over ``N``).
+
+Every entry is bit-identical to a one-count call, and every group's
+predictions, like the models and loss logs, to a one-group call, because
+the stacked arithmetic keeps these rules:
 
 * Groups stack on a leading axis into one ``np.matmul``, which makes one
   BLAS call per item, equal to the 2-D call on that group. Rows of
@@ -63,7 +62,8 @@ loop over the groups because the stacked arithmetic keeps these rules:
   a matrix-vector product ``A @ v`` is ``np.matmul(A, V[..., None])[..., 0]``.
 * A whole-array sum becomes ``reshape(G, -1).sum(-1)``; every other
   reduction runs along the same axis, in the same order, as in the
-  one-group call.
+  one-group call. Noise blocks are C-ordered ``(G, M, k, d)``, so a group's
+  first ``N`` rounds have the strides of a one-group ``(N, k, d)`` block.
 * The batch gradient, ``sum of (w / total) * g`` in batch order, is
   ``np.add.reduce`` along axis 0 of the scaled per-group gradients stacked
   in batch order.
@@ -72,7 +72,10 @@ loop over the groups because the stacked arithmetic keeps these rules:
 
 from __future__ import annotations
 
+import functools
+import logging
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -95,6 +98,8 @@ from .numerics import (
 )
 from .quality_filter import filter_faces
 from .uncertainty_scoring import SCORE_FLOOR, high_low_partition, uncertainty_kernel
+
+log = logging.getLogger(__name__)
 
 BRANCH_TAGS = ("face", "object", "scene")
 FUSION_STRATEGIES = ("pwfs", "equal", "global-priority", "face-priority")
@@ -261,6 +266,36 @@ class _GaussianBranch:
         self.head.register(store, rng.derive("embed"))
         self.classifier.register(store, rng.derive("classifier"))
 
+    def gaussians(
+        self, store: ParameterStore, groups: Sequence[GroupSample]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat ``mu`` and ``sigma`` of the individuals (faces or objects) of
+        ``groups`` in group order, from one head pass per bucket of equally
+        many, and each group's first row. A sigma that is not positive (an
+        underflow) or not finite, or a mu that is not finite, raises
+        :class:`NumericError` naming the first such individual."""
+        rows = [getattr(group, f"{self.tag}s") for group in groups]
+        for group, x in zip(groups, rows):
+            if x.shape[1] != self.in_dim:
+                raise ShapeError(f"group {group.id}: {self.tag} dim {x.shape[1]} != model dim "
+                                 f"{self.in_dim}")
+        sizes = [x.shape[0] for x in rows]
+        starts = np.cumsum(sizes) - sizes
+        mu = np.empty((sum(sizes), self.latent_dim))
+        sigma = np.empty_like(mu)
+        for n, pos in _buckets(sizes):
+            bucket_mu, _, bucket_sigma = self.head.forward(store, np.stack([rows[p] for p in pos]))
+            flat = (starts[pos][:, None] + np.arange(n)).ravel()
+            mu[flat] = bucket_mu.reshape(-1, self.latent_dim)
+            sigma[flat] = bucket_sigma.reshape(-1, self.latent_dim)
+        bad = np.flatnonzero(~np.all((sigma > 0.0) & np.isfinite(sigma) & np.isfinite(mu), -1))
+        if bad.size:
+            g = int(np.searchsorted(starts, bad[0], side="right")) - 1
+            where = f"{groups[g].id}/{self.tag}{bad[0] - starts[g]}"
+            raise NumericError(f"sigma must be strictly positive and finite, and mu finite "
+                               f"(source {where!r})")
+        return mu, sigma, starts
+
 
 class FaceBranch(_GaussianBranch):
     tag = "face"
@@ -370,29 +405,14 @@ class FaceBranch(_GaussianBranch):
         seeds: np.ndarray,
         config: TrainingConfig,
     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
-        """The quality filter over the faces of ``groups``, for training and inference.
-
-        The faces' Gaussians are computed one stack per face count. Face
-        ``i`` (flat, in group order) is drawn ``config.fiqe_samples`` times
-        from the stream ``seeds[i]``, and all faces are scored in one
-        :func:`filter_faces` call. Returns the flat ``mu`` and ``sigma``,
-        each group's kept face indices and every face's score.
-        """
-        sizes = [group.faces.shape[0] for group in groups]
-        starts = np.cumsum(sizes) - sizes
-        mu = np.empty((sum(sizes), self.latent_dim))
-        sigma = np.empty_like(mu)
-        for n in sorted(set(sizes)):
-            pos = [p for p, size in enumerate(sizes) if size == n]
-            bucket_mu, _, bucket_sigma = self.head.forward_checked(
-                store,
-                np.stack([groups[p].faces for p in pos]),
-                [f"{groups[p].id}/face" for p in pos],
-            )
-            flat = (starts[pos][:, None] + np.arange(n)).ravel()
-            mu[flat] = bucket_mu.reshape(-1, self.latent_dim)
-            sigma[flat] = bucket_sigma.reshape(-1, self.latent_dim)
+        """The quality filter over the faces of ``groups``, for training and
+        inference: face ``i`` (flat, see :meth:`gaussians`) is drawn from the
+        stream ``seeds[i]``, and all faces are scored in one :func:`filter_faces`
+        call. Returns the flat ``mu`` and ``sigma``, each group's kept face
+        indices and every face's score."""
+        mu, sigma, starts = self.gaussians(store, groups)
         eps = block_normals(seeds, (config.fiqe_samples, self.latent_dim))
+        sizes = [group.faces.shape[0] for group in groups]
         kept, scores = filter_faces(mu, sigma, eps, config.delta2, sizes)
         kept = np.asarray(kept, dtype=np.intp)
         owner = np.searchsorted(starts, kept, side="right") - 1
@@ -402,79 +422,67 @@ class FaceBranch(_GaussianBranch):
     def infer(
         self,
         store: ParameterStore,
-        group: GroupSample,
+        groups: Sequence[GroupSample],
         rng: SeededRng,
         sample_counts: Sequence[int],
         config: TrainingConfig,
         ablation: str = "full",
-    ) -> list[BranchPrediction]:
-        """One prediction of ``group`` per entry of ``sample_counts``.
-
-        The quality stage, the Gaussians and the kernel run once, on a noise
-        block drawn at the largest count; the entry for ``N`` averages the
-        first ``N`` rounds, which are the rounds an ``N``-sample block holds
-        (see :func:`~ual.numerics.block_normals`).
-        """
-        faces = group.faces
-        if faces.shape[1] != self.in_dim:
-            raise ShapeError(
-                f"group {group.id}: face dim {faces.shape[1]} != model dim {self.in_dim}"
+    ) -> list[list[BranchPrediction]]:
+        """For each of ``groups``, one prediction per entry of ``sample_counts``
+        (see the module docstring). Only the streams the ablation reads are derived."""
+        filtered = ablation in ("full", "no-ual") and config.fiqe_apply in ("both", "eval")
+        stochastic = ablation in ("full", "no-fiqe")
+        sizes = [group.faces.shape[0] for group in groups]
+        if filtered or stochastic:
+            ranks = [_content_ranks(group.faces) for group in groups]
+            seeds = _individual_seeds(rng.derive(self.tag), groups, ranks)
+        if filtered:
+            mu, sigma, kept, scores = self.quality_stage(
+                store, groups, derive_seeds(seeds, "fiqe"), config
             )
-        n = faces.shape[0]
-        seeds = derive_seeds(rng.derive(self.tag, group.id), _content_ranks(faces))
-        if ablation in ("full", "no-ual") and config.fiqe_apply in ("both", "eval"):
-            fiqe_seeds = derive_seeds(seeds, "fiqe")
-            mu, sigma, (kept,), scores = self.quality_stage(store, [group], fiqe_seeds, config)
+            starts = np.cumsum(sizes) - sizes
+            quality = scores.tolist()
         else:
-            mu, _, sigma = self.head.forward_checked(store, faces, f"{group.id}/face")
-            kept, scores = np.arange(n), None
+            mu, sigma, starts = self.gaussians(store, groups)
+            kept, quality = [np.arange(n) for n in sizes], [None] * sum(sizes)
 
-        kept_rows = kept.tolist()
-        kept_set = set(kept_rows)
-        base = [
-            {
-                "id": f"{group.id}/face{i}",
-                "index": i,
-                "kept": i in kept_set,
-                "quality": (float(scores[i]) if scores is not None else None),
-            }
-            for i in range(n)
-        ]
-
-        mu = mu[kept]
-        sigma = sigma[kept]
-        if ablation in ("no-ual", "no-ual-fiqe"):
-            x_group = mu.mean(axis=0)
-            probs = softmax(self.classifier.forward(store, x_group))
-            return [
-                BranchPrediction(
-                    branch=self.tag, probs=probs, diagnostics={"faces": [dict(f) for f in base]}
+        out: list[list[BranchPrediction]] = [[] for _ in groups]
+        for _, pos in _buckets([len(idx) for idx in kept]):
+            rows = starts[pos][:, None] + np.stack([kept[p] for p in pos])  # (G, k)
+            if stochastic:  # drawn per face as (G, k, M, d), run as C-order (G, M, k, d)
+                block = block_normals(
+                    derive_seeds(seeds[rows], "mc"), (max(sample_counts), self.latent_dim)
                 )
-                for _ in sample_counts
-            ]
-
-        # drawn per face as (k, M, d); the C-order (M, k, d) copy keeps
-        # every reduction below in its per-face summation order. Rounds are
-        # independent, and a C-order prefix of N rounds has the strides of
-        # an (N, ...) array, so its means add as an N-sample call's do.
-        block = block_normals(
-            derive_seeds(seeds[kept], "mc"), (max(sample_counts), self.latent_dim)
-        )
-        eps = np.ascontiguousarray(block.swapaxes(0, 1))
-        _, _, s, alpha, x_rounds = uncertainty_kernel(mu, sigma, eps)  # s, alpha: (M, k)
-        out = []
-        for count in sample_counts:
-            x_group = x_rounds[:count].mean(axis=0)
-            probs = softmax(self.classifier.forward(store, x_group))
-            diag_faces = [dict(f) for f in base]
-            mean_s = s[:count].mean(axis=0)
-            mean_alpha = alpha[:count].mean(axis=0)
-            for pos, i in enumerate(kept_rows):
-                diag_faces[i]["score"] = float(mean_s[pos])
-                diag_faces[i]["alpha"] = float(mean_alpha[pos])
-            out.append(
-                BranchPrediction(branch=self.tag, probs=probs, diagnostics={"faces": diag_faces})
-            )
+                eps = np.ascontiguousarray(block.swapaxes(1, 2))
+                _, _, s, alpha, x_rounds = uncertainty_kernel(
+                    mu[rows][:, None], sigma[rows][:, None], eps
+                )
+                x = np.stack([x_rounds[:, :n].mean(axis=1) for n in sample_counts], axis=1)
+                scored = [
+                    (s[:, :n].mean(axis=1).tolist(), alpha[:, :n].mean(axis=1).tolist())
+                    for n in sample_counts
+                ]
+            else:
+                x = mu[rows].mean(axis=1)[:, None]  # one entry serves every count
+            probs = softmax(self.classifier.forward(store, x[..., None, :])[..., 0, :])
+            for j, p in enumerate(pos.tolist()):
+                group, kept_rows = groups[p], kept[p].tolist()
+                kept_set = set(kept_rows)
+                base = [
+                    {"id": f"{group.id}/face{i}", "index": i, "kept": i in kept_set, "quality": q}
+                    for i, q in enumerate(quality[starts[p] : starts[p] + sizes[p]])
+                ]
+                for e in range(len(sample_counts)):
+                    faces = [dict(f) for f in base]
+                    if stochastic:
+                        mean_s, mean_alpha = scored[e]
+                        for i, score, a in zip(kept_rows, mean_s[j], mean_alpha[j]):
+                            faces[i]["score"], faces[i]["alpha"] = score, a
+                    out[p].append(BranchPrediction(
+                        branch=self.tag,
+                        probs=probs[j, e if stochastic else 0],
+                        diagnostics={"faces": faces},
+                    ))
         return out
 
 
@@ -526,39 +534,34 @@ class ObjectBranch(_GaussianBranch):
     def infer(
         self,
         store: ParameterStore,
-        group: GroupSample,
+        groups: Sequence[GroupSample],
         rng: SeededRng,
         sample_counts: Sequence[int],
-    ) -> list[BranchPrediction]:
-        """One prediction of ``group`` per entry of ``sample_counts``, from
-        one Gaussian pass and one noise block drawn at the largest count."""
-        objects = group.objects
-        if objects.shape[0] == 0:
-            return [
-                BranchPrediction(
-                    branch=self.tag,
-                    probs=np.full(self.num_classes, 1.0 / self.num_classes),
-                    present=False,
-                    diagnostics={"objects": []},
-                )
-                for _ in sample_counts
-            ]
-        if objects.shape[1] != self.in_dim:
-            raise ShapeError(
-                f"group {group.id}: object dim {objects.shape[1]} != model dim {self.in_dim}"
-            )
-        ranks = _content_ranks(objects)
-        seeds = derive_seeds(derive_seeds(rng.derive(self.tag, group.id), ranks), "mc")
-        mu, _, sigma = self.head.forward_checked(store, objects, f"{group.id}/object")
-        block = block_normals(seeds, (max(sample_counts), self.latent_dim))
-        out = []
-        for count in sample_counts:
-            per_object = mc_predict(
-                mu, sigma, lambda z: self.classifier.forward(store, z), block[:, :count]
-            )
-            probs = per_object.mean(axis=0)
-            diag = [{"index": i, "probs": [float(v) for v in p]} for i, p in enumerate(per_object)]
-            out.append(BranchPrediction(branch=self.tag, probs=probs, diagnostics={"objects": diag}))
+    ) -> list[list[BranchPrediction]]:
+        """For each of ``groups``, one prediction per entry of ``sample_counts``
+        (see the module docstring); a group without objects is absent."""
+        uniform = np.full(self.num_classes, 1.0 / self.num_classes)
+        out = [[] if group.objects.shape[0] else [
+            BranchPrediction(self.tag, uniform, False, {"objects": []}) for _ in sample_counts
+        ] for group in groups]
+        present = [p for p, group in enumerate(groups) if group.objects.shape[0]]
+        if not present:
+            return out
+        with_objects = [groups[p] for p in present]
+        mu, sigma, starts = self.gaussians(store, with_objects)
+        ranks = [_content_ranks(group.objects) for group in with_objects]
+        seeds = derive_seeds(_individual_seeds(rng.derive(self.tag), with_objects, ranks), "mc")
+        classify = functools.partial(self.classifier.forward, store)
+        for k, pos in _buckets([len(r) for r in ranks]):
+            rows = starts[pos][:, None] + np.arange(k)  # (G, k)
+            block = block_normals(seeds[rows], (max(sample_counts), self.latent_dim))
+            bucket_mu, bucket_sigma = mu[rows], sigma[rows]
+            for n in sample_counts:
+                per_object = mc_predict(bucket_mu, bucket_sigma, classify, block[:, :, :n])
+                probs, listed = per_object.mean(axis=1), per_object.tolist()
+                for j, p in enumerate(pos.tolist()):
+                    diag = {"objects": [{"index": i, "probs": v} for i, v in enumerate(listed[j])]}
+                    out[present[p]].append(BranchPrediction(self.tag, probs[j], True, diag))
         return out
 
 
@@ -592,14 +595,16 @@ class SceneBranch:
         breakdown = LossBreakdown(cls=cls, kl=zero, rank=zero, rec=zero, total=cls)
         return _unstacked(breakdown, grads, single)
 
-    def infer(self, store: ParameterStore, group: GroupSample) -> BranchPrediction:
-        scene = group.scene
-        if scene.shape[0] != self.in_dim:
-            raise ShapeError(
-                f"group {group.id}: scene dim {scene.shape[0]} != model dim {self.in_dim}"
-            )
-        probs = softmax(self.classifier.forward(store, scene))
-        return BranchPrediction(branch=self.tag, probs=probs)
+    def infer(self, store: ParameterStore, groups: Sequence[GroupSample]) -> list[BranchPrediction]:
+        """One prediction per group, from one stacked classifier call."""
+        for group in groups:
+            if group.scene.shape[0] != self.in_dim:
+                dim = group.scene.shape[0]
+                raise ShapeError(f"group {group.id}: scene dim {dim} != model dim {self.in_dim}")
+        # each scene goes through the classifier as a one-row matrix
+        rows = np.stack([group.scene for group in groups])[:, None]
+        probs = softmax(self.classifier.forward(store, rows)[:, 0])
+        return [BranchPrediction(branch=self.tag, probs=p) for p in probs]
 
 
 Branch = FaceBranch | ObjectBranch | SceneBranch
@@ -612,17 +617,12 @@ def build_branches(
 ) -> dict[str, Branch]:
     """Instantiate branch models for the given feature dims and class count."""
     num_classes = int(dims["num_classes"])
-    out: dict[str, Branch] = {}
-    for tag in BRANCH_TAGS:  # fixed order
-        if tag not in tags:
-            continue
-        if tag == "face":
-            out[tag] = FaceBranch(int(dims["face_dim"]), config.latent_dim, num_classes)
-        elif tag == "object":
-            out[tag] = ObjectBranch(int(dims["object_dim"]), config.latent_dim, num_classes)
-        else:
-            out[tag] = SceneBranch(int(dims["scene_dim"]), num_classes)
-    return out
+    make = {
+        "face": lambda: FaceBranch(int(dims["face_dim"]), config.latent_dim, num_classes),
+        "object": lambda: ObjectBranch(int(dims["object_dim"]), config.latent_dim, num_classes),
+        "scene": lambda: SceneBranch(int(dims["scene_dim"]), num_classes),
+    }
+    return {tag: make[tag]() for tag in BRANCH_TAGS if tag in tags}  # fixed order
 
 
 def register_branches(
@@ -646,31 +646,38 @@ def fuse_predictions(
     ``pwfs`` (proportional-weighted fusion) weights each branch by its share
     of the total top-class confidence; the other strategies use fixed priors.
     When every branch is absent (an object-only model on a group without
-    objects), their vectors are fused as given, with equal weights.
+    objects), their vectors are fused as given, with equal weights. An
+    ``(E, C)`` stack of ``probs`` is fused row by row, as ``E`` one-vector
+    calls, into ``(E, C)`` probabilities and ``(E,)`` weights.
     """
     if strategy not in FUSION_STRATEGIES:
         raise ConfigError(f"unknown fusion strategy {strategy!r}")
     if not predictions:
         raise ValueError("no branch predictions to fuse")
     present = [p for p in predictions if p.present]
+    lead = predictions[0].probs.shape[:-1]
     if not present:
         present = list(predictions)
-        conf = np.ones(len(present))
+        conf = np.ones(lead + (len(present),))
     elif strategy == "pwfs":
-        conf = np.array([float(np.max(p.probs)) for p in present])
+        conf = np.stack([p.probs.max(axis=-1) for p in present], axis=-1)
     else:
         priors = _FUSION_PRIORS[strategy]
-        conf = np.array([priors[p.branch] for p in present])
-    weights = conf / conf.sum()
+        conf = np.broadcast_to([priors[p.branch] for p in present], lead + (len(present),))
+    weights = (conf / conf.sum(axis=-1, keepdims=True)).T  # a row per branch
     fused = np.zeros_like(present[0].probs)
     for w, p in zip(weights, present):
-        fused = fused + w * p.probs
-    fused = fused / fused.sum()
-    return FusionResult(probs=fused, weights={p.branch: float(w) for p, w in zip(present, weights)})
+        fused = fused + w[..., None] * p.probs
+    fused = fused / fused.sum(axis=-1, keepdims=True)
+    return FusionResult(probs=fused, weights={p.branch: w for p, w in zip(present, weights)})
 
 
 # ---------------------------------------------------------------------------
 # inference entry points
+
+# Groups per inference step, sized by memory: a step's face kernel blocks hold up
+# to about 2 MB each (16 groups of 8 kept faces, 64 rounds of 32 dims; see README)
+_INFER_STEP = 16
 
 
 def _sample_counts(sample_counts: Sequence[int] | None, config: TrainingConfig) -> tuple[int, ...]:
@@ -682,60 +689,59 @@ def _sample_counts(sample_counts: Sequence[int] | None, config: TrainingConfig) 
 
 def branch_infer(
     branch: Branch,
-    group: GroupSample,
+    groups: Sequence[GroupSample],
     store: ParameterStore,
     config: TrainingConfig,
     rng: SeededRng,
     sample_counts: Sequence[int] | None = None,
     ablation: str = "full",
-) -> list[BranchPrediction]:
-    """Run one branch on one group using the run-level inference stream:
-    one prediction per entry of ``sample_counts`` (default
-    ``(config.mc_samples,)``)."""
+) -> list[list[BranchPrediction]]:
+    """Run one branch on ``groups`` using the run-level inference stream:
+    for each group, one prediction per entry of ``sample_counts`` (default
+    ``(config.mc_samples,)``). A group's predictions do not depend on the
+    other groups it is run with."""
     if ablation not in ABLATIONS:
         raise ConfigError(f"unknown ablation {ablation!r}")
     counts = _sample_counts(sample_counts, config)
+    if not groups:
+        return []
     if isinstance(branch, FaceBranch):
-        return branch.infer(store, group, rng, counts, config, ablation=ablation)
+        return branch.infer(store, groups, rng, counts, config, ablation=ablation)
     if isinstance(branch, ObjectBranch):
-        return branch.infer(store, group, rng, counts)
-    pred = branch.infer(store, group)
-    return [BranchPrediction(branch=pred.branch, probs=pred.probs) for _ in counts]
+        return branch.infer(store, groups, rng, counts)
+    return [
+        [BranchPrediction(branch=pred.branch, probs=pred.probs) for _ in counts]
+        for pred in branch.infer(store, groups)
+    ]
 
 
 def predict_group(
     group: GroupSample,
-    store: ParameterStore,
-    branches: dict[str, Branch],
-    config: TrainingConfig,
-    rng: SeededRng,
-    sample_counts: Sequence[int] | None = None,
-    ablation: str = "full",
+    predictions: dict[str, Sequence[BranchPrediction]],
     fusion: str = "pwfs",
 ) -> list[GroupPrediction]:
-    """Fuse all available branches and pick the argmax class (ties: lowest
-    index), once per entry of ``sample_counts`` (default ``(config.mc_samples,)``)."""
-    counts = _sample_counts(sample_counts, config)
-    per_branch = {
-        tag: branch_infer(
-            branches[tag], group, store, config, rng, sample_counts=counts, ablation=ablation
+    """Fuse ``group``'s entries from :func:`branch_infer` (``{tag: entries}``)
+    in one :func:`fuse_predictions` call on ``(E, C)`` stacks and pick each
+    entry's argmax class (ties: lowest index); a probability that is not
+    finite (an overflow in a branch) raises :class:`NumericError`."""
+    fused = fuse_predictions(
+        [
+            BranchPrediction(tag, np.array([p.probs for p in entries]), entries[0].present)
+            for tag, entries in predictions.items()
+        ],
+        fusion,
+    )
+    if not np.isfinite(fused.probs).all():
+        raise NumericError(f"group {group.id}: non-finite fused probabilities")
+    return [
+        GroupPrediction(
+            label=label,
+            probs=fused.probs[e],
+            weights={tag: float(w[e]) for tag, w in fused.weights.items()},
+            branch_predictions={tag: entries[e] for tag, entries in predictions.items()},
         )
-        for tag in BRANCH_TAGS
-        if tag in branches
-    }
-    out = []
-    for i in range(len(counts)):
-        preds = {tag: entries[i] for tag, entries in per_branch.items()}
-        fused = fuse_predictions(list(preds.values()), fusion)
-        out.append(
-            GroupPrediction(
-                label=int(np.argmax(fused.probs)),
-                probs=fused.probs,
-                weights=fused.weights,
-                branch_predictions=preds,
-            )
-        )
-    return out
+        for e, label in enumerate(np.argmax(fused.probs, axis=-1).tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -812,18 +818,22 @@ def _bucketed(counts: Sequence[int], step) -> tuple[np.ndarray, dict[str, np.nda
     on the stack of those groups. Its rows and gradients are put back in
     batch order: ``rows`` is ``(G, 5)`` and each gradient ``(G, *shape)``.
     """
-    counts = np.asarray(counts)
-    rows = np.empty((counts.size, len(_TERMS)))
+    rows = np.empty((len(counts), len(_TERMS)))
     grads: dict[str, np.ndarray] = {}
-    for count in np.unique(counts).tolist():
-        pos = np.flatnonzero(counts == count)
+    for _, pos in _buckets(counts):
         breakdown, bucket_grads = step(pos)
         rows[pos] = np.column_stack(breakdown.as_row())
         for name, g in bucket_grads.items():
             if name not in grads:
-                grads[name] = np.empty((counts.size,) + g.shape[1:])
+                grads[name] = np.empty((len(counts),) + g.shape[1:])
             grads[name][pos] = g
     return rows, grads
+
+
+def _buckets(counts: Sequence[int]) -> list[tuple[int, np.ndarray]]:
+    """``(count, positions)`` of each distinct count, in ascending order."""
+    counts = np.asarray(counts)
+    return [(n, np.flatnonzero(counts == n)) for n in np.unique(counts).tolist()]
 
 
 def _individual_seeds(stream: SeededRng, groups: Sequence[GroupSample], indices) -> np.ndarray:
@@ -859,14 +869,10 @@ class Trainer:
         self.branches = branches
         self.config = config
         self.ablation = ablation
-        self.optimizers: dict[str, Sgd | Adam] = {}
-        for tag in branches:
-            if tag == "face":
-                self.optimizers[tag] = Adam(config.face_lr)
-            elif tag == "object":
-                self.optimizers[tag] = Sgd(config.object_lr)
-            else:
-                self.optimizers[tag] = Sgd(config.scene_lr)
+        self.optimizers: dict[str, Sgd | Adam] = {
+            tag: Adam(config.face_lr) if tag == "face" else Sgd(getattr(config, f"{tag}_lr"))
+            for tag in branches
+        }
 
     def train_epoch(self, groups: Sequence[GroupSample], epoch: int) -> dict[str, LossBreakdown]:
         """One pass of mini-batch optimization for every enabled branch.
@@ -1052,34 +1058,42 @@ def evaluate_dataset(
     branch_pred = [{tag: [] for tag in branches} for _ in counts]
     fused_pred: list[list[int]] = [[] for _ in counts]
     records: list[list[dict]] = [[] for _ in counts]
-    for group in dataset.groups:
-        outcomes = predict_group(
-            group, store, branches, config, rng,
-            sample_counts=counts, ablation=ablation, fusion=fusion,
-        )
+    for lo in range(0, len(dataset.groups), _INFER_STEP):
+        step = dataset.groups[lo : lo + _INFER_STEP]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite instead
+            per_branch = {
+                tag: branch_infer(branches[tag], step, store, config, rng, counts, ablation)
+                for tag in BRANCH_TAGS
+                if tag in branches
+            }
         # reduced to labels and records at once: the predictions of every
         # group and entry, kept to the end, would hold about 2 MB more
-        for i, outcome in enumerate(outcomes):
-            fused_pred[i].append(outcome.label)
-            for tag, bp in outcome.branch_predictions.items():
-                branch_pred[i][tag].append(int(np.argmax(bp.probs)))
-            if collect_diagnostics:
-                records[i].append({
-                    "record": "group",
-                    "id": group.id,
-                    "label": int(group.label),
-                    "pred": int(outcome.label),
-                    "fused_probs": [float(v) for v in outcome.probs],
-                    "weights": {k: float(v) for k, v in outcome.weights.items()},
-                    "branches": {
-                        tag: {
-                            "present": bp.present,
-                            "probs": [float(v) for v in bp.probs],
-                            **bp.diagnostics,
-                        }
-                        for tag, bp in outcome.branch_predictions.items()
-                    },
-                })
+        for j, group in enumerate(step):
+            outcomes = predict_group(
+                group, {tag: preds[j] for tag, preds in per_branch.items()}, fusion
+            )
+            for i, outcome in enumerate(outcomes):
+                fused_pred[i].append(outcome.label)
+                probs = {tag: bp.probs.tolist() for tag, bp in outcome.branch_predictions.items()}
+                for tag, p in probs.items():
+                    branch_pred[i][tag].append(p.index(max(p)))  # the first maximum, as argmax
+                if collect_diagnostics:
+                    records[i].append({
+                        "record": "group",
+                        "id": group.id,
+                        "label": int(group.label),
+                        "pred": int(outcome.label),
+                        "fused_probs": outcome.probs.tolist(),
+                        "weights": {k: float(v) for k, v in outcome.weights.items()},
+                        "branches": {
+                            tag: {
+                                "present": bp.present,
+                                "probs": probs[tag],
+                                **bp.diagnostics,
+                            }
+                            for tag, bp in outcome.branch_predictions.items()
+                        },
+                    })
 
     def metrics(preds: list[int]) -> MetricsReport:
         return compute_metrics(y_true, preds, dataset.num_classes, dataset.class_names)
@@ -1118,19 +1132,15 @@ def train_model(
 
     With a validation set, every epoch ends with an evaluation of it; with
     ``select_best`` also set, the parameters of the epoch with the highest
-    fused micro accuracy are restored at the end. ``on_epoch`` is called
+    fused micro accuracy are restored at the end. Each epoch's training and
+    validation wall seconds are logged at debug level. ``on_epoch`` is called
     after each epoch as ``on_epoch(epoch, breakdowns, eval_result)``, where
     ``eval_result`` is that evaluation, or None when ``val_ds`` is None.
     """
-    dims = {
-        "face_dim": train_ds.face_dim,
-        "object_dim": train_ds.object_dim,
-        "scene_dim": train_ds.scene_dim,
-        "num_classes": train_ds.num_classes,
-    }
+    dims = train_ds.dims
     if val_ds is not None:
         for key, value in dims.items():
-            if getattr(val_ds, key) != value:
+            if val_ds.dims[key] != value:
                 raise DataError(f"train/val disagree on {key}")
     store = ParameterStore()
     branches = build_branches(config, dims, branch_tags)
@@ -1141,7 +1151,9 @@ def train_model(
     best_micro = -1.0
     best_params: ParameterStore | None = None
     for epoch in range(config.epochs):
+        start = time.perf_counter()
         breakdowns = trainer.train_epoch(train_ds.groups, epoch)
+        trained = time.perf_counter()
         for tag, bd in breakdowns.items():
             loss_log[tag].append(bd)
         result = None
@@ -1153,6 +1165,10 @@ def train_model(
                 best_micro = result.fused_report.micro_accuracy
                 best_epoch = epoch
                 best_params = store.clone()
+        log.debug(
+            "epoch %d: train %.3f s, validation %.3f s",
+            epoch, trained - start, time.perf_counter() - trained,
+        )
         if on_epoch is not None:
             on_epoch(epoch, breakdowns, result)
     if config.select_best and best_params is not None:

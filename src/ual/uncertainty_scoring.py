@@ -14,8 +14,8 @@ positive.
 
 :func:`uncertainty_kernel` is this algebra, written once over the
 individual axis -2: training calls it on a ``(G, n, d)`` stack of ``G``
-groups of ``n`` faces (``G = 1`` for a single group), inference on an
-``(N, k, d)`` block of ``N`` Monte-Carlo rounds of one group.
+groups of ``n`` faces (``G = 1`` for a single group), inference on a
+``(G, M, k, d)`` block of ``M`` Monte-Carlo rounds of ``G`` groups.
 """
 
 from __future__ import annotations
@@ -44,12 +44,16 @@ def uncertainty_kernel(mu: np.ndarray, sigma: np.ndarray, eps: np.ndarray) -> Un
     """Draw, score, weight and aggregate groups of Gaussian individuals.
 
     ``mu`` and ``sigma`` are ``(..., k, d)`` Gaussians: one group's ``(k, d)``
-    or a stack of groups. ``eps`` is a noise block whose shape ends with
-    ``mu.shape``; its extra leading axes index independent rounds.
+    or a stack of groups. ``eps`` is a noise block with the same last two
+    axes that ``mu`` broadcasts to; its other axes index independent rounds
+    (inference passes ``(G, 1, k, d)`` Gaussians and a ``(G, M, k, d)`` block).
     """
-    if mu.shape != sigma.shape or mu.ndim < 2 or eps.shape[eps.ndim - mu.ndim :] != mu.shape:
+    lead = eps.shape[-mu.ndim : -2] if 2 <= mu.ndim <= eps.ndim else None
+    if mu.shape != sigma.shape or lead is None or eps.shape[-2:] != mu.shape[-2:] or any(
+        m not in (1, e) for m, e in zip(mu.shape, lead)
+    ):
         raise ShapeError(
-            f"need (..., k, d) mu/sigma and an eps block ending in that shape, got "
+            f"need (..., k, d) mu/sigma and an eps block they broadcast to, got "
             f"{mu.shape}, {sigma.shape} and {eps.shape}"
         )
     z = mu + eps * sigma

@@ -309,16 +309,19 @@ def test_criterion_10_mc_sampling_study():
     cfg = result.config
     repeats = 20
     smaller = 0
-    for group in val.groups:
-        counts = (1, 64)
-        sweeps = [
-            branch_infer(
-                result.branches["face"], group, result.store, cfg,
-                SeededRng(1000 + rep).derive("infer"),
-                sample_counts=counts, ablation="no-fiqe",
-            )
-            for rep in range(repeats)
-        ]
+    counts = (1, 64)
+    # one call per repeat over every group; a group's predictions do not
+    # depend on the groups it is run with
+    runs = [
+        branch_infer(
+            result.branches["face"], val.groups, result.store, cfg,
+            SeededRng(1000 + rep).derive("infer"),
+            sample_counts=counts, ablation="no-fiqe",
+        )
+        for rep in range(repeats)
+    ]
+    for g in range(len(val.groups)):
+        sweeps = [run[g] for run in runs]
         spreads = {}
         for i, n in enumerate(counts):
             probs = [sweep[i].probs for sweep in sweeps]

@@ -115,13 +115,15 @@ def test_simulate_bindings_record_spans(tmp_path):
 
 
 def test_sweep_runs_each_group_once(tmp_path):
-    # a sweep of sample counts is one pass over the dataset: the stages that
-    # do not depend on the count run once per group, not once per count
+    # a sweep of sample counts is one pass over the dataset in steps of
+    # groups: each branch runs once per step and fusion once per group, and
+    # none of them once per count
+    from ual import pipeline
     from ual.cli import main
 
     spec = tmp_path / "spec.gen"
     spec.write_text(
-        "num_groups = 16\ngroup_size_min = 2\ngroup_size_max = 4\nface_dim = 6\n"
+        "num_groups = 20\ngroup_size_min = 2\ngroup_size_max = 4\nface_dim = 6\n"
         "object_dim = 5\nscene_dim = 4\nobject_count_min = 1\nseed = 5\n"
     )
     cfg = tmp_path / "train.cfg"
@@ -138,9 +140,16 @@ def test_sweep_runs_each_group_once(tmp_path):
     finally:
         tracer.uninstall()
     calls = collections.Counter(span[0] for span in tracer.spans)
-    per_group = ("pipeline.predict_group", "pipeline.face.infer", "pipeline.object.infer",
-                 "quality_filter.filter_faces")
-    assert {name: calls[name] for name in per_group} == dict.fromkeys(per_group, 16)
+    steps = -(-20 // pipeline._INFER_STEP)
+    assert steps > 1
+    expected = {
+        "pipeline.predict_group": 20,
+        "pipeline.fuse": 20,
+        "pipeline.face.infer": steps,
+        "pipeline.object.infer": steps,
+        "quality_filter.filter_faces": steps,
+    }
+    assert {name: calls[name] for name in expected} == expected
 
 
 def test_workload_settings_equal_the_cli_parse():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ual.cli import main, sha256_file
 from ual.datagen_metrics import load_dataset
@@ -484,6 +488,119 @@ class TestBadInputFiles:
         assert str(bad) in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("edit,detail", [
+        (lambda doc: doc["datasets"]["val"].update(sha256=[1]), "does not match the manifest"),
+        (lambda doc: doc.update(branches=[]), "manifest key 'branches' names no branch"),
+        (lambda doc: doc.update(ablation="fast"), "manifest key 'ablation' is not one of"),
+        (lambda doc: doc["models"].update(face=""), "model of branch 'face': cannot read"),
+        (lambda doc: doc["config"].update(latent_dim=0), "latent_dim must be >= 1"),
+    ], ids=["listed-hash", "no-branches", "unknown-ablation", "model-is-a-directory",
+            "invalid-config"])
+    def test_bad_manifest_value_names_the_manifest(self, small_run, tmp_path, capsys, edit,
+                                                   detail):
+        model = tmp_path / "model"
+        shutil.copytree(small_run["out"], model)
+        manifest = model / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        code = run("eval", "--manifest", str(manifest), "--data", str(small_run["val"]),
+                   "--out", str(tmp_path / "r"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(manifest) in err and detail in err
+
+    @pytest.mark.parametrize("name,param,value,detail", [
+        ("face", "face.embed.logvar.bias", 2000.0, "sigma must be strictly positive and finite"),
+        ("scene", "scene.classifier.weight", 1e308, "non-finite fused probabilities"),
+    ], ids=["face-sigma", "scene-logits"])
+    def test_overflowing_model_is_a_numeric_failure(self, small_run, tmp_path, capsys, name,
+                                                    param, value, detail):
+        model = tmp_path / "model"
+        shutil.copytree(small_run["out"], model)
+        params = model / f"{name}.params.json"
+        doc = json.loads(params.read_text())
+        doc["params"][param]["data"] = [value] * len(doc["params"][param]["data"])
+        params.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("eval", "--manifest", str(model / "manifest.json"),
+                       "--data", str(small_run["val"]), "--out", str(tmp_path / "r"))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert code == 3
+        assert detail in capsys.readouterr().err
+        assert not (tmp_path / "r" / "report.jsonl").exists()
+
+    def test_params_path_is_a_directory(self, small_run, tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(small_run["out"], model)
+        params = model / "scene.params.json"
+        params.unlink()
+        params.mkdir()
+        code = run("eval", "--manifest", str(model / "manifest.json"),
+                   "--data", str(small_run["val"]), "--out", str(tmp_path / "r"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"cannot read {params}" in err and "Traceback" not in err
+
+
+# single tokens a mutation inserts or writes over one byte: one token can
+# at most add a digit to a number, so no mutated size grows past 99
+_TOKENS = [b'"', b",", b":", b"[", b"]", b"{", b"}", b"0", b"9", b"-", b".", b"e",
+           b"x", b" ", b"\\", b"\xff", b"null", b"true"]
+_VALUES = [None, True, 0, -1, 2, 0.5, "x", "", [], {}, [1, 2]]
+
+
+def _json_paths(doc, prefix=()):
+    """Every key path into a JSON document's dicts and lists."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+def _mutate(data, text: bytes) -> bytes:
+    """One drawn mutation of a JSON file: a byte-level edit or a replaced value."""
+    kind = data.draw(st.sampled_from(["delete", "replace", "insert", "truncate", "value"]))
+    if kind == "value":
+        doc = json.loads(text)
+        *path, last = data.draw(st.sampled_from(sorted(_json_paths(doc), key=repr)))
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = data.draw(st.sampled_from(_VALUES))
+        return json.dumps(doc).encode()
+    pos = data.draw(st.integers(0, len(text) - 1))
+    if kind == "delete":
+        return text[:pos] + text[pos + data.draw(st.integers(1, 8)):]
+    if kind == "truncate":
+        return text[:pos]
+    token = data.draw(st.sampled_from(_TOKENS))
+    return text[:pos] + token + text[pos + (kind == "replace"):]
+
+
+class TestMutatedModelFiles:
+    """A mutated model file or manifest restores, or is a data error naming it."""
+
+    @pytest.mark.parametrize("name", ["manifest.json", "face.params.json"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_restores_or_names_the_file(self, small_run, tmp_path_factory, name, data):
+        model = tmp_path_factory.mktemp("mutated") / "model"
+        shutil.copytree(small_run["out"], model)
+        mutated = model / name
+        mutated.write_bytes(_mutate(data, mutated.read_bytes()))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run("eval", "--manifest", str(model / "manifest.json"),
+                       "--data", str(small_run["val"]), "--out", str(model / "report"))
+        # an uncaught exception would end the test here, with its traceback
+        if code == 2:
+            assert str(mutated) in err.getvalue()
+        else:  # restored; 3 is a numeric failure of mutated weights at inference
+            assert code in (0, 3), err.getvalue()
+
+
 class TestLogLevelEnv:
     def test_invalid_level_rejected(self, monkeypatch, capsys):
         monkeypatch.setenv("UAL_LOG_LEVEL", "loud")
@@ -516,3 +633,20 @@ class TestLogLevelEnv:
             assert re.fullmatch(r"inference: 12 groups, mc_samples 1,4, \d+\.\d{3} s", line)
         report = (tmp_path / level / "report.jsonl").read_bytes()
         assert report == (tmp_path / "plain" / "report.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("level,lines", [("info", 0), ("debug", 2)])
+    def test_debug_level_times_each_epoch(self, small_run, tmp_path, level, lines):
+        argv = ["train", "--config", str(small_run["cfg"]), "--train", str(small_run["train"]),
+                "--val", str(small_run["val"])]
+        assert run(*argv, "--out", str(tmp_path / "plain")) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "ual.cli", *argv, "--out", str(tmp_path / level)],
+            capture_output=True, text=True, env={**os.environ, "UAL_LOG_LEVEL": level},
+        )
+        assert proc.returncode == 0, proc.stderr
+        timed = [line for line in proc.stderr.splitlines() if " s, validation " in line]
+        assert len(timed) == lines  # the config trains 2 epochs
+        for epoch, line in enumerate(timed):
+            assert re.fullmatch(rf"epoch {epoch}: train \d+\.\d{{3}} s, validation \d+\.\d{{3}} s", line)
+        for name in sorted(p.name for p in (tmp_path / "plain").iterdir()):
+            assert (tmp_path / level / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ual.datagen_metrics import GroupSample
 from ual.errors import NumericError, ShapeError
 from ual.gaussian_embedding import EmbeddingHead, mc_predict
 from ual.numerics import ParameterStore, SeededRng, softmax
+from ual.pipeline import FaceBranch
 from ual.uncertainty_scoring import uncertainty_kernel
 
 
@@ -17,8 +19,8 @@ def make_head(in_dim=6, latent=4, seed=0):
 
 
 def embed(head, store, x):
-    """``(mu, sigma)`` of one feature vector through the checked forward pass."""
-    mu, _, sigma = head.forward_checked(store, np.asarray(x, dtype=np.float64)[None, :], "x/row")
+    """``(mu, sigma)`` of one feature vector through the forward pass of a one-row stack."""
+    mu, _, sigma = head.forward(store, np.asarray(x, dtype=np.float64)[None, :])
     return mu[0], sigma[0]
 
 
@@ -59,11 +61,16 @@ class TestEmbedIndividual:
             embed(head, store, np.ones(7))
 
     def test_sigma_positive_enforced(self):
-        head, store = make_head()
-        store.get("h.logvar.weight")[...] = 0.0
-        store.get("h.logvar.bias")[...] = -2000.0  # sigma = exp(-1000) underflows to 0
+        # the check runs where a branch embeds the individuals of a step of groups
+        branch = FaceBranch(in_dim=6, latent_dim=4, num_classes=3)
+        store = ParameterStore()
+        branch.register(store, SeededRng(0).derive("init"))
+        store.get("face.embed.logvar.weight")[...] = 0.0
+        store.get("face.embed.logvar.bias")[...] = -2000.0  # sigma = exp(-1000) underflows to 0
+        group = GroupSample(id="g", label=0, faces=np.ones((2, 6)),
+                            objects=np.zeros((0, 5)), scene=np.zeros(4))
         with pytest.raises(NumericError, match="strictly positive .*'g/face0'"):
-            head.forward_checked(store, np.ones((2, 6)), "g/face")
+            branch.gaussians(store, [group])
 
 
 def draw(mu, sigma, eps):

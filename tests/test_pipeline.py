@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ual.datagen_metrics import GroupSample, SynthesisSpec, generate_dataset
+from ual import pipeline
 from ual.errors import ConfigError, NumericError
 from ual.numerics import ParameterStore, SeededRng, derive_seeds, softmax
 from ual.pipeline import (
@@ -133,6 +134,19 @@ def tiny_config(**kw):
     return TrainingConfig(**base)
 
 
+def predict(groups, store, branches, cfg, rng, sample_counts=None, ablation="full"):
+    """Each group's fused predictions: one ``branch_infer`` step over ``groups``
+    per branch, then ``predict_group`` per group, as ``evaluate_dataset`` runs them."""
+    per_branch = {
+        tag: branch_infer(branch, groups, store, cfg, rng, sample_counts, ablation)
+        for tag, branch in branches.items()
+    }
+    return [
+        predict_group(group, {tag: preds[j] for tag, preds in per_branch.items()})
+        for j, group in enumerate(groups)
+    ]
+
+
 def build_model(dataset, config, tags=("face", "object", "scene")):
     dims = {"face_dim": dataset.face_dim, "object_dim": dataset.object_dim,
             "scene_dim": dataset.scene_dim, "num_classes": dataset.num_classes}
@@ -159,7 +173,7 @@ class TestBranchInfer:
         # sigma -> 0 via a very negative log-variance bias
         store.get("face.embed.logvar.weight")[...] = 0.0
         store.get("face.embed.logvar.bias")[...] = -80.0
-        (pred,) = branch_infer(branches["face"], group, store, cfg, SeededRng(0).derive("infer"))
+        ((pred,),) = branch_infer(branches["face"], [group], store, cfg, SeededRng(0).derive("infer"))
         W = store.get("face.classifier.weight")
         b = store.get("face.classifier.bias")
         mu = store.get("face.embed.mu.weight") @ group.faces[0] + store.get("face.embed.mu.bias")
@@ -177,8 +191,8 @@ class TestBranchInfer:
                          objects=obj[None, :], scene=np.zeros(4))
         g2 = GroupSample(id="g", label=0, faces=ds.groups[0].faces,
                          objects=np.stack([obj, obj]), scene=np.zeros(4))
-        (p1,) = branch_infer(branches["object"], g1, store, cfg, SeededRng(0).derive("infer"))
-        (p2,) = branch_infer(branches["object"], g2, store, cfg, SeededRng(0).derive("infer"))
+        ((p1,),) = branch_infer(branches["object"], [g1], store, cfg, SeededRng(0).derive("infer"))
+        ((p2,),) = branch_infer(branches["object"], [g2], store, cfg, SeededRng(0).derive("infer"))
         # identical objects share a content-keyed noise stream, so their
         # predictions coincide (up to the BLAS kernel's last ulp) and the
         # mean of two equal vectors is that vector
@@ -190,7 +204,9 @@ class TestBranchInfer:
         store, branches = build_model(ds, cfg)
         group = GroupSample(id="g", label=1, faces=ds.groups[0].faces,
                             objects=np.zeros((0, 5)), scene=SeededRng(1).normals(4))
-        (pred,) = branch_infer(branches["object"], group, store, cfg, SeededRng(0).derive("infer"))
+        ((pred,),) = branch_infer(
+            branches["object"], [group], store, cfg, SeededRng(0).derive("infer")
+        )
         assert not pred.present
         assert np.allclose(pred.probs, 1.0 / 3.0)
 
@@ -204,7 +220,7 @@ class TestBranchInfer:
         group = ds.groups[1]
         with pytest.raises(NumericError, match=f"strictly positive .*'{group.id}/face0'"):
             branches["face"].infer(
-                store, group, SeededRng(0).derive("infer"), (4,), cfg, ablation=ablation
+                store, [group], SeededRng(0).derive("infer"), (4,), cfg, ablation=ablation
             )
 
     def test_face_infer_matches_from_scratch_oracle(self):
@@ -213,8 +229,8 @@ class TestBranchInfer:
         store, branches = build_model(ds, cfg)
         group = ds.groups[2]
         seed = 77
-        (pred,) = branch_infer(
-            branches["face"], group, store, cfg,
+        ((pred,),) = branch_infer(
+            branches["face"], [group], store, cfg,
             SeededRng(seed).derive("infer"), sample_counts=(6,),
         )
         oracle = self._face_oracle(store, group, cfg, seed, n_samples=6)
@@ -302,7 +318,7 @@ class TestBlockInference:
         group = GroupSample(id="g7", label=0, faces=ds.groups[0].faces,
                             objects=objects, scene=np.zeros(4))
         rng = SeededRng(4).derive("infer")
-        (pred,) = branch.infer(store, group, rng, (n_samples,))
+        ((pred,),) = branch.infer(store, [group], rng, (n_samples,))
 
         # one stream, one (N, d) draw and one 2-D classifier call per object
         order = sorted(range(k), key=lambda i: tuple(objects[i]))  # distinct rows: rank = position
@@ -333,9 +349,7 @@ class TestBlockInference:
 
         lo = 0
         for group, size, group_kept in zip(groups, sizes, kept):
-            ref_mu, _, ref_sigma = branch.head.forward_checked(
-                store, group.faces, f"{group.id}/face"
-            )
+            ref_mu, _, ref_sigma = branch.head.forward(store, group.faces)
             eps = np.stack([
                 SeededRng(int(seed)).normals((cfg.fiqe_samples, cfg.latent_dim))
                 for seed in seeds[lo : lo + size]
@@ -469,13 +483,13 @@ class TestSweep:
         store, branches = build_model(ds, cfg)
         rng = SeededRng(5).derive("infer")
         for group in ds.groups:
-            sweep = predict_group(
-                group, store, branches, cfg, rng, sample_counts=self.COUNTS, ablation=ablation
+            (sweep,) = predict(
+                [group], store, branches, cfg, rng, sample_counts=self.COUNTS, ablation=ablation
             )
             assert len(sweep) == len(self.COUNTS)
             for n, got in zip(self.COUNTS, sweep):
-                (want,) = predict_group(
-                    group, store, branches, cfg, rng, sample_counts=(n,), ablation=ablation
+                ((want,),) = predict(
+                    [group], store, branches, cfg, rng, sample_counts=(n,), ablation=ablation
                 )
                 assert np.array_equal(got.probs, want.probs)
                 assert (got.label, got.weights) == (want.label, want.weights)
@@ -510,8 +524,8 @@ class TestSweep:
         cfg = tiny_config()
         store, branches = build_model(ds, cfg)
         group = next(g for g in ds.groups if g.objects.shape[0])
-        first, _, again, _ = predict_group(
-            group, store, branches, cfg, SeededRng(5).derive("infer"), sample_counts=self.COUNTS
+        ((first, _, again, _),) = predict(
+            [group], store, branches, cfg, SeededRng(5).derive("infer"), sample_counts=self.COUNTS
         )
         expected = copy.deepcopy(again.branch_predictions)
         for pred in first.branch_predictions.values():
@@ -530,6 +544,119 @@ class TestSweep:
                 evaluate_dataset(store, branches, ds, cfg, seed=0, sample_counts=counts)
 
 
+def assert_same_prediction(got, want):
+    """Two group predictions agree on every probability, weight, label and diagnostic."""
+    assert np.array_equal(got.probs, want.probs)
+    assert (got.label, got.weights) == (want.label, want.weights)
+    assert list(got.branch_predictions) == list(want.branch_predictions)
+    for tag, pred in got.branch_predictions.items():
+        other = want.branch_predictions[tag]
+        assert np.array_equal(pred.probs, other.probs)
+        assert (pred.present, pred.diagnostics) == (other.present, other.diagnostics)
+
+
+class TestBatchedInference:
+    """Inference in steps of groups equals one group at a time (``==``)."""
+
+    COUNTS = (8, 1, 8, 3)
+
+    @pytest.mark.parametrize("delta2", [0.86, 0.9999], ids=["some-fail", "all-fail"])
+    @pytest.mark.parametrize("fiqe_apply", ["eval", "off"])
+    @pytest.mark.parametrize("ablation", ["full", "no-ual", "no-fiqe", "no-ual-fiqe"])
+    def test_steps_equal_one_group_calls(self, monkeypatch, ablation, fiqe_apply, delta2):
+        ds = tiny_dataset(num_groups=37, seed=33)
+        assert len(ds.groups) % pipeline._INFER_STEP and len(ds.groups) > pipeline._INFER_STEP
+        assert any(group.objects.shape[0] == 0 for group in ds.groups)
+        cfg = tiny_config(fiqe_apply=fiqe_apply, delta2=delta2)
+        store, branches = build_model(ds, cfg)
+        rng = SeededRng(5).derive("infer")
+        batched = predict(ds.groups, store, branches, cfg, rng, self.COUNTS, ablation)
+        for group, got in zip(ds.groups, batched):
+            (want,) = predict([group], store, branches, cfg, rng, self.COUNTS, ablation)
+            assert len(got) == len(want) == len(self.COUNTS)
+            for a, b in zip(got, want):
+                assert_same_prediction(a, b)
+
+        def evaluate():
+            return evaluate_dataset(
+                store, branches, ds, cfg, seed=5, sample_counts=self.COUNTS, ablation=ablation,
+                collect_diagnostics=True,
+            )
+
+        stepped = evaluate()
+        monkeypatch.setattr(pipeline, "_INFER_STEP", 1)
+        for got, want in zip(stepped, evaluate(), strict=True):
+            assert got.records == want.records
+            assert got.fused_report.to_dict() == want.fused_report.to_dict()
+            assert {tag: r.to_dict() for tag, r in got.branch_reports.items()} == {
+                tag: r.to_dict() for tag, r in want.branch_reports.items()
+            }
+        kept = [sum(face["kept"] for face in rec["branches"]["face"]["faces"])
+                for rec in stepped[0].records]
+        sizes = [group.faces.shape[0] for group in ds.groups]
+        if ablation in ("full", "no-ual") and fiqe_apply == "eval":
+            assert kept == [1] * len(sizes) if delta2 > 0.99 else 0 < sum(kept) < sum(sizes)
+        else:
+            assert kept == sizes
+
+    @pytest.mark.parametrize("ablation,fiqe_apply", [("no-ual-fiqe", "eval"), ("no-ual", "off")])
+    def test_deterministic_faces_derive_no_streams(self, monkeypatch, ablation, fiqe_apply):
+        ds = tiny_dataset(num_groups=20, seed=33)
+        cfg = tiny_config(fiqe_apply=fiqe_apply)
+        store, branches = build_model(ds, cfg)
+        face = branches["face"]
+        calls = []
+        monkeypatch.setattr(pipeline, "derive_seeds", lambda *args: calls.append(args))
+        preds = branch_infer(face, ds.groups, store, cfg, SeededRng(5).derive("infer"),
+                             (1, 4), ablation)
+        assert calls == []
+        W, b = store.get("face.classifier.weight"), store.get("face.classifier.bias")
+        for group, entries in zip(ds.groups, preds):
+            mu = face.head.forward(store, group.faces)[0]
+            expected = softmax(W @ mu.mean(axis=0) + b)  # the plain baseline, one group alone
+            for pred in entries:
+                assert np.array_equal(pred.probs, expected)
+                assert all(f["kept"] and f["quality"] is None for f in pred.diagnostics["faces"])
+
+    def test_overflowing_sigma_names_the_face(self):
+        ds = tiny_dataset()
+        cfg = tiny_config()
+        store, branches = build_model(ds, cfg)
+        store.get("face.embed.logvar.weight")[...] = 0.0
+        store.get("face.embed.logvar.bias")[...] = 2000.0  # sigma = exp(1000) = inf
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match=f"and finite, .*'{ds.groups[0].id}/face0'"
+        ):
+            branch_infer(branches["face"], ds.groups, store, cfg, SeededRng(0).derive("infer"))
+
+    def test_first_failing_face_is_named_in_group_order(self):
+        ds = tiny_dataset(num_groups=20, seed=33)
+        cfg = tiny_config()
+        store, branches = build_model(ds, cfg)
+        store.get("face.embed.logvar.weight")[...] = 1.0
+        late = max(range(len(ds.groups)), key=lambda g: (ds.groups[g].faces.shape[0], g))
+        groups = list(ds.groups)
+        group = groups[late]
+        # the largest group, last in the step's buckets: its features overflow sigma
+        groups[late] = GroupSample(id=group.id, label=group.label, faces=group.faces * 1e6,
+                                   objects=group.objects, scene=group.scene)
+        groups[-1] = GroupSample(id=groups[-1].id, label=0, faces=groups[-1].faces * 1e6,
+                                 objects=groups[-1].objects, scene=groups[-1].scene)
+        assert late < len(groups) - 1
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"'{group.id}/face0'"):
+            branch_infer(branches["face"], groups, store, cfg, SeededRng(0).derive("infer"))
+
+    def test_non_finite_fusion_names_the_group(self):
+        ds = tiny_dataset()
+        cfg = tiny_config()
+        store, branches = build_model(ds, cfg)
+        store.get("scene.classifier.weight")[...] = 1e308  # overflows the scene logits
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericError, match=f"group {ds.groups[0].id}: non-finite fused"
+        ):
+            predict(ds.groups, store, branches, cfg, SeededRng(0).derive("infer"))
+
+
 class TestPredictGroup:
     def test_uniform_branches_tie_break_to_zero(self):
         ds = tiny_dataset()
@@ -539,7 +666,7 @@ class TestPredictGroup:
         for name in store.names():
             if "classifier" in name:
                 store.get(name)[...] = 0.0
-        (out,) = predict_group(ds.groups[0], store, branches, cfg, SeededRng(0).derive("infer"))
+        ((out,),) = predict([ds.groups[0]], store, branches, cfg, SeededRng(0).derive("infer"))
         assert out.label == 0
         assert np.allclose(out.probs, 1.0 / 3.0, atol=1e-12)
 
@@ -554,7 +681,7 @@ class TestPredictGroup:
         store, branches = build_model(ds, cfg)
         group = GroupSample(id="g", label=0, faces=ds.groups[0].faces,
                             objects=np.zeros((0, 5)), scene=SeededRng(2).normals(4))
-        (out,) = predict_group(group, store, branches, cfg, SeededRng(0).derive("infer"))
+        ((out,),) = predict([group], store, branches, cfg, SeededRng(0).derive("infer"))
         assert set(out.weights) == {"face", "scene"}
 
     def test_permutation_invariance(self):
@@ -567,8 +694,8 @@ class TestPredictGroup:
             id=group.id, label=group.label, faces=group.faces[perm],
             objects=group.objects, scene=group.scene,
         )
-        (a,) = predict_group(group, store, branches, cfg, SeededRng(9).derive("infer"))
-        (b,) = predict_group(shuffled, store, branches, cfg, SeededRng(9).derive("infer"))
+        ((a,),) = predict([group], store, branches, cfg, SeededRng(9).derive("infer"))
+        ((b,),) = predict([shuffled], store, branches, cfg, SeededRng(9).derive("infer"))
         assert np.array_equal(a.probs, b.probs)
         assert a.label == b.label
 
