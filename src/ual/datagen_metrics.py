@@ -302,14 +302,26 @@ def _rows(value, dim: int, what: str, where: str) -> np.ndarray:
     return _numbers(value, (len(value), dim), what, where)
 
 
+# the header's integer fields and their least values, as a synthesis spec has them
+_HEADER_INTS = {"face_dim": 1, "object_dim": 1, "scene_dim": 1, "num_classes": 2}
+
+
+def _integer(value, what: str, least: int, where: str) -> int:
+    """``value`` if it is a JSON integer (not a boolean) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise DataError(f"{where}: {what} must be an integer >= {least}, got {json.dumps(value)}")
+    return value
+
+
 def load_dataset(path) -> Dataset:
     with open_data_file(path) as fh:
         try:
             lines = fh.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text: {exc}") from exc
+        except UnicodeDecodeError as exc:  # exc.object holds the file's bytes
+            lineno = exc.object.count(b"\n", 0, exc.start) + 1
+            raise DataError(f"{path}: line {lineno}: not UTF-8 text: {exc}") from exc
     if not lines:
-        raise DataError(f"{path}: empty dataset file")
+        raise DataError(f"{path}: line 1: empty dataset file")
     try:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
@@ -317,15 +329,14 @@ def load_dataset(path) -> Dataset:
     if not isinstance(header, dict) or header.get("schema") != SCHEMA:
         raise DataError(f"{path}: line 1: expected schema {SCHEMA!r}")
     try:
-        dataset = Dataset(
-            face_dim=int(header["face_dim"]),
-            object_dim=int(header["object_dim"]),
-            scene_dim=int(header["scene_dim"]),
-            num_classes=int(header["num_classes"]),
-            class_names=tuple(header["class_names"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        dims = {key: _integer(header[key], key, least, f"{path}: line 1")
+                for key, least in _HEADER_INTS.items()}
+        names = header["class_names"]
+    except KeyError as exc:
         raise DataError(f"{path}: line 1: incomplete header: {exc}") from exc
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise DataError(f"{path}: line 1: class_names must be a list of strings")
+    dataset = Dataset(**dims, class_names=tuple(names))
     if len(dataset.class_names) != dataset.num_classes:
         raise DataError(
             f"{path}: line 1: {len(dataset.class_names)} class_names "
@@ -338,17 +349,15 @@ def load_dataset(path) -> Dataset:
             rec = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: line {lineno}: bad record: {exc}") from exc
-        try:
-            gid = str(rec["id"])
-            label = int(rec["label"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: line {lineno}: missing id/label: {exc}") from exc
-        if not (0 <= label < dataset.num_classes):
-            raise DataError(
-                f"{path}: line {lineno}: label {label} out of range "
-                f"for {dataset.num_classes} classes"
-            )
         where = f"{path}: line {lineno}"
+        try:
+            gid, label = rec["id"], _integer(rec["label"], "label", 0, where)
+        except (KeyError, TypeError) as exc:
+            raise DataError(f"{where}: missing id/label: {exc}") from exc
+        if not isinstance(gid, str):
+            raise DataError(f"{where}: id must be a string, got {json.dumps(gid)}")
+        if label >= dataset.num_classes:
+            raise DataError(f"{where}: label {label} out of range for {dataset.num_classes} classes")
         faces = _rows(rec.get("faces"), dataset.face_dim, "faces", where)
         if faces.shape[0] < 1:
             raise DataError(f"{where}: a group needs at least 1 face")
@@ -360,6 +369,8 @@ def load_dataset(path) -> Dataset:
         dataset.groups.append(
             GroupSample(id=gid, label=label, faces=faces, objects=objects, scene=scene)
         )
+    if not dataset.groups:
+        raise DataError(f"{path}: line {len(lines) + 1}: expected a group record, got the end")
     return dataset
 
 

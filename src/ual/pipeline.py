@@ -32,13 +32,14 @@ and drawn in one call (:func:`~ual.numerics.derive_seeds`,
 
 Training and inference run groups as stacked arrays: training one
 mini-batch at a time, :func:`evaluate_dataset` one step of ``_INFER_STEP``
-groups at a time (one :func:`branch_infer` call per branch and step, then
-one :func:`predict_group` call per group, which fuses the group's sweep
-entries in one :func:`fuse_predictions` call on ``(E, C)`` stacks). Groups
-are bucketed by the count that sets the matmul shapes: faces for the faces'
-Gaussians, kept faces for the face loss and kernel, objects for the object
-loss and draws; the scene is one bucket. Each branch runs once per bucket on
-a leading stack axis, and all faces are scored in one quality-filter call.
+groups at a time. Per step, each branch returns ``(G, E, C)`` probabilities
+for ``E`` sweep entries and flat per-individual arrays (:func:`branch_infer`),
+:func:`predict_group` fuses each group's ``(E, C)`` slices, and the report's
+records are built from these arrays only when asked for. Groups are bucketed
+by the count that sets the matmul shapes: faces for the faces' Gaussians,
+kept faces for the face loss and kernel, objects for the object loss and
+draws; the scene is one bucket. Each branch runs once per bucket on a
+leading stack axis, and all faces are scored in one quality-filter call.
 
 Inference serves a sweep of sample counts (``sample_counts``, default
 ``(config.mc_samples,)``) in one pass, one result per entry, in order: per
@@ -76,7 +77,7 @@ import functools
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -184,26 +185,18 @@ def config_from_mapping(mapping: dict, source: str = "config") -> TrainingConfig
 
 @dataclass
 class BranchPrediction:
-    """One branch's class probabilities for one group, with diagnostics."""
+    """One branch's class probabilities, ``(..., C)``, and whether it saw
+    the group (``present``: a bool, or one per group of a step)."""
 
     branch: str
     probs: np.ndarray
-    present: bool = True
-    diagnostics: dict = field(default_factory=dict)
+    present: bool | np.ndarray = True
 
 
 @dataclass
 class FusionResult:
     probs: np.ndarray
     weights: dict[str, float]
-
-
-@dataclass
-class GroupPrediction:
-    label: int
-    probs: np.ndarray
-    weights: dict[str, float]
-    branch_predictions: dict[str, BranchPrediction]
 
 
 def _content_ranks(rows: np.ndarray) -> np.ndarray:
@@ -427,28 +420,37 @@ class FaceBranch(_GaussianBranch):
         sample_counts: Sequence[int],
         config: TrainingConfig,
         ablation: str = "full",
-    ) -> list[list[BranchPrediction]]:
-        """For each of ``groups``, one prediction per entry of ``sample_counts``
-        (see the module docstring). Only the streams the ablation reads are derived."""
+    ) -> tuple[BranchPrediction, dict[str, np.ndarray]]:
+        """The prediction of a step of ``groups``, one entry per count of
+        ``sample_counts`` (see the module docstring), and the faces' arrays,
+        flat in group order: ``kept`` ``(F,)``; with the quality filter,
+        ``quality`` ``(F,)``; when sampling, ``score`` and ``alpha``
+        ``(F, E)``, each entry's mean over its rounds (NaN for a dropped
+        face). Only the streams the ablation reads are derived."""
         filtered = ablation in ("full", "no-ual") and config.fiqe_apply in ("both", "eval")
         stochastic = ablation in ("full", "no-fiqe")
         sizes = [group.faces.shape[0] for group in groups]
         if filtered or stochastic:
             ranks = [_content_ranks(group.faces) for group in groups]
             seeds = _individual_seeds(rng.derive(self.tag), groups, ranks)
+        arrays: dict[str, np.ndarray] = {}
         if filtered:
-            mu, sigma, kept, scores = self.quality_stage(
+            mu, sigma, kept, arrays["quality"] = self.quality_stage(
                 store, groups, derive_seeds(seeds, "fiqe"), config
             )
             starts = np.cumsum(sizes) - sizes
-            quality = scores.tolist()
         else:
             mu, sigma, starts = self.gaussians(store, groups)
-            kept, quality = [np.arange(n) for n in sizes], [None] * sum(sizes)
+            kept = [np.arange(n) for n in sizes]
+        arrays["kept"] = np.zeros(len(mu), dtype=bool)
+        if stochastic:
+            arrays["score"] = np.full((len(mu), len(sample_counts)), np.nan)
+            arrays["alpha"] = arrays["score"].copy()
 
-        out: list[list[BranchPrediction]] = [[] for _ in groups]
+        probs = np.empty((len(groups), len(sample_counts), self.num_classes))
         for _, pos in _buckets([len(idx) for idx in kept]):
             rows = starts[pos][:, None] + np.stack([kept[p] for p in pos])  # (G, k)
+            arrays["kept"][rows] = True
             if stochastic:  # drawn per face as (G, k, M, d), run as C-order (G, M, k, d)
                 block = block_normals(
                     derive_seeds(seeds[rows], "mc"), (max(sample_counts), self.latent_dim)
@@ -458,32 +460,13 @@ class FaceBranch(_GaussianBranch):
                     mu[rows][:, None], sigma[rows][:, None], eps
                 )
                 x = np.stack([x_rounds[:, :n].mean(axis=1) for n in sample_counts], axis=1)
-                scored = [
-                    (s[:, :n].mean(axis=1).tolist(), alpha[:, :n].mean(axis=1).tolist())
-                    for n in sample_counts
-                ]
+                for e, n in enumerate(sample_counts):
+                    arrays["score"][rows, e] = s[:, :n].mean(axis=1)
+                    arrays["alpha"][rows, e] = alpha[:, :n].mean(axis=1)
             else:
                 x = mu[rows].mean(axis=1)[:, None]  # one entry serves every count
-            probs = softmax(self.classifier.forward(store, x[..., None, :])[..., 0, :])
-            for j, p in enumerate(pos.tolist()):
-                group, kept_rows = groups[p], kept[p].tolist()
-                kept_set = set(kept_rows)
-                base = [
-                    {"id": f"{group.id}/face{i}", "index": i, "kept": i in kept_set, "quality": q}
-                    for i, q in enumerate(quality[starts[p] : starts[p] + sizes[p]])
-                ]
-                for e in range(len(sample_counts)):
-                    faces = [dict(f) for f in base]
-                    if stochastic:
-                        mean_s, mean_alpha = scored[e]
-                        for i, score, a in zip(kept_rows, mean_s[j], mean_alpha[j]):
-                            faces[i]["score"], faces[i]["alpha"] = score, a
-                    out[p].append(BranchPrediction(
-                        branch=self.tag,
-                        probs=probs[j, e if stochastic else 0],
-                        diagnostics={"faces": faces},
-                    ))
-        return out
+            probs[pos] = softmax(self.classifier.forward(store, x[..., None, :])[..., 0, :])
+        return BranchPrediction(self.tag, probs, np.ones(len(groups), dtype=bool)), arrays
 
 
 # ---------------------------------------------------------------------------
@@ -537,32 +520,31 @@ class ObjectBranch(_GaussianBranch):
         groups: Sequence[GroupSample],
         rng: SeededRng,
         sample_counts: Sequence[int],
-    ) -> list[list[BranchPrediction]]:
-        """For each of ``groups``, one prediction per entry of ``sample_counts``
-        (see the module docstring); a group without objects is absent."""
-        uniform = np.full(self.num_classes, 1.0 / self.num_classes)
-        out = [[] if group.objects.shape[0] else [
-            BranchPrediction(self.tag, uniform, False, {"objects": []}) for _ in sample_counts
-        ] for group in groups]
-        present = [p for p, group in enumerate(groups) if group.objects.shape[0]]
-        if not present:
-            return out
-        with_objects = [groups[p] for p in present]
-        mu, sigma, starts = self.gaussians(store, with_objects)
-        ranks = [_content_ranks(group.objects) for group in with_objects]
-        seeds = derive_seeds(_individual_seeds(rng.derive(self.tag), with_objects, ranks), "mc")
-        classify = functools.partial(self.classifier.forward, store)
-        for k, pos in _buckets([len(r) for r in ranks]):
-            rows = starts[pos][:, None] + np.arange(k)  # (G, k)
-            block = block_normals(seeds[rows], (max(sample_counts), self.latent_dim))
-            bucket_mu, bucket_sigma = mu[rows], sigma[rows]
-            for n in sample_counts:
-                per_object = mc_predict(bucket_mu, bucket_sigma, classify, block[:, :, :n])
-                probs, listed = per_object.mean(axis=1), per_object.tolist()
-                for j, p in enumerate(pos.tolist()):
-                    diag = {"objects": [{"index": i, "probs": v} for i, v in enumerate(listed[j])]}
-                    out[present[p]].append(BranchPrediction(self.tag, probs[j], True, diag))
-        return out
+    ) -> tuple[BranchPrediction, dict[str, np.ndarray]]:
+        """The prediction of a step of ``groups``, one entry per count of
+        ``sample_counts`` (see the module docstring), uniform for a group
+        without objects, which is absent; and ``probs``, each object's
+        ``(O, E, C)`` mean probabilities, flat in group order."""
+        sizes = np.array([group.objects.shape[0] for group in groups])
+        shape = (len(groups), len(sample_counts), self.num_classes)
+        probs = np.full(shape, 1.0 / self.num_classes)
+        per_object = np.empty((sizes.sum(),) + shape[1:])
+        present = np.flatnonzero(sizes)
+        if present.size:
+            with_objects = [groups[p] for p in present]
+            mu, sigma, starts = self.gaussians(store, with_objects)
+            ranks = [_content_ranks(group.objects) for group in with_objects]
+            seeds = derive_seeds(_individual_seeds(rng.derive(self.tag), with_objects, ranks), "mc")
+            classify = functools.partial(self.classifier.forward, store)
+            for k, pos in _buckets(sizes[present]):
+                rows = starts[pos][:, None] + np.arange(k)  # (G, k)
+                block = block_normals(seeds[rows], (max(sample_counts), self.latent_dim))
+                bucket_mu, bucket_sigma = mu[rows], sigma[rows]
+                for e, n in enumerate(sample_counts):
+                    bucket = mc_predict(bucket_mu, bucket_sigma, classify, block[:, :, :n])
+                    per_object[rows, e] = bucket
+                    probs[present[pos], e] = bucket.mean(axis=1)
+        return BranchPrediction(self.tag, probs, sizes > 0), {"probs": per_object}
 
 
 # ---------------------------------------------------------------------------
@@ -595,16 +577,21 @@ class SceneBranch:
         breakdown = LossBreakdown(cls=cls, kl=zero, rank=zero, rec=zero, total=cls)
         return _unstacked(breakdown, grads, single)
 
-    def infer(self, store: ParameterStore, groups: Sequence[GroupSample]) -> list[BranchPrediction]:
-        """One prediction per group, from one stacked classifier call."""
+    def infer(
+        self, store: ParameterStore, groups: Sequence[GroupSample], sample_counts: Sequence[int]
+    ) -> tuple[BranchPrediction, dict[str, np.ndarray]]:
+        """The prediction of a step of ``groups``, from one stacked classifier
+        call; the scene draws nothing, so every entry of ``sample_counts`` is
+        the same. It has no per-individual arrays."""
         for group in groups:
             if group.scene.shape[0] != self.in_dim:
                 dim = group.scene.shape[0]
                 raise ShapeError(f"group {group.id}: scene dim {dim} != model dim {self.in_dim}")
         # each scene goes through the classifier as a one-row matrix
         rows = np.stack([group.scene for group in groups])[:, None]
-        probs = softmax(self.classifier.forward(store, rows)[:, 0])
-        return [BranchPrediction(branch=self.tag, probs=p) for p in probs]
+        probs = softmax(self.classifier.forward(store, rows)[:, 0])[:, None]
+        probs = probs.repeat(len(sample_counts), axis=1)
+        return BranchPrediction(self.tag, probs, np.ones(len(groups), dtype=bool)), {}
 
 
 Branch = FaceBranch | ObjectBranch | SceneBranch
@@ -695,53 +682,39 @@ def branch_infer(
     rng: SeededRng,
     sample_counts: Sequence[int] | None = None,
     ablation: str = "full",
-) -> list[list[BranchPrediction]]:
-    """Run one branch on ``groups`` using the run-level inference stream:
-    for each group, one prediction per entry of ``sample_counts`` (default
-    ``(config.mc_samples,)``). A group's predictions do not depend on the
+) -> tuple[BranchPrediction, dict[str, np.ndarray]]:
+    """Run one branch on a nonempty step of ``groups`` with the run-level
+    inference stream: ``(G, E, C)`` probabilities and a ``(G,)`` present mask,
+    one entry per count of ``sample_counts`` (default ``(config.mc_samples,)``),
+    and the branch's per-individual arrays (see :meth:`FaceBranch.infer` and
+    :meth:`ObjectBranch.infer`). A group's predictions do not depend on the
     other groups it is run with."""
     if ablation not in ABLATIONS:
         raise ConfigError(f"unknown ablation {ablation!r}")
     counts = _sample_counts(sample_counts, config)
-    if not groups:
-        return []
     if isinstance(branch, FaceBranch):
         return branch.infer(store, groups, rng, counts, config, ablation=ablation)
     if isinstance(branch, ObjectBranch):
         return branch.infer(store, groups, rng, counts)
-    return [
-        [BranchPrediction(branch=pred.branch, probs=pred.probs) for _ in counts]
-        for pred in branch.infer(store, groups)
-    ]
+    return branch.infer(store, groups, counts)
 
 
 def predict_group(
     group: GroupSample,
-    predictions: dict[str, Sequence[BranchPrediction]],
+    step: Sequence[BranchPrediction],
+    j: int,
     fusion: str = "pwfs",
-) -> list[GroupPrediction]:
-    """Fuse ``group``'s entries from :func:`branch_infer` (``{tag: entries}``)
-    in one :func:`fuse_predictions` call on ``(E, C)`` stacks and pick each
-    entry's argmax class (ties: lowest index); a probability that is not
-    finite (an overflow in a branch) raises :class:`NumericError`."""
+) -> FusionResult:
+    """Fuse ``group``, position ``j`` of a step of :func:`branch_infer`
+    predictions, in one :func:`fuse_predictions` call on its ``(E, C)``
+    slices; a probability that is not finite (an overflow in a branch)
+    raises :class:`NumericError`."""
     fused = fuse_predictions(
-        [
-            BranchPrediction(tag, np.array([p.probs for p in entries]), entries[0].present)
-            for tag, entries in predictions.items()
-        ],
-        fusion,
+        [BranchPrediction(p.branch, p.probs[j], bool(p.present[j])) for p in step], fusion
     )
     if not np.isfinite(fused.probs).all():
         raise NumericError(f"group {group.id}: non-finite fused probabilities")
-    return [
-        GroupPrediction(
-            label=label,
-            probs=fused.probs[e],
-            weights={tag: float(w[e]) for tag, w in fused.weights.items()},
-            branch_predictions={tag: entries[e] for tag, entries in predictions.items()},
-        )
-        for e, label in enumerate(np.argmax(fused.probs, axis=-1).tolist())
-    ]
+    return fused
 
 
 # ---------------------------------------------------------------------------
@@ -1050,13 +1023,15 @@ def evaluate_dataset(
 
     One pass over the dataset serves every entry of ``sample_counts``
     (default ``(config.mc_samples,)``); returns one result per entry, in
-    order, each equal to a one-entry call.
+    order, each equal to a one-entry call. With ``collect_diagnostics``, each
+    result also holds the report's ``group`` records (:func:`_group_records`).
     """
     counts = _sample_counts(sample_counts, config)
     rng = SeededRng(seed).derive("infer")
     y_true = [group.label for group in dataset.groups]
-    branch_pred = [{tag: [] for tag in branches} for _ in counts]
-    fused_pred: list[list[int]] = [[] for _ in counts]
+    # each step's (G, E) predicted classes, and its records: the predictions
+    # of every group and entry, kept to the end, would hold about 2 MB more
+    labels: dict[str, list[np.ndarray]] = {tag: [] for tag in ("fused", *branches)}
     records: list[list[dict]] = [[] for _ in counts]
     for lo in range(0, len(dataset.groups), _INFER_STEP):
         step = dataset.groups[lo : lo + _INFER_STEP]
@@ -1066,48 +1041,61 @@ def evaluate_dataset(
                 for tag in BRANCH_TAGS
                 if tag in branches
             }
-        # reduced to labels and records at once: the predictions of every
-        # group and entry, kept to the end, would hold about 2 MB more
-        for j, group in enumerate(step):
-            outcomes = predict_group(
-                group, {tag: preds[j] for tag, preds in per_branch.items()}, fusion
-            )
-            for i, outcome in enumerate(outcomes):
-                fused_pred[i].append(outcome.label)
-                probs = {tag: bp.probs.tolist() for tag, bp in outcome.branch_predictions.items()}
-                for tag, p in probs.items():
-                    branch_pred[i][tag].append(p.index(max(p)))  # the first maximum, as argmax
-                if collect_diagnostics:
-                    records[i].append({
-                        "record": "group",
-                        "id": group.id,
-                        "label": int(group.label),
-                        "pred": int(outcome.label),
-                        "fused_probs": outcome.probs.tolist(),
-                        "weights": {k: float(v) for k, v in outcome.weights.items()},
-                        "branches": {
-                            tag: {
-                                "present": bp.present,
-                                "probs": probs[tag],
-                                **bp.diagnostics,
-                            }
-                            for tag, bp in outcome.branch_predictions.items()
-                        },
-                    })
+        preds = [pred for pred, _ in per_branch.values()]
+        fused = [predict_group(group, preds, j, fusion) for j, group in enumerate(step)]
+        labels["fused"].append(np.argmax([f.probs for f in fused], axis=-1))
+        for pred in preds:
+            labels[pred.branch].append(np.argmax(pred.probs, axis=-1))  # the first maximum
+        if collect_diagnostics:
+            _group_records(records, step, per_branch, fused, labels["fused"][-1])
 
-    def metrics(preds: list[int]) -> MetricsReport:
+    def metrics(tag: str, e: int) -> MetricsReport:
+        preds = np.concatenate(labels[tag])[:, e].tolist() if labels[tag] else []
         return compute_metrics(y_true, preds, dataset.num_classes, dataset.class_names)
 
     return [
-        EvalResult(
-            branch_reports={tag: metrics(preds) for tag, preds in branch_pred[i].items()},
-            fused_report=metrics(fused_pred[i]),
-            records=records[i],
-            fusion=fusion,
-            n_samples=n,
-        )
-        for i, n in enumerate(counts)
+        EvalResult({tag: metrics(tag, e) for tag in branches}, metrics("fused", e), records[e],
+                   fusion, n)
+        for e, n in enumerate(counts)
     ]
+
+
+def _group_records(records: list[list[dict]], groups: Sequence[GroupSample], per_branch: dict,
+                   fused: Sequence[FusionResult], labels: np.ndarray) -> None:
+    """Append the report's ``group`` records of one inference step to
+    ``records``, one list per sweep entry, built from the step's
+    :func:`branch_infer` arrays, its groups' fusion results and their
+    ``(G, E)`` fused classes."""
+    listed = {
+        tag: (p.present.tolist(), p.probs.tolist(), {k: a.tolist() for k, a in arrays.items()})
+        for tag, (p, arrays) in per_branch.items()
+    }
+    face_lo = object_lo = 0
+    for j, (group, pred) in enumerate(zip(groups, labels.tolist())):
+        n_faces, n_objects = group.faces.shape[0], group.objects.shape[0]
+        ids = [f"{group.id}/face{i}" for i in range(n_faces)]  # shared by the entries
+        for e, entry_records in enumerate(records):
+            branches = {}
+            for tag, (present, probs, arrays) in listed.items():
+                branches[tag] = entry = {"present": present[j], "probs": probs[j][e]}
+                if tag == "face":
+                    entry["faces"] = faces = []
+                    for i, f in enumerate(range(face_lo, face_lo + n_faces)):
+                        face = {"id": ids[i], "index": i, "kept": arrays["kept"][f],
+                                "quality": arrays["quality"][f] if "quality" in arrays else None}
+                        if "score" in arrays and face["kept"]:
+                            face.update(score=arrays["score"][f][e], alpha=arrays["alpha"][f][e])
+                        faces.append(face)
+                elif tag == "object":
+                    entry["objects"] = [{"index": i, "probs": arrays["probs"][object_lo + i][e]}
+                                        for i in range(n_objects)]
+            entry_records.append({
+                "record": "group", "id": group.id, "label": int(group.label), "pred": pred[e],
+                "fused_probs": fused[j].probs[e].tolist(),
+                "weights": {tag: float(w[e]) for tag, w in fused[j].weights.items()},
+                "branches": branches,
+            })
+        face_lo, object_lo = face_lo + n_faces, object_lo + n_objects
 
 
 @dataclass

@@ -317,14 +317,14 @@ def test_criterion_10_mc_sampling_study():
             result.branches["face"], val.groups, result.store, cfg,
             SeededRng(1000 + rep).derive("infer"),
             sample_counts=counts, ablation="no-fiqe",
-        )
+        )[0].probs  # (G, E, C)
         for rep in range(repeats)
     ]
     for g in range(len(val.groups)):
         sweeps = [run[g] for run in runs]
         spreads = {}
         for i, n in enumerate(counts):
-            probs = [sweep[i].probs for sweep in sweeps]
+            probs = [sweep[i] for sweep in sweeps]
             spreads[n] = float(np.std(np.stack(probs), axis=0).mean())
         if spreads[64] < spreads[1]:
             smaller += 1

@@ -397,8 +397,72 @@ def _drop_class_name(rec):
     rec["class_names"] = rec["class_names"][:-1]
 
 
+def _set(lineno, key, value):
+    def edit(docs):
+        docs[lineno - 1][key] = value
+    return edit
+
+
+def _zero_dim(key, field):
+    def edit(docs):
+        docs[0][key] = 0
+        for rec in docs[1:]:
+            rec[field] = [] if field == "scene" else [[] for _ in rec[field]]
+    return edit
+
+
+def _one_class(docs):
+    docs[0].update(num_classes=1, class_names=["only"])
+    for rec in docs[1:]:
+        rec["label"] = 0
+
+
+def _header_only(docs):
+    del docs[1:]
+
+
 class TestBadInputFiles:
     """Each malformed file ends in exit 2 with a message naming where it is bad."""
+
+    @pytest.mark.parametrize("edit,lineno,detail", [
+        (_zero_dim("face_dim", "faces"), 1, "face_dim must be an integer >= 1, got 0"),
+        (_zero_dim("object_dim", "objects"), 1, "object_dim must be an integer >= 1, got 0"),
+        (_zero_dim("scene_dim", "scene"), 1, "scene_dim must be an integer >= 1, got 0"),
+        (_set(2, "label", 1.7), 2, "label must be an integer >= 0, got 1.7"),
+        (_set(2, "label", True), 2, "label must be an integer >= 0, got true"),
+        (_set(1, "face_dim", 6.9), 1, "face_dim must be an integer >= 1, got 6.9"),
+        (_set(1, "class_names", "xxx"), 1, "class_names must be a list of strings"),
+        (_set(1, "class_names", [0, 1, 2]), 1, "class_names must be a list of strings"),
+        (_one_class, 1, "num_classes must be an integer >= 2, got 1"),
+        (_set(3, "id", None), 3, "id must be a string, got null"),
+        (_header_only, 2, "expected a group record, got the end"),
+    ], ids=["face-dim-0", "object-dim-0", "scene-dim-0", "float-label", "bool-label",
+            "float-dim", "string-class-names", "int-class-names", "one-class", "null-id",
+            "header-only"])
+    def test_bad_dataset_for_training(self, small_run, tmp_path, capsys, edit, lineno, detail):
+        data = tmp_path / "bad.jsonl"
+        docs = [json.loads(line) for line in small_run["train"].read_text().splitlines()]
+        edit(docs)
+        data.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        code = run("train", "--config", str(small_run["cfg"]), "--train", str(data),
+                   "--val", str(small_run["val"]), "--out", str(tmp_path / "model"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{data}: line {lineno}: {detail}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tail,lineno,detail", [
+        (None, 1, "empty dataset file"),
+        (b"\xff\n", 2, "not UTF-8 text"),
+    ], ids=["empty", "non-utf8-record"])
+    def test_unreadable_dataset_names_the_line(self, small_run, tmp_path, capsys, tail, lineno,
+                                               detail):
+        data = tmp_path / "bad.jsonl"
+        header = small_run["val"].read_bytes().splitlines(keepends=True)[0]
+        data.write_bytes(b"" if tail is None else header + tail)
+        code = run("eval", "--manifest", str(small_run["out"] / "manifest.json"),
+                   "--data", str(data), "--force", "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert f"{data}: line {lineno}: {detail}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lineno,edit,detail", [
         (3, _set_face_value("abc"), "faces must hold only numbers"),
@@ -559,17 +623,19 @@ def _json_paths(doc, prefix=()):
         yield from _json_paths(value, prefix + (key,))
 
 
-def _mutate(data, text: bytes) -> bytes:
-    """One drawn mutation of a JSON file: a byte-level edit or a replaced value."""
+def _mutate(data, text: bytes, lines: bool = False) -> bytes:
+    """One drawn mutation of a JSON file, or with ``lines`` of a JSON-lines
+    file: a byte-level edit or a replaced value (in one drawn line)."""
     kind = data.draw(st.sampled_from(["delete", "replace", "insert", "truncate", "value"]))
     if kind == "value":
-        doc = json.loads(text)
+        docs = [json.loads(line) for line in text.splitlines()] if lines else [json.loads(text)]
+        doc = docs[data.draw(st.integers(0, len(docs) - 1))]
         *path, last = data.draw(st.sampled_from(sorted(_json_paths(doc), key=repr)))
         target = doc
         for key in path:
             target = target[key]
         target[last] = data.draw(st.sampled_from(_VALUES))
-        return json.dumps(doc).encode()
+        return "".join(json.dumps(d) + "\n" * lines for d in docs).encode()
     pos = data.draw(st.integers(0, len(text) - 1))
     if kind == "delete":
         return text[:pos] + text[pos + data.draw(st.integers(1, 8)):]
@@ -598,6 +664,25 @@ class TestMutatedModelFiles:
         if code == 2:
             assert str(mutated) in err.getvalue()
         else:  # restored; 3 is a numeric failure of mutated weights at inference
+            assert code in (0, 3), err.getvalue()
+
+
+class TestMutatedDatasets:
+    """A mutated dataset evaluates, or is a data error naming the file and line."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_evaluates_or_names_the_line(self, small_run, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("mutated") / "val.jsonl"
+        path.write_bytes(_mutate(data, small_run["val"].read_bytes(), lines=True))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run("eval", "--manifest", str(small_run["out"] / "manifest.json"),
+                       "--data", str(path), "--force", "--out", str(path.parent / "report"))
+        # an uncaught exception would end the test here, with its traceback
+        if code == 2:
+            assert re.search(rf"{re.escape(str(path))}: line \d+: ", err.getvalue()), err.getvalue()
+        else:  # loaded; 3 is a numeric failure of mutated features at inference
             assert code in (0, 3), err.getvalue()
 
 

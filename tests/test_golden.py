@@ -23,6 +23,12 @@ run's model, ``--mc-samples 8,1,8``: an unsorted sweep with a repeated
 count, so the entries cannot share or reorder anything that moves a byte.
 It was recorded before a sweep became one pass over the dataset.
 
+``GOLDEN_BASELINE_EQUAL`` pins the report of ``ual eval --ablation
+no-ual-fiqe --fusion equal`` on the first run's model: deterministic face
+means with no filter, so every ``faces`` entry has ``quality: null`` and no
+``score`` or ``alpha``, fused with fixed equal priors. It was recorded before
+inference results became arrays and the report records were built from them.
+
 ``GOLDEN_SIMULATE`` pins the ``ual simulate`` files themselves: the 60-group
 train and 30-group val sets above, and one set from ``ODD_SPEC`` (odd dims,
 2 classes, every face corrupted, no objects). These hashes were recorded
@@ -85,6 +91,10 @@ GOLDEN_SWEEP = {
     "report.jsonl": "65ff7070e3c99b95470b65d2286f29bf81117f3721369c13fe8673dbe31fff2d",
 }
 
+GOLDEN_BASELINE_EQUAL = {
+    "report.jsonl": "4448871ed661ab0bf26d970670fc2d35499d534b7a432369c65f1ae39207c950",
+}
+
 GOLDEN_SIMULATE = {
     "odd.jsonl": "639555948eb20c77070c006cac0e5d6b2620ff22d30f1054d439ff52c0a656cb",
     "train.jsonl": "41f8d5e71ee9bb034155efbbeaf95a3f666b5709b50d32b64cc084f471798940",
@@ -145,6 +155,14 @@ def sweep_run(golden_data, golden_run):
 
 
 @pytest.fixture(scope="module")
+def baseline_equal_run(golden_data, golden_run):
+    out = golden_data[0] / "baseline-equal"
+    _run("eval", "--manifest", str(golden_run / "manifest.json"), "--data", str(golden_data[2]),
+         "--ablation", "no-ual-fiqe", "--fusion", "equal", "--out", str(out))
+    return out
+
+
+@pytest.fixture(scope="module")
 def simulate_files(golden_data):
     root = golden_data[0]
     spec = root / "odd.gen"
@@ -195,6 +213,11 @@ def test_odd_batch_output_bytes_unchanged(odd_batch_run, name):
 @pytest.mark.parametrize("name", sorted(GOLDEN_SWEEP))
 def test_sweep_output_bytes_unchanged(sweep_run, name):
     assert _digest(sweep_run / name) == GOLDEN_SWEEP[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_BASELINE_EQUAL))
+def test_baseline_equal_output_bytes_unchanged(baseline_equal_run, name):
+    assert _digest(baseline_equal_run / name) == GOLDEN_BASELINE_EQUAL[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SIMULATE))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -135,16 +136,38 @@ def tiny_config(**kw):
 
 
 def predict(groups, store, branches, cfg, rng, sample_counts=None, ablation="full"):
-    """Each group's fused predictions: one ``branch_infer`` step over ``groups``
-    per branch, then ``predict_group`` per group, as ``evaluate_dataset`` runs them."""
-    per_branch = {
+    """One ``branch_infer`` step over ``groups`` per branch, then ``predict_group``
+    per group, as ``evaluate_dataset`` runs them: the steps ``{tag: (prediction,
+    arrays)}`` and each group's fusion result."""
+    steps = {
         tag: branch_infer(branch, groups, store, cfg, rng, sample_counts, ablation)
         for tag, branch in branches.items()
     }
-    return [
-        predict_group(group, {tag: preds[j] for tag, preds in per_branch.items()})
-        for j, group in enumerate(groups)
-    ]
+    preds = [pred for pred, _ in steps.values()]
+    return steps, [predict_group(group, preds, j) for j, group in enumerate(groups)]
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+def entry(steps, fused, groups, j, e):
+    """Group ``j``'s sweep entry ``e`` from :func:`predict`, as comparable bits:
+    its fused probabilities, label and weights, and per branch its
+    probabilities, present flag and rows of each per-individual array."""
+    branches = {}
+    for tag, (pred, arrays) in steps.items():
+        sizes = [getattr(group, f"{tag}s").shape[0] for group in groups] if arrays else [0]
+        rows = slice(sum(sizes[:j]), sum(sizes[: j + 1]))
+        branches[tag] = (
+            _bits(pred.probs[j, e]),
+            bool(pred.present[j]),
+            {k: _bits(v[rows, e] if v.ndim > 1 else v[rows]) for k, v in arrays.items()},
+        )
+    probs, weights = fused[j].probs[e], fused[j].weights
+    return (_bits(probs), int(np.argmax(probs)), {t: float(w[e]) for t, w in weights.items()},
+            branches)
 
 
 def build_model(dataset, config, tags=("face", "object", "scene")):
@@ -173,14 +196,14 @@ class TestBranchInfer:
         # sigma -> 0 via a very negative log-variance bias
         store.get("face.embed.logvar.weight")[...] = 0.0
         store.get("face.embed.logvar.bias")[...] = -80.0
-        ((pred,),) = branch_infer(branches["face"], [group], store, cfg, SeededRng(0).derive("infer"))
+        pred, _ = branch_infer(branches["face"], [group], store, cfg, SeededRng(0).derive("infer"))
         W = store.get("face.classifier.weight")
         b = store.get("face.classifier.bias")
         mu = store.get("face.embed.mu.weight") @ group.faces[0] + store.get("face.embed.mu.bias")
         logits = W @ mu + b
         expected = np.exp(logits - logits.max())
         expected /= expected.sum()
-        assert np.array_equal(pred.probs, expected)
+        assert np.array_equal(pred.probs[0, 0], expected)
 
     def test_two_identical_objects_equal_single(self):
         ds = tiny_dataset()
@@ -191,8 +214,8 @@ class TestBranchInfer:
                          objects=obj[None, :], scene=np.zeros(4))
         g2 = GroupSample(id="g", label=0, faces=ds.groups[0].faces,
                          objects=np.stack([obj, obj]), scene=np.zeros(4))
-        ((p1,),) = branch_infer(branches["object"], [g1], store, cfg, SeededRng(0).derive("infer"))
-        ((p2,),) = branch_infer(branches["object"], [g2], store, cfg, SeededRng(0).derive("infer"))
+        p1, _ = branch_infer(branches["object"], [g1], store, cfg, SeededRng(0).derive("infer"))
+        p2, _ = branch_infer(branches["object"], [g2], store, cfg, SeededRng(0).derive("infer"))
         # identical objects share a content-keyed noise stream, so their
         # predictions coincide (up to the BLAS kernel's last ulp) and the
         # mean of two equal vectors is that vector
@@ -204,11 +227,12 @@ class TestBranchInfer:
         store, branches = build_model(ds, cfg)
         group = GroupSample(id="g", label=1, faces=ds.groups[0].faces,
                             objects=np.zeros((0, 5)), scene=SeededRng(1).normals(4))
-        ((pred,),) = branch_infer(
+        pred, arrays = branch_infer(
             branches["object"], [group], store, cfg, SeededRng(0).derive("infer")
         )
-        assert not pred.present
+        assert pred.present.tolist() == [False]
         assert np.allclose(pred.probs, 1.0 / 3.0)
+        assert arrays["probs"].shape == (0, 1, 3)
 
     @pytest.mark.parametrize("ablation", ["full", "no-ual-fiqe"])
     def test_underflowing_sigma_names_the_group(self, ablation):
@@ -229,12 +253,12 @@ class TestBranchInfer:
         store, branches = build_model(ds, cfg)
         group = ds.groups[2]
         seed = 77
-        ((pred,),) = branch_infer(
+        pred, _ = branch_infer(
             branches["face"], [group], store, cfg,
             SeededRng(seed).derive("infer"), sample_counts=(6,),
         )
         oracle = self._face_oracle(store, group, cfg, seed, n_samples=6)
-        assert np.max(np.abs(pred.probs - oracle)) < 1e-9
+        assert np.max(np.abs(pred.probs[0, 0] - oracle)) < 1e-9
 
     @staticmethod
     def _face_oracle(store, group, cfg, seed, n_samples):
@@ -318,7 +342,7 @@ class TestBlockInference:
         group = GroupSample(id="g7", label=0, faces=ds.groups[0].faces,
                             objects=objects, scene=np.zeros(4))
         rng = SeededRng(4).derive("infer")
-        ((pred,),) = branch.infer(store, [group], rng, (n_samples,))
+        pred, arrays = branch.infer(store, [group], rng, (n_samples,))
 
         # one stream, one (N, d) draw and one 2-D classifier call per object
         order = sorted(range(k), key=lambda i: tuple(objects[i]))  # distinct rows: rank = position
@@ -329,9 +353,8 @@ class TestBlockInference:
             eps = stream.normals((n_samples, cfg.latent_dim))
             z = mu[i][None, :] + eps * sigma[i][None, :]
             per_object.append(softmax(branch.classifier.forward(store, z), axis=1).mean(axis=0))
-        assert np.array_equal(pred.probs, np.mean(per_object, axis=0))
-        for diag, expected in zip(pred.diagnostics["objects"], per_object):
-            assert diag["probs"] == [float(v) for v in expected]
+        assert np.array_equal(pred.probs[0, 0], np.mean(per_object, axis=0))
+        assert np.array_equal(arrays["probs"][:, 0], per_object)
 
     @pytest.mark.parametrize("all_fail", [False, True])
     @pytest.mark.parametrize("num_groups", [1, 5])
@@ -483,21 +506,14 @@ class TestSweep:
         store, branches = build_model(ds, cfg)
         rng = SeededRng(5).derive("infer")
         for group in ds.groups:
-            (sweep,) = predict(
+            steps, sweep = predict(
                 [group], store, branches, cfg, rng, sample_counts=self.COUNTS, ablation=ablation
             )
-            assert len(sweep) == len(self.COUNTS)
-            for n, got in zip(self.COUNTS, sweep):
-                ((want,),) = predict(
-                    [group], store, branches, cfg, rng, sample_counts=(n,), ablation=ablation
-                )
-                assert np.array_equal(got.probs, want.probs)
-                assert (got.label, got.weights) == (want.label, want.weights)
-                assert list(got.branch_predictions) == list(want.branch_predictions)
-                for tag, pred in got.branch_predictions.items():
-                    other = want.branch_predictions[tag]
-                    assert np.array_equal(pred.probs, other.probs)
-                    assert (pred.present, pred.diagnostics) == (other.present, other.diagnostics)
+            assert sweep[0].probs.shape[0] == len(self.COUNTS)
+            for e, n in enumerate(self.COUNTS):
+                one = predict([group], store, branches, cfg, rng, sample_counts=(n,),
+                              ablation=ablation)
+                assert entry(steps, sweep, [group], 0, e) == entry(*one, [group], 0, 0)
 
         results = evaluate_dataset(
             store, branches, ds, cfg, seed=5, sample_counts=self.COUNTS, ablation=ablation,
@@ -523,17 +539,18 @@ class TestSweep:
         ds = tiny_dataset(seed=33)
         cfg = tiny_config()
         store, branches = build_model(ds, cfg)
-        group = next(g for g in ds.groups if g.objects.shape[0])
-        ((first, _, again, _),) = predict(
-            [group], store, branches, cfg, SeededRng(5).derive("infer"), sample_counts=self.COUNTS
+        first, _, again, _ = evaluate_dataset(
+            store, branches, ds, cfg, seed=5, sample_counts=self.COUNTS, collect_diagnostics=True
         )
-        expected = copy.deepcopy(again.branch_predictions)
-        for pred in first.branch_predictions.values():
-            for rows in pred.diagnostics.values():
-                rows[0]["mutated"] = True
-            pred.diagnostics["extra"] = []
-        for tag, pred in again.branch_predictions.items():
-            assert pred.diagnostics == expected[tag].diagnostics
+        expected = copy.deepcopy(again.records)
+        for record in first.records:
+            for tag, branch in record["branches"].items():
+                for rows in (branch.get("faces"), branch.get("objects")):
+                    if rows:
+                        rows[0]["mutated"] = True
+                branch["probs"].append(0.0)
+                branch["extra"] = []
+        assert again.records == expected
 
     def test_empty_or_nonpositive_counts_rejected(self):
         ds = tiny_dataset()
@@ -542,17 +559,6 @@ class TestSweep:
         for counts in ((), (4, 0)):
             with pytest.raises(ConfigError, match="sample counts"):
                 evaluate_dataset(store, branches, ds, cfg, seed=0, sample_counts=counts)
-
-
-def assert_same_prediction(got, want):
-    """Two group predictions agree on every probability, weight, label and diagnostic."""
-    assert np.array_equal(got.probs, want.probs)
-    assert (got.label, got.weights) == (want.label, want.weights)
-    assert list(got.branch_predictions) == list(want.branch_predictions)
-    for tag, pred in got.branch_predictions.items():
-        other = want.branch_predictions[tag]
-        assert np.array_equal(pred.probs, other.probs)
-        assert (pred.present, pred.diagnostics) == (other.present, other.diagnostics)
 
 
 class TestBatchedInference:
@@ -570,12 +576,12 @@ class TestBatchedInference:
         cfg = tiny_config(fiqe_apply=fiqe_apply, delta2=delta2)
         store, branches = build_model(ds, cfg)
         rng = SeededRng(5).derive("infer")
-        batched = predict(ds.groups, store, branches, cfg, rng, self.COUNTS, ablation)
-        for group, got in zip(ds.groups, batched):
-            (want,) = predict([group], store, branches, cfg, rng, self.COUNTS, ablation)
-            assert len(got) == len(want) == len(self.COUNTS)
-            for a, b in zip(got, want):
-                assert_same_prediction(a, b)
+        steps, fused = predict(ds.groups, store, branches, cfg, rng, self.COUNTS, ablation)
+        for j, group in enumerate(ds.groups):
+            one = predict([group], store, branches, cfg, rng, self.COUNTS, ablation)
+            assert fused[j].probs.shape[0] == one[1][0].probs.shape[0] == len(self.COUNTS)
+            for e in range(len(self.COUNTS)):
+                assert entry(steps, fused, ds.groups, j, e) == entry(*one, [group], 0, e)
 
         def evaluate():
             return evaluate_dataset(
@@ -607,16 +613,16 @@ class TestBatchedInference:
         face = branches["face"]
         calls = []
         monkeypatch.setattr(pipeline, "derive_seeds", lambda *args: calls.append(args))
-        preds = branch_infer(face, ds.groups, store, cfg, SeededRng(5).derive("infer"),
-                             (1, 4), ablation)
+        pred, arrays = branch_infer(face, ds.groups, store, cfg, SeededRng(5).derive("infer"),
+                                    (1, 4), ablation)
         assert calls == []
         W, b = store.get("face.classifier.weight"), store.get("face.classifier.bias")
-        for group, entries in zip(ds.groups, preds):
+        for group, entries in zip(ds.groups, pred.probs):
             mu = face.head.forward(store, group.faces)[0]
             expected = softmax(W @ mu.mean(axis=0) + b)  # the plain baseline, one group alone
-            for pred in entries:
-                assert np.array_equal(pred.probs, expected)
-                assert all(f["kept"] and f["quality"] is None for f in pred.diagnostics["faces"])
+            for probs in entries:
+                assert np.array_equal(probs, expected)
+        assert sorted(arrays) == ["kept"] and arrays["kept"].all()  # quality is null
 
     def test_overflowing_sigma_names_the_face(self):
         ds = tiny_dataset()
@@ -657,6 +663,59 @@ class TestBatchedInference:
             predict(ds.groups, store, branches, cfg, SeededRng(0).derive("infer"))
 
 
+class TestInferenceArrays:
+    """Inference returns arrays; the report's records are built in one place, on request."""
+
+    @pytest.mark.parametrize("ablation", ["full", "no-fiqe", "no-ual", "no-ual-fiqe"])
+    def test_branch_infer_returns_only_arrays(self, ablation):
+        ds = tiny_dataset(num_groups=20, seed=33)
+        cfg = tiny_config(fiqe_apply="eval")
+        store, branches = build_model(ds, cfg)
+        n_faces = sum(group.faces.shape[0] for group in ds.groups)
+        n_objects = sum(group.objects.shape[0] for group in ds.groups)
+        filtered, stochastic = ablation in ("full", "no-ual"), ablation in ("full", "no-fiqe")
+        expected = {
+            "face": {"kept": (n_faces,), **({"quality": (n_faces,)} if filtered else {}),
+                     **({"score": (n_faces, 2), "alpha": (n_faces, 2)} if stochastic else {})},
+            "object": {"probs": (n_objects, 2, 3)},
+            "scene": {},
+        }
+        for tag, branch in branches.items():
+            pred, arrays = branch_infer(branch, ds.groups, store, cfg,
+                                        SeededRng(5).derive("infer"), (1, 4), ablation)
+            assert pred.branch == tag
+            assert isinstance(pred.probs, np.ndarray) and pred.probs.shape == (20, 2, 3)
+            assert isinstance(pred.present, np.ndarray) and pred.present.dtype == bool
+            assert pred.present.tolist() == [
+                tag != "object" or group.objects.shape[0] > 0 for group in ds.groups
+            ]
+            assert all(isinstance(a, np.ndarray) for a in arrays.values())
+            assert {k: a.shape for k, a in arrays.items()} == expected[tag]
+        assert [f.name for f in dataclasses.fields(BranchPrediction)] == [
+            "branch", "probs", "present"
+        ]
+        assert not hasattr(pipeline, "GroupPrediction")
+
+    def test_records_built_only_with_diagnostics(self, monkeypatch):
+        ds = tiny_dataset(num_groups=20, seed=33)
+        cfg = tiny_config(epochs=1)
+        store, branches = build_model(ds, cfg)
+        steps = []
+        build = pipeline._group_records
+        monkeypatch.setattr(pipeline, "_group_records", lambda records, groups, *rest: (
+            steps.append(len(groups)), build(records, groups, *rest)))
+        train_model(ds, cfg, val_ds=ds)  # a validation pass builds no record
+        (plain,) = evaluate_dataset(store, branches, ds, cfg, seed=5)
+        assert steps == [] and plain.records == []
+        results = evaluate_dataset(store, branches, ds, cfg, seed=5, sample_counts=(1, 4),
+                                   collect_diagnostics=True)
+        assert steps == [pipeline._INFER_STEP, 20 - pipeline._INFER_STEP]  # once per step
+        assert [len(result.records) for result in results] == [20, 20]
+        assert plain.fused_report.to_dict() == evaluate_dataset(
+            store, branches, ds, cfg, seed=5, collect_diagnostics=True
+        )[0].fused_report.to_dict()
+
+
 class TestPredictGroup:
     def test_uniform_branches_tie_break_to_zero(self):
         ds = tiny_dataset()
@@ -666,8 +725,8 @@ class TestPredictGroup:
         for name in store.names():
             if "classifier" in name:
                 store.get(name)[...] = 0.0
-        ((out,),) = predict([ds.groups[0]], store, branches, cfg, SeededRng(0).derive("infer"))
-        assert out.label == 0
+        _, (out,) = predict([ds.groups[0]], store, branches, cfg, SeededRng(0).derive("infer"))
+        assert np.argmax(out.probs[0]) == 0
         assert np.allclose(out.probs, 1.0 / 3.0, atol=1e-12)
 
     def test_dominant_branch_decides(self):
@@ -681,7 +740,7 @@ class TestPredictGroup:
         store, branches = build_model(ds, cfg)
         group = GroupSample(id="g", label=0, faces=ds.groups[0].faces,
                             objects=np.zeros((0, 5)), scene=SeededRng(2).normals(4))
-        ((out,),) = predict([group], store, branches, cfg, SeededRng(0).derive("infer"))
+        _, (out,) = predict([group], store, branches, cfg, SeededRng(0).derive("infer"))
         assert set(out.weights) == {"face", "scene"}
 
     def test_permutation_invariance(self):
@@ -694,10 +753,10 @@ class TestPredictGroup:
             id=group.id, label=group.label, faces=group.faces[perm],
             objects=group.objects, scene=group.scene,
         )
-        ((a,),) = predict([group], store, branches, cfg, SeededRng(9).derive("infer"))
-        ((b,),) = predict([shuffled], store, branches, cfg, SeededRng(9).derive("infer"))
+        _, (a,) = predict([group], store, branches, cfg, SeededRng(9).derive("infer"))
+        _, (b,) = predict([shuffled], store, branches, cfg, SeededRng(9).derive("infer"))
         assert np.array_equal(a.probs, b.probs)
-        assert a.label == b.label
+        assert np.argmax(a.probs[0]) == np.argmax(b.probs[0])
 
 
 class TestTraining:
