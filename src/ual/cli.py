@@ -312,6 +312,11 @@ def cmd_eval(args) -> int:
         )
     config, branches, store = _restore_from_manifest(manifest, manifest_path)
     dataset = load_dataset(args.data)
+    differ = [f"{key} {value} != {manifest['dims'][key]}"
+              for key, value in dataset.dims.items() if value != manifest["dims"][key]]
+    if differ:
+        raise DataError(f"{args.data}: line 1: {', '.join(differ)} of the model in the "
+                        f"manifest {manifest_path}")
     seed = args.seed if args.seed is not None else config.seed
     ablation = args.ablation or manifest.get("ablation", "full")
 

@@ -313,17 +313,26 @@ def _integer(value, what: str, least: int, where: str) -> int:
     return value
 
 
+def _text_lines(path):
+    """The lines of the file ``path``, read and decoded one at a time, and
+    split as ``str.splitlines`` splits the whole text; a line that is not
+    UTF-8 is a :class:`DataError` naming its line."""
+    with open_data_file(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield from raw.decode("utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: line {lineno}: not UTF-8 text: {exc}") from exc
+
+
 def load_dataset(path) -> Dataset:
-    with open_data_file(path) as fh:
-        try:
-            lines = fh.read().splitlines()
-        except UnicodeDecodeError as exc:  # exc.object holds the file's bytes
-            lineno = exc.object.count(b"\n", 0, exc.start) + 1
-            raise DataError(f"{path}: line {lineno}: not UTF-8 text: {exc}") from exc
-    if not lines:
+    """Read a dataset file one line at a time; a group id may appear once."""
+    lines = enumerate(_text_lines(path), start=1)
+    _, first = next(lines, (1, None))
+    if first is None:
         raise DataError(f"{path}: line 1: empty dataset file")
     try:
-        header = json.loads(lines[0])
+        header = json.loads(first)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: line 1: bad header: {exc}") from exc
     if not isinstance(header, dict) or header.get("schema") != SCHEMA:
@@ -342,7 +351,9 @@ def load_dataset(path) -> Dataset:
             f"{path}: line 1: {len(dataset.class_names)} class_names "
             f"for {dataset.num_classes} classes"
         )
-    for lineno, raw in enumerate(lines[1:], start=2):
+    first_line: dict[str, int] = {}  # each group id's line
+    lineno = 1
+    for lineno, raw in lines:
         if not raw.strip():
             continue
         try:
@@ -356,6 +367,9 @@ def load_dataset(path) -> Dataset:
             raise DataError(f"{where}: missing id/label: {exc}") from exc
         if not isinstance(gid, str):
             raise DataError(f"{where}: id must be a string, got {json.dumps(gid)}")
+        if gid in first_line:
+            raise DataError(f"{where}: group id {gid!r} is already on line {first_line[gid]}")
+        first_line[gid] = lineno
         if label >= dataset.num_classes:
             raise DataError(f"{where}: label {label} out of range for {dataset.num_classes} classes")
         faces = _rows(rec.get("faces"), dataset.face_dim, "faces", where)
@@ -370,7 +384,7 @@ def load_dataset(path) -> Dataset:
             GroupSample(id=gid, label=label, faces=faces, objects=objects, scene=scene)
         )
     if not dataset.groups:
-        raise DataError(f"{path}: line {len(lines) + 1}: expected a group record, got the end")
+        raise DataError(f"{path}: line {lineno + 1}: expected a group record, got the end")
     return dataset
 
 

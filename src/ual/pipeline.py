@@ -29,6 +29,14 @@ with the same seed and inputs gives byte-identical models, loss logs and
 reports. The streams of many individuals and their noise blocks are derived
 and drawn in one call (:func:`~ual.numerics.derive_seeds`,
 :func:`~ual.numerics.block_normals`), bit-identical to one stream at a time.
+Inference noise has no epoch in its key, so :func:`train_model` keeps the
+validation noise in a :class:`NoiseCache` for the length of the run: the
+seeds, and three arrays in the set's flat order with the FIQE and MC rows of
+every face and the MC rows of every object. A row is drawn the first time a
+validation pass reads it and gathered in every later pass. The cache is
+kept only up to ``_NOISE_CACHE_BYTES`` (16 MiB; the bundled 200-group val
+set needs 11.3 MB). Without it, as in ``ual eval``, each pass draws its own
+noise, MC noise only for the faces the filter kept.
 
 Training and inference run groups as stacked arrays: training one
 mini-batch at a time, :func:`evaluate_dataset` one step of ``_INFER_STEP``
@@ -76,6 +84,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import mmap
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -395,16 +404,16 @@ class FaceBranch(_GaussianBranch):
         self,
         store: ParameterStore,
         groups: Sequence[GroupSample],
-        seeds: np.ndarray,
+        eps: np.ndarray,
         config: TrainingConfig,
     ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
         """The quality filter over the faces of ``groups``, for training and
-        inference: face ``i`` (flat, see :meth:`gaussians`) is drawn from the
-        stream ``seeds[i]``, and all faces are scored in one :func:`filter_faces`
-        call. Returns the flat ``mu`` and ``sigma``, each group's kept face
-        indices and every face's score."""
+        inference: face ``i`` (flat, see :meth:`gaussians`) is sampled with the
+        noise ``eps[i]``, ``(F, fiqe_samples, latent_dim)`` in all, and all
+        faces are scored in one :func:`filter_faces` call. Returns the flat
+        ``mu`` and ``sigma``, each group's kept face indices and every face's
+        score."""
         mu, sigma, starts = self.gaussians(store, groups)
-        eps = block_normals(seeds, (config.fiqe_samples, self.latent_dim))
         sizes = [group.faces.shape[0] for group in groups]
         kept, scores = filter_faces(mu, sigma, eps, config.delta2, sizes)
         kept = np.asarray(kept, dtype=np.intp)
@@ -420,23 +429,24 @@ class FaceBranch(_GaussianBranch):
         sample_counts: Sequence[int],
         config: TrainingConfig,
         ablation: str = "full",
+        noise: _CachedDraws | None = None,
     ) -> tuple[BranchPrediction, dict[str, np.ndarray]]:
         """The prediction of a step of ``groups``, one entry per count of
         ``sample_counts`` (see the module docstring), and the faces' arrays,
         flat in group order: ``kept`` ``(F,)``; with the quality filter,
         ``quality`` ``(F,)``; when sampling, ``score`` and ``alpha``
         ``(F, E)``, each entry's mean over its rounds (NaN for a dropped
-        face). Only the streams the ablation reads are derived."""
-        filtered = ablation in ("full", "no-ual") and config.fiqe_apply in ("both", "eval")
-        stochastic = ablation in ("full", "no-fiqe")
+        face). Only the streams the ablation reads are derived, and MC noise
+        only for the kept faces. ``noise``, the step's rows of a
+        :class:`NoiseCache`, serves the noise in place of ``rng``."""
+        filtered, stochastic = _face_noise(ablation, config)
         sizes = [group.faces.shape[0] for group in groups]
-        if filtered or stochastic:
-            ranks = [_content_ranks(group.faces) for group in groups]
-            seeds = _individual_seeds(rng.derive(self.tag), groups, ranks)
+        draws = noise or _Draws(rng, self.tag, groups, max(sample_counts), self.latent_dim,
+                                config.fiqe_samples)
         arrays: dict[str, np.ndarray] = {}
         if filtered:
             mu, sigma, kept, arrays["quality"] = self.quality_stage(
-                store, groups, derive_seeds(seeds, "fiqe"), config
+                store, groups, draws.fiqe(), config
             )
             starts = np.cumsum(sizes) - sizes
         else:
@@ -452,10 +462,7 @@ class FaceBranch(_GaussianBranch):
             rows = starts[pos][:, None] + np.stack([kept[p] for p in pos])  # (G, k)
             arrays["kept"][rows] = True
             if stochastic:  # drawn per face as (G, k, M, d), run as C-order (G, M, k, d)
-                block = block_normals(
-                    derive_seeds(seeds[rows], "mc"), (max(sample_counts), self.latent_dim)
-                )
-                eps = np.ascontiguousarray(block.swapaxes(1, 2))
+                eps = np.ascontiguousarray(draws.mc(rows).swapaxes(1, 2))
                 _, _, s, alpha, x_rounds = uncertainty_kernel(
                     mu[rows][:, None], sigma[rows][:, None], eps
                 )
@@ -520,11 +527,14 @@ class ObjectBranch(_GaussianBranch):
         groups: Sequence[GroupSample],
         rng: SeededRng,
         sample_counts: Sequence[int],
+        noise: _CachedDraws | None = None,
     ) -> tuple[BranchPrediction, dict[str, np.ndarray]]:
         """The prediction of a step of ``groups``, one entry per count of
         ``sample_counts`` (see the module docstring), uniform for a group
         without objects, which is absent; and ``probs``, each object's
-        ``(O, E, C)`` mean probabilities, flat in group order."""
+        ``(O, E, C)`` mean probabilities, flat in group order. ``noise``, the
+        step's rows of a :class:`NoiseCache`, serves the noise in place of
+        ``rng``."""
         sizes = np.array([group.objects.shape[0] for group in groups])
         shape = (len(groups), len(sample_counts), self.num_classes)
         probs = np.full(shape, 1.0 / self.num_classes)
@@ -533,12 +543,13 @@ class ObjectBranch(_GaussianBranch):
         if present.size:
             with_objects = [groups[p] for p in present]
             mu, sigma, starts = self.gaussians(store, with_objects)
-            ranks = [_content_ranks(group.objects) for group in with_objects]
-            seeds = derive_seeds(_individual_seeds(rng.derive(self.tag), with_objects, ranks), "mc")
+            # groups without objects own no rows: a step's rows are these groups' rows
+            draws = noise or _Draws(rng, self.tag, with_objects, max(sample_counts),
+                                    self.latent_dim)
             classify = functools.partial(self.classifier.forward, store)
             for k, pos in _buckets(sizes[present]):
                 rows = starts[pos][:, None] + np.arange(k)  # (G, k)
-                block = block_normals(seeds[rows], (max(sample_counts), self.latent_dim))
+                block = draws.mc(rows)
                 bucket_mu, bucket_sigma = mu[rows], sigma[rows]
                 for e, n in enumerate(sample_counts):
                     bucket = mc_predict(bucket_mu, bucket_sigma, classify, block[:, :, :n])
@@ -682,20 +693,21 @@ def branch_infer(
     rng: SeededRng,
     sample_counts: Sequence[int] | None = None,
     ablation: str = "full",
+    noise: _CachedDraws | None = None,
 ) -> tuple[BranchPrediction, dict[str, np.ndarray]]:
     """Run one branch on a nonempty step of ``groups`` with the run-level
     inference stream: ``(G, E, C)`` probabilities and a ``(G,)`` present mask,
     one entry per count of ``sample_counts`` (default ``(config.mc_samples,)``),
     and the branch's per-individual arrays (see :meth:`FaceBranch.infer` and
-    :meth:`ObjectBranch.infer`). A group's predictions do not depend on the
-    other groups it is run with."""
+    :meth:`ObjectBranch.infer`, which also take ``noise``). A group's
+    predictions do not depend on the other groups it is run with."""
     if ablation not in ABLATIONS:
         raise ConfigError(f"unknown ablation {ablation!r}")
     counts = _sample_counts(sample_counts, config)
     if isinstance(branch, FaceBranch):
-        return branch.infer(store, groups, rng, counts, config, ablation=ablation)
+        return branch.infer(store, groups, rng, counts, config, ablation=ablation, noise=noise)
     if isinstance(branch, ObjectBranch):
-        return branch.infer(store, groups, rng, counts)
+        return branch.infer(store, groups, rng, counts, noise=noise)
     return branch.infer(store, groups, counts)
 
 
@@ -815,6 +827,47 @@ def _individual_seeds(stream: SeededRng, groups: Sequence[GroupSample], indices)
     per_group = derive_seeds(stream, [group.id for group in groups])
     counts = [len(idx) for idx in indices]
     return derive_seeds(np.repeat(per_group, counts), np.concatenate(indices))
+
+
+def _inference_seeds(rng: SeededRng, tag: str, groups: Sequence[GroupSample]) -> np.ndarray:
+    """Seeds of the inference streams of the faces or objects (``tag``) of
+    ``groups``, flat in group order: individual ``j`` of a group draws from
+    ``rng.derive(tag, group.id, r)``, where ``r`` is its content rank."""
+    ranks = [_content_ranks(getattr(group, f"{tag}s")) for group in groups]
+    return _individual_seeds(rng.derive(tag), groups, ranks)
+
+
+class _Draws:
+    """The inference noise of the faces or objects (``tag``) of a step of
+    ``groups``, drawn on request: :meth:`fiqe` is every individual's
+    ``(fiqe_samples, d)`` FIQE block, ``mc(rows)`` the ``(samples, d)`` MC
+    blocks of the individuals at the flat indices ``rows`` (of any shape).
+    The seeds are derived on first use, so a pass that reads no noise
+    derives none."""
+
+    def __init__(self, rng: SeededRng, tag: str, groups: Sequence[GroupSample], samples: int,
+                 d: int, fiqe_samples: int = 0):
+        self._rng, self._tag, self._groups = rng, tag, groups
+        self._shapes = {"fiqe": (fiqe_samples, d), "mc": (samples, d)}
+        self._seeds: np.ndarray | None = None
+
+    def _draw(self, kind: str, rows) -> np.ndarray:
+        if self._seeds is None:
+            self._seeds = _inference_seeds(self._rng, self._tag, self._groups)
+        return block_normals(derive_seeds(self._seeds[rows], kind), self._shapes[kind])
+
+    def fiqe(self) -> np.ndarray:
+        return self._draw("fiqe", slice(None))
+
+    def mc(self, rows: np.ndarray) -> np.ndarray:
+        return self._draw("mc", rows)
+
+
+def _face_noise(ablation: str, config: TrainingConfig) -> tuple[bool, bool]:
+    """Whether face inference under ``ablation`` runs the quality filter, and
+    whether it samples."""
+    filtered = ablation in ("full", "no-ual") and config.fiqe_apply in ("both", "eval")
+    return filtered, ablation in ("full", "no-fiqe")
 
 
 def _split(flat: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
@@ -945,7 +998,8 @@ class Trainer:
             indices = [np.arange(f.shape[0]) for f in faces]
             if fiqe_on:
                 seeds = _individual_seeds(fiqe_stream, groups, indices)
-                indices = branch.quality_stage(store, groups, seeds, cfg)[2]
+                fiqe = block_normals(seeds, (cfg.fiqe_samples, cfg.latent_dim))
+                indices = branch.quality_stage(store, groups, fiqe, cfg)[2]
                 faces = [f[kept] for f, kept in zip(faces, indices)]
             counts = [len(idx) for idx in indices]
             y = labels(groups)
@@ -999,6 +1053,111 @@ def _checked_batch(batch_loss, groups: Sequence[GroupSample]):
 # end-to-end helpers
 
 
+# The largest validation noise cache train_model keeps, in bytes: the bundled
+# 200-group val set needs 11.3 MB; a 1,000-group one, 55.5 MB, is drawn pass
+# by pass instead
+_NOISE_CACHE_BYTES = 16 * 2**20
+
+
+class NoiseCache:
+    """The model-independent noise of repeated inference passes over one dataset.
+
+    Inference noise is keyed by seed, branch, group id and content rank, so
+    every pass with the same dataset, seed, config, ablation and branches,
+    and with ``M = config.mc_samples`` as its largest sample count, draws the
+    same blocks. The cache holds them, flat in the dataset's order: the
+    individuals' stream seeds; with the quality filter, the faces' FIQE
+    block ``(F, fiqe_samples, d)``; when faces are sampled, an MC block
+    ``(F, M, d)`` with a row for every face, since the kept set can change
+    with the model; with the object branch, the objects' MC block
+    ``(O, M, d)``. A pass of :func:`evaluate_dataset` given the cache derives
+    each step's seeds on its first visit and draws a row the first time a
+    pass asks for it (the MC rows of faces the filter always drops stay
+    unwritten); every later read gathers rows. Every row is its own stream,
+    so a gathered block equals a drawn one bit for bit.
+    """
+
+    def __init__(self, dataset: Dataset, branches: dict[str, Branch], config: TrainingConfig,
+                 seed: int, ablation: str = "full"):
+        self._dataset = dataset
+        self._key = (config, seed, ablation, tuple(branches), config.mc_samples)
+        filtered, stochastic = _face_noise(ablation, config)
+        kinds = {"face": [], "object": []}
+        if "face" in branches:
+            kinds["face"] = ["fiqe"] * filtered + ["mc"] * stochastic
+        if "object" in branches:
+            kinds["object"] = ["mc"]
+        samples = {"fiqe": config.fiqe_samples, "mc": config.mc_samples}
+        self._shapes: dict[str, dict[str, tuple[int, ...]]] = {}
+        self._starts: dict[str, np.ndarray] = {}
+        for tag, names in kinds.items():
+            sizes = [getattr(group, f"{tag}s").shape[0] for group in dataset.groups]
+            if names and sum(sizes):
+                self._starts[tag] = np.concatenate([[0], np.cumsum(sizes, dtype=np.intp)])
+                self._shapes[tag] = {kind: (sum(sizes), samples[kind], config.latent_dim)
+                                     for kind in names}
+        self.nbytes = 8 * sum(math.prod(shape) for shapes in self._shapes.values()
+                              for shape in shapes.values())
+        # per branch: the seeds, and per kind the block and which rows are drawn
+        self._rows: dict[str, tuple[np.ndarray, dict]] | None = None
+        self._visited = 0  # groups whose seeds are derived, in dataset order
+
+    def serves(self, dataset: Dataset, config: TrainingConfig, seed: int, ablation: str,
+               branches: dict[str, Branch], samples: int) -> bool:
+        """Whether a pass with these arguments draws the noise the cache holds."""
+        key = (config, seed, ablation, tuple(branches), samples)
+        return dataset is self._dataset and key == self._key
+
+    def step(self, rng: SeededRng, lo: int, groups: Sequence[GroupSample]
+             ) -> dict[str, _CachedDraws]:
+        """Each cached branch's rows of ``groups``, the dataset's groups from
+        position ``lo`` on; their seeds are derived on the first visit."""
+        if self._rows is None:
+            self._rows = {
+                tag: (np.empty(self._starts[tag][-1], dtype=np.uint64),
+                      {kind: (_anonymous_map(shape), np.zeros(shape[0], dtype=bool))
+                       for kind, shape in shapes.items()})
+                for tag, shapes in self._shapes.items()
+            }
+        hi = lo + len(groups)
+        views = {}
+        for tag, (seeds, blocks) in self._rows.items():
+            rows = slice(self._starts[tag][lo], self._starts[tag][hi])
+            if hi > self._visited:
+                seeds[rows] = _inference_seeds(rng, tag, groups)
+            views[tag] = _CachedDraws(seeds, blocks, rows)
+        self._visited = max(self._visited, hi)
+        return views
+
+
+def _anonymous_map(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float64 array in its own anonymous memory map. Pages
+    never written (the MC rows of faces the filter always drops) take no
+    memory, and all pages go back to the system when the array is dropped;
+    from the malloc heap, the freed blocks would stay resident and the heap
+    would grow around them, training run after training run."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
+
+
+class _CachedDraws(_Draws):
+    """The rows ``rows`` (a slice) of one branch in a :class:`NoiseCache`,
+    read as :class:`_Draws` reads its streams: a row is drawn into the cache
+    the first time it is asked for, and gathered from it after."""
+
+    def __init__(self, seeds: np.ndarray, blocks: dict, rows: slice):
+        self._seeds, self._blocks = seeds, blocks
+        self._flat = np.arange(rows.start, rows.stop)
+
+    def _draw(self, kind: str, rows) -> np.ndarray:
+        rows = self._flat[rows]
+        block, drawn = self._blocks[kind]
+        new = rows[~drawn[rows]]
+        if new.size:
+            block[new] = block_normals(derive_seeds(self._seeds[new], kind), block.shape[1:])
+            drawn[new] = True
+        return block[rows]
+
+
 @dataclass
 class EvalResult:
     branch_reports: dict[str, MetricsReport]
@@ -1018,6 +1177,7 @@ def evaluate_dataset(
     ablation: str = "full",
     fusion: str = "pwfs",
     collect_diagnostics: bool = False,
+    noise: NoiseCache | None = None,
 ) -> list[EvalResult]:
     """Predict every group and compute per-branch plus fused metrics.
 
@@ -1025,8 +1185,14 @@ def evaluate_dataset(
     (default ``(config.mc_samples,)``); returns one result per entry, in
     order, each equal to a one-entry call. With ``collect_diagnostics``, each
     result also holds the report's ``group`` records (:func:`_group_records`).
+    ``noise``, built for this dataset and these arguments, takes the noise
+    blocks from a :class:`NoiseCache` instead of drawing them; the results
+    are the same.
     """
     counts = _sample_counts(sample_counts, config)
+    if noise is not None and not noise.serves(dataset, config, seed, ablation, branches,
+                                              max(counts)):
+        raise ValueError("the noise cache was built for another dataset or arguments")
     rng = SeededRng(seed).derive("infer")
     y_true = [group.label for group in dataset.groups]
     # each step's (G, E) predicted classes, and its records: the predictions
@@ -1035,9 +1201,11 @@ def evaluate_dataset(
     records: list[list[dict]] = [[] for _ in counts]
     for lo in range(0, len(dataset.groups), _INFER_STEP):
         step = dataset.groups[lo : lo + _INFER_STEP]
+        blocks = {} if noise is None else noise.step(rng, lo, step)
         with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite instead
             per_branch = {
-                tag: branch_infer(branches[tag], step, store, config, rng, counts, ablation)
+                tag: branch_infer(branches[tag], step, store, config, rng, counts, ablation,
+                                  blocks.get(tag))
                 for tag in BRANCH_TAGS
                 if tag in branches
             }
@@ -1120,10 +1288,17 @@ def train_model(
 
     With a validation set, every epoch ends with an evaluation of it; with
     ``select_best`` also set, the parameters of the epoch with the highest
-    fused micro accuracy are restored at the end. Each epoch's training and
-    validation wall seconds are logged at debug level. ``on_epoch`` is called
-    after each epoch as ``on_epoch(epoch, breakdowns, eval_result)``, where
-    ``eval_result`` is that evaluation, or None when ``val_ds`` is None.
+    fused micro accuracy are restored at the end. The validation noise does
+    not depend on the model or the epoch, so the evaluations share a
+    :class:`NoiseCache` (the seeds, the FIQE and MC rows of every validation
+    face and the MC rows of every object): each row is drawn by the first
+    evaluation that reads it and gathered by the later ones. The cache is
+    dropped when training ends. One over ``_NOISE_CACHE_BYTES`` (16 MiB) is
+    not built, and every evaluation draws its own noise. Each epoch's
+    training and validation wall seconds are logged at debug level.
+    ``on_epoch`` is called after each epoch as ``on_epoch(epoch, breakdowns,
+    eval_result)``, where ``eval_result`` is that evaluation, or None when
+    ``val_ds`` is None.
     """
     dims = train_ds.dims
     if val_ds is not None:
@@ -1138,6 +1313,11 @@ def train_model(
     best_epoch: int | None = None
     best_micro = -1.0
     best_params: ParameterStore | None = None
+    noise = None
+    if val_ds is not None:
+        noise = NoiseCache(val_ds, branches, config, config.seed, ablation)
+        if not 0 < noise.nbytes <= _NOISE_CACHE_BYTES:
+            noise = None
     for epoch in range(config.epochs):
         start = time.perf_counter()
         breakdowns = trainer.train_epoch(train_ds.groups, epoch)
@@ -1147,7 +1327,7 @@ def train_model(
         result = None
         if val_ds is not None:
             (result,) = evaluate_dataset(
-                store, branches, val_ds, config, config.seed, ablation=ablation
+                store, branches, val_ds, config, config.seed, ablation=ablation, noise=noise
             )
             if config.select_best and result.fused_report.micro_accuracy > best_micro:
                 best_micro = result.fused_report.micro_accuracy

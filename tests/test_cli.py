@@ -436,9 +436,10 @@ class TestBadInputFiles:
         (_one_class, 1, "num_classes must be an integer >= 2, got 1"),
         (_set(3, "id", None), 3, "id must be a string, got null"),
         (_header_only, 2, "expected a group record, got the end"),
+        (_set(4, "id", "train-00000"), 4, "group id 'train-00000' is already on line 2"),
     ], ids=["face-dim-0", "object-dim-0", "scene-dim-0", "float-label", "bool-label",
             "float-dim", "string-class-names", "int-class-names", "one-class", "null-id",
-            "header-only"])
+            "header-only", "duplicate-id"])
     def test_bad_dataset_for_training(self, small_run, tmp_path, capsys, edit, lineno, detail):
         data = tmp_path / "bad.jsonl"
         docs = [json.loads(line) for line in small_run["train"].read_text().splitlines()]
@@ -479,6 +480,21 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert code == 2
         assert f"{data}: line {lineno}: {detail}" in err
+
+    def test_dataset_dims_differ_from_the_model(self, small_run, tmp_path, capsys):
+        data = tmp_path / "wide.jsonl"
+        docs = [json.loads(line) for line in small_run["val"].read_text().splitlines()]
+        docs[0]["face_dim"] = 7
+        for doc in docs[1:]:
+            doc["faces"] = [row + [0.5] for row in doc["faces"]]
+        data.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        manifest = small_run["out"] / "manifest.json"
+        code = run("eval", "--manifest", str(manifest), "--data", str(data), "--force",
+                   "--out", str(tmp_path / "r"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{data}: line 1: face_dim 7 != 6 of the model in the manifest {manifest}" in err
+        assert not (tmp_path / "r" / "report.jsonl").exists()
 
     @pytest.mark.parametrize("edit,detail", [
         (lambda entry: entry.pop("shape"), "KeyError: 'shape'"),

@@ -342,6 +342,24 @@ class TestDatasetIO:
         with pytest.raises(DataError, match="label 7 out of range"):
             load_dataset(path)
 
+    def test_lines_are_numbered_as_splitlines_numbers_them(self, tmp_path):
+        ds = self._small()
+        path = tmp_path / "d.jsonl"
+        save_dataset(ds, path)
+        header, *records = path.read_text().splitlines()
+        # CRLF, CR, blank and LF line ends: the file is read line by line,
+        # and each line split again as str.splitlines splits the whole text
+        text = header + "\r\n" + records[0] + "\r\n\n" + records[1] + "\r" + "\n".join(records[2:])
+        path.write_bytes(text.encode())
+        loaded = load_dataset(path)
+        assert [group.id for group in loaded.groups] == [group.id for group in ds.groups]
+        bad = text.replace(records[3], records[3].replace('"label": ', '"label": -', 1))
+        path.write_bytes(bad.encode())
+        lineno = bad.splitlines().index(records[3].replace('"label": ', '"label": -', 1)) + 1
+        assert lineno == 6
+        with pytest.raises(DataError, match=re.escape(f"{path}: line {lineno}: label must be")):
+            load_dataset(path)
+
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text('{"schema": "other/v9"}\n')

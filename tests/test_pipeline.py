@@ -9,7 +9,7 @@ import pytest
 from ual.datagen_metrics import GroupSample, SynthesisSpec, generate_dataset
 from ual import pipeline
 from ual.errors import ConfigError, NumericError
-from ual.numerics import ParameterStore, SeededRng, derive_seeds, softmax
+from ual.numerics import ParameterStore, SeededRng, block_normals, derive_seeds, softmax
 from ual.pipeline import (
     BranchPrediction,
     EvalResult,
@@ -368,7 +368,8 @@ class TestBlockInference:
         groups = ds.groups[2 : 2 + num_groups]
         sizes = [group.faces.shape[0] for group in groups]
         seeds = derive_seeds(SeededRng(6).derive("stage"), np.arange(sum(sizes)))
-        mu, sigma, kept, scores = branch.quality_stage(store, groups, seeds, cfg)
+        block = block_normals(seeds, (cfg.fiqe_samples, cfg.latent_dim))
+        mu, sigma, kept, scores = branch.quality_stage(store, groups, block, cfg)
 
         lo = 0
         for group, size, group_kept in zip(groups, sizes, kept):
@@ -714,6 +715,124 @@ class TestInferenceArrays:
         assert plain.fused_report.to_dict() == evaluate_dataset(
             store, branches, ds, cfg, seed=5, collect_diagnostics=True
         )[0].fused_report.to_dict()
+
+
+def _results(results):
+    """:class:`EvalResult` objects as comparable values."""
+    return [(result.fused_report.to_dict(),
+             {tag: report.to_dict() for tag, report in result.branch_reports.items()},
+             result.records, result.fusion, result.n_samples) for result in results]
+
+
+class TestValidationNoiseCache:
+    """Per-epoch validation gathers its noise from one cache per training run,
+    equal to drawing it in every pass (``==``)."""
+
+    @staticmethod
+    def _train(monkeypatch, tags, ablation, val=None):
+        """A training whose every validation pass is checked against uncached
+        ``evaluate_dataset`` calls; returns the result and each pass's ``noise``."""
+        train = tiny_dataset(num_groups=10, seed=41)
+        val = tiny_dataset(num_groups=20, seed=42) if val is None else val
+        assert any(group.objects.shape[0] == 0 for group in val.groups)
+        cfg = tiny_config(delta2=0.86)  # the filter drops some faces
+        seen, rank_calls = [], []
+        monkeypatch.setattr(pipeline, "_content_ranks",
+                            lambda rows: rank_calls.append(rows) or _content_ranks(rows))
+
+        def checked(*args, **kw):
+            calls = len(rank_calls)
+            got = evaluate_dataset(*args, **kw)
+            if seen and kw["noise"] is not None:
+                assert len(rank_calls) == calls  # nothing drawn after the first pass
+            seen.append(kw["noise"])
+            uncached = {**kw, "noise": None}
+            assert _results(got) == _results(evaluate_dataset(*args, **uncached))
+            diagnostics = {**kw, "collect_diagnostics": True}
+            assert _results(evaluate_dataset(*args, **diagnostics)) == _results(
+                evaluate_dataset(*args, **uncached, collect_diagnostics=True))
+            return got
+
+        monkeypatch.setattr(pipeline, "evaluate_dataset", checked)
+        return train_model(train, cfg, val_ds=val, branch_tags=tags, ablation=ablation), seen
+
+    @pytest.mark.parametrize("tags", [("face",), ("object",), ("face", "object", "scene")],
+                             ids=["face", "object", "all"])
+    @pytest.mark.parametrize("ablation", ["full", "no-ual", "no-fiqe", "no-ual-fiqe"])
+    def test_cached_passes_equal_uncached_calls(self, monkeypatch, tags, ablation):
+        _, seen = self._train(monkeypatch, tags, ablation)
+        assert len(seen) == 2
+        if tags == ("face",) and ablation == "no-ual-fiqe":  # no noise to keep
+            assert seen == [None, None]
+        else:
+            assert isinstance(seen[0], pipeline.NoiseCache) and seen[1] is seen[0]
+
+    def test_val_set_without_objects(self, monkeypatch):
+        val = generate_dataset(SynthesisSpec(
+            num_groups=8, face_dim=6, object_dim=5, scene_dim=4, group_size_min=2,
+            group_size_max=4, object_count_min=0, object_count_max=0, seed=43,
+        ))
+        _, seen = self._train(monkeypatch, ("face", "object", "scene"), "full", val=val)
+        assert isinstance(seen[0], pipeline.NoiseCache) and seen[1] is seen[0]
+
+    def test_no_cache_over_the_size_limit(self, monkeypatch):
+        cached, seen = self._train(monkeypatch, ("face", "object", "scene"), "full")
+        assert seen[0].nbytes > 0
+        monkeypatch.setattr(pipeline, "_NOISE_CACHE_BYTES", 0)
+        drawn, seen = self._train(monkeypatch, ("face", "object", "scene"), "full")
+        assert seen == [None, None]
+        assert cached.store.names() == drawn.store.names()
+        for name in cached.store.names():
+            assert np.array_equal(cached.store.get(name), drawn.store.get(name))
+        assert cached.loss_log == drawn.loss_log
+
+    def test_face_noise_drawn_only_for_kept_faces(self, monkeypatch):
+        ds = tiny_dataset(num_groups=20, seed=42)
+        cfg = tiny_config(delta2=0.86)
+        store, branches = build_model(ds, cfg, tags=("face",))
+        sharper = store.clone()  # smaller sigma: the filter keeps more faces
+        sharper.get("face.embed.logvar.bias")[...] -= 1.0
+        mc_rows = []
+        draw = pipeline.block_normals
+
+        def counted(seeds, shape):
+            if shape[0] == cfg.mc_samples:  # fiqe_samples differs
+                mc_rows.append(np.size(seeds))
+            return draw(seeds, shape)
+
+        def kept_faces(results):
+            return {face["id"] for rec in results[0].records
+                    for face in rec["branches"]["face"]["faces"] if face["kept"]}
+
+        monkeypatch.setattr(pipeline, "block_normals", counted)
+        noise = pipeline.NoiseCache(ds, branches, cfg, 5)
+        n_faces = sum(group.faces.shape[0] for group in ds.groups)
+        ever_kept = set()
+        for model in (store, store, sharper):
+            mc_rows.clear()
+            drawn = evaluate_dataset(model, branches, ds, cfg, seed=5, collect_diagnostics=True)
+            kept = kept_faces(drawn)
+            assert sum(mc_rows) == len(kept)  # without the cache, in every pass
+            mc_rows.clear()
+            cached = evaluate_dataset(model, branches, ds, cfg, seed=5, collect_diagnostics=True,
+                                      noise=noise)
+            assert sum(mc_rows) == len(kept - ever_kept)  # with it, once per face
+            assert _results(cached) == _results(drawn)
+            ever_kept |= kept
+        first = kept_faces(evaluate_dataset(store, branches, ds, cfg, seed=5,
+                                            collect_diagnostics=True))
+        assert len(first) < len(ever_kept) <= n_faces  # the second model kept other faces
+
+    def test_cache_refuses_other_arguments(self):
+        ds = tiny_dataset(num_groups=4)
+        cfg = tiny_config()
+        store, branches = build_model(ds, cfg)
+        noise = pipeline.NoiseCache(ds, branches, cfg, 5)
+        for kw in ({"seed": 6}, {"ablation": "no-fiqe"}, {"sample_counts": (3,)},
+                   {"dataset": tiny_dataset(num_groups=4)}):
+            args = {"dataset": ds, "seed": 5, **kw}
+            with pytest.raises(ValueError, match="noise cache"):
+                evaluate_dataset(store, branches, config=cfg, noise=noise, **args)
 
 
 class TestPredictGroup:
