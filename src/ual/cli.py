@@ -180,8 +180,10 @@ def cmd_train(args) -> int:
     train_ds = load_dataset(args.train)
     val_ds = load_dataset(args.val)
     dims = train_ds.dims
-    if val_ds.dims != dims:
-        raise DataError("train and val datasets disagree on dims/classes")
+    differ = [f"{key} {val_ds.dims[key]} != {value}"
+              for key, value in dims.items() if val_ds.dims[key] != value]
+    if differ:
+        raise DataError(f"{args.val}: line 1: {', '.join(differ)} of the train set {args.train}")
     tags = BRANCH_TAGS if args.branch == "all" else (args.branch,)
 
     out_dir = _out_dir(args.out)

@@ -30,13 +30,12 @@ reports. The streams of many individuals and their noise blocks are derived
 and drawn in one call (:func:`~ual.numerics.derive_seeds`,
 :func:`~ual.numerics.block_normals`), bit-identical to one stream at a time.
 Inference noise has no epoch in its key, so :func:`train_model` keeps the
-validation noise in a :class:`NoiseCache` for the length of the run: the
-seeds, and three arrays in the set's flat order with the FIQE and MC rows of
-every face and the MC rows of every object. A row is drawn the first time a
-validation pass reads it and gathered in every later pass. The cache is
-kept only up to ``_NOISE_CACHE_BYTES`` (16 MiB; the bundled 200-group val
-set needs 11.3 MB). Without it, as in ``ual eval``, each pass draws its own
-noise, MC noise only for the faces the filter kept.
+validation noise in a :class:`NoiseCache` for the length of the run: each
+step's draws (:class:`_KeptDraws`) keep every row they draw, and every later
+pass gathers it. The cache is kept only up to ``_NOISE_CACHE_BYTES`` (16 MiB;
+the bundled 200-group val set needs 11.3 MB). Without it, as in ``ual eval``,
+each pass draws its own noise (:class:`_Draws`), MC noise only for the faces
+the filter kept.
 
 Training and inference run groups as stacked arrays: training one
 mini-batch at a time, :func:`evaluate_dataset` one step of ``_INFER_STEP``
@@ -84,7 +83,6 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import mmap
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -425,24 +423,20 @@ class FaceBranch(_GaussianBranch):
         self,
         store: ParameterStore,
         groups: Sequence[GroupSample],
-        rng: SeededRng,
+        draws: _Draws,
         sample_counts: Sequence[int],
         config: TrainingConfig,
         ablation: str = "full",
-        noise: _CachedDraws | None = None,
     ) -> tuple[BranchPrediction, dict[str, np.ndarray]]:
         """The prediction of a step of ``groups``, one entry per count of
         ``sample_counts`` (see the module docstring), and the faces' arrays,
         flat in group order: ``kept`` ``(F,)``; with the quality filter,
         ``quality`` ``(F,)``; when sampling, ``score`` and ``alpha``
         ``(F, E)``, each entry's mean over its rounds (NaN for a dropped
-        face). Only the streams the ablation reads are derived, and MC noise
-        only for the kept faces. ``noise``, the step's rows of a
-        :class:`NoiseCache`, serves the noise in place of ``rng``."""
+        face). ``draws`` serves the faces' noise; only the kinds the ablation
+        reads are asked for, and MC noise only for the kept faces."""
         filtered, stochastic = _face_noise(ablation, config)
         sizes = [group.faces.shape[0] for group in groups]
-        draws = noise or _Draws(rng, self.tag, groups, max(sample_counts), self.latent_dim,
-                                config.fiqe_samples)
         arrays: dict[str, np.ndarray] = {}
         if filtered:
             mu, sigma, kept, arrays["quality"] = self.quality_stage(
@@ -525,27 +519,22 @@ class ObjectBranch(_GaussianBranch):
         self,
         store: ParameterStore,
         groups: Sequence[GroupSample],
-        rng: SeededRng,
+        draws: _Draws,
         sample_counts: Sequence[int],
-        noise: _CachedDraws | None = None,
     ) -> tuple[BranchPrediction, dict[str, np.ndarray]]:
         """The prediction of a step of ``groups``, one entry per count of
         ``sample_counts`` (see the module docstring), uniform for a group
         without objects, which is absent; and ``probs``, each object's
-        ``(O, E, C)`` mean probabilities, flat in group order. ``noise``, the
-        step's rows of a :class:`NoiseCache`, serves the noise in place of
-        ``rng``."""
+        ``(O, E, C)`` mean probabilities, flat in group order. ``draws``
+        serves the objects' MC noise."""
         sizes = np.array([group.objects.shape[0] for group in groups])
         shape = (len(groups), len(sample_counts), self.num_classes)
         probs = np.full(shape, 1.0 / self.num_classes)
         per_object = np.empty((sizes.sum(),) + shape[1:])
         present = np.flatnonzero(sizes)
         if present.size:
-            with_objects = [groups[p] for p in present]
-            mu, sigma, starts = self.gaussians(store, with_objects)
-            # groups without objects own no rows: a step's rows are these groups' rows
-            draws = noise or _Draws(rng, self.tag, with_objects, max(sample_counts),
-                                    self.latent_dim)
+            # groups without objects own no rows, so these groups' flat rows are the step's
+            mu, sigma, starts = self.gaussians(store, [groups[p] for p in present])
             classify = functools.partial(self.classifier.forward, store)
             for k, pos in _buckets(sizes[present]):
                 rows = starts[pos][:, None] + np.arange(k)  # (G, k)
@@ -678,6 +667,11 @@ def fuse_predictions(
 _INFER_STEP = 16
 
 
+def _steps(groups: Sequence[GroupSample]) -> list[Sequence[GroupSample]]:
+    """``groups`` cut into inference steps of ``_INFER_STEP`` groups."""
+    return [groups[lo : lo + _INFER_STEP] for lo in range(0, len(groups), _INFER_STEP)]
+
+
 def _sample_counts(sample_counts: Sequence[int] | None, config: TrainingConfig) -> tuple[int, ...]:
     counts = (config.mc_samples,) if sample_counts is None else tuple(sample_counts)
     if not counts or min(counts) < 1:
@@ -693,22 +687,26 @@ def branch_infer(
     rng: SeededRng,
     sample_counts: Sequence[int] | None = None,
     ablation: str = "full",
-    noise: _CachedDraws | None = None,
+    draws: _Draws | None = None,
 ) -> tuple[BranchPrediction, dict[str, np.ndarray]]:
     """Run one branch on a nonempty step of ``groups`` with the run-level
-    inference stream: ``(G, E, C)`` probabilities and a ``(G,)`` present mask,
-    one entry per count of ``sample_counts`` (default ``(config.mc_samples,)``),
-    and the branch's per-individual arrays (see :meth:`FaceBranch.infer` and
-    :meth:`ObjectBranch.infer`, which also take ``noise``). A group's
-    predictions do not depend on the other groups it is run with."""
+    inference stream ``rng``: ``(G, E, C)`` probabilities and a ``(G,)``
+    present mask, one entry per count of ``sample_counts`` (default
+    ``(config.mc_samples,)``), and the branch's per-individual arrays (see
+    :meth:`FaceBranch.infer` and :meth:`ObjectBranch.infer`). ``draws``, the
+    step's noise for this branch, defaults to a :class:`_Draws` of ``rng``.
+    A group's predictions do not depend on the other groups it is run with."""
     if ablation not in ABLATIONS:
         raise ConfigError(f"unknown ablation {ablation!r}")
     counts = _sample_counts(sample_counts, config)
+    if isinstance(branch, SceneBranch):
+        return branch.infer(store, groups, counts)
+    if draws is None:
+        draws = _Draws(rng, branch.tag, groups, max(counts), config.latent_dim,
+                       config.fiqe_samples)
     if isinstance(branch, FaceBranch):
-        return branch.infer(store, groups, rng, counts, config, ablation=ablation, noise=noise)
-    if isinstance(branch, ObjectBranch):
-        return branch.infer(store, groups, rng, counts, noise=noise)
-    return branch.infer(store, groups, counts)
+        return branch.infer(store, groups, draws, counts, config, ablation=ablation)
+    return branch.infer(store, groups, draws, counts)
 
 
 def predict_group(
@@ -829,31 +827,27 @@ def _individual_seeds(stream: SeededRng, groups: Sequence[GroupSample], indices)
     return derive_seeds(np.repeat(per_group, counts), np.concatenate(indices))
 
 
-def _inference_seeds(rng: SeededRng, tag: str, groups: Sequence[GroupSample]) -> np.ndarray:
-    """Seeds of the inference streams of the faces or objects (``tag``) of
-    ``groups``, flat in group order: individual ``j`` of a group draws from
-    ``rng.derive(tag, group.id, r)``, where ``r`` is its content rank."""
-    ranks = [_content_ranks(getattr(group, f"{tag}s")) for group in groups]
-    return _individual_seeds(rng.derive(tag), groups, ranks)
-
-
 class _Draws:
     """The inference noise of the faces or objects (``tag``) of a step of
     ``groups``, drawn on request: :meth:`fiqe` is every individual's
     ``(fiqe_samples, d)`` FIQE block, ``mc(rows)`` the ``(samples, d)`` MC
-    blocks of the individuals at the flat indices ``rows`` (of any shape).
-    The seeds are derived on first use, so a pass that reads no noise
-    derives none."""
+    blocks of the individuals at the flat indices ``rows`` (of any shape),
+    flat in group order over all of ``groups``. The seeds are derived on
+    first use, so a pass that reads no noise derives none."""
 
     def __init__(self, rng: SeededRng, tag: str, groups: Sequence[GroupSample], samples: int,
                  d: int, fiqe_samples: int = 0):
         self._rng, self._tag, self._groups = rng, tag, groups
         self._shapes = {"fiqe": (fiqe_samples, d), "mc": (samples, d)}
-        self._seeds: np.ndarray | None = None
+
+    @functools.cached_property
+    def _seeds(self) -> np.ndarray:
+        """The individuals' stream seeds, flat: individual ``j`` of a group
+        draws from ``rng.derive(tag, group.id, r)``, ``r`` its content rank."""
+        ranks = [_content_ranks(getattr(group, f"{self._tag}s")) for group in self._groups]
+        return _individual_seeds(self._rng.derive(self._tag), self._groups, ranks)
 
     def _draw(self, kind: str, rows) -> np.ndarray:
-        if self._seeds is None:
-            self._seeds = _inference_seeds(self._rng, self._tag, self._groups)
         return block_normals(derive_seeds(self._seeds[rows], kind), self._shapes[kind])
 
     def fiqe(self) -> np.ndarray:
@@ -861,6 +855,30 @@ class _Draws:
 
     def mc(self, rows: np.ndarray) -> np.ndarray:
         return self._draw("mc", rows)
+
+
+class _KeptDraws(_Draws):
+    """:class:`_Draws` that keep every row they draw, per kind in an
+    ``(n, *shape)`` array with a drawn mask, and gather the row on every
+    later request. Every row is its own stream, so a gathered block equals
+    a drawn one bit for bit. The arrays of the kinds with rounds are
+    allocated, not written, here; ``nbytes`` is their size."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        n = sum(getattr(group, f"{self._tag}s").shape[0] for group in self._groups)
+        self._kept = {kind: (np.empty((n, *shape)), np.zeros(n, dtype=bool))
+                      for kind, shape in self._shapes.items() if shape[0]}
+        self.nbytes = sum(block.nbytes for block, _ in self._kept.values())
+
+    def _draw(self, kind: str, rows) -> np.ndarray:
+        block, drawn = self._kept[kind]
+        rows = np.arange(len(drawn))[rows]
+        new = rows[~drawn[rows]]
+        if new.size:
+            block[new] = super()._draw(kind, new)
+            drawn[new] = True
+        return block[rows]
 
 
 def _face_noise(ablation: str, config: TrainingConfig) -> tuple[bool, bool]:
@@ -1065,16 +1083,17 @@ class NoiseCache:
     Inference noise is keyed by seed, branch, group id and content rank, so
     every pass with the same dataset, seed, config, ablation and branches,
     and with ``M = config.mc_samples`` as its largest sample count, draws the
-    same blocks. The cache holds them, flat in the dataset's order: the
-    individuals' stream seeds; with the quality filter, the faces' FIQE
-    block ``(F, fiqe_samples, d)``; when faces are sampled, an MC block
-    ``(F, M, d)`` with a row for every face, since the kept set can change
-    with the model; with the object branch, the objects' MC block
-    ``(O, M, d)``. A pass of :func:`evaluate_dataset` given the cache derives
-    each step's seeds on its first visit and draws a row the first time a
-    pass asks for it (the MC rows of faces the filter always drops stay
-    unwritten); every later read gathers rows. Every row is its own stream,
-    so a gathered block equals a drawn one bit for bit.
+    same blocks. ``steps`` holds each inference step's ``{tag: _KeptDraws}``
+    for :func:`evaluate_dataset`: a row is drawn the first time a pass asks
+    for it and gathered on every later read, and the MC rows of faces the
+    filter always drops are never drawn. ``nbytes`` counts every row a pass
+    could ask for: the faces' FIQE rows ``(F, fiqe_samples, d)`` with the
+    quality filter, their MC rows ``(F, M, d)`` when sampling (the kept set
+    can change with the model), and the objects' MC rows ``(O, M, d)``.
+
+    The arrays are allocated here, before training: allocated by the first
+    pass, between the training's arrays, they left holes in the heap that
+    raised a later ``ual eval`` in the same process by 1.3 MB (``eval-sweep``).
     """
 
     def __init__(self, dataset: Dataset, branches: dict[str, Branch], config: TrainingConfig,
@@ -1082,80 +1101,22 @@ class NoiseCache:
         self._dataset = dataset
         self._key = (config, seed, ablation, tuple(branches), config.mc_samples)
         filtered, stochastic = _face_noise(ablation, config)
-        kinds = {"face": [], "object": []}
-        if "face" in branches:
-            kinds["face"] = ["fiqe"] * filtered + ["mc"] * stochastic
-        if "object" in branches:
-            kinds["object"] = ["mc"]
-        samples = {"fiqe": config.fiqe_samples, "mc": config.mc_samples}
-        self._shapes: dict[str, dict[str, tuple[int, ...]]] = {}
-        self._starts: dict[str, np.ndarray] = {}
-        for tag, names in kinds.items():
-            sizes = [getattr(group, f"{tag}s").shape[0] for group in dataset.groups]
-            if names and sum(sizes):
-                self._starts[tag] = np.concatenate([[0], np.cumsum(sizes, dtype=np.intp)])
-                self._shapes[tag] = {kind: (sum(sizes), samples[kind], config.latent_dim)
-                                     for kind in names}
-        self.nbytes = 8 * sum(math.prod(shape) for shapes in self._shapes.values()
-                              for shape in shapes.values())
-        # per branch: the seeds, and per kind the block and which rows are drawn
-        self._rows: dict[str, tuple[np.ndarray, dict]] | None = None
-        self._visited = 0  # groups whose seeds are derived, in dataset order
+        # the rounds of each kind a pass reads; a kind it does not read keeps no array
+        mc = {"face": stochastic * config.mc_samples, "object": config.mc_samples}
+        fiqe = {"face": filtered * config.fiqe_samples, "object": 0}
+        rng = SeededRng(seed).derive("infer")
+        self.steps = [
+            {tag: _KeptDraws(rng, tag, step, mc[tag], config.latent_dim, fiqe[tag])
+             for tag in mc if tag in branches}
+            for step in _steps(dataset.groups)
+        ]
+        self.nbytes = sum(draws.nbytes for step in self.steps for draws in step.values())
 
     def serves(self, dataset: Dataset, config: TrainingConfig, seed: int, ablation: str,
                branches: dict[str, Branch], samples: int) -> bool:
         """Whether a pass with these arguments draws the noise the cache holds."""
         key = (config, seed, ablation, tuple(branches), samples)
         return dataset is self._dataset and key == self._key
-
-    def step(self, rng: SeededRng, lo: int, groups: Sequence[GroupSample]
-             ) -> dict[str, _CachedDraws]:
-        """Each cached branch's rows of ``groups``, the dataset's groups from
-        position ``lo`` on; their seeds are derived on the first visit."""
-        if self._rows is None:
-            self._rows = {
-                tag: (np.empty(self._starts[tag][-1], dtype=np.uint64),
-                      {kind: (_anonymous_map(shape), np.zeros(shape[0], dtype=bool))
-                       for kind, shape in shapes.items()})
-                for tag, shapes in self._shapes.items()
-            }
-        hi = lo + len(groups)
-        views = {}
-        for tag, (seeds, blocks) in self._rows.items():
-            rows = slice(self._starts[tag][lo], self._starts[tag][hi])
-            if hi > self._visited:
-                seeds[rows] = _inference_seeds(rng, tag, groups)
-            views[tag] = _CachedDraws(seeds, blocks, rows)
-        self._visited = max(self._visited, hi)
-        return views
-
-
-def _anonymous_map(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float64 array in its own anonymous memory map. Pages
-    never written (the MC rows of faces the filter always drops) take no
-    memory, and all pages go back to the system when the array is dropped;
-    from the malloc heap, the freed blocks would stay resident and the heap
-    would grow around them, training run after training run."""
-    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
-
-
-class _CachedDraws(_Draws):
-    """The rows ``rows`` (a slice) of one branch in a :class:`NoiseCache`,
-    read as :class:`_Draws` reads its streams: a row is drawn into the cache
-    the first time it is asked for, and gathered from it after."""
-
-    def __init__(self, seeds: np.ndarray, blocks: dict, rows: slice):
-        self._seeds, self._blocks = seeds, blocks
-        self._flat = np.arange(rows.start, rows.stop)
-
-    def _draw(self, kind: str, rows) -> np.ndarray:
-        rows = self._flat[rows]
-        block, drawn = self._blocks[kind]
-        new = rows[~drawn[rows]]
-        if new.size:
-            block[new] = block_normals(derive_seeds(self._seeds[new], kind), block.shape[1:])
-            drawn[new] = True
-        return block[rows]
 
 
 @dataclass
@@ -1185,9 +1146,10 @@ def evaluate_dataset(
     (default ``(config.mc_samples,)``); returns one result per entry, in
     order, each equal to a one-entry call. With ``collect_diagnostics``, each
     result also holds the report's ``group`` records (:func:`_group_records`).
-    ``noise``, built for this dataset and these arguments, takes the noise
-    blocks from a :class:`NoiseCache` instead of drawing them; the results
-    are the same.
+    Each step's face and object noise is a ``{tag: draws}`` of :class:`_Draws`,
+    or, with ``noise``, a :class:`NoiseCache` built for this dataset and these
+    arguments, the step's :class:`_KeptDraws` from ``noise.steps``. The
+    results are the same.
     """
     counts = _sample_counts(sample_counts, config)
     if noise is not None and not noise.serves(dataset, config, seed, ablation, branches,
@@ -1199,13 +1161,15 @@ def evaluate_dataset(
     # of every group and entry, kept to the end, would hold about 2 MB more
     labels: dict[str, list[np.ndarray]] = {tag: [] for tag in ("fused", *branches)}
     records: list[list[dict]] = [[] for _ in counts]
-    for lo in range(0, len(dataset.groups), _INFER_STEP):
-        step = dataset.groups[lo : lo + _INFER_STEP]
-        blocks = {} if noise is None else noise.step(rng, lo, step)
+    for s, step in enumerate(_steps(dataset.groups)):
+        draws = noise.steps[s] if noise is not None else {
+            tag: _Draws(rng, tag, step, max(counts), config.latent_dim, config.fiqe_samples)
+            for tag in ("face", "object") if tag in branches
+        }
         with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite instead
             per_branch = {
                 tag: branch_infer(branches[tag], step, store, config, rng, counts, ablation,
-                                  blocks.get(tag))
+                                  draws.get(tag))
                 for tag in BRANCH_TAGS
                 if tag in branches
             }
@@ -1290,11 +1254,10 @@ def train_model(
     ``select_best`` also set, the parameters of the epoch with the highest
     fused micro accuracy are restored at the end. The validation noise does
     not depend on the model or the epoch, so the evaluations share a
-    :class:`NoiseCache` (the seeds, the FIQE and MC rows of every validation
-    face and the MC rows of every object): each row is drawn by the first
-    evaluation that reads it and gathered by the later ones. The cache is
-    dropped when training ends. One over ``_NOISE_CACHE_BYTES`` (16 MiB) is
-    not built, and every evaluation draws its own noise. Each epoch's
+    :class:`NoiseCache`: each row is drawn by the first evaluation that reads
+    it and gathered by the later ones. The cache is dropped when training
+    ends; one whose ``nbytes`` exceed ``_NOISE_CACHE_BYTES`` (16 MiB) is
+    dropped before it, and every evaluation draws its own noise. Each epoch's
     training and validation wall seconds are logged at debug level.
     ``on_epoch`` is called after each epoch as ``on_epoch(epoch, breakdowns,
     eval_result)``, where ``eval_result`` is that evaluation, or None when
@@ -1304,7 +1267,8 @@ def train_model(
     if val_ds is not None:
         for key, value in dims.items():
             if val_ds.dims[key] != value:
-                raise DataError(f"train/val disagree on {key}")
+                raise DataError(f"train/val disagree on {key}: val {val_ds.dims[key]} != "
+                                f"train {value}")
     store = ParameterStore()
     branches = build_branches(config, dims, branch_tags)
     register_branches(store, branches, config.seed)

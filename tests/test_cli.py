@@ -496,6 +496,22 @@ class TestBadInputFiles:
         assert f"{data}: line 1: face_dim 7 != 6 of the model in the manifest {manifest}" in err
         assert not (tmp_path / "r" / "report.jsonl").exists()
 
+    @pytest.mark.parametrize("key,value", [("face_dim", 7), ("num_classes", 4)])
+    def test_val_dims_differ_from_the_train_set(self, small_run, tmp_path, capsys, key, value):
+        spec, val = tmp_path / "spec.gen", tmp_path / "val.jsonl"
+        spec.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", small_run["spec"].read_text(),
+                               flags=re.M))
+        assert run("simulate", "--spec", str(spec), "--out", str(val), "--partition", "val",
+                   "--num-groups", "4") == 0
+        train = small_run["train"]
+        code = run("train", "--config", str(small_run["cfg"]), "--train", str(train),
+                   "--val", str(val), "--out", str(tmp_path / "model"))
+        err = capsys.readouterr().err
+        expected = {"face_dim": 6, "num_classes": 3}[key]
+        assert code == 2 and "Traceback" not in err
+        assert f"{val}: line 1: {key} {value} != {expected} of the train set {train}" in err
+        assert not (tmp_path / "model" / "manifest.json").exists()
+
     @pytest.mark.parametrize("edit,detail", [
         (lambda entry: entry.pop("shape"), "KeyError: 'shape'"),
         (lambda entry: entry.update(data=entry["data"][:-1]), "cannot reshape"),

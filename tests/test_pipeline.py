@@ -8,7 +8,7 @@ import pytest
 
 from ual.datagen_metrics import GroupSample, SynthesisSpec, generate_dataset
 from ual import pipeline
-from ual.errors import ConfigError, NumericError
+from ual.errors import ConfigError, DataError, NumericError
 from ual.numerics import ParameterStore, SeededRng, block_normals, derive_seeds, softmax
 from ual.pipeline import (
     BranchPrediction,
@@ -243,9 +243,8 @@ class TestBranchInfer:
         store.get("face.embed.logvar.bias")[...] = -2000.0  # sigma = exp(-1000) = 0
         group = ds.groups[1]
         with pytest.raises(NumericError, match=f"strictly positive .*'{group.id}/face0'"):
-            branches["face"].infer(
-                store, [group], SeededRng(0).derive("infer"), (4,), cfg, ablation=ablation
-            )
+            branch_infer(branches["face"], [group], store, cfg, SeededRng(0).derive("infer"),
+                         (4,), ablation)
 
     def test_face_infer_matches_from_scratch_oracle(self):
         ds = tiny_dataset(seed=8)
@@ -342,7 +341,7 @@ class TestBlockInference:
         group = GroupSample(id="g7", label=0, faces=ds.groups[0].faces,
                             objects=objects, scene=np.zeros(4))
         rng = SeededRng(4).derive("infer")
-        pred, arrays = branch.infer(store, [group], rng, (n_samples,))
+        pred, arrays = branch_infer(branch, [group], store, cfg, rng, (n_samples,))
 
         # one stream, one (N, d) draw and one 2-D classifier call per object
         order = sorted(range(k), key=lambda i: tuple(objects[i]))  # distinct rows: rank = position
@@ -823,6 +822,35 @@ class TestValidationNoiseCache:
                                             collect_diagnostics=True))
         assert len(first) < len(ever_kept) <= n_faces  # the second model kept other faces
 
+    @pytest.mark.parametrize("tag,kind", [("face", "fiqe"), ("object", "mc")])
+    def test_cached_passes_draw_no_row_again(self, monkeypatch, tag, kind):
+        ds = tiny_dataset(num_groups=20, seed=42)
+        cfg = tiny_config(delta2=0.86)
+        store, branches = build_model(ds, cfg, tags=(tag,))
+        other = store.clone()  # the noise does not depend on the model
+        other.get(f"{tag}.embed.logvar.bias")[...] -= 1.0
+        assert cfg.fiqe_samples != cfg.mc_samples  # a block's shape tells the kinds apart
+        samples = {"fiqe": cfg.fiqe_samples, "mc": cfg.mc_samples}[kind]
+        drawn_rows = []
+        draw = pipeline.block_normals
+
+        def counted(seeds, shape):
+            if shape[0] == samples:
+                drawn_rows.append(np.size(seeds))
+            return draw(seeds, shape)
+
+        monkeypatch.setattr(pipeline, "block_normals", counted)
+        noise = pipeline.NoiseCache(ds, branches, cfg, 5)
+        n_rows = sum(getattr(group, f"{tag}s").shape[0] for group in ds.groups)
+        assert n_rows > 0
+        for first, model in zip((True, False, False), (store, store, other)):
+            drawn_rows.clear()
+            evaluate_dataset(model, branches, ds, cfg, seed=5)
+            assert sum(drawn_rows) == n_rows  # without the cache, every row in every pass
+            drawn_rows.clear()
+            evaluate_dataset(model, branches, ds, cfg, seed=5, noise=noise)
+            assert sum(drawn_rows) == (n_rows if first else 0)  # with it, on the first pass
+
     def test_cache_refuses_other_arguments(self):
         ds = tiny_dataset(num_groups=4)
         cfg = tiny_config()
@@ -887,6 +915,14 @@ class TestTraining:
         Trainer(store, branches, cfg).train_epoch(ds.groups, 0)
         after = {name: store.get(name).tobytes() for name in store.names()}
         assert before == after
+
+    def test_val_dims_differ_names_the_values(self):
+        val = generate_dataset(SynthesisSpec(
+            num_groups=4, face_dim=7, object_dim=5, scene_dim=4, group_size_min=2,
+            group_size_max=4, seed=3,
+        ))
+        with pytest.raises(DataError, match="train/val disagree on face_dim: val 7 != train 6"):
+            train_model(tiny_dataset(), tiny_config(), val_ds=val)
 
     def test_same_seed_identical_loss_logs(self):
         ds = tiny_dataset(seed=21)
