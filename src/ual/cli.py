@@ -322,13 +322,7 @@ def cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else config.seed
     ablation = args.ablation or manifest.get("ablation", "full")
 
-    try:
-        sample_counts = [int(tok) for tok in str(args.mc_samples).split(",")] if args.mc_samples else [config.mc_samples]
-    except ValueError as exc:
-        raise SystemExit_(EXIT_USAGE, f"--mc-samples expects ints: {exc}") from exc
-    if any(n < 1 for n in sample_counts):
-        raise SystemExit_(EXIT_USAGE, "--mc-samples values must be >= 1")
-
+    sample_counts = args.mc_samples or [config.mc_samples]
     out_dir = _out_dir(args.out or manifest_path.parent)
     report_path = out_dir / "report.jsonl"
     start = time.perf_counter()
@@ -393,11 +387,12 @@ def _gradcheck_units(seed: int):
         store.get(f"{branch.tag}.embed.logvar.weight")[...] = 0.3 * r.normals((5, in_dim))
         if branch.tag == "face":
             store.get("face.embed.logvar.bias")[...] = 0.2 * r.normals(5)
-        x, eps, label = r.normals((n, in_dim)), r.normals((n, 5)), r.integer(3)
+        # one group, as a stack of one: the words, so the values, of an (n, in_dim) draw
+        x, eps, label = r.normals((1, n, in_dim)), r.normals((1, n, 5)), r.integer(3)
 
         def loss_fn(s):
-            bd, g = branch.loss_and_grads(s, x, label, eps, cfg)
-            return bd.total, g
+            bd, g = branch.loss_and_grads(s, x, [label], eps, cfg)
+            return float(bd.total[0]), {k: v[0] for k, v in g.items()}
 
         units.append((name, loss_fn, store))
 
@@ -445,6 +440,20 @@ def cmd_gradcheck(args) -> int:
 # argument wiring
 
 
+def _flag_type(parse, check, need: str):
+    """An argparse ``type``: ``parse(text)`` if that passes ``check``, else a
+    usage error that names the flag and what it needs."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if check(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"needs {need}, got {text!r}")
+    return convert
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ual", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -474,15 +483,21 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--fusion", choices=FUSION_STRATEGIES, default="pwfs")
     p.add_argument("--ablation", choices=ABLATIONS, help="override the trained ablation")
-    p.add_argument("--mc-samples", help="sample count, or comma list for a sweep")
+    p.add_argument(
+        "--mc-samples", help="sample count, or comma list for a sweep",
+        type=_flag_type(lambda text: [int(tok) for tok in text.split(",")],
+                        lambda counts: min(counts) >= 1, "ints >= 1, comma-separated"),
+    )
     p.add_argument("--seed", type=int, help="inference seed (default: manifest seed)")
     p.add_argument("--out", help="report directory (default: manifest directory)")
     p.add_argument("--force", action="store_true", help="skip the dataset hash check")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every unit")
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--seeds", type=int, default=5, help="random instantiations per unit")
+    p.add_argument("--tolerance", default=1e-4, type=_flag_type(
+        float, lambda t: np.isfinite(t) and t > 0, "a finite number > 0"))
+    p.add_argument("--seeds", default=5, help="random instantiations per unit",
+                   type=_flag_type(int, lambda n: n >= 1, "an int >= 1"))
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

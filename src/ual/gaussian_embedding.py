@@ -48,8 +48,8 @@ class EmbeddingHead:
     def forward(
         self, store: ParameterStore, x: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Returns ``(mu, log_var, sigma)``; accepts a vector, a row stack or
-        a stack of row stacks (see :class:`~ual.numerics.AffineMap`)."""
+        """Returns ``(mu, log_var, sigma)`` of a ``(..., n, in_dim)`` stack of
+        rows (see :class:`~ual.numerics.AffineMap`)."""
         mu = self.mu_map.forward(store, x)
         log_var = self.logvar_map.forward(store, x)
         sigma = np.exp(0.5 * log_var)

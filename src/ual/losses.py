@@ -23,15 +23,16 @@ from .errors import ShapeError
 
 @dataclass(frozen=True)
 class LossBreakdown:
-    """One group's loss terms, or a stacked call's terms as arrays of one value per group."""
+    """Loss terms: ``(G,)`` arrays, one value per group, from a branch loss on
+    a stack of groups; floats in an epoch's weighted mean row."""
 
-    cls: float
-    kl: float
-    rank: float
-    rec: float
-    total: float
+    cls: np.ndarray | float
+    kl: np.ndarray | float
+    rank: np.ndarray | float
+    rec: np.ndarray | float
+    total: np.ndarray | float
 
-    def as_row(self) -> tuple[float, float, float, float, float]:
+    def as_row(self) -> tuple:
         return (self.cls, self.kl, self.rank, self.rec, self.total)
 
 

@@ -377,15 +377,14 @@ class ParameterStore:
 
 
 class AffineMap:
-    """y = W x + b with a manual backward pass.
+    """y = W x + b on stacks of rows, with a manual backward pass.
 
-    ``W`` has shape ``(out_dim, in_dim)``. Forward accepts a single vector,
-    a stack of rows ``(n, in_dim)``, or a stack of such row stacks
-    ``(..., n, in_dim)``. A stack goes through one ``np.matmul``, which
-    multiplies each ``(n, in_dim)`` item exactly as a 2-D call on it would;
-    its parameter gradients keep the leading stack axes, one gradient per
-    item. Gradients are accumulated into a plain ``{name: array}`` dict so
-    several units can share one backward sweep.
+    ``W`` has shape ``(out_dim, in_dim)``; the input is ``(..., n, in_dim)``,
+    at least 2-D, or :class:`~ual.errors.ShapeError` is raised. A stack goes
+    through one ``np.matmul``, which multiplies each ``(n, in_dim)`` item
+    exactly as a 2-D call on it would; the parameter gradients keep the
+    leading stack axes, one per item. Gradients are accumulated into a plain
+    ``{name: array}`` dict so several units can share one backward sweep.
     """
 
     def __init__(self, name: str, in_dim: int, out_dim: int):
@@ -400,14 +399,13 @@ class AffineMap:
         store.register(self.weight_name, scale * rng.normals((self.out_dim, self.in_dim)))
         store.register(self.bias_name, np.zeros(self.out_dim))
 
+    def _check(self, x: np.ndarray) -> None:
+        if x.ndim < 2 or x.shape[-1] != self.in_dim:
+            raise ShapeError(f"{self.name}: input of shape {x.shape}, need (..., n, {self.in_dim})")
+
     def forward(self, store: ParameterStore, x: np.ndarray) -> np.ndarray:
-        W = store.get(self.weight_name)
-        b = store.get(self.bias_name)
-        if x.ndim == 0 or x.shape[-1] != self.in_dim:
-            raise ShapeError(f"{self.name}: input has shape {x.shape}, need width {self.in_dim}")
-        if x.ndim == 1:
-            return W @ x + b
-        return x @ W.T + b
+        self._check(x)
+        return x @ store.get(self.weight_name).T + store.get(self.bias_name)
 
     def param_grads(
         self,
@@ -417,8 +415,7 @@ class AffineMap:
         grads: dict[str, np.ndarray],
     ) -> None:
         """Accumulate the weight and bias gradients of ``d_out`` at input ``x``."""
-        if x.ndim == 1:
-            x, d_out = x[None, :], d_out[None, :]
+        self._check(x)
         _accumulate(grads, self.weight_name, np.matmul(d_out.swapaxes(-1, -2), x))
         _accumulate(grads, self.bias_name, d_out.sum(axis=-2))
 
@@ -431,10 +428,7 @@ class AffineMap:
     ) -> np.ndarray:
         """:meth:`param_grads`, and the gradient with respect to the input."""
         self.param_grads(store, x, d_out, grads)
-        W = store.get(self.weight_name)
-        if x.ndim == 1:
-            return (d_out[None, :] @ W)[0]
-        return np.matmul(d_out, W)
+        return np.matmul(d_out, store.get(self.weight_name))
 
 
 def _accumulate(grads: dict[str, np.ndarray], name: str, value: np.ndarray) -> None:

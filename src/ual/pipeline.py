@@ -58,20 +58,20 @@ the first ``N`` draws (a matmul over ``M`` rows may take another BLAS path
 than over ``N``).
 
 Every entry is bit-identical to a one-count call, and every group's
-predictions, like the models and loss logs, to a one-group call, because
-the stacked arithmetic keeps these rules:
+predictions, like the models and loss logs, to a call on that group alone,
+a stack of one, because the stacked arithmetic keeps these rules:
 
 * Groups stack on a leading axis into one ``np.matmul``, which makes one
   BLAS call per item, equal to the 2-D call on that group. Rows of
   different groups are never concatenated into one 2-D matmul (a larger
   matrix takes other BLAS paths, and the last bits change), and
   ``einsum`` is not used (it sums in another order).
-* A per-group vector product ``W @ x`` is ``np.matmul(X[:, None, :], W.T)[:, 0]``;
+* A per-group vector goes through an affine map as a one-row matrix ``X[:, None]``;
   a matrix-vector product ``A @ v`` is ``np.matmul(A, V[..., None])[..., 0]``.
 * A whole-array sum becomes ``reshape(G, -1).sum(-1)``; every other
-  reduction runs along the same axis, in the same order, as in the
-  one-group call. Noise blocks are C-ordered ``(G, M, k, d)``, so a group's
-  first ``N`` rounds have the strides of a one-group ``(N, k, d)`` block.
+  reduction runs along the same axis, in the same order, as in a stack of
+  one. Noise blocks are C-ordered ``(G, M, k, d)``, so a group's first ``N``
+  rounds have the strides of its own ``(1, N, k, d)`` block.
 * The batch gradient, ``sum of (w / total) * g`` in batch order, is
   ``np.add.reduce`` along axis 0 of the scaled per-group gradients stacked
   in batch order.
@@ -223,27 +223,15 @@ def _content_ranks(rows: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _stacked(x: np.ndarray, label, eps: np.ndarray | None = None, item_ndim: int = 2):
-    """Lift one group's loss inputs to a stack of one group.
-
-    ``x`` is one group's input (``item_ndim`` axes) or a stack of them; the
-    label and noise follow it. Returns ``(x, labels, eps, single)``.
-    """
-    single = x.ndim == item_ndim
-    if single:
-        x, label = x[None], [label]
-        eps = None if eps is None else eps[None]
-    return x, np.asarray(label), eps, single
-
-
-def _unstacked(
-    breakdown: LossBreakdown, grads: dict[str, np.ndarray], single: bool
-) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-    """Undo :func:`_stacked`: a one-group call gets floats and parameter-shaped grads."""
-    if not single:
-        return breakdown, grads
-    terms = (float(v[0]) for v in breakdown.as_row())
-    return LossBreakdown(*terms), {k: v[0] for k, v in grads.items()}
+def _labels(x: np.ndarray, label, axes: tuple) -> np.ndarray:
+    """``label`` as an array. A branch loss takes a stack ``x`` with the axes
+    ``axes`` names and one label per group; anything else, such as one
+    unstacked group, raises :class:`ShapeError` naming the shapes it needs."""
+    labels = np.asarray(label)
+    if x.ndim != len(axes) or labels.shape != x.shape[:1]:
+        need = ", ".join(map(str, axes))
+        raise ShapeError(f"need a ({need}) stack and (G,) labels, got {x.shape}, {labels.shape}")
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +298,14 @@ class FaceBranch(_GaussianBranch):
         eps: np.ndarray,
         cfg: TrainingConfig,
     ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-        """Full uncertainty-aware loss for one group, with analytic gradients.
-
-        ``eps`` is the (n_faces, latent_dim) noise block; fixing it makes the
-        loss a deterministic function of the parameters, which is what the
-        finite-difference checker needs. ``cfg`` gives the weights lambda2-4,
-        the high/low ratio ``beta`` and the rank margin ``delta1``. With a
-        leading stack axis (``G`` groups of ``n`` faces, ``G`` labels, a
-        ``(G, n, latent_dim)`` block) every breakdown term is a length-``G``
-        array and every gradient carries the stack axis first; see :func:`_stacked`.
-        """
-        faces, label, eps, single = _stacked(faces, label, eps)
+        """Full uncertainty-aware loss of ``G`` groups of ``n`` faces, with
+        analytic gradients: ``(G, n, in_dim)`` faces, ``G`` labels and a
+        ``(G, n, latent_dim)`` noise block ``eps``, which makes the loss a
+        deterministic function of the parameters for the finite-difference
+        checker. ``cfg`` gives the weights lambda2-4, the high/low ratio
+        ``beta`` and the rank margin ``delta1``. The terms are ``(G,)`` arrays
+        and the gradients carry the stack axis first."""
+        label = _labels(faces, label, ("G", "n", self.in_dim))
         grads: dict[str, np.ndarray] = {}
         mu, log_var, sigma = self.head.forward(store, faces)
         z, prods, s, alpha, x_group = uncertainty_kernel(mu, sigma, eps)
@@ -369,7 +354,7 @@ class FaceBranch(_GaussianBranch):
         d_mu = d_z + cfg.lambda2 * mu / n
         d_log_var = 0.5 * sigma * d_sigma + cfg.lambda2 * (np.exp(log_var) - 1.0) / (2.0 * n)
         self.head.backward(store, faces, d_mu, d_log_var, grads)
-        return _unstacked(breakdown, grads, single)
+        return breakdown, grads
 
     def deterministic_loss_and_grads(
         self,
@@ -379,10 +364,8 @@ class FaceBranch(_GaussianBranch):
         cfg: TrainingConfig,
     ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
         """Baseline: classify the unweighted mean of the face means, CE only.
-
-        Takes one group or a stack of groups, as :meth:`loss_and_grads` does.
-        """
-        faces, label, _, single = _stacked(faces, label)
+        Stacks and labels as :meth:`loss_and_grads` takes them, with no noise."""
+        label = _labels(faces, label, ("G", "n", self.in_dim))
         g, n = faces.shape[:2]
         grads: dict[str, np.ndarray] = {}
         mu = self.head.mu_map.forward(store, faces)
@@ -394,7 +377,7 @@ class FaceBranch(_GaussianBranch):
         d_mu = np.repeat((d_xg / n)[:, None, :], n, axis=1)
         self.head.mu_map.param_grads(store, faces, d_mu, grads)
         zero = np.zeros(g)
-        return _unstacked(total_face_loss(cls, zero, zero, zero, cfg), grads, single)
+        return total_face_loss(cls, zero, zero, zero, cfg), grads
 
     # -- quality filter and inference -------------------------------------
 
@@ -486,12 +469,11 @@ class ObjectBranch(_GaussianBranch):
         cfg: TrainingConfig,
     ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
         """Mean per-object loss: ``cfg.lambda1``-mixed CE on mu and z*, plus
-        ``cfg.lambda2`` times the KL.
-
-        Takes one group's ``(k, in_dim)`` objects and ``(k, latent_dim)``
-        noise, or a stack of groups of ``k`` objects each (see :func:`_stacked`).
-        """
-        objects, label, eps, single = _stacked(objects, label, eps)
+        ``cfg.lambda2`` times the KL, of ``G`` groups of ``k`` objects:
+        ``(G, k, in_dim)`` objects, ``G`` labels and ``(G, k, latent_dim)``
+        noise. The terms and gradients are stacked as :meth:`FaceBranch.loss_and_grads`
+        stacks them."""
+        label = _labels(objects, label, ("G", "k", self.in_dim))
         k = eps.shape[1]
         if objects.shape[:2] != eps.shape[:2] or k == 0:
             raise ShapeError(f"{k} noise rows for {objects.shape[1]} objects")
@@ -513,7 +495,7 @@ class ObjectBranch(_GaussianBranch):
         d_sigma = d_z * eps
         d_log_var = 0.5 * sigma * d_sigma + cfg.lambda2 * (np.exp(log_var) - 1.0) / (2.0 * k)
         self.head.backward(store, objects, d_mu, d_log_var, grads)
-        return _unstacked(breakdown, grads, single)
+        return breakdown, grads
 
     def infer(
         self,
@@ -565,17 +547,16 @@ class SceneBranch:
     def loss_and_grads(
         self, store: ParameterStore, scene: np.ndarray, label
     ) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
-        """Cross-entropy of one ``(in_dim,)`` scene, or of a ``(G, in_dim)``
-        stack with ``G`` labels (see :func:`_stacked`)."""
-        scene, label, _, single = _stacked(scene, label, item_ndim=1)
+        """Cross-entropy of a ``(G, in_dim)`` stack of scenes with ``G`` labels:
+        ``(G,)`` breakdown terms and gradients with the stack axis first."""
+        label = _labels(scene, label, ("G", self.in_dim))
         grads: dict[str, np.ndarray] = {}
         rows = scene[:, None]  # each scene goes through the classifier as a one-row matrix
         cls, probs = softmax_cross_entropy(self.classifier.forward(store, rows)[:, 0], label)
         d_logits = softmax_cross_entropy_grad(probs, label)
         self.classifier.param_grads(store, rows, d_logits[:, None], grads)
         zero = np.zeros_like(cls)
-        breakdown = LossBreakdown(cls=cls, kl=zero, rank=zero, rec=zero, total=cls)
-        return _unstacked(breakdown, grads, single)
+        return LossBreakdown(cls=cls, kl=zero, rank=zero, rec=zero, total=cls), grads
 
     def infer(
         self, store: ParameterStore, groups: Sequence[GroupSample], sample_counts: Sequence[int]

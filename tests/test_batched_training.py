@@ -1,15 +1,19 @@
 """Batched training: stacked branch losses and the bucketed trainer.
 
-Each branch loss takes one group or a stack of groups. A stack must give,
-row by row, exactly (``==``) what the one-group call gives, and
-``Trainer.train_epoch`` must leave exactly the parameters that a plain loop
-over the groups of each batch leaves.
+Each branch loss takes a stack of groups; one group is a stack of one. A
+stack must give, row by row, exactly (``==``) what each group's stack of one
+gives, and ``Trainer.train_epoch`` must leave exactly the parameters that a
+plain loop over the groups of each batch leaves.
 """
+
+import re
 
 import numpy as np
 import pytest
 
 from ual.datagen_metrics import GroupSample
+from ual.errors import ShapeError
+from ual.losses import LossBreakdown
 from ual.numerics import ParameterStore, SeededRng, gradient_check
 from ual.pipeline import (
     BRANCH_TAGS,
@@ -29,8 +33,17 @@ from ual.uncertainty_scoring import high_low_partition, uncertainty_kernel
 IN_DIM, LATENT, CLASSES = 6, 5, 3
 
 
+def one_group(loss, store, x, label, *rest):
+    """``loss`` on one group's input ``x``, run as a stack of one: the group's
+    float terms and parameter-shaped gradients. The noise, the other array
+    argument, gains the stack axis too."""
+    rest = [a[None] if isinstance(a, np.ndarray) else a for a in rest]
+    bd, grads = loss(store, x[None], [label], *rest)
+    return LossBreakdown(*(float(v[0]) for v in bd.as_row())), {k: v[0] for k, v in grads.items()}
+
+
 def assert_rows_match(stacked, singles):
-    """Row ``g`` of a stacked call equals the one-group call on group ``g``."""
+    """Row ``g`` of a stacked call equals the stack of one of group ``g``."""
     bd, grads = stacked
     assert len(singles) == len(bd.cls)
     for g, (bd1, grads1) in enumerate(singles):
@@ -59,7 +72,7 @@ class TestStackedFaceLoss:
         cfg = TrainingConfig(beta=self.BETA, delta1=delta1)
         stacked = branch.loss_and_grads(store, faces, labels, eps, cfg)
         singles = [
-            branch.loss_and_grads(store, faces[g], int(labels[g]), eps[g], cfg)
+            one_group(branch.loss_and_grads, store, faces[g], int(labels[g]), eps[g], cfg)
             for g in range(len(labels))
         ]
         return stacked, singles
@@ -110,10 +123,10 @@ class TestStackedFaceLoss:
         cfg = TrainingConfig(beta=self.BETA, delta1=delta1)
 
         def loss_fn(s):
-            bd, grads = branch.loss_and_grads(s, faces, 1, eps, cfg)
+            bd, grads = one_group(branch.loss_and_grads, s, faces, 1, eps, cfg)
             return bd.total, grads
 
-        bd, _ = branch.loss_and_grads(store, faces, 1, eps, cfg)
+        bd, _ = one_group(branch.loss_and_grads, store, faces, 1, eps, cfg)
         assert bd.rank == delta1  # inactive: 0; degenerate: the whole margin, constant
         result = gradient_check(loss_fn, store, tolerance=1e-4)
         assert result.passed, result.max_rel_error
@@ -125,7 +138,8 @@ class TestStackedFaceLoss:
         labels = np.array([1, 0, 2, 1])
         stacked = branch.deterministic_loss_and_grads(store, faces, labels, TrainingConfig())
         singles = [
-            branch.deterministic_loss_and_grads(store, faces[g], int(labels[g]), TrainingConfig())
+            one_group(branch.deterministic_loss_and_grads, store, faces[g], int(labels[g]),
+                      TrainingConfig())
             for g in range(4)
         ]
         assert_rows_match(stacked, singles)
@@ -139,7 +153,7 @@ def test_stacked_object_loss(k):
     cfg = TrainingConfig(lambda2=0.5)
     stacked = branch.loss_and_grads(store, objects, labels, eps, cfg)
     singles = [
-        branch.loss_and_grads(store, objects[g], int(labels[g]), eps[g], cfg)
+        one_group(branch.loss_and_grads, store, objects[g], int(labels[g]), eps[g], cfg)
         for g in range(4)
     ]
     assert_rows_match(stacked, singles)
@@ -153,9 +167,38 @@ def test_stacked_scene_loss():
     scene = rng.normals((5, IN_DIM))
     labels = np.array([0, 2, 1, 1, 0])
     stacked = branch.loss_and_grads(store, scene, labels)
-    singles = [branch.loss_and_grads(store, scene[g], int(labels[g]))
+    singles = [one_group(branch.loss_and_grads, store, scene[g], int(labels[g]))
                for g in range(5)]
     assert_rows_match(stacked, singles)
+
+
+UNSTACKED_NEEDS = {
+    "face": "(G, n, 6)", "face-label": "(G,) labels", "deterministic": "(G, n, 6)",
+    "object": "(G, k, 6)", "scene": "(G, 6)",
+    "affine-forward": "(..., n, 6)", "affine-backward": "(..., n, 6)",
+}
+
+
+@pytest.mark.parametrize("call", UNSTACKED_NEEDS)
+def test_unstacked_input_is_refused(call):
+    """One group's input without its stack axis raises, naming the shape it needs."""
+    face, store, rng = gaussian_branch(FaceBranch, 50)
+    obj, scene = ObjectBranch(IN_DIM, LATENT, CLASSES), SceneBranch(IN_DIM, CLASSES)
+    obj.register(store, rng.derive("object"))
+    scene.register(store, rng.derive("scene"))
+    x, eps, cfg = rng.normals((3, IN_DIM)), rng.normals((3, LATENT)), TrainingConfig()
+    unit = face.head.mu_map
+    calls = {
+        "face": lambda: face.loss_and_grads(store, x, 1, eps, cfg),
+        "face-label": lambda: face.loss_and_grads(store, x[None], 1, eps[None], cfg),
+        "deterministic": lambda: face.deterministic_loss_and_grads(store, x, 1, cfg),
+        "object": lambda: obj.loss_and_grads(store, x, 1, eps, cfg),
+        "scene": lambda: scene.loss_and_grads(store, x[0], 1),
+        "affine-forward": lambda: unit.forward(store, x[0]),
+        "affine-backward": lambda: unit.backward(store, x[0], np.ones(LATENT), {}),
+    }
+    with pytest.raises(ShapeError, match=re.escape(UNSTACKED_NEEDS[call])):
+        calls[call]()
 
 
 # ---------------------------------------------------------------------------
@@ -200,11 +243,11 @@ def per_group_loss(tag, branch, store, cfg, ablation, group, epoch):
     """One group's loss and gradients, as the trainer defines them."""
     root = SeededRng(cfg.seed)
     if tag == "scene":
-        return branch.loss_and_grads(store, group.scene, group.label)
+        return one_group(branch.loss_and_grads, store, group.scene, group.label)
     if tag == "object":
         eps = np.stack([root.derive("train", "object", epoch, group.id, j).normals(cfg.latent_dim)
                         for j in range(group.objects.shape[0])])
-        return branch.loss_and_grads(store, group.objects, group.label, eps, cfg)
+        return one_group(branch.loss_and_grads, store, group.objects, group.label, eps, cfg)
     faces, kept = group.faces, list(range(group.faces.shape[0]))
     if ablation in ("full", "no-ual") and cfg.fiqe_apply in ("both", "train"):
         mu, _, sigma = branch.head.forward(store, faces)
@@ -216,10 +259,10 @@ def per_group_loss(tag, branch, store, cfg, ablation, group, epoch):
         kept, _ = filter_faces(mu, sigma, eps, cfg.delta2)
         faces = faces[kept]
     if ablation in ("no-ual", "no-ual-fiqe"):
-        return branch.deterministic_loss_and_grads(store, faces, group.label, cfg)
+        return one_group(branch.deterministic_loss_and_grads, store, faces, group.label, cfg)
     eps = np.stack([root.derive("train", "face", epoch, group.id, j).normals(cfg.latent_dim)
                     for j in kept])
-    return branch.loss_and_grads(store, faces, group.label, eps, cfg)
+    return one_group(branch.loss_and_grads, store, faces, group.label, eps, cfg)
 
 
 def oracle_epoch(store, branches, optimizers, cfg, ablation, groups, epoch):

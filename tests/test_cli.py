@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +19,18 @@ from ual.datagen_metrics import load_dataset
 from ual.numerics import ParameterStore
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def run(*argv):
     return main(list(argv))
+
+
+def cli_env(**extra):
+    """``os.environ`` with ``extra`` and this checkout's ``src`` first on
+    ``PYTHONPATH``, so that ``python -m ual.cli`` runs without an install."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **extra, "PYTHONPATH": path}
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +308,15 @@ class TestEval:
         runs = [r for r in records if r["record"] == "run"]
         assert [r["mc_samples"] for r in runs] == [1, 2, 4, 8]
 
+    @pytest.mark.parametrize("value", ["", "1,,2", "0", "2,x"])
+    def test_bad_mc_samples_is_a_usage_error(self, small_run, tmp_path, capsys, value):
+        out = tmp_path / "bad"
+        assert run("eval", "--manifest", str(small_run["out"] / "manifest.json"),
+                   "--data", str(small_run["val"]), "--mc-samples", value,
+                   "--out", str(out)) == 1
+        assert "argument --mc-samples: needs ints >= 1" in capsys.readouterr().err
+        assert not (out / "report.jsonl").exists()
+
     def test_hash_mismatch_refused_without_force(self, small_run, tmp_path, capsys):
         other = tmp_path / "other.jsonl"
         assert run("simulate", "--spec", str(small_run["spec"]), "--out", str(other),
@@ -355,6 +375,16 @@ class TestGradcheckCommand:
         assert "face.cls" in out and "object.total" in out and "self-test" in out
         assert "FAIL" not in out.replace("self-test", "")  # self-test line says pass
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--seeds", "0"), ("--seeds", "-3"),
+        ("--tolerance", "nan"), ("--tolerance", "-1"), ("--tolerance", "inf"), ("--tolerance", "0"),
+    ])
+    def test_bad_flag_is_a_usage_error(self, capsys, flag, value):
+        assert run("gradcheck", flag, value) == 1
+        captured = capsys.readouterr()
+        assert f"argument {flag}: needs " in captured.err
+        assert captured.out == ""  # no unit and no self-test ran
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
@@ -367,7 +397,7 @@ class TestExitCodes:
     def test_console_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "ual.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=cli_env(),
         )
         assert proc.returncode == 0
 
@@ -741,7 +771,7 @@ class TestLogLevelEnv:
         assert run(*argv, "--out", str(tmp_path / "plain")) == 0
         proc = subprocess.run(
             [sys.executable, "-m", "ual.cli", *argv, "--out", str(tmp_path / level)],
-            capture_output=True, text=True, env={**os.environ, "UAL_LOG_LEVEL": level},
+            capture_output=True, text=True, env=cli_env(UAL_LOG_LEVEL=level),
         )
         assert proc.returncode == 0, proc.stderr
         timed = [line for line in proc.stderr.splitlines() if line.startswith("inference:")]
@@ -758,7 +788,7 @@ class TestLogLevelEnv:
         assert run(*argv, "--out", str(tmp_path / "plain")) == 0
         proc = subprocess.run(
             [sys.executable, "-m", "ual.cli", *argv, "--out", str(tmp_path / level)],
-            capture_output=True, text=True, env={**os.environ, "UAL_LOG_LEVEL": level},
+            capture_output=True, text=True, env=cli_env(UAL_LOG_LEVEL=level),
         )
         assert proc.returncode == 0, proc.stderr
         timed = [line for line in proc.stderr.splitlines() if " s, validation " in line]

@@ -12,6 +12,7 @@ import pytest
 
 from ual.errors import ConfigError
 from ual.losses import (
+    LossBreakdown,
     kl_loss,
     rank_loss,
     total_face_loss,
@@ -30,8 +31,9 @@ def make_branch(kind, in_dim=4, latent=3, seed=0):
 
 
 def face_terms(branch, store, faces, eps, label=1, cfg=TrainingConfig(beta=0.5, delta1=0.2)):
-    bd, _ = branch.loss_and_grads(store, faces, label, eps, cfg)
-    return bd
+    """One group's face loss terms, as floats, from a stack of one."""
+    bd, _ = branch.loss_and_grads(store, faces[None], [label], eps[None], cfg)
+    return LossBreakdown(*(float(v[0]) for v in bd.as_row()))
 
 
 def classify(store, prefix, x):
@@ -79,9 +81,9 @@ class TestObjectClsLoss:
 
     def cls(self, eps, lambda1):
         bd, _ = self.branch.loss_and_grads(
-            self.store, self.objects, 1, eps, TrainingConfig(lambda1=lambda1)
+            self.store, self.objects[None], [1], eps[None], TrainingConfig(lambda1=lambda1)
         )
-        return bd.cls
+        return float(bd.cls[0])
 
     def ce(self, x):
         return softmax_cross_entropy(classify(self.store, "object", x), 1)[0]

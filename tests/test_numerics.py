@@ -33,11 +33,11 @@ def affine(W, b):
 class TestLinearForward:
     def test_identity(self):
         unit, store = affine(np.eye(2), [0.0, 0.0])
-        assert np.allclose(unit.forward(store, np.array([1.0, 0.0])), [1.0, 0.0])
+        assert np.allclose(unit.forward(store, np.array([[1.0, 0.0]])), [1.0, 0.0])
 
     def test_direct_substitution(self):
         unit, store = affine([[1.0, 1.0], [0.0, 1.0]], [1.0, 0.0])
-        assert np.allclose(unit.forward(store, np.array([1.0, 2.0])), [4.0, 2.0])
+        assert np.allclose(unit.forward(store, np.array([[1.0, 2.0]])), [4.0, 2.0])
 
     def test_random_map_matches_bruteforce(self):
         rng = SeededRng(3)
@@ -47,9 +47,11 @@ class TestLinearForward:
         unit, store = affine(W, b)
         # independent oracle: explicit loops (summation order differs from
         # BLAS by at most an ulp, hence the machine-precision tolerance);
-        # the row-stack form is the one the branches use
+        # a stack of row stacks and a row stack are the forms the branches use
         expected = np.array([sum(W[i, j] * x[j] for j in range(8)) + b[i] for i in range(4)])
-        np.testing.assert_allclose(unit.forward(store, x), expected, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(
+            unit.forward(store, x[None, None])[0, 0], expected, rtol=1e-14, atol=1e-14
+        )
         np.testing.assert_allclose(
             unit.forward(store, x[None, :])[0], expected, rtol=1e-14, atol=1e-14
         )
@@ -350,7 +352,7 @@ def _linear_ce_unit(seed):
     unit = AffineMap("unit", 6, 4)
     store = ParameterStore()
     unit.register(store, rng.derive("init"))
-    x = rng.normals(6)
+    x = rng.normals((1, 6))  # one row
     label = rng.integer(4)
 
     def loss_fn(s):
@@ -358,7 +360,7 @@ def _linear_ce_unit(seed):
         logits = unit.forward(s, x)
         loss, probs = softmax_cross_entropy(logits, label)
         unit.backward(s, x, softmax_cross_entropy_grad(probs, label), grads)
-        return loss, grads
+        return float(loss[0]), grads
 
     return loss_fn, store
 
@@ -409,7 +411,7 @@ def test_forward_backward_determinism():
         unit = AffineMap("u", 5, 3)
         store = ParameterStore()
         unit.register(store, rng.derive("init"))
-        x = rng.normals(5)
+        x = rng.normals((1, 5))  # one row
         grads = {}
         logits = unit.forward(store, x)
         loss, probs = softmax_cross_entropy(logits, 1)

@@ -9,6 +9,7 @@ import pytest
 from ual.datagen_metrics import GroupSample, SynthesisSpec, generate_dataset
 from ual import pipeline
 from ual.errors import ConfigError, DataError, NumericError
+from ual.losses import LossBreakdown
 from ual.numerics import ParameterStore, SeededRng, block_normals, derive_seeds, softmax
 from ual.pipeline import (
     BranchPrediction,
@@ -406,7 +407,7 @@ class TestFaceLoss:
         branch, store, faces = self._setup(n_faces, seed)
         eps = SeededRng(seed).derive("eps").normals((n_faces, 4))
         cfg = TrainingConfig(beta=self.BETA, delta1=self.DELTA1)
-        bd, _ = branch.loss_and_grads(store, faces, 1, eps, cfg)
+        bd = self._terms(branch, store, faces, 1, eps, cfg)
         oracle = self._face_loss_oracle(store, faces, 1, eps, self.BETA, self.DELTA1)
         assert oracle["rank"] > 0.0
         for term in ("cls", "kl", "rank", "rec"):
@@ -419,7 +420,7 @@ class TestFaceLoss:
         branch, store, faces = self._setup(5, 4)
         eps = np.zeros((5, 4))
         cfg = TrainingConfig(beta=self.BETA, delta1=self.DELTA1)
-        bd, _ = branch.loss_and_grads(store, faces, 2, eps, cfg)
+        bd = self._terms(branch, store, faces, 2, eps, cfg)
         mu, _, sigma = branch.head.forward(store, faces)
         assert np.array_equal(uncertainty_kernel(mu, sigma, eps).z, mu)
         assert bd.rec == 0.0
@@ -427,6 +428,12 @@ class TestFaceLoss:
         assert bd.rank == self.DELTA1
         oracle = self._face_loss_oracle(store, faces, 2, eps, self.BETA, self.DELTA1)
         assert bd.cls == pytest.approx(oracle["cls"], rel=1e-9, abs=1e-12)
+
+    @staticmethod
+    def _terms(branch, store, faces, label, eps, cfg):
+        """One group's loss terms, as floats, from a stack of one."""
+        bd, _ = branch.loss_and_grads(store, faces[None], [label], eps[None], cfg)
+        return LossBreakdown(*(float(v[0]) for v in bd.as_row()))
 
     @staticmethod
     def _face_loss_oracle(store, faces, label, eps, beta, delta1):
