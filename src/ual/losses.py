@@ -75,7 +75,7 @@ def total_face_loss(cls, kl, rank, rec, cfg) -> LossBreakdown:
 
 
 def total_object_loss(cls, kl, cfg) -> LossBreakdown:
-    """The object total under ``cfg``'s lambda2; rank and rec are zero."""
+    """The object total of ``(G,)`` terms under ``cfg``'s lambda2; rank and rec are zero."""
     total = cls + cfg.lambda2 * kl
-    zero = np.zeros_like(cls) if isinstance(cls, np.ndarray) else 0.0
+    zero = np.zeros_like(cls)
     return LossBreakdown(cls=cls, kl=kl, rank=zero, rec=zero, total=total)

@@ -42,11 +42,19 @@ mini-batch at a time, :func:`evaluate_dataset` one step of ``_INFER_STEP``
 groups at a time. Per step, each branch returns ``(G, E, C)`` probabilities
 for ``E`` sweep entries and flat per-individual arrays (:func:`branch_infer`),
 :func:`predict_group` fuses each group's ``(E, C)`` slices, and the report's
-records are built from these arrays only when asked for. Groups are bucketed
-by the count that sets the matmul shapes: faces for the faces' Gaussians,
-kept faces for the face loss and kernel, objects for the object loss and
-draws; the scene is one bucket. Each branch runs once per bucket on a
-leading stack axis, and all faces are scored in one quality-filter call.
+records are built from these arrays only when asked for.
+
+A step's (or batch's) individuals are stored one way, in training and
+inference alike: as flat rows in group order. Features, Gaussians, noise and
+per-individual results are ``(F, ...)`` arrays, and the faces the quality
+filter keeps are a sorted ``(K,)`` index into them; all faces are scored in
+one quality-filter call. Groups are bucketed by the count that sets the
+matmul shapes: faces for the faces' Gaussians, kept faces for the face loss
+and kernel, objects for the object loss and draws; the scene is one bucket.
+Each bucket gathers its groups' rows by a ``(G, n)`` index
+(:func:`_bucket_rows`) into contiguous ``(G, n, ...)`` stacks, and each
+branch runs once per bucket on that leading stack axis. The flat rows are
+storage only: every matmul runs on a stack.
 
 Inference serves a sweep of sample counts (``sample_counts``, default
 ``(config.mc_samples,)``) in one pass, one result per entry, in order: per
@@ -161,7 +169,8 @@ class TrainingConfig:
                 raise ConfigError(f"{name} must be finite, got {v}")
         if self.latent_dim < 1:
             raise ConfigError("latent_dim must be >= 1")
-        for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
+        for name in ("lambda1", "lambda2", "lambda3", "lambda4", "face_lr", "object_lr",
+                     "scene_lr"):
             if getattr(self, name) < 0.0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.lambda1 > 1.0:
@@ -254,35 +263,36 @@ class _GaussianBranch:
         self.head.register(store, rng.derive("embed"))
         self.classifier.register(store, rng.derive("classifier"))
 
-    def gaussians(
-        self, store: ParameterStore, groups: Sequence[GroupSample]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat ``mu`` and ``sigma`` of the individuals (faces or objects) of
-        ``groups`` in group order, from one head pass per bucket of equally
-        many, and each group's first row. A sigma that is not positive (an
-        underflow) or not finite, or a mu that is not finite, raises
-        :class:`NumericError` naming the first such individual."""
-        rows = [getattr(group, f"{self.tag}s") for group in groups]
-        for group, x in zip(groups, rows):
+    def individuals(self, groups: Sequence[GroupSample]) -> tuple[np.ndarray, list[int]]:
+        """The ``(F, in_dim)`` features of the individuals (faces or objects)
+        of ``groups``, flat in group order, and each group's count."""
+        per_group = [getattr(group, f"{self.tag}s") for group in groups]
+        for group, x in zip(groups, per_group):
             if x.shape[1] != self.in_dim:
                 raise ShapeError(f"group {group.id}: {self.tag} dim {x.shape[1]} != model dim "
                                  f"{self.in_dim}")
-        sizes = [x.shape[0] for x in rows]
-        starts = np.cumsum(sizes) - sizes
-        mu = np.empty((sum(sizes), self.latent_dim))
+        return np.concatenate(per_group), [x.shape[0] for x in per_group]
+
+    def gaussians(
+        self, store: ParameterStore, groups: Sequence[GroupSample]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Flat ``mu`` and ``sigma`` of the individuals of ``groups``, row
+        ``i`` for row ``i`` of :meth:`individuals`, from one head pass on the
+        ``(G, n, in_dim)`` stack of each bucket of equally many. A sigma that
+        is not positive (an underflow) or not finite, or a mu that is not
+        finite, raises :class:`NumericError` naming the first such individual."""
+        x, sizes = self.individuals(groups)
+        mu = np.empty((len(x), self.latent_dim))
         sigma = np.empty_like(mu)
-        for n, pos in _buckets(sizes):
-            bucket_mu, _, bucket_sigma = self.head.forward(store, np.stack([rows[p] for p in pos]))
-            flat = (starts[pos][:, None] + np.arange(n)).ravel()
-            mu[flat] = bucket_mu.reshape(-1, self.latent_dim)
-            sigma[flat] = bucket_sigma.reshape(-1, self.latent_dim)
+        for _, rows in _bucket_rows(sizes):
+            mu[rows], _, sigma[rows] = self.head.forward(store, x[rows])
         bad = np.flatnonzero(~np.all((sigma > 0.0) & np.isfinite(sigma) & np.isfinite(mu), -1))
         if bad.size:
-            g = int(np.searchsorted(starts, bad[0], side="right")) - 1
-            where = f"{groups[g].id}/{self.tag}{bad[0] - starts[g]}"
+            g = int(np.searchsorted(np.cumsum(sizes), bad[0], side="right"))
+            where = f"{groups[g].id}/{self.tag}{bad[0] - sum(sizes[:g])}"
             raise NumericError(f"sigma must be strictly positive and finite, and mu finite "
                                f"(source {where!r})")
-        return mu, sigma, starts
+        return mu, sigma
 
 
 class FaceBranch(_GaussianBranch):
@@ -387,20 +397,17 @@ class FaceBranch(_GaussianBranch):
         groups: Sequence[GroupSample],
         eps: np.ndarray,
         config: TrainingConfig,
-    ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], np.ndarray]:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The quality filter over the faces of ``groups``, for training and
         inference: face ``i`` (flat, see :meth:`gaussians`) is sampled with the
         noise ``eps[i]``, ``(F, fiqe_samples, latent_dim)`` in all, and all
         faces are scored in one :func:`filter_faces` call. Returns the flat
-        ``mu`` and ``sigma``, each group's kept face indices and every face's
-        score."""
-        mu, sigma, starts = self.gaussians(store, groups)
+        ``mu`` and ``sigma``, the sorted flat indices of the kept faces, as
+        :func:`filter_faces` gives them, and every face's score."""
+        mu, sigma = self.gaussians(store, groups)
         sizes = [group.faces.shape[0] for group in groups]
         kept, scores = filter_faces(mu, sigma, eps, config.delta2, sizes)
-        kept = np.asarray(kept, dtype=np.intp)
-        owner = np.searchsorted(starts, kept, side="right") - 1
-        per_group = _split(kept - starts[owner], np.bincount(owner, minlength=len(groups)))
-        return mu, sigma, per_group, scores
+        return mu, sigma, np.asarray(kept, dtype=np.intp), scores
 
     def infer(
         self,
@@ -425,19 +432,17 @@ class FaceBranch(_GaussianBranch):
             mu, sigma, kept, arrays["quality"] = self.quality_stage(
                 store, groups, draws.fiqe(), config
             )
-            starts = np.cumsum(sizes) - sizes
         else:
-            mu, sigma, starts = self.gaussians(store, groups)
-            kept = [np.arange(n) for n in sizes]
-        arrays["kept"] = np.zeros(len(mu), dtype=bool)
+            mu, sigma = self.gaussians(store, groups)
+            kept = np.arange(len(mu))
+        arrays["kept"] = np.isin(np.arange(len(mu)), kept)
         if stochastic:
             arrays["score"] = np.full((len(mu), len(sample_counts)), np.nan)
             arrays["alpha"] = arrays["score"].copy()
 
         probs = np.empty((len(groups), len(sample_counts), self.num_classes))
-        for _, pos in _buckets([len(idx) for idx in kept]):
-            rows = starts[pos][:, None] + np.stack([kept[p] for p in pos])  # (G, k)
-            arrays["kept"][rows] = True
+        for pos, idx in _bucket_rows(sizes, kept):
+            rows = kept[idx]  # (G, k)
             if stochastic:  # drawn per face as (G, k, M, d), run as C-order (G, M, k, d)
                 eps = np.ascontiguousarray(draws.mc(rows).swapaxes(1, 2))
                 _, _, s, alpha, x_rounds = uncertainty_kernel(
@@ -516,10 +521,9 @@ class ObjectBranch(_GaussianBranch):
         present = np.flatnonzero(sizes)
         if present.size:
             # groups without objects own no rows, so these groups' flat rows are the step's
-            mu, sigma, starts = self.gaussians(store, [groups[p] for p in present])
+            mu, sigma = self.gaussians(store, [groups[p] for p in present])
             classify = functools.partial(self.classifier.forward, store)
-            for k, pos in _buckets(sizes[present]):
-                rows = starts[pos][:, None] + np.arange(k)  # (G, k)
+            for pos, rows in _bucket_rows(sizes[present]):  # rows: (G, k)
                 block = draws.mc(rows)
                 bucket_mu, bucket_sigma = mu[rows], sigma[rows]
                 for e, n in enumerate(sample_counts):
@@ -774,30 +778,46 @@ def _mean_breakdown(rows: list[np.ndarray], row_weights: list[int]) -> LossBreak
     return LossBreakdown(cls, kl, rank, rec, total)
 
 
-def _bucketed(counts: Sequence[int], step) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+def _bucketed(sizes: Sequence[int], step, kept: np.ndarray | None = None
+              ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Per-group loss rows and gradients of a batch, one ``step`` per bucket.
 
-    Groups with the same count (faces or objects: the count that sets the
-    matmul shapes) form a bucket; ``step(positions)`` runs the branch loss
-    on the stack of those groups. Its rows and gradients are put back in
-    batch order: ``rows`` is ``(G, 5)`` and each gradient ``(G, *shape)``.
+    Groups with the same count (of individuals, or of ``kept`` ones: the
+    count that sets the matmul shapes) form a bucket; ``step(positions,
+    rows)`` runs the branch loss on the stack of those groups, given the
+    bucket's pair from :func:`_bucket_rows`. Its loss terms and gradients
+    are put back in batch order: a ``(G, 5)`` array of terms, and each
+    gradient ``(G, *shape)``.
     """
-    rows = np.empty((len(counts), len(_TERMS)))
+    terms = np.empty((len(sizes), len(_TERMS)))
     grads: dict[str, np.ndarray] = {}
-    for _, pos in _buckets(counts):
-        breakdown, bucket_grads = step(pos)
-        rows[pos] = np.column_stack(breakdown.as_row())
+    for pos, rows in _bucket_rows(sizes, kept):
+        breakdown, bucket_grads = step(pos, rows)
+        terms[pos] = np.column_stack(breakdown.as_row())
         for name, g in bucket_grads.items():
             if name not in grads:
-                grads[name] = np.empty((len(counts),) + g.shape[1:])
+                grads[name] = np.empty((len(sizes),) + g.shape[1:])
             grads[name][pos] = g
-    return rows, grads
+    return terms, grads
 
 
-def _buckets(counts: Sequence[int]) -> list[tuple[int, np.ndarray]]:
-    """``(count, positions)`` of each distinct count, in ascending order."""
-    counts = np.asarray(counts)
-    return [(n, np.flatnonzero(counts == n)) for n in np.unique(counts).tolist()]
+def _bucket_rows(sizes: Sequence[int], kept: np.ndarray | None = None
+                 ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One ``(positions, rows)`` pair per distinct count ``n``, ascending: the
+    positions of the groups (of ``sizes`` individuals each) with ``n``
+    individuals, and the ``(G, n)`` indices of their rows in the flat,
+    group-ordered array of all individuals. With ``kept``, the sorted flat
+    indices of some of the individuals, only those count, and ``rows``
+    index ``kept``."""
+    counts = np.asarray(sizes)
+    if kept is not None:
+        counts = np.diff(np.searchsorted(kept, np.cumsum(sizes)), prepend=0)
+    starts = np.cumsum(counts) - counts
+    buckets = []
+    for n in np.unique(counts).tolist():
+        pos = np.flatnonzero(counts == n)
+        buckets.append((pos, starts[pos][:, None] + np.arange(n)))
+    return buckets
 
 
 def _individual_seeds(stream: SeededRng, groups: Sequence[GroupSample], indices) -> np.ndarray:
@@ -867,10 +887,6 @@ def _face_noise(ablation: str, config: TrainingConfig) -> tuple[bool, bool]:
     whether it samples."""
     filtered = ablation in ("full", "no-ual") and config.fiqe_apply in ("both", "eval")
     return filtered, ablation in ("full", "no-fiqe")
-
-
-def _split(flat: np.ndarray, counts: Sequence[int]) -> list[np.ndarray]:
-    return np.split(flat, np.cumsum(counts)[:-1])
 
 
 class Trainer:
@@ -948,10 +964,13 @@ class Trainer:
 
         ``weight(group)`` is a group's weight; ``loss(groups)`` returns the
         per-group ``(rows, grads)`` of a batch's groups (see
-        :func:`_bucketed`). Noise for individual ``j`` of a group comes from
-        the stream keyed ``(seed, "train", tag, epoch, group id, j)``; the
-        face quality filter draws from
-        ``(seed, "train-fiqe", "face", epoch, group id, j)``.
+        :func:`_bucketed`). For faces and objects alike, it draws the noise
+        of a batch's flat rows (with the quality filter, of the kept faces) as
+        one block and gathers each bucket's stacks from both; the filter and
+        the deterministic baseline apply to faces only. Noise for individual
+        ``j`` of a group comes from the stream keyed
+        ``(seed, "train", tag, epoch, group id, j)``; the face quality filter
+        draws from ``(seed, "train-fiqe", "face", epoch, group id, j)``.
         """
         cfg = self.config
         store = self.store
@@ -966,60 +985,38 @@ class Trainer:
                 scene = np.stack([group.scene for group in groups])
                 return _bucketed(  # one bucket: every scene has the same shape
                     [0] * len(groups),
-                    lambda pos: branch.loss_and_grads(store, scene, labels(groups)),
+                    lambda pos, _: branch.loss_and_grads(store, scene, labels(groups)),
                 )
 
             return (lambda group: 1), scene_loss
 
-        if tag == "object":
-            def object_loss(groups):
-                counts = [group.objects.shape[0] for group in groups]
-                stream = root.derive("train", "object", epoch)
-                seeds = _individual_seeds(stream, groups, [np.arange(k) for k in counts])
-                eps = _split(block_normals(seeds, cfg.latent_dim), counts)
-                y = labels(groups)
-
-                def bucket(pos):
-                    objects = np.stack([groups[p].objects for p in pos])
-                    noise = np.stack([eps[p] for p in pos])
-                    return branch.loss_and_grads(store, objects, y[pos], noise, cfg)
-
-                return _bucketed(counts, bucket)
-
-            return (lambda group: group.objects.shape[0]), object_loss
-
-        deterministic = self.ablation in ("no-ual", "no-ual-fiqe")
-        fiqe_on = self.ablation in ("full", "no-ual") and cfg.fiqe_apply in ("both", "train")
+        face = tag == "face"
+        deterministic = face and self.ablation in ("no-ual", "no-ual-fiqe")
+        fiqe_on = (face and self.ablation in ("full", "no-ual")
+                   and cfg.fiqe_apply in ("both", "train"))
+        stream = root.derive("train", tag, epoch)
         fiqe_stream = root.derive("train-fiqe", "face", epoch)
 
-        def face_loss(groups):
-            faces = [group.faces for group in groups]
-            indices = [np.arange(f.shape[0]) for f in faces]
+        def gaussian_loss(groups):
+            x, sizes = branch.individuals(groups)
+            indices = [np.arange(n) for n in sizes]
+            kept = np.arange(len(x))  # the rows the loss reads: all, or the faces the filter keeps
             if fiqe_on:
                 seeds = _individual_seeds(fiqe_stream, groups, indices)
                 fiqe = block_normals(seeds, (cfg.fiqe_samples, cfg.latent_dim))
-                indices = branch.quality_stage(store, groups, fiqe, cfg)[2]
-                faces = [f[kept] for f, kept in zip(faces, indices)]
-            counts = [len(idx) for idx in indices]
+                kept = branch.quality_stage(store, groups, fiqe, cfg)[2]
             y = labels(groups)
             if deterministic:
-                return _bucketed(
-                    counts,
-                    lambda pos: branch.deterministic_loss_and_grads(
-                        store, np.stack([faces[p] for p in pos]), y[pos], cfg
-                    ),
-                )
-            seeds = _individual_seeds(root.derive("train", "face", epoch), groups, indices)
-            eps = _split(block_normals(seeds, cfg.latent_dim), counts)
+                return _bucketed(sizes, lambda pos, idx: branch.deterministic_loss_and_grads(
+                    store, x[kept[idx]], y[pos], cfg
+                ), kept)
+            eps = block_normals(_individual_seeds(stream, groups, indices)[kept], cfg.latent_dim)
+            return _bucketed(sizes, lambda pos, idx: branch.loss_and_grads(
+                store, x[kept[idx]], y[pos], eps[idx], cfg
+            ), kept)
 
-            def bucket(pos):
-                stack = np.stack([faces[p] for p in pos])
-                noise = np.stack([eps[p] for p in pos])
-                return branch.loss_and_grads(store, stack, y[pos], noise, cfg)
-
-            return _bucketed(counts, bucket)
-
-        return (lambda group: 1), face_loss
+        weight = (lambda group: group.objects.shape[0]) if tag == "object" else (lambda group: 1)
+        return weight, gaussian_loss
 
 
 def _checked_batch(batch_loss, groups: Sequence[GroupSample]):

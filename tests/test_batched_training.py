@@ -349,3 +349,23 @@ def test_face_loss_runs_once_per_bucket(monkeypatch):
     store, branches = oracle_model(cfg)
     Trainer(store, {"face": branches["face"]}, cfg).train_epoch(groups, 0)
     assert sorted(calls) == [(2, 2), (2, 3)]  # one stacked call per face count
+
+
+def test_object_loss_runs_once_per_bucket(monkeypatch):
+    calls = []
+    original = ObjectBranch.loss_and_grads
+
+    def counted(self, store, objects, *args):
+        calls.append(objects.copy())
+        return original(self, store, objects, *args)
+
+    monkeypatch.setattr(ObjectBranch, "loss_and_grads", counted)
+    groups = oracle_groups()[:8]  # 0, 1, 2, 3, 0, 1, 2, 3 objects
+    cfg = TrainingConfig(latent_dim=4, batch_size=8)
+    store, branches = oracle_model(cfg)
+    Trainer(store, {"object": branches["object"]}, cfg).train_epoch(groups, 0)
+    # one stacked call per object count; the groups without objects enter none
+    assert sorted(stack.shape[:-1] for stack in calls) == [(2, 1), (2, 2), (2, 3)]
+    # each item of a stack is one group's objects, each group's exactly once
+    items = sorted(item.tobytes() for stack in calls for item in stack)
+    assert items == sorted(g.objects.tobytes() for g in groups if g.objects.shape[0])

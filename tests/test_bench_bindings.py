@@ -60,19 +60,23 @@ _INFERENCE_SPANS = (
 )
 
 
-def test_inference_bindings_record_spans(tmp_path):
-    # a binding that still resolves but that the package no longer calls
-    # (say, inlined into its caller) would record nothing in the benchmark
+@pytest.fixture(scope="module")
+def traced_eval(tmp_path_factory):
+    """A small model trained untraced, then one traced ``ual eval`` of its
+    data: the tracer, the data file and the report directory."""
     from ual.cli import main
 
+    tmp_path = tmp_path_factory.mktemp("traced_eval")
     spec = tmp_path / "spec.gen"
     spec.write_text(
         "num_groups = 16\ngroup_size_min = 2\ngroup_size_max = 4\nface_dim = 6\n"
         "object_dim = 5\nscene_dim = 4\nobject_count_min = 1\nseed = 5\n"
     )
     cfg = tmp_path / "train.cfg"
-    cfg.write_text("latent_dim = 4\nepochs = 1\nmc_samples = 3\nfiqe_samples = 4\n")
-    data, model = tmp_path / "data.jsonl", tmp_path / "model"
+    cfg.write_text(  # a high quality threshold: the filter keeps some faces, not all
+        "latent_dim = 4\nepochs = 1\nmc_samples = 3\nfiqe_samples = 4\ndelta2 = 0.9\n"
+    )
+    data, model, report = tmp_path / "data.jsonl", tmp_path / "model", tmp_path / "report"
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -81,11 +85,34 @@ def test_inference_bindings_record_spans(tmp_path):
                      "--val", str(data), "--out", str(model)]) == 0
         tracer.reset("eval")
         assert main(["eval", "--manifest", str(model / "manifest.json"),
-                     "--data", str(data), "--out", str(tmp_path / "report")]) == 0
+                     "--data", str(data), "--out", str(report)]) == 0
     finally:
         tracer.uninstall()
+    return tracer, data, report
+
+
+def test_inference_bindings_record_spans(traced_eval):
+    # a binding that still resolves but that the package no longer calls
+    # (say, inlined into its caller) would record nothing in the benchmark
+    tracer, _, _ = traced_eval
     recorded = {span[0] for span in tracer.spans}
     assert [name for name in _INFERENCE_SPANS if name not in recorded] == []
+
+
+def test_filter_counters_match_the_report(traced_eval):
+    # the tracer counts len(args[0]) of filter_faces as scored faces and
+    # len(result[0]) as kept ones, so filter_faces must take every face's mu
+    # and return the flat kept list first
+    from ual.datagen_metrics import load_dataset
+
+    tracer, data, report = traced_eval
+    faces = [face for line in (report / "report.jsonl").read_text().splitlines()
+             for record in [json.loads(line)] if record.get("record") == "group"
+             for face in record["branches"]["face"]["faces"]]
+    assert len(faces) == sum(group.faces.shape[0] for group in load_dataset(data).groups)
+    assert tracer.counters["quality_filter.faces_scored"] == len(faces)
+    assert tracer.counters["quality_filter.faces_kept"] == sum(face["kept"] for face in faces)
+    assert 0 < sum(face["kept"] for face in faces) < len(faces)
 
 
 # the span of each binding that `ual simulate` and a read-back call

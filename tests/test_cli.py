@@ -192,6 +192,15 @@ class TestTrain:
         assert code == 2
         assert f"config error: {key} must be finite, got nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["face_lr", "object_lr", "scene_lr"])
+    def test_negative_learning_rate_exits_2(self, small_run, tmp_path, capsys, key):
+        cfg = tmp_path / "ascent.cfg"
+        cfg.write_text(f"{key} = -1\n")  # gradient ascent
+        code = run("train", "--config", str(cfg), "--train", str(small_run["train"]),
+                   "--val", str(small_run["val"]), "--out", str(tmp_path / "m"))
+        assert code == 2
+        assert f"config error: {key} must be >= 0" in capsys.readouterr().err
+
     def test_flags_parse_like_config_keys(self, small_run, tmp_path):
         base = "".join(line + "\n" for line in small_run["cfg"].read_text().splitlines()
                        if not line.startswith(("seed", "epochs")))

@@ -210,8 +210,10 @@ class TestTotals:
         assert bd.as_row() == (cls, kl, rank, rec, bd.total)
 
     def test_object_total(self):
+        cls, kl = np.array([0.9, 0.4]), np.array([5.0, 1.0])  # one value per group
         w = TrainingConfig(lambda2=0.0)
-        bd = total_object_loss(0.9, 5.0, w)
-        assert bd.total == 0.9
+        bd = total_object_loss(cls, kl, w)
+        assert bd.total.tolist() == [0.9, 0.4]
+        assert bd.rank.tolist() == bd.rec.tolist() == [0.0, 0.0]
         w2 = TrainingConfig(lambda2=2.0)
-        assert total_object_loss(0.9, 5.0, w2).total == pytest.approx(10.9)
+        assert total_object_loss(cls, kl, w2).total == pytest.approx([10.9, 2.4])

@@ -370,9 +370,11 @@ class TestBlockInference:
         seeds = derive_seeds(SeededRng(6).derive("stage"), np.arange(sum(sizes)))
         block = block_normals(seeds, (cfg.fiqe_samples, cfg.latent_dim))
         mu, sigma, kept, scores = branch.quality_stage(store, groups, block, cfg)
+        assert (np.diff(kept) > 0).all()  # flat and sorted, as filter_faces gives it
 
         lo = 0
-        for group, size, group_kept in zip(groups, sizes, kept):
+        for group, size in zip(groups, sizes):
+            group_kept = kept[(kept >= lo) & (kept < lo + size)] - lo
             ref_mu, _, ref_sigma = branch.head.forward(store, group.faces)
             eps = np.stack([
                 SeededRng(int(seed)).normals((cfg.fiqe_samples, cfg.latent_dim))
