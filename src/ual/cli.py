@@ -44,7 +44,6 @@ from .pipeline import (
     ObjectBranch,
     TrainingConfig,
     build_branches,
-    config_from_mapping,
     evaluate_dataset,
     register_branches,
     train_model,
@@ -279,7 +278,8 @@ def _check_manifest(manifest, path: Path) -> None:
 def _restore_from_manifest(manifest: dict, manifest_path: Path):
     source = str(manifest_path)
     try:
-        config = config_from_mapping({k: str(v) for k, v in manifest["config"].items()}, source)
+        mapping = {k: str(v) for k, v in manifest["config"].items()}
+        config = settings_from_mapping(TrainingConfig, mapping, source)
     except ConfigError as exc:  # a failed validation does not name the file yet
         if not str(exc).startswith(source):
             raise ConfigError(f"{source}: {exc}") from exc

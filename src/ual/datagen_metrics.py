@@ -522,5 +522,6 @@ def settings_from_mapping(kind, mapping: dict, source: str):
 
 
 def spec_from_mapping(mapping: dict, source: str = "spec") -> SynthesisSpec:
-    """Build a SynthesisSpec from a {key: string} mapping; see :func:`settings_from_mapping`."""
+    """Build a SynthesisSpec from a {key: string} mapping; see :func:`settings_from_mapping`.
+    The package calls that directly; ``perfbench/workloads.py`` calls this."""
     return settings_from_mapping(SynthesisSpec, mapping, source)

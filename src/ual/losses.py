@@ -36,40 +36,42 @@ class LossBreakdown:
         return (self.cls, self.kl, self.rank, self.rec, self.total)
 
 
-def kl_loss(mu: np.ndarray, log_var: np.ndarray) -> float | np.ndarray:
-    """Mean KL(N(mu, sigma^2) || N(0, I)) over the rows of ``(n, d)`` arrays.
+def kl_loss(mu: np.ndarray, log_var: np.ndarray) -> np.ndarray:
+    """Mean KL(N(mu, sigma^2) || N(0, I)) over the ``n`` rows of each group
+    of ``(G, n, d)`` stacks, as a ``(G,)`` array.
 
     Computed as ``-(1 / 2n) sum_i sum_d (1 + log sigma^2 - mu^2 - sigma^2)``;
-    zero exactly when every row is the standard normal. A ``(..., n, d)``
-    stack gives one KL per ``(n, d)`` item, each summed as the 2-D call sums it.
+    zero exactly when every row is the standard normal.
     """
-    if mu.shape != log_var.shape or mu.ndim < 2:
-        raise ShapeError(f"need equal (..., n, d) mu/log_var, got {mu.shape} vs {log_var.shape}")
-    n = mu.shape[-2]
+    if mu.shape != log_var.shape or mu.ndim != 3:
+        raise ShapeError(f"need equal (G, n, d) mu/log_var, got {mu.shape} vs {log_var.shape}")
+    n = mu.shape[1]
     if n == 0:
         raise ValueError("kl_loss needs at least one individual")
     terms = 1.0 + log_var - np.square(mu) - np.exp(log_var)
-    kl = -0.5 * terms.reshape(mu.shape[:-2] + (-1,)).sum(axis=-1) / n
-    return float(kl) if mu.ndim == 2 else kl
+    return -0.5 * terms.reshape(mu.shape[0], -1).sum(axis=-1) / n
 
 
-def rank_loss(alpha_high, alpha_low, delta1: float) -> float | np.ndarray:
-    """Margin loss ``max(0, delta1 - (alpha_high - alpha_low))``.
+def rank_loss(alpha_high, alpha_low, delta1: float) -> np.ndarray:
+    """Margin loss ``max(0, delta1 - (alpha_high - alpha_low))`` of ``(G,)``
+    arrays of one group mean per group.
 
-    Takes floats, or arrays of one group mean per group. Groups with fewer
-    than two faces have no high/low partition; callers define their rank
-    term as 0 in that case.
+    Groups with fewer than two faces have no high/low partition; callers
+    define their rank term as 0 in that case.
     """
     if delta1 < 0.0:
         raise ValueError(f"delta1 must be >= 0, got {delta1}")
-    gap = delta1 - (np.asarray(alpha_high, dtype=np.float64) - alpha_low)
-    rank = np.where(gap > 0.0, gap, 0.0)  # a NaN gap gives 0.0, as max(0.0, gap) does
-    return float(rank) if rank.ndim == 0 else rank
+    high = np.asarray(alpha_high, dtype=np.float64)
+    low = np.asarray(alpha_low, dtype=np.float64)
+    if high.ndim != 1 or low.shape != high.shape:
+        raise ShapeError(f"need equal (G,) alpha_high/alpha_low, got {high.shape} vs {low.shape}")
+    gap = delta1 - (high - low)
+    return np.where(gap > 0.0, gap, 0.0)  # a NaN gap gives 0.0, as max(0.0, gap) does
 
 
 def total_face_loss(cls, kl, rank, rec, cfg) -> LossBreakdown:
-    """The face total weighted by ``cfg.lambda2``-``lambda4`` (``cfg`` is a
-    ``TrainingConfig``); the terms are floats, or arrays of one value per group."""
+    """The face total of ``(G,)`` terms weighted by ``cfg.lambda2``-``lambda4``
+    (``cfg`` is a ``TrainingConfig``)."""
     total = cls + cfg.lambda2 * kl + cfg.lambda3 * rank + cfg.lambda4 * rec
     return LossBreakdown(cls=cls, kl=kl, rank=rank, rec=rec, total=total)
 

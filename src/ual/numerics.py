@@ -447,17 +447,17 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def softmax_cross_entropy(logits, label) -> tuple[float | np.ndarray, np.ndarray]:
-    """Loss ``-log p[label]`` and the probability vector, via max-subtraction.
+def softmax_cross_entropy(logits, label) -> tuple[np.ndarray, np.ndarray]:
+    """Losses ``-log p[label]`` and the probability vectors, via max-subtraction.
 
-    ``logits`` is one ``(C,)`` vector, giving a float loss, or a ``(..., C)``
-    stack with an int label array that broadcasts against ``logits.shape[:-1]``,
-    giving one loss per vector. Stable for any finite logits; non-finite
-    logits or a label outside ``[0, C)`` raise.
+    ``logits`` is a ``(..., C)`` stack of ndim >= 2 and ``label`` an int
+    array that broadcasts against ``logits.shape[:-1]``; the loss has one
+    entry per vector. Stable for any finite logits; non-finite logits or a
+    label outside ``[0, C)`` raise.
     """
     z = as_f64(logits, "logits")
-    if z.ndim == 0 or z.shape[-1] < 2:
-        raise ShapeError(f"need at least 2 classes, got logits of shape {z.shape}")
+    if z.ndim < 2 or z.shape[-1] < 2:
+        raise ShapeError(f"need a (..., C >= 2) stack of logits, got shape {z.shape}")
     c = z.shape[-1]
     labels = np.asarray(label)
     if not np.all((labels >= 0) & (labels < c)):
@@ -467,12 +467,11 @@ def softmax_cross_entropy(logits, label) -> tuple[float | np.ndarray, np.ndarray
     total = e.sum(axis=-1, keepdims=True)
     probs = e / total
     picked = z.reshape(-1, c)[_label_index(labels, z.shape)].reshape(z.shape[:-1] + (1,))
-    loss = (np.log(total) + m - picked)[..., 0]
-    return (float(loss) if z.ndim == 1 else loss), probs
+    return (np.log(total) + m - picked)[..., 0], probs
 
 
 def softmax_cross_entropy_grad(probs: np.ndarray, label) -> np.ndarray:
-    """d loss / d logits for :func:`softmax_cross_entropy`, for one vector or a stack."""
+    """d loss / d logits for :func:`softmax_cross_entropy`, of its stack of ``probs``."""
     g = probs.copy()
     g.reshape(-1, g.shape[-1])[_label_index(np.asarray(label), g.shape)] -= 1.0
     return g

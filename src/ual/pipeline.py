@@ -50,8 +50,8 @@ per-individual results are ``(F, ...)`` arrays, and the faces the quality
 filter keeps are a sorted ``(K,)`` index into them; all faces are scored in
 one quality-filter call. Groups are bucketed by the count that sets the
 matmul shapes: faces for the faces' Gaussians, kept faces for the face loss
-and kernel, objects for the object loss and draws; the scene is one bucket.
-Each bucket gathers its groups' rows by a ``(G, n)`` index
+and kernel, objects for the object loss and draws; a batch's scenes are one
+stack. Each bucket gathers its groups' rows by a ``(G, n)`` index
 (:func:`_bucket_rows`) into contiguous ``(G, n, ...)`` stacks, and each
 branch runs once per bucket on that leading stack axis. The flat rows are
 storage only: every matmul runs on a stack.
@@ -195,7 +195,8 @@ class TrainingConfig:
 
 
 def config_from_mapping(mapping: dict, source: str = "config") -> TrainingConfig:
-    """Build a TrainingConfig from a {key: string} mapping; see :func:`settings_from_mapping`."""
+    """Build a TrainingConfig from a {key: string} mapping; see :func:`settings_from_mapping`.
+    The package calls that directly; ``perfbench/workloads.py`` calls this."""
     return settings_from_mapping(TrainingConfig, mapping, source)
 
 
@@ -425,7 +426,7 @@ class FaceBranch(_GaussianBranch):
         ``(F, E)``, each entry's mean over its rounds (NaN for a dropped
         face). ``draws`` serves the faces' noise; only the kinds the ablation
         reads are asked for, and MC noise only for the kept faces."""
-        filtered, stochastic = _face_noise(ablation, config)
+        filtered, stochastic = _face_noise(ablation, config, "eval")
         sizes = [group.faces.shape[0] for group in groups]
         arrays: dict[str, np.ndarray] = {}
         if filtered:
@@ -778,16 +779,15 @@ def _mean_breakdown(rows: list[np.ndarray], row_weights: list[int]) -> LossBreak
     return LossBreakdown(cls, kl, rank, rec, total)
 
 
-def _bucketed(sizes: Sequence[int], step, kept: np.ndarray | None = None
+def _bucketed(sizes: Sequence[int], step, kept: np.ndarray
               ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Per-group loss rows and gradients of a batch, one ``step`` per bucket.
 
-    Groups with the same count (of individuals, or of ``kept`` ones: the
-    count that sets the matmul shapes) form a bucket; ``step(positions,
-    rows)`` runs the branch loss on the stack of those groups, given the
-    bucket's pair from :func:`_bucket_rows`. Its loss terms and gradients
-    are put back in batch order: a ``(G, 5)`` array of terms, and each
-    gradient ``(G, *shape)``.
+    Groups with the same count of ``kept`` individuals (the count that sets
+    the matmul shapes) form a bucket; ``step(positions, rows)`` runs the
+    branch loss on the stack of those groups, given the bucket's pair from
+    :func:`_bucket_rows`. Its loss terms and gradients are put back in batch
+    order: a ``(G, 5)`` array of terms, and each gradient ``(G, *shape)``.
     """
     terms = np.empty((len(sizes), len(_TERMS)))
     grads: dict[str, np.ndarray] = {}
@@ -882,10 +882,10 @@ class _KeptDraws(_Draws):
         return block[rows]
 
 
-def _face_noise(ablation: str, config: TrainingConfig) -> tuple[bool, bool]:
-    """Whether face inference under ``ablation`` runs the quality filter, and
-    whether it samples."""
-    filtered = ablation in ("full", "no-ual") and config.fiqe_apply in ("both", "eval")
+def _face_noise(ablation: str, config: TrainingConfig, phase: str) -> tuple[bool, bool]:
+    """Whether the face branch under ``ablation`` runs the quality filter in
+    ``phase`` (``"train"`` or ``"eval"``), and whether it samples."""
+    filtered = ablation in ("full", "no-ual") and config.fiqe_apply in ("both", phase)
     return filtered, ablation in ("full", "no-fiqe")
 
 
@@ -983,17 +983,14 @@ class Trainer:
         if tag == "scene":
             def scene_loss(groups):
                 scene = np.stack([group.scene for group in groups])
-                return _bucketed(  # one bucket: every scene has the same shape
-                    [0] * len(groups),
-                    lambda pos, _: branch.loss_and_grads(store, scene, labels(groups)),
-                )
+                breakdown, grads = branch.loss_and_grads(store, scene, labels(groups))
+                return np.column_stack(breakdown.as_row()), grads
 
             return (lambda group: 1), scene_loss
 
         face = tag == "face"
-        deterministic = face and self.ablation in ("no-ual", "no-ual-fiqe")
-        fiqe_on = (face and self.ablation in ("full", "no-ual")
-                   and cfg.fiqe_apply in ("both", "train"))
+        filtered, stochastic = _face_noise(self.ablation, cfg, "train")
+        fiqe_on, deterministic = face and filtered, face and not stochastic
         stream = root.derive("train", tag, epoch)
         fiqe_stream = root.derive("train-fiqe", "face", epoch)
 
@@ -1078,7 +1075,7 @@ class NoiseCache:
                  seed: int, ablation: str = "full"):
         self._dataset = dataset
         self._key = (config, seed, ablation, tuple(branches), config.mc_samples)
-        filtered, stochastic = _face_noise(ablation, config)
+        filtered, stochastic = _face_noise(ablation, config, "eval")
         # the rounds of each kind a pass reads; a kind it does not read keeps no array
         mc = {"face": stochastic * config.mc_samples, "object": config.mc_samples}
         fiqe = {"face": filtered * config.fiqe_samples, "object": 0}

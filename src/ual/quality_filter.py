@@ -37,23 +37,17 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
-def fiqe_score(embeddings) -> float | np.ndarray:
-    """Dispersion score of ``m >= 2`` stochastic embeddings per face.
-
-    An ``(m, dim)`` stack gives one float; an ``(n, m, dim)`` stack gives the
-    ``n`` faces' scores as an array.
-    """
+def fiqe_score(embeddings) -> np.ndarray:
+    """Dispersion scores ``(n,)`` of an ``(n, m, dim)`` stack of ``m >= 2``
+    stochastic embeddings per face."""
     x = np.asarray(embeddings, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-2] < 2:
-        raise ShapeError(
-            f"need a ([n,] m >= 2, dim) stack of embeddings, got shape {x.shape}"
-        )
-    m = x.shape[-2]
+    if x.ndim != 3 or x.shape[1] < 2:
+        raise ShapeError(f"need an (n, m >= 2, dim) stack of embeddings, got shape {x.shape}")
+    m = x.shape[1]
     iu, ju = _pairs(m)
-    faces = x.reshape(-1, m, x.shape[-1])
-    scores = np.empty(faces.shape[0])
-    for lo in range(0, faces.shape[0], _CHUNK):
-        part = faces[lo : lo + _CHUNK]
+    scores = np.empty(x.shape[0])
+    for lo in range(0, x.shape[0], _CHUNK):
+        part = x[lo : lo + _CHUNK]
         # np.take, not part[:, iu, :]: fancy indexing after a slice lays the
         # pair axis out first, and a row sum over such a strided view adds in
         # another order than the 1-D sum of a single face (1 ulp on about 1
@@ -63,7 +57,7 @@ def fiqe_score(embeddings) -> float | np.ndarray:
         # the exponent is never positive, so e / (1 + e) is the stable sigmoid
         e = np.exp(-(2.0 / (m * m)) * dist.sum(axis=-1))
         scores[lo : lo + _CHUNK] = 2.0 * (e / (1.0 + e))
-    return float(scores[0]) if x.ndim == 2 else scores
+    return scores
 
 
 def filter_faces(
@@ -71,17 +65,17 @@ def filter_faces(
     sigma: np.ndarray,
     eps: np.ndarray,
     threshold: float,
-    sizes: Sequence[int] | None = None,
+    sizes: Sequence[int],
 ) -> tuple[list[int], np.ndarray]:
     """Keep the faces whose quality score reaches ``threshold``.
 
-    ``mu`` and ``sigma`` are the ``(n, dim)`` Gaussians of a group's faces
-    and ``eps`` the ``(n, m, dim)`` noise block; face ``i`` is scored from
-    its ``m`` draws ``mu[i] + eps[i] * sigma[i]``. ``sizes`` splits the
-    ``n`` rows into consecutive groups (default: one group). If no face of a
-    group passes, its single best-scoring one (first on ties) is kept so no
-    group becomes empty. Returns the kept row indices in original order and
-    every face's score.
+    ``mu`` and ``sigma`` are the ``(n, dim)`` Gaussians of the faces of
+    consecutive groups of ``sizes`` faces each (``[n]`` for one group), and
+    ``eps`` the ``(n, m, dim)`` noise block; face ``i`` is scored from its
+    ``m`` draws ``mu[i] + eps[i] * sigma[i]``. If no face of a group passes,
+    its single best-scoring one (first on ties) is kept so no group becomes
+    empty. Returns the kept row indices in original order and every face's
+    score.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
@@ -90,9 +84,7 @@ def filter_faces(
             f"need (n, dim) mu/sigma and an (n, m, dim) eps block, got "
             f"{mu.shape}, {sigma.shape} and {eps.shape}"
         )
-    if sizes is None:
-        sizes = (mu.shape[0],)
-    elif min(sizes, default=0) < 0 or sum(sizes) != mu.shape[0]:
+    if min(sizes, default=0) < 0 or sum(sizes) != mu.shape[0]:
         raise ShapeError(f"group sizes {list(sizes)} do not split {mu.shape[0]} faces")
     scores = fiqe_score(mu[:, None, :] + eps * sigma[:, None, :])
     kept = np.flatnonzero(scores >= threshold).tolist()

@@ -119,14 +119,14 @@ def test_criterion_1_gradient_fidelity():
 
 def test_criterion_2_kl_identities():
     # kl_loss is the KL term of both the face and the object branch
-    zero = kl_loss(np.zeros((1, 2)), np.zeros((1, 2)))
-    unit = kl_loss(np.ones((1, 1)), np.zeros((1, 1)))
+    zero = float(kl_loss(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)))[0])  # a stack of one
+    unit = float(kl_loss(np.ones((1, 1, 1)), np.zeros((1, 1, 1)))[0])
     rng = SeededRng(202)
     nonneg = True
     for _ in range(10_000):
         mu = rng.normals(4)
         log_var = rng.normals(4)
-        nonneg = nonneg and kl_loss(mu[None, :], log_var[None, :]) >= 0.0
+        nonneg = nonneg and kl_loss(mu[None, None, :], log_var[None, None, :])[0] >= 0.0
     report(
         2,
         zero == 0.0 and unit == 0.5 and nonneg,
@@ -203,8 +203,8 @@ def test_criterion_5_metric_reproduction():
 
 
 def test_criterion_6_fiqe():
-    identical = fiqe_score(np.tile(SeededRng(1).normals(8), (5, 1)))
-    pair = fiqe_score(np.array([[0.0, 0.0], [0.0, 2.0]]))
+    identical = float(fiqe_score(np.tile(SeededRng(1).normals(8), (1, 5, 1)))[0])  # a stack of one
+    pair = float(fiqe_score(np.array([[[0.0, 0.0], [0.0, 2.0]]]))[0])
     expected_pair = 2.0 / (1.0 + math.e)
     rng = SeededRng(606)
     never_empty = True
@@ -216,7 +216,7 @@ def test_criterion_6_fiqe():
             sigma[i] = np.exp(rng.normals(8) + 2.0)  # wildly dispersed: most fail
         streams = [rng.derive("f", trial, i) for i in range(n)]
         eps = np.stack([st.normals((8, 8)) for st in streams])
-        kept, _ = filter_faces(mu, sigma, eps, 0.3)
+        kept, _ = filter_faces(mu, sigma, eps, 0.3, [n])
         never_empty = never_empty and len(kept) >= 1
     ok = identical == 1.0 and abs(pair - expected_pair) <= 1e-12 and never_empty
     report(

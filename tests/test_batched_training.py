@@ -256,7 +256,7 @@ def per_group_loss(tag, branch, store, cfg, ablation, group, epoch):
                 (cfg.fiqe_samples, cfg.latent_dim))
             for j in kept
         ])
-        kept, _ = filter_faces(mu, sigma, eps, cfg.delta2)
+        kept, _ = filter_faces(mu, sigma, eps, cfg.delta2, [len(kept)])
         faces = faces[kept]
     if ablation in ("no-ual", "no-ual-fiqe"):
         return one_group(branch.deterministic_loss_and_grads, store, faces, group.label, cfg)
@@ -309,11 +309,11 @@ def test_oracle_data_covers_the_odd_cases():
     fallback = groups[FALLBACK]
     mu, _, sigma = branches["face"].head.forward(store, fallback.faces)
     eps = SeededRng(0).normals((len(fallback.faces), cfg.fiqe_samples, cfg.latent_dim))
-    kept, scores = filter_faces(mu, sigma, eps, cfg.delta2)
+    kept, scores = filter_faces(mu, sigma, eps, cfg.delta2, [len(fallback.faces)])
     assert (scores < cfg.delta2).all() and len(kept) == 1
     group = groups[2]
     mu, _, sigma = branches["face"].head.forward(store, group.faces)
-    kept, _ = filter_faces(mu, sigma, eps[: len(group.faces)], cfg.delta2)
+    kept, _ = filter_faces(mu, sigma, eps[: len(group.faces)], cfg.delta2, [len(group.faces)])
     assert kept == [1, 2]
 
 

@@ -2,7 +2,8 @@
 
 The face terms come from ``FaceBranch.loss_and_grads`` and the object
 mixture from ``ObjectBranch.loss_and_grads``; ``kl_loss`` and ``rank_loss``
-are the shared helpers both call.
+are the shared helpers both call. Like every helper below fusion, they take
+stacks of groups only.
 """
 
 import math
@@ -10,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from ual.errors import ConfigError
+from ual.errors import ConfigError, ShapeError
 from ual.losses import (
     LossBreakdown,
     kl_loss,
@@ -20,6 +21,7 @@ from ual.losses import (
 )
 from ual.numerics import ParameterStore, SeededRng, softmax_cross_entropy
 from ual.pipeline import FaceBranch, ObjectBranch, TrainingConfig
+from ual.quality_filter import fiqe_score, filter_faces
 from ual.uncertainty_scoring import uncertainty_kernel
 
 
@@ -86,7 +88,7 @@ class TestObjectClsLoss:
         return float(bd.cls[0])
 
     def ce(self, x):
-        return softmax_cross_entropy(classify(self.store, "object", x), 1)[0]
+        return float(softmax_cross_entropy(classify(self.store, "object", x)[None], [1])[0][0])
 
     def test_lambda_one_depends_only_on_mu(self):
         full = self.cls(self.eps, 1.0)
@@ -106,9 +108,15 @@ class TestObjectClsLoss:
 
 
 def kl_one(mu, sigma):
-    mu = np.asarray(mu, dtype=np.float64)[None, :]
-    sigma = np.asarray(sigma, dtype=np.float64)[None, :]
-    return kl_loss(mu, 2.0 * np.log(sigma))
+    """KL of one individual's Gaussian, run as a stack of one group of one."""
+    mu = np.asarray(mu, dtype=np.float64)[None, None, :]
+    sigma = np.asarray(sigma, dtype=np.float64)[None, None, :]
+    return float(kl_loss(mu, 2.0 * np.log(sigma))[0])
+
+
+def rank_one(alpha_high, alpha_low, delta1):
+    """Rank term of one group, run as a stack of one."""
+    return float(rank_loss([alpha_high], [alpha_low], delta1)[0])
 
 
 class TestKlLoss:
@@ -125,8 +133,8 @@ class TestKlLoss:
         )
 
     def test_mean_over_individuals(self):
-        one = kl_loss(np.ones((1, 1)), np.zeros((1, 1)))
-        two = kl_loss(np.array([[1.0], [0.0]]), np.zeros((2, 1)))
+        one = kl_loss(np.ones((1, 1, 1)), np.zeros((1, 1, 1)))[0]
+        two = kl_loss(np.array([[[1.0], [0.0]]]), np.zeros((1, 2, 1)))[0]
         assert two == pytest.approx(one / 2.0)
 
     def test_nonnegative_on_random_embeddings(self):
@@ -134,7 +142,7 @@ class TestKlLoss:
         for _ in range(500):
             mu = rng.normals(3)
             log_var = rng.normals(3)
-            assert kl_loss(mu[None, :], log_var[None, :]) >= 0.0
+            assert kl_loss(mu[None, None, :], log_var[None, None, :])[0] >= 0.0
 
     def test_strictly_positive_off_the_standard_normal(self):
         # zero only at mu=0, sigma=1
@@ -143,30 +151,30 @@ class TestKlLoss:
         assert kl_one([0.0], [0.9]) > 1e-12
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            kl_loss(np.zeros((0, 2)), np.zeros((0, 2)))
+        with pytest.raises(ValueError, match="at least one individual"):
+            kl_loss(np.zeros((1, 0, 2)), np.zeros((1, 0, 2)))
 
 
 class TestRankLoss:
     def test_margin_satisfied(self):
-        assert rank_loss(1.0, 0.0, 0.2) == 0.0
+        assert rank_one(1.0, 0.0, 0.2) == 0.0
 
     def test_zero_gap(self):
-        assert rank_loss(0.7, 0.7, 0.2) == pytest.approx(0.2)
+        assert rank_one(0.7, 0.7, 0.2) == pytest.approx(0.2)
 
     def test_partial_gap(self):
-        assert rank_loss(0.6, 0.5, 0.2) == pytest.approx(0.1)
+        assert rank_one(0.6, 0.5, 0.2) == pytest.approx(0.1)
 
     def test_bounded_by_margin(self):
         rng = SeededRng(9)
         for _ in range(200):
             a, b = sorted(rng.uniforms(2))
-            v = rank_loss(b, a, 0.2)
+            v = rank_one(b, a, 0.2)
             assert 0.0 <= v <= 0.2
 
     def test_negative_margin_rejected(self):
-        with pytest.raises(ValueError):
-            rank_loss(1.0, 0.0, -0.1)
+        with pytest.raises(ValueError, match="delta1"):
+            rank_one(1.0, 0.0, -0.1)
 
 
 class TestRecLoss:
@@ -198,12 +206,12 @@ class TestRecLoss:
 class TestTotals:
     def test_all_lambdas_zero_is_cls_only(self):
         w = TrainingConfig(lambda2=0.0, lambda3=0.0, lambda4=0.0)
-        bd = total_face_loss(1.25, 17.0, 3.0, 9.0, w)
-        assert bd.total == 1.25
+        bd = total_face_loss(*(np.array([v]) for v in (1.25, 17.0, 3.0, 9.0)), w)
+        assert bd.total.tolist() == [1.25]
 
     def test_default_weighted_sum_oracle(self):
         rng = SeededRng(11)
-        cls, kl, rank, rec = rng.uniforms(4)
+        cls, kl, rank, rec = rng.uniforms(4)[:, None]  # (1,) terms: a stack of one group
         w = TrainingConfig()
         bd = total_face_loss(cls, kl, rank, rec, w)
         assert bd.total == pytest.approx(cls + 1e-4 * kl + 1.0 * rank + 0.01 * rec, abs=1e-15)
@@ -217,3 +225,19 @@ class TestTotals:
         assert bd.rank.tolist() == bd.rec.tolist() == [0.0, 0.0]
         w2 = TrainingConfig(lambda2=2.0)
         assert total_object_loss(cls, kl, w2).total == pytest.approx([10.9, 2.4])
+
+
+@pytest.mark.parametrize("call,error,need", [
+    (lambda: fiqe_score(np.ones((3, 4))), ShapeError, "(n, m >= 2, dim)"),
+    (lambda: kl_loss(np.zeros((2, 3)), np.zeros((2, 3))), ShapeError, "(G, n, d)"),
+    (lambda: rank_loss(0.7, 0.5, 0.2), ShapeError, "(G,)"),
+    (lambda: softmax_cross_entropy([0.0, 1.0, 2.0], 1), ShapeError, "(..., C >= 2)"),
+    # one group's faces, without the sizes that split a flat stack into groups
+    (lambda: filter_faces(np.zeros((2, 3)), np.ones((2, 3)), np.zeros((2, 4, 3)), 0.3),
+     TypeError, "sizes"),
+], ids=["fiqe_score", "kl_loss", "rank_loss", "softmax_cross_entropy", "filter_faces"])
+def test_one_group_forms_are_refused(call, error, need):
+    # each helper's former one-group input, which gave a float, names the stack it needs
+    with pytest.raises(error) as exc:
+        call()
+    assert need in str(exc.value)

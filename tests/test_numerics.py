@@ -66,14 +66,20 @@ class TestLinearForward:
             store.set("lin.bias", [0.0, 0.0, 0.0])
 
 
+def softmax_ce_one(logits, label):
+    """Loss and probability vector of one logit vector, run as a stack of one."""
+    loss, probs = softmax_cross_entropy(np.asarray(logits)[None], [label])
+    return float(loss[0]), probs[0]
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        loss, probs = softmax_cross_entropy([0.0, 0.0, 0.0], 0)
+        loss, probs = softmax_ce_one([0.0, 0.0, 0.0], 0)
         assert loss == pytest.approx(math.log(3.0), abs=1e-15)
         assert np.allclose(probs, [1 / 3] * 3)
 
     def test_confident_logits(self):
-        loss, _ = softmax_cross_entropy([10.0, 0.0, 0.0], 0)
+        loss, _ = softmax_ce_one([10.0, 0.0, 0.0], 0)
         # independent evaluation of -log(e^10 / (e^10 + 2))
         expected = math.log(math.exp(10.0) + 2.0) - 10.0
         assert loss == pytest.approx(expected, rel=1e-12)
@@ -81,15 +87,15 @@ class TestSoftmaxCrossEntropy:
 
     def test_shift_invariance(self):
         base = np.array([0.3, -1.2, 2.0])
-        _, p0 = softmax_cross_entropy(base, 1)
-        _, p1 = softmax_cross_entropy(base + 123.456, 1)
+        _, p0 = softmax_ce_one(base, 1)
+        _, p1 = softmax_ce_one(base + 123.456, 1)
         assert np.allclose(p0, p1, atol=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(DataError):
-            softmax_cross_entropy([0.0, 0.0], 2)
+            softmax_ce_one([0.0, 0.0], 2)
         with pytest.raises(DataError):
-            softmax_cross_entropy([0.0, 0.0], -1)
+            softmax_ce_one([0.0, 0.0], -1)
 
     @given(st.lists(st.floats(-500, 500), min_size=2, max_size=6))
     @settings(max_examples=80, deadline=None)
@@ -99,8 +105,8 @@ class TestSoftmaxCrossEntropy:
         assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_grad_is_probs_minus_onehot(self):
-        _, p = softmax_cross_entropy([0.1, 0.2, 0.3], 2)
-        g = softmax_cross_entropy_grad(p, 2)
+        _, p = softmax_cross_entropy([[0.1, 0.2, 0.3]], [2])
+        g = softmax_cross_entropy_grad(p, [2])
         assert np.allclose(g, p - np.array([0.0, 0.0, 1.0]))
 
 

@@ -380,7 +380,7 @@ class TestBlockInference:
                 SeededRng(int(seed)).normals((cfg.fiqe_samples, cfg.latent_dim))
                 for seed in seeds[lo : lo + size]
             ])
-            ref_kept, ref_scores = filter_faces(ref_mu, ref_sigma, eps, cfg.delta2)
+            ref_kept, ref_scores = filter_faces(ref_mu, ref_sigma, eps, cfg.delta2, [size])
             assert np.array_equal(mu[lo : lo + size], ref_mu)
             assert np.array_equal(sigma[lo : lo + size], ref_sigma)
             assert np.array_equal(scores[lo : lo + size], ref_scores)
@@ -1001,6 +1001,47 @@ class TestTraining:
         with pytest.raises(NumericError, match="sigma must be strictly positive") as exc:
             trainer.train_epoch(ds.groups, 0)
         assert any(f"'{g.id}/face0'" in str(exc.value) for g in ds.groups)
+
+    @pytest.mark.parametrize("fiqe_apply", ["both", "train", "eval", "off"])
+    @pytest.mark.parametrize("ablation", ["full", "no-fiqe", "no-ual", "no-ual-fiqe"])
+    def test_ablation_sets_filter_and_sampling(self, monkeypatch, ablation, fiqe_apply):
+        # the filter runs in the phases fiqe_apply names, under the ablations
+        # that keep FIQE; the face branch samples under those that keep UAL
+        phases = {"both": {"train", "eval"}, "train": {"train"}, "eval": {"eval"}, "off": set()}
+        filtered = {phase: ablation in ("full", "no-ual") and phase in phases[fiqe_apply]
+                    for phase in ("train", "eval")}
+        stochastic = ablation in ("full", "no-fiqe")
+        ds = tiny_dataset(num_groups=6, seed=25)
+        cfg = tiny_config(fiqe_apply=fiqe_apply, epochs=1)
+        for phase in ("train", "eval"):
+            assert pipeline._face_noise(ablation, cfg, phase) == (filtered[phase], stochastic)
+
+        calls = []  # (name, last argument) of each spied call
+
+        def spy(owner, name):
+            real = getattr(owner, name)
+
+            def spied(*args):
+                calls.append((name, args[-1]))
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, spied)
+
+        spy(pipeline, "filter_faces")
+        spy(pipeline, "block_normals")
+        spy(FaceBranch, "loss_and_grads")
+        spy(FaceBranch, "deterministic_loss_and_grads")
+        store, branches = build_model(ds, cfg, tags=("face",))
+        Trainer(store, branches, cfg, ablation).train_epoch(ds.groups, 0)
+        names = {name for name, _ in calls}
+        assert ("filter_faces" in names) == filtered["train"]
+        assert ("loss_and_grads" in names) == stochastic
+        assert ("deterministic_loss_and_grads" in names) == (not stochastic)
+        calls.clear()
+        evaluate_dataset(store, branches, ds, cfg, seed=5, ablation=ablation)
+        assert ("filter_faces" in {name for name, _ in calls}) == filtered["eval"]
+        shapes = [shape for name, shape in calls if name == "block_normals"]
+        assert ((cfg.mc_samples, cfg.latent_dim) in shapes) == stochastic  # MC noise is drawn
 
     def test_non_finite_loss_aborts_with_group_and_term(self):
         ds = tiny_dataset(seed=23)

@@ -23,7 +23,12 @@ def eps_block(streams, samples, dim):
 def score_one(mu, sigma, eps):
     """Score of a single face with Gaussian (mu, sigma) under noise ``eps``."""
     mu, sigma = gaussians((mu, sigma))
-    return filter_faces(mu, sigma, np.asarray(eps)[None], 0.3)[1][0]
+    return filter_faces(mu, sigma, np.asarray(eps)[None], 0.3, [1])[1][0]
+
+
+def fiqe_one(x):
+    """Score of one face's ``(m, dim)`` embeddings, run as a stack of one."""
+    return float(fiqe_score(np.asarray(x)[None])[0])
 
 
 def reference_score(x):
@@ -39,35 +44,35 @@ def reference_score(x):
 class TestFiqeScore:
     def test_identical_embeddings_score_one(self):
         x = np.tile(np.array([1.0, 2.0, 3.0]), (3, 1))
-        assert fiqe_score(x) == 1.0
+        assert fiqe_one(x) == 1.0
 
     def test_pair_distance_two(self):
         # two embeddings at distance 2: 2 * sigmoid(-(2/4) * 2) = 2 * sigmoid(-1)
         x = np.array([[0.0, 0.0], [2.0, 0.0]])
         expected = 2.0 / (1.0 + math.e)
-        assert fiqe_score(x) == pytest.approx(expected, abs=1e-12)
-        assert fiqe_score(x) == pytest.approx(0.53788, abs=1e-5)
+        assert fiqe_one(x) == pytest.approx(expected, abs=1e-12)
+        assert fiqe_one(x) == pytest.approx(0.53788, abs=1e-5)
 
     def test_limit_to_zero(self):
         x = np.array([[0.0, 0.0], [1e6, 0.0]])
-        assert fiqe_score(x) < 1e-12
+        assert fiqe_one(x) < 1e-12
 
     def test_range(self):
         rng = SeededRng(1)
         for _ in range(50):
             x = rng.normals((4, 5))
-            s = fiqe_score(x)
+            s = fiqe_one(x)
             assert 0.0 < s <= 1.0
 
     def test_decreasing_in_any_distance(self):
         base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         wider = base.copy()
         wider[1, 0] = 2.0  # stretch one pair
-        assert fiqe_score(wider) < fiqe_score(base)
+        assert fiqe_one(wider) < fiqe_one(base)
 
     def test_single_embedding_rejected(self):
-        with pytest.raises(ShapeError):
-            fiqe_score(np.ones((1, 4)))
+        with pytest.raises(ShapeError, match="m >= 2"):
+            fiqe_one(np.ones((1, 4)))
 
     @pytest.mark.parametrize("n,m,dim", [(1, 2, 1), (5, 8, 32), (7, 8, 5), (6, 3, 9), (2, 11, 4)])
     def test_batch_equals_one_face_at_a_time(self, n, m, dim):
@@ -79,7 +84,7 @@ class TestFiqeScore:
             batch = fiqe_score(x)
             assert batch.shape == (n,)
             for i in range(n):
-                assert batch[i] == fiqe_score(x[i]) == reference_score(x[i])
+                assert batch[i] == fiqe_one(x[i]) == reference_score(x[i])
 
     def test_batch_of_zero_faces(self):
         assert fiqe_score(np.zeros((0, 8, 3))).shape == (0,)
@@ -109,7 +114,7 @@ class TestFilterFaces:
 
     def test_crisp_faces_all_kept(self):
         mu, sigma = gaussians(*[(SeededRng(i).normals(4), np.full(4, 1e-6)) for i in range(5)])
-        kept, scores = filter_faces(mu, sigma, eps_block(self._streams(5), 8, 4), 0.3)
+        kept, scores = filter_faces(mu, sigma, eps_block(self._streams(5), 8, 4), 0.3, [5])
         assert kept == [0, 1, 2, 3, 4]
         assert all(i in kept and s > 0.99 for i, s in enumerate(scores))
 
@@ -121,14 +126,14 @@ class TestFilterFaces:
             (np.zeros(8), np.full(8, 5.0)),
             (np.zeros(8), np.full(8, 1e-6)),
         )
-        kept, scores = filter_faces(mu, sigma, eps_block(self._streams(3), 8, 8), 0.3)
+        kept, scores = filter_faces(mu, sigma, eps_block(self._streams(3), 8, 8), 0.3, [3])
         assert kept == [0, 2]
         assert 1 not in kept
         assert scores[1] < 0.3
 
     def test_group_never_empties(self):
         mu, sigma = gaussians(*[(np.zeros(8), np.full(8, 5.0 + i)) for i in range(4)])
-        kept, scores = filter_faces(mu, sigma, eps_block(self._streams(4), 8, 8), 0.3)
+        kept, scores = filter_faces(mu, sigma, eps_block(self._streams(4), 8, 8), 0.3, [4])
         assert len(kept) == 1
         assert kept[0] == int(np.argmax(scores))
 
@@ -139,26 +144,26 @@ class TestFilterFaces:
             (np.ones(4), np.full(4, 1e-6)),
         )
         streams = self._streams(3, seed=7)
-        kept, _ = filter_faces(mu, sigma, eps_block(streams, 8, 4), 0.3)
+        kept, _ = filter_faces(mu, sigma, eps_block(streams, 8, 4), 0.3, [3])
         again, _ = filter_faces(
             mu[kept], sigma[kept],
-            eps_block([self._streams(3, seed=7)[i] for i in kept], 8, 4), 0.3,
+            eps_block([self._streams(3, seed=7)[i] for i in kept], 8, 4), 0.3, [len(kept)],
         )
         assert [kept[i] for i in again] == kept
 
     def test_threshold_validated(self):
         mu, sigma = gaussians(([0.0], [1.0]))
         with pytest.raises(ValueError):
-            filter_faces(mu, sigma, eps_block(self._streams(1), 8, 1), 1.5)
+            filter_faces(mu, sigma, eps_block(self._streams(1), 8, 1), 1.5, [1])
 
     def test_shapes_validated(self):
         mu, sigma = gaussians(([0.0, 1.0], [1.0, 1.0]), ([0.0, 1.0], [1.0, 1.0]))
         with pytest.raises(ShapeError):
-            filter_faces(mu, sigma, np.zeros((3, 8, 2)), 0.3)  # one block per face
+            filter_faces(mu, sigma, np.zeros((3, 8, 2)), 0.3, [2])  # one block per face
         with pytest.raises(ShapeError):
-            filter_faces(mu, sigma, np.zeros((2, 8, 3)), 0.3)  # latent width
+            filter_faces(mu, sigma, np.zeros((2, 8, 3)), 0.3, [2])  # latent width
         with pytest.raises(ShapeError):
-            filter_faces(mu, sigma[:1], np.zeros((2, 8, 2)), 0.3)
+            filter_faces(mu, sigma[:1], np.zeros((2, 8, 2)), 0.3, [2])
 
     def test_sizes_filter_each_group_on_its_own(self):
         # three groups in one flat stack: mixed, all failing, all crisp
@@ -177,7 +182,7 @@ class TestFilterFaces:
         expected, start = [], 0
         for n in sizes:
             part = slice(start, start + n)
-            one_kept, one_scores = filter_faces(mu[part], sigma[part], eps[part], 0.3)
+            one_kept, one_scores = filter_faces(mu[part], sigma[part], eps[part], 0.3, [n])
             assert one_scores.tobytes() == scores[part].tobytes()
             expected += [start + i for i in one_kept]
             start += n
@@ -198,7 +203,7 @@ class TestFilterFaces:
             mu = rng.normals((n, 16))
             sigma = np.exp(rng.normals((n, 16)) - 1.0)
             eps = block_normals(derive_seeds(rng.derive("g", trial), np.arange(n)), (8, 16))
-            kept, scores = filter_faces(mu, sigma, eps, 0.3)
+            kept, scores = filter_faces(mu, sigma, eps, 0.3, [n])
             oracle = [reference_score(mu[i] + eps[i] * sigma[i]) for i in range(n)]
             assert scores.tolist() == oracle
             expected = [i for i, s in enumerate(oracle) if s >= 0.3] or [int(np.argmax(oracle))]
