@@ -14,6 +14,7 @@ stderr chatter.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -185,15 +186,6 @@ def cmd_train(args) -> int:
         raise DataError(f"{args.val}: line 1: {', '.join(differ)} of the train set {args.train}")
     tags = BRANCH_TAGS if args.branch == "all" else (args.branch,)
 
-    out_dir = _out_dir(args.out)
-    loss_files = {
-        tag: open(out_dir / f"{tag}_loss.csv", "w", encoding="utf-8")
-        for tag in tags
-    }
-    for fh in loss_files.values():
-        fh.write("epoch,cls,kl,rank,rec,total\n")
-    val_fh = open(out_dir / "val_metrics.jsonl", "w", encoding="utf-8")
-
     def on_epoch(epoch, breakdowns, eval_result):
         for tag, bd in breakdowns.items():
             loss_files[tag].write(
@@ -216,15 +208,19 @@ def cmd_train(args) -> int:
             " ".join(f"{t}={bd.total:.4f}" for t, bd in breakdowns.items()),
         )
 
-    try:
+    out_dir = _out_dir(args.out)
+    with contextlib.ExitStack() as files:  # every file opened so far is closed on a failure
+        loss_files = {
+            tag: files.enter_context(open_data_file(out_dir / f"{tag}_loss.csv", "w"))
+            for tag in tags
+        }
+        for fh in loss_files.values():
+            fh.write("epoch,cls,kl,rank,rec,total\n")
+        val_fh = files.enter_context(open_data_file(out_dir / "val_metrics.jsonl", "w"))
         result = train_model(
             train_ds, config, val_ds=val_ds, branch_tags=tags,
             ablation=args.ablation, on_epoch=on_epoch,
         )
-    finally:
-        for fh in loss_files.values():
-            fh.close()
-        val_fh.close()
 
     model_files = {}
     for tag in result.branches:
@@ -245,7 +241,7 @@ def cmd_train(args) -> int:
         "models": model_files,
         "best_epoch": result.best_epoch,
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+    with open_data_file(out_dir / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     log.info("wrote %s", out_dir / "manifest.json")
@@ -336,7 +332,7 @@ def cmd_eval(args) -> int:
         len(dataset.groups), ",".join(map(str, sample_counts)), time.perf_counter() - start,
     )
     sweep_rows = list(zip(sample_counts, results))
-    with open(report_path, "w", encoding="utf-8") as fh:
+    with open_data_file(report_path, "w") as fh:
         for n, result in sweep_rows:
             meta = {
                 "record": "run",

@@ -327,7 +327,11 @@ class ParameterStore:
             entries.append('"%s": {"shape": [%s], "data": [%s]}' % (name, shape, data))
         lines.append(",\n".join(entries))
         lines.append("}}")
-        with open(path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"{path}: cannot open: {exc.strerror or exc}") from exc
+        with fh:
             fh.write("\n".join(lines))
             fh.write("\n")
 

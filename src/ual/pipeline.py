@@ -38,11 +38,12 @@ each pass draws its own noise (:class:`_Draws`), MC noise only for the faces
 the filter kept.
 
 Training and inference run groups as stacked arrays: training one
-mini-batch at a time, :func:`evaluate_dataset` one step of ``_INFER_STEP``
-groups at a time. Per step, each branch returns ``(G, E, C)`` probabilities
-for ``E`` sweep entries and flat per-individual arrays (:func:`branch_infer`),
-:func:`predict_group` fuses each group's ``(E, C)`` slices, and the report's
-records are built from these arrays only when asked for.
+mini-batch at a time (:meth:`Trainer._batch_loss`), :func:`evaluate_dataset`
+one step of ``_INFER_STEP`` groups at a time. Per step, each branch returns
+``(G, E, C)`` probabilities for ``E`` sweep entries and flat per-individual
+arrays (:func:`branch_infer`), :func:`predict_group` fuses each group's
+``(E, C)`` slices, and the report's records are built from these arrays only
+when asked for.
 
 A step's (or batch's) individuals are stored one way, in training and
 inference alike: as flat rows in group order. Features, Gaussians, noise and
@@ -769,36 +770,14 @@ def _check_finite(row: np.ndarray, group_id: str) -> None:
             raise NumericError(f"group {group_id}: non-finite loss term {term!r}")
 
 
-def _mean_breakdown(rows: list[np.ndarray], row_weights: list[int]) -> LossBreakdown:
+def _mean_breakdown(rows: list[np.ndarray], row_weights: list[np.ndarray]) -> LossBreakdown:
     if not rows:
         return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
-    w = np.asarray(row_weights, dtype=np.float64)
+    w = np.concatenate(row_weights).astype(np.float64)
     cls, kl, rank, rec, total = (
         float(v) for v in (np.concatenate(rows) * w[:, None]).sum(axis=0) / w.sum()
     )
     return LossBreakdown(cls, kl, rank, rec, total)
-
-
-def _bucketed(sizes: Sequence[int], step, kept: np.ndarray
-              ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Per-group loss rows and gradients of a batch, one ``step`` per bucket.
-
-    Groups with the same count of ``kept`` individuals (the count that sets
-    the matmul shapes) form a bucket; ``step(positions, rows)`` runs the
-    branch loss on the stack of those groups, given the bucket's pair from
-    :func:`_bucket_rows`. Its loss terms and gradients are put back in batch
-    order: a ``(G, 5)`` array of terms, and each gradient ``(G, *shape)``.
-    """
-    terms = np.empty((len(sizes), len(_TERMS)))
-    grads: dict[str, np.ndarray] = {}
-    for pos, rows in _bucket_rows(sizes, kept):
-        breakdown, bucket_grads = step(pos, rows)
-        terms[pos] = np.column_stack(breakdown.as_row())
-        for name, g in bucket_grads.items():
-            if name not in grads:
-                grads[name] = np.empty((len(sizes),) + g.shape[1:])
-            grads[name][pos] = g
-    return terms, grads
 
 
 def _bucket_rows(sizes: Sequence[int], kept: np.ndarray | None = None
@@ -921,30 +900,36 @@ class Trainer:
         A group enters its batch's gradient with weight ``w / total``: ``w``
         is 1 for face and scene and the object count for object, and groups
         (or whole batches) of weight 0 are skipped. The epoch's loss row is
-        the mean of the groups' rows under the same weights. Each batch is
-        one stacked step per bucket (see :func:`_bucketed`), summed in batch
-        order as a loop over its groups would sum it.
+        the mean of the groups' rows under the same weights. Each batch's
+        per-group rows and gradients come from :meth:`_batch_loss`, and the
+        gradients are summed in batch order as a loop over its groups would
+        sum them. The noise streams of a Gaussian branch,
+        ``(seed, "train", tag, epoch)`` and ``(seed, "train-fiqe", "face",
+        epoch)``, are derived once per epoch.
         """
         if not groups:
             raise DataError("cannot train on an empty dataset")
+        root = SeededRng(self.config.seed)
         out: dict[str, LossBreakdown] = {}
         for tag in BRANCH_TAGS:
             if tag not in self.branches:
                 continue
-            group_weight, batch_loss = self._objective(tag, epoch)
+            weights = np.array([group.objects.shape[0] if tag == "object" else 1
+                                for group in groups])
+            streams = None if tag == "scene" else (
+                root.derive("train", tag, epoch), root.derive("train-fiqe", "face", epoch))
+            order = root.derive("shuffle", tag, epoch).permutation(len(groups))
             rows, row_weights = [], []
-            for batch in self._batches(len(groups), tag, epoch):
-                batch_groups = [groups[int(gi)] for gi in batch]
-                batch_weights = [group_weight(group) for group in batch_groups]
-                total = sum(batch_weights)
-                if total == 0:
+            for start in range(0, len(groups), self.config.batch_size):
+                batch = order[start : start + self.config.batch_size]
+                batch = batch[weights[batch] > 0]
+                if not batch.size:
                     continue
-                members = [g for g, w in zip(batch_groups, batch_weights) if w]
-                member_weights = [w for w in batch_weights if w]
-                batch_rows, grads = _checked_batch(batch_loss, members)
+                members = [groups[int(gi)] for gi in batch]
+                batch_rows, grads = self._checked_batch(tag, streams, members)
                 rows.append(batch_rows)
-                row_weights.extend(member_weights)
-                scales = np.array([w / total for w in member_weights])
+                row_weights.append(weights[batch])
+                scales = row_weights[-1] / row_weights[-1].sum()
                 for name, g in grads.items():
                     g *= scales.reshape((-1,) + (1,) * (g.ndim - 1))
                     grads[name] = np.add.reduce(g, axis=0)
@@ -952,94 +937,79 @@ class Trainer:
             out[tag] = _mean_breakdown(rows, row_weights)
         return out
 
-    def _batches(self, n: int, tag: str, epoch: int):
-        root = SeededRng(self.config.seed)
-        order = root.derive("shuffle", tag, epoch).permutation(n)
-        b = self.config.batch_size
-        for start in range(0, n, b):
-            yield order[start : start + b]
+    def _batch_loss(self, tag: str, streams: tuple[SeededRng, SeededRng] | None,
+                    groups: Sequence[GroupSample]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The ``(G, 5)`` loss rows and ``(G, *shape)`` gradients of a batch of
+        ``groups`` on branch ``tag``, in batch order.
 
-    def _objective(self, tag: str, epoch: int):
-        """``(weight, loss)`` functions for branch ``tag``.
-
-        ``weight(group)`` is a group's weight; ``loss(groups)`` returns the
-        per-group ``(rows, grads)`` of a batch's groups (see
-        :func:`_bucketed`). For faces and objects alike, it draws the noise
-        of a batch's flat rows (with the quality filter, of the kept faces) as
-        one block and gathers each bucket's stacks from both; the filter and
-        the deterministic baseline apply to faces only. Noise for individual
-        ``j`` of a group comes from the stream keyed
-        ``(seed, "train", tag, epoch, group id, j)``; the face quality filter
-        draws from ``(seed, "train-fiqe", "face", epoch, group id, j)``.
+        The scenes are one stacked loss. Faces and objects are flat rows
+        (:meth:`_GaussianBranch.individuals`); with the quality filter, only
+        the faces it keeps count. The noise of the counted rows is drawn as
+        one block, and the loss runs once per bucket of groups with equally
+        many counted rows (:func:`_bucket_rows`) on the stacks gathered from
+        both; the filter and the deterministic baseline apply to faces only.
+        Noise for individual ``j`` of a group comes from ``streams[0]``, the
+        stream ``(seed, "train", tag, epoch)``, derived by group id and
+        ``j``; the face quality filter draws from ``streams[1]``,
+        ``(seed, "train-fiqe", "face", epoch)``, the same way.
         """
-        cfg = self.config
-        store = self.store
-        branch = self.branches[tag]
-        root = SeededRng(cfg.seed)
-
-        def labels(groups):
-            return np.array([group.label for group in groups])
-
+        cfg, store, branch = self.config, self.store, self.branches[tag]
+        y = np.array([group.label for group in groups])
         if tag == "scene":
-            def scene_loss(groups):
-                scene = np.stack([group.scene for group in groups])
-                breakdown, grads = branch.loss_and_grads(store, scene, labels(groups))
-                return np.column_stack(breakdown.as_row()), grads
-
-            return (lambda group: 1), scene_loss
-
-        face = tag == "face"
+            breakdown, grads = branch.loss_and_grads(store, np.stack([g.scene for g in groups]), y)
+            return np.column_stack(breakdown.as_row()), grads
         filtered, stochastic = _face_noise(self.ablation, cfg, "train")
-        fiqe_on, deterministic = face and filtered, face and not stochastic
-        stream = root.derive("train", tag, epoch)
-        fiqe_stream = root.derive("train-fiqe", "face", epoch)
-
-        def gaussian_loss(groups):
-            x, sizes = branch.individuals(groups)
-            indices = [np.arange(n) for n in sizes]
-            kept = np.arange(len(x))  # the rows the loss reads: all, or the faces the filter keeps
-            if fiqe_on:
-                seeds = _individual_seeds(fiqe_stream, groups, indices)
-                fiqe = block_normals(seeds, (cfg.fiqe_samples, cfg.latent_dim))
-                kept = branch.quality_stage(store, groups, fiqe, cfg)[2]
-            y = labels(groups)
+        x, sizes = branch.individuals(groups)
+        indices = [np.arange(n) for n in sizes]
+        kept = np.arange(len(x))  # the rows the loss reads: all, or the faces the filter keeps
+        if tag == "face" and filtered:
+            seeds = _individual_seeds(streams[1], groups, indices)
+            fiqe = block_normals(seeds, (cfg.fiqe_samples, cfg.latent_dim))
+            kept = branch.quality_stage(store, groups, fiqe, cfg)[2]
+        deterministic = tag == "face" and not stochastic
+        if not deterministic:
+            eps = block_normals(_individual_seeds(streams[0], groups, indices)[kept],
+                                cfg.latent_dim)
+        terms = np.empty((len(groups), len(_TERMS)))
+        grads: dict[str, np.ndarray] = {}
+        for pos, idx in _bucket_rows(sizes, kept):
             if deterministic:
-                return _bucketed(sizes, lambda pos, idx: branch.deterministic_loss_and_grads(
-                    store, x[kept[idx]], y[pos], cfg
-                ), kept)
-            eps = block_normals(_individual_seeds(stream, groups, indices)[kept], cfg.latent_dim)
-            return _bucketed(sizes, lambda pos, idx: branch.loss_and_grads(
-                store, x[kept[idx]], y[pos], eps[idx], cfg
-            ), kept)
+                breakdown, bucket_grads = branch.deterministic_loss_and_grads(
+                    store, x[kept[idx]], y[pos], cfg)
+            else:
+                breakdown, bucket_grads = branch.loss_and_grads(
+                    store, x[kept[idx]], y[pos], eps[idx], cfg)
+            terms[pos] = np.column_stack(breakdown.as_row())
+            for name, g in bucket_grads.items():
+                if name not in grads:
+                    grads[name] = np.empty((len(groups),) + g.shape[1:])
+                grads[name][pos] = g
+        return terms, grads
 
-        weight = (lambda group: group.objects.shape[0]) if tag == "object" else (lambda group: 1)
-        return weight, gaussian_loss
+    def _checked_batch(self, tag: str, streams, groups: Sequence[GroupSample]):
+        """:meth:`_batch_loss` with finite rows, under silenced overflow warnings.
 
-
-def _checked_batch(batch_loss, groups: Sequence[GroupSample]):
-    """``batch_loss(groups)`` with finite rows, under silenced overflow warnings.
-
-    A batch that fails (an exception or a non-finite loss term) is run
-    again one group at a time in batch order, so the error names the first
-    failing group, and its first failing check, as a per-group step would.
-    """
-    failure = None
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            rows, grads = batch_loss(groups)
-            if np.isfinite(rows).all():
-                return rows, grads
-        except (ValueError, ArithmeticError) as exc:  # the errors a group's data can cause
-            failure = exc
-        for group in groups:
+        A batch that fails (an exception or a non-finite loss term) is run
+        again one group at a time in batch order, so the error names the first
+        failing group, and its first failing check, as a per-group step would.
+        """
+        failure = None
+        with np.errstate(over="ignore", invalid="ignore"):
             try:
-                rows, _ = batch_loss([group])
-            except NumericError as exc:
-                raise NumericError(f"group {group.id}: {exc}") from exc
-            _check_finite(rows[0], group.id)
-    if failure is not None:
-        raise failure
-    raise NumericError("non-finite loss in a batch that no single group reproduces")
+                rows, grads = self._batch_loss(tag, streams, groups)
+                if np.isfinite(rows).all():
+                    return rows, grads
+            except (ValueError, ArithmeticError) as exc:  # the errors a group's data can cause
+                failure = exc
+            for group in groups:
+                try:
+                    rows, _ = self._batch_loss(tag, streams, [group])
+                except NumericError as exc:
+                    raise NumericError(f"group {group.id}: {exc}") from exc
+                _check_finite(rows[0], group.id)
+        if failure is not None:
+            raise failure
+        raise NumericError("non-finite loss in a batch that no single group reproduces")
 
 
 # ---------------------------------------------------------------------------
@@ -1121,10 +1091,12 @@ def evaluate_dataset(
     (default ``(config.mc_samples,)``); returns one result per entry, in
     order, each equal to a one-entry call. With ``collect_diagnostics``, each
     result also holds the report's ``group`` records (:func:`_group_records`).
-    Each step's face and object noise is a ``{tag: draws}`` of :class:`_Draws`,
-    or, with ``noise``, a :class:`NoiseCache` built for this dataset and these
-    arguments, the step's :class:`_KeptDraws` from ``noise.steps``. The
-    results are the same.
+    Each step's face and object noise is :func:`branch_infer`'s own
+    :class:`_Draws`, or, with ``noise``, a :class:`NoiseCache` built for this
+    dataset and these arguments, the step's :class:`_KeptDraws` from
+    ``noise.steps``. The results are the same. A step's faces and objects
+    are flat rows run bucket by bucket, as a training batch's are in
+    :meth:`Trainer._batch_loss`.
     """
     counts = _sample_counts(sample_counts, config)
     if noise is not None and not noise.serves(dataset, config, seed, ablation, branches,
@@ -1137,10 +1109,7 @@ def evaluate_dataset(
     labels: dict[str, list[np.ndarray]] = {tag: [] for tag in ("fused", *branches)}
     records: list[list[dict]] = [[] for _ in counts]
     for s, step in enumerate(_steps(dataset.groups)):
-        draws = noise.steps[s] if noise is not None else {
-            tag: _Draws(rng, tag, step, max(counts), config.latent_dim, config.fiqe_samples)
-            for tag in ("face", "object") if tag in branches
-        }
+        draws = noise.steps[s] if noise is not None else {}  # {}: branch_infer draws
         with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite instead
             per_branch = {
                 tag: branch_infer(branches[tag], step, store, config, rng, counts, ablation,

@@ -7,6 +7,7 @@ plain loop over the groups of each batch leaves.
 """
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -369,3 +370,40 @@ def test_object_loss_runs_once_per_bucket(monkeypatch):
     # each item of a stack is one group's objects, each group's exactly once
     items = sorted(item.tobytes() for stack in calls for item in stack)
     assert items == sorted(g.objects.tobytes() for g in groups if g.objects.shape[0])
+
+
+def test_trainer_skips_batches_of_weight_zero():
+    # batches of one: each of the 4 groups without objects is a skipped object batch
+    groups = oracle_groups()
+    cfg = replace(ORACLE_CONFIG, batch_size=1)
+    assert sum(g.objects.shape[0] == 0 for g in groups) == 4
+    store, branches = oracle_model(cfg)
+    trainer = Trainer(store, branches, cfg)
+    ref_store, ref_branches = oracle_model(cfg)
+    optimizers = {"face": Adam(cfg.face_lr), "object": Sgd(cfg.object_lr),
+                  "scene": Sgd(cfg.scene_lr)}
+    for epoch in range(cfg.epochs):
+        got = trainer.train_epoch(groups, epoch)
+        want = oracle_epoch(ref_store, ref_branches, optimizers, cfg, "full", groups, epoch)
+        assert {tag: bd.as_row() for tag, bd in got.items()} == want
+    for name in store.names():
+        assert np.array_equal(store.get(name), ref_store.get(name)), name
+
+
+def test_noise_streams_are_derived_once_per_epoch(monkeypatch):
+    keys = []
+    original = SeededRng.derive
+
+    def spied(self, *parts):
+        keys.append(parts)
+        return original(self, *parts)
+
+    monkeypatch.setattr(SeededRng, "derive", spied)
+    groups = oracle_groups()
+    cfg = ORACLE_CONFIG  # 13 groups: 3 batches per branch
+    store, branches = oracle_model(cfg)
+    Trainer(store, branches, cfg).train_epoch(groups, 1)
+    streams = [k for k in keys if k[0] in ("train", "train-fiqe")]
+    # one of each per Gaussian branch, however many batches it runs
+    assert sorted(streams) == sorted([("train", "face", 1), ("train", "object", 1),
+                                      ("train-fiqe", "face", 1), ("train-fiqe", "face", 1)])

@@ -273,6 +273,25 @@ class TestMissingPaths:
         assert code == 2
         assert f"data error: {taken}: cannot use as output directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,name", [
+        ("train", "face_loss.csv"), ("train", "val_metrics.jsonl"), ("train", "face.params.json"),
+        ("train", "manifest.json"), ("eval", "report.jsonl"),
+    ])
+    def test_output_file_is_a_directory(self, small_run, tmp_path, capsys, command, name):
+        taken = tmp_path / "out" / name
+        taken.mkdir(parents=True)
+        if command == "train":
+            code = run("train", "--config", str(small_run["cfg"]), "--train",
+                       str(small_run["train"]), "--val", str(small_run["val"]),
+                       "--out", str(tmp_path / "out"))
+        else:
+            code = run("eval", "--manifest", str(small_run["out"] / "manifest.json"),
+                       "--data", str(small_run["val"]), "--out", str(tmp_path / "out"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"data error: {taken}: cannot open" in err
+        assert "Traceback" not in err
+
     def test_simulate_into_missing_directory(self, tmp_path, capsys):
         target = tmp_path / "nonexistent" / "dir" / "x.jsonl"
         assert run("simulate", "--num-groups", "3", "--out", str(target)) == 2
