@@ -28,15 +28,16 @@ import numpy as np
 
 from . import __version__
 from .datagen_metrics import (
+    _HEADER_INTS,
     SynthesisSpec,
+    _integer,
     generate_dataset,
     load_dataset,
-    open_data_file,
     save_dataset,
     settings_from_mapping,
 )
 from .errors import ConfigError, DataError, NumericError, UalError
-from .numerics import ParameterStore, SeededRng, gradient_check
+from .numerics import ParameterStore, SeededRng, gradient_check, open_data_file
 from .pipeline import (
     ABLATIONS,
     BRANCH_TAGS,
@@ -147,10 +148,14 @@ def sha256_file(path) -> str:
 
 def _settings(kind, path: str | None, bundled: str, flags: dict):
     """A validated ``kind`` from the file at ``path``, or the bundled file, with
-    each flag that was given (not None) set as its key, as text, as a file sets it."""
-    mapping = parse_kv_file(path or _bundled(bundled))
-    mapping.update({key: str(value) for key, value in flags.items() if value is not None})
-    return settings_from_mapping(kind, mapping, str(path or f"bundled {bundled}"))
+    each flag that was given (not None) set as its key, as text, as a file sets it.
+    An error names the file and the flags given, such as ``--epochs -1``."""
+    given = {key: str(value) for key, value in flags.items() if value is not None}
+    mapping = {**parse_kv_file(path or _bundled(bundled)), **given}
+    source = str(path or f"bundled {bundled}")
+    if given:
+        source += " with " + " ".join(f"--{key.replace('_', '-')} {v}" for key, v in given.items())
+    return settings_from_mapping(kind, mapping, source)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +263,8 @@ def _check_manifest(manifest, path: Path) -> None:
     for key, kind in _MANIFEST_KEYS.items():
         if not isinstance(manifest.get(key), kind):
             raise DataError(f"{path}: manifest key {key!r} is missing or not a {kind.__name__}")
-    for key in ("face_dim", "object_dim", "scene_dim", "num_classes"):
-        value = manifest["dims"].get(key)
-        if not isinstance(value, int) or value < 1:
-            raise DataError(f"{path}: manifest key 'dims' needs a positive integer {key!r}")
+    for key, least in _HEADER_INTS.items():
+        _integer(manifest["dims"].get(key), key, least, f"{path}: manifest key 'dims'")
     if not manifest["branches"]:
         raise DataError(f"{path}: manifest key 'branches' names no branch")
     for tag in manifest["branches"]:
@@ -272,14 +275,8 @@ def _check_manifest(manifest, path: Path) -> None:
 
 
 def _restore_from_manifest(manifest: dict, manifest_path: Path):
-    source = str(manifest_path)
-    try:
-        mapping = {k: str(v) for k, v in manifest["config"].items()}
-        config = settings_from_mapping(TrainingConfig, mapping, source)
-    except ConfigError as exc:  # a failed validation does not name the file yet
-        if not str(exc).startswith(source):
-            raise ConfigError(f"{source}: {exc}") from exc
-        raise
+    mapping = {k: str(v) for k, v in manifest["config"].items()}
+    config = settings_from_mapping(TrainingConfig, mapping, str(manifest_path))
     branches = build_branches(config, manifest["dims"], tuple(manifest["branches"]))
     store = ParameterStore()
     register_branches(store, branches, config.seed)

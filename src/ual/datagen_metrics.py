@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
-from .numerics import SeededRng, _box_muller, _normal_words, _uniforms
+from .numerics import SeededRng, _box_muller, _normal_words, _uniforms, open_data_file
 
 SCHEMA = "ual-groups/v1"
 DEFAULT_CLASS_NAMES = ("Positive", "Neutral", "Negative")
@@ -92,25 +92,25 @@ class SynthesisSpec:
         for name in self.__dataclass_fields__:
             v = getattr(self, name)
             if isinstance(v, float) and not math.isfinite(v):
-                raise DataError(f"{name} must be finite, got {v}")
+                raise ConfigError(f"{name} must be finite, got {v}")
         if self.num_groups < 1:
-            raise DataError("num_groups must be >= 1")
+            raise ConfigError("num_groups must be >= 1")
         if not (2 <= self.group_size_min <= self.group_size_max):
-            raise DataError("group_size_min and group_size_max must satisfy 2 <= min <= max")
+            raise ConfigError("group_size_min and group_size_max must satisfy 2 <= min <= max")
         if not (0 <= self.object_count_min <= self.object_count_max):
-            raise DataError("object_count_min and object_count_max must satisfy 0 <= min <= max")
+            raise ConfigError("object_count_min and object_count_max must satisfy 0 <= min <= max")
         if min(self.face_dim, self.object_dim, self.scene_dim) < 1:
-            raise DataError("face_dim, object_dim and scene_dim must be >= 1")
+            raise ConfigError("face_dim, object_dim and scene_dim must be >= 1")
         if self.num_classes < 2:
-            raise DataError("num_classes must be >= 2")
+            raise ConfigError("num_classes must be >= 2")
         for name in ("corrupt_fraction", "inconsistent_fraction"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
-                raise DataError(f"{name} must lie in [0, 1], got {v}")
+                raise ConfigError(f"{name} must lie in [0, 1], got {v}")
         if self.corrupt_scale < 1.0:
-            raise DataError("corrupt_scale must be >= 1")
+            raise ConfigError("corrupt_scale must be >= 1")
         if self.spread < 0.0 or self.center_scale <= 0.0:
-            raise DataError("spread must be >= 0 and center_scale > 0")
+            raise ConfigError("spread must be >= 0 and center_scale > 0")
 
 
 def class_names_for(num_classes: int) -> tuple[str, ...]:
@@ -238,17 +238,6 @@ def generate_dataset(spec: SynthesisSpec) -> Dataset:
 # file I/O
 
 
-def open_data_file(path, mode: str = "r"):
-    """``open(path, mode)``, with an OS failure (a missing file, a missing
-    directory, no permission) raised as a :class:`DataError` naming ``path``."""
-    try:
-        if "b" in mode:
-            return open(path, mode)
-        return open(path, mode, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot open: {exc.strerror or exc}") from exc
-
-
 def save_dataset(dataset: Dataset, path) -> None:
     header = {
         "schema": SCHEMA,
@@ -302,7 +291,7 @@ def _rows(value, dim: int, what: str, where: str) -> np.ndarray:
     return _numbers(value, (len(value), dim), what, where)
 
 
-# the header's integer fields and their least values, as a synthesis spec has them
+# the header's integer fields (a manifest's dims too) and their least values, as a spec has them
 _HEADER_INTS = {"face_dim": 1, "object_dim": 1, "scene_dim": 1, "num_classes": 2}
 
 
@@ -499,7 +488,8 @@ def settings_from_mapping(kind, mapping: dict, source: str):
     """A validated ``kind`` (:class:`SynthesisSpec` or ``TrainingConfig``) from
     a ``{key: text}`` mapping. Each value is parsed to the type of its field's
     default (a bool is ``true`` or ``false``, in any case); an unknown key or
-    a bad value is a :class:`ConfigError` naming ``source`` and the key."""
+    a bad value, or a value out of range, is a :class:`ConfigError` naming
+    ``source`` and the key."""
     base = kind()
     updates = {}
     for key, raw in mapping.items():
@@ -517,7 +507,10 @@ def settings_from_mapping(kind, mapping: dict, source: str):
         except ValueError as exc:
             raise ConfigError(f"{source}: key {key!r}: {exc}") from exc
     out = replace(base, **updates)
-    out.validate()
+    try:
+        out.validate()
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
     return out
 
 

@@ -252,9 +252,20 @@ def block_normals(seeds, shape: int | tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# parameter storage
+# file opening and parameter storage
 
 PARAM_FORMAT_VERSION = 1
+
+
+def open_data_file(path, mode: str = "r"):
+    """``open(path, mode)``, with an OS failure (a missing file, a missing
+    directory, no permission) raised as a :class:`DataError` naming ``path``."""
+    try:
+        if "b" in mode:
+            return open(path, mode)
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open: {exc.strerror or exc}") from exc
 
 
 def _format_float(v: float) -> str:
@@ -327,11 +338,7 @@ class ParameterStore:
             entries.append('"%s": {"shape": [%s], "data": [%s]}' % (name, shape, data))
         lines.append(",\n".join(entries))
         lines.append("}}")
-        try:
-            fh = open(path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise DataError(f"{path}: cannot open: {exc.strerror or exc}") from exc
-        with fh:
+        with open_data_file(path, "w") as fh:
             fh.write("\n".join(lines))
             fh.write("\n")
 

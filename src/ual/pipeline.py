@@ -770,16 +770,6 @@ def _check_finite(row: np.ndarray, group_id: str) -> None:
             raise NumericError(f"group {group_id}: non-finite loss term {term!r}")
 
 
-def _mean_breakdown(rows: list[np.ndarray], row_weights: list[np.ndarray]) -> LossBreakdown:
-    if not rows:
-        return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
-    w = np.concatenate(row_weights).astype(np.float64)
-    cls, kl, rank, rec, total = (
-        float(v) for v in (np.concatenate(rows) * w[:, None]).sum(axis=0) / w.sum()
-    )
-    return LossBreakdown(cls, kl, rank, rec, total)
-
-
 def _bucket_rows(sizes: Sequence[int], kept: np.ndarray | None = None
                  ) -> list[tuple[np.ndarray, np.ndarray]]:
     """One ``(positions, rows)`` pair per distinct count ``n``, ascending: the
@@ -903,21 +893,25 @@ class Trainer:
         the mean of the groups' rows under the same weights. Each batch's
         per-group rows and gradients come from :meth:`_batch_loss`, and the
         gradients are summed in batch order as a loop over its groups would
-        sum them. The noise streams of a Gaussian branch,
-        ``(seed, "train", tag, epoch)`` and ``(seed, "train-fiqe", "face",
-        epoch)``, are derived once per epoch.
+        sum them. A branch that trains no group is left out of the result. The
+        noise streams are derived once per epoch, each only where it is read:
+        ``(seed, "train", tag, epoch)`` for a branch that samples, and
+        ``(seed, "train-fiqe", "face", epoch)`` when the face quality filter runs.
         """
         if not groups:
             raise DataError("cannot train on an empty dataset")
         root = SeededRng(self.config.seed)
+        filtered, stochastic = _face_noise(self.ablation, self.config, "train")
         out: dict[str, LossBreakdown] = {}
         for tag in BRANCH_TAGS:
             if tag not in self.branches:
                 continue
             weights = np.array([group.objects.shape[0] if tag == "object" else 1
                                 for group in groups])
-            streams = None if tag == "scene" else (
-                root.derive("train", tag, epoch), root.derive("train-fiqe", "face", epoch))
+            face = tag == "face"
+            samples = tag == "object" or face and stochastic
+            streams = (root.derive("train", tag, epoch) if samples else None,
+                       root.derive("train-fiqe", "face", epoch) if face and filtered else None)
             order = root.derive("shuffle", tag, epoch).permutation(len(groups))
             rows, row_weights = [], []
             for start in range(0, len(groups), self.config.batch_size):
@@ -934,10 +928,13 @@ class Trainer:
                     g *= scales.reshape((-1,) + (1,) * (g.ndim - 1))
                     grads[name] = np.add.reduce(g, axis=0)
                 self.optimizers[tag].step(self.store, grads)
-            out[tag] = _mean_breakdown(rows, row_weights)
+            if rows:
+                w = np.concatenate(row_weights).astype(np.float64)
+                mean = (np.concatenate(rows) * w[:, None]).sum(axis=0) / w.sum()
+                out[tag] = LossBreakdown(*(float(v) for v in mean))
         return out
 
-    def _batch_loss(self, tag: str, streams: tuple[SeededRng, SeededRng] | None,
+    def _batch_loss(self, tag: str, streams: tuple[SeededRng | None, SeededRng | None],
                     groups: Sequence[GroupSample]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """The ``(G, 5)`` loss rows and ``(G, *shape)`` gradients of a batch of
         ``groups`` on branch ``tag``, in batch order.
@@ -947,33 +944,31 @@ class Trainer:
         the faces it keeps count. The noise of the counted rows is drawn as
         one block, and the loss runs once per bucket of groups with equally
         many counted rows (:func:`_bucket_rows`) on the stacks gathered from
-        both; the filter and the deterministic baseline apply to faces only.
-        Noise for individual ``j`` of a group comes from ``streams[0]``, the
-        stream ``(seed, "train", tag, epoch)``, derived by group id and
-        ``j``; the face quality filter draws from ``streams[1]``,
-        ``(seed, "train-fiqe", "face", epoch)``, the same way.
+        both. Noise for individual ``j`` of a group comes from ``streams[0]``,
+        the stream ``(seed, "train", tag, epoch)``, derived by group id and
+        ``j``; without it the faces take the deterministic baseline. The face
+        quality filter runs when ``streams[1]``, ``(seed, "train-fiqe",
+        "face", epoch)``, is given, and draws from it the same way.
         """
         cfg, store, branch = self.config, self.store, self.branches[tag]
         y = np.array([group.label for group in groups])
         if tag == "scene":
             breakdown, grads = branch.loss_and_grads(store, np.stack([g.scene for g in groups]), y)
             return np.column_stack(breakdown.as_row()), grads
-        filtered, stochastic = _face_noise(self.ablation, cfg, "train")
+        noise, fiqe_noise = streams
         x, sizes = branch.individuals(groups)
         indices = [np.arange(n) for n in sizes]
         kept = np.arange(len(x))  # the rows the loss reads: all, or the faces the filter keeps
-        if tag == "face" and filtered:
-            seeds = _individual_seeds(streams[1], groups, indices)
+        if fiqe_noise is not None:
+            seeds = _individual_seeds(fiqe_noise, groups, indices)
             fiqe = block_normals(seeds, (cfg.fiqe_samples, cfg.latent_dim))
             kept = branch.quality_stage(store, groups, fiqe, cfg)[2]
-        deterministic = tag == "face" and not stochastic
-        if not deterministic:
-            eps = block_normals(_individual_seeds(streams[0], groups, indices)[kept],
-                                cfg.latent_dim)
+        if noise is not None:
+            eps = block_normals(_individual_seeds(noise, groups, indices)[kept], cfg.latent_dim)
         terms = np.empty((len(groups), len(_TERMS)))
         grads: dict[str, np.ndarray] = {}
         for pos, idx in _bucket_rows(sizes, kept):
-            if deterministic:
+            if noise is None:
                 breakdown, bucket_grads = branch.deterministic_loss_and_grads(
                     store, x[kept[idx]], y[pos], cfg)
             else:

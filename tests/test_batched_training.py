@@ -401,9 +401,14 @@ def test_noise_streams_are_derived_once_per_epoch(monkeypatch):
     monkeypatch.setattr(SeededRng, "derive", spied)
     groups = oracle_groups()
     cfg = ORACLE_CONFIG  # 13 groups: 3 batches per branch
-    store, branches = oracle_model(cfg)
-    Trainer(store, branches, cfg).train_epoch(groups, 1)
-    streams = [k for k in keys if k[0] in ("train", "train-fiqe")]
-    # one of each per Gaussian branch, however many batches it runs
-    assert sorted(streams) == sorted([("train", "face", 1), ("train", "object", 1),
-                                      ("train-fiqe", "face", 1), ("train-fiqe", "face", 1)])
+    # once per epoch, however many batches a branch runs, and only the streams it reads:
+    # no-ual-fiqe neither samples faces nor filters them
+    for ablation, want in [
+        ("full", [("train", "face", 1), ("train", "object", 1), ("train-fiqe", "face", 1)]),
+        ("no-ual-fiqe", [("train", "object", 1)]),
+    ]:
+        keys.clear()
+        store, branches = oracle_model(cfg)
+        Trainer(store, branches, cfg, ablation).train_epoch(groups, 1)
+        streams = [k for k in keys if k[0] in ("train", "train-fiqe")]
+        assert sorted(streams) == sorted(want), ablation

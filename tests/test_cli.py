@@ -98,7 +98,7 @@ class TestSimulate:
         spec, out = tmp_path / "bad.gen", tmp_path / "x.jsonl"
         spec.write_text(line + "\n")
         assert run("simulate", "--spec", str(spec), "--out", str(out)) == 2
-        assert f"data error: {key} must be finite" in capsys.readouterr().err
+        assert f"config error: {spec}: {key} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_overflowing_spread_names_the_group(self, tmp_path, capsys):
@@ -190,7 +190,7 @@ class TestTrain:
         code = run("train", "--config", str(cfg), "--train", str(small_run["train"]),
                    "--val", str(small_run["val"]), "--out", str(tmp_path / "m"))
         assert code == 2
-        assert f"config error: {key} must be finite, got nan" in capsys.readouterr().err
+        assert f"config error: {cfg}: {key} must be finite, got nan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["face_lr", "object_lr", "scene_lr"])
     def test_negative_learning_rate_exits_2(self, small_run, tmp_path, capsys, key):
@@ -199,7 +199,7 @@ class TestTrain:
         code = run("train", "--config", str(cfg), "--train", str(small_run["train"]),
                    "--val", str(small_run["val"]), "--out", str(tmp_path / "m"))
         assert code == 2
-        assert f"config error: {key} must be >= 0" in capsys.readouterr().err
+        assert f"config error: {cfg}: {key} must be >= 0" in capsys.readouterr().err
 
     def test_flags_parse_like_config_keys(self, small_run, tmp_path):
         base = "".join(line + "\n" for line in small_run["cfg"].read_text().splitlines()
@@ -222,6 +222,17 @@ class TestTrain:
         assert code == 2
         assert "epochs >= 0" in capsys.readouterr().err
 
+    def test_bad_flag_is_named_with_its_file(self, small_run, tmp_path, capsys):
+        data = ("--train", str(small_run["train"]), "--val", str(small_run["val"]))
+        assert run("train", *data, "--out", str(tmp_path / "m"), "--epochs", "-1") == 2
+        assert ("config error: bundled synthetic-default.cfg with --epochs -1: "
+                in capsys.readouterr().err)
+        spec = small_run["spec"]
+        assert run("simulate", "--spec", str(spec), "--out", str(tmp_path / "d.jsonl"),
+                   "--seed", "2", "--num-groups", "0") == 2
+        assert (f"config error: {spec} with --seed 2 --num-groups 0: num_groups must be >= 1"
+                in capsys.readouterr().err)
+
 
 class TestObjectOnly:
     def test_object_branch_alone_trains_and_evaluates(self, tmp_path, capsys):
@@ -238,6 +249,18 @@ class TestObjectOnly:
         groups = [r for r in records if r["record"] == "group"]
         absent = [r for r in groups if not r["branches"]["object"]["present"]]
         assert absent and all(r["weights"] == {"object": 1.0} for r in absent)
+
+    def test_branch_that_trains_no_group_logs_no_loss_row(self, small_run, tmp_path):
+        spec, data = tmp_path / "no-objects.gen", tmp_path / "d.jsonl"
+        spec.write_text(small_run["spec"].read_text() + "object_count_max = 0\n")
+        assert run("simulate", "--spec", str(spec), "--out", str(data)) == 0
+        out = tmp_path / "model"
+        assert run("train", "--config", str(small_run["cfg"]), "--train", str(data),
+                   "--val", str(data), "--out", str(out)) == 0
+        header = "epoch,cls,kl,rank,rec,total"
+        assert (out / "object_loss.csv").read_text().splitlines() == [header]
+        for tag in ("face", "scene"):  # header + 2 epochs
+            assert len((out / f"{tag}_loss.csv").read_text().splitlines()) == 3
 
 
 class TestMissingPaths:
@@ -495,9 +518,11 @@ class TestBadInputFiles:
         (_set(3, "id", None), 3, "id must be a string, got null"),
         (_header_only, 2, "expected a group record, got the end"),
         (_set(4, "id", "train-00000"), 4, "group id 'train-00000' is already on line 2"),
+        (_set(2, "scene", [0.5]), 2, "scene must have 4 dims"),
+        (_set(3, "faces", "xxx"), 3, "faces must be a list of vectors"),
     ], ids=["face-dim-0", "object-dim-0", "scene-dim-0", "float-label", "bool-label",
             "float-dim", "string-class-names", "int-class-names", "one-class", "null-id",
-            "header-only", "duplicate-id"])
+            "header-only", "duplicate-id", "short-scene", "string-faces"])
     def test_bad_dataset_for_training(self, small_run, tmp_path, capsys, edit, lineno, detail):
         data = tmp_path / "bad.jsonl"
         docs = [json.loads(line) for line in small_run["train"].read_text().splitlines()]
@@ -648,8 +673,12 @@ class TestBadInputFiles:
         (lambda doc: doc.update(ablation="fast"), "manifest key 'ablation' is not one of"),
         (lambda doc: doc["models"].update(face=""), "model of branch 'face': cannot read"),
         (lambda doc: doc["config"].update(latent_dim=0), "latent_dim must be >= 1"),
+        (lambda doc: doc["dims"].update(num_classes=True),
+         "manifest key 'dims': num_classes must be an integer >= 2, got true"),
+        (lambda doc: doc["models"].pop("scene"),
+         "manifest key 'models' has no file for branch 'scene'"),
     ], ids=["listed-hash", "no-branches", "unknown-ablation", "model-is-a-directory",
-            "invalid-config"])
+            "invalid-config", "bool-num-classes", "no-model-file"])
     def test_bad_manifest_value_names_the_manifest(self, small_run, tmp_path, capsys, edit,
                                                    detail):
         model = tmp_path / "model"
@@ -663,6 +692,15 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert code == 2
         assert str(manifest) in err and detail in err
+
+    def test_manifest_that_is_not_an_object_names_the_manifest(self, small_run, tmp_path,
+                                                                capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[]\n")
+        assert run("eval", "--manifest", str(manifest), "--data", str(small_run["val"])) == 2
+        assert f"data error: {manifest}: manifest must be a JSON object" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("name,param,value,detail", [
         ("face", "face.embed.logvar.bias", 2000.0, "sigma must be strictly positive and finite"),

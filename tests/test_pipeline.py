@@ -1052,6 +1052,17 @@ class TestTraining:
         with pytest.raises(NumericError, match="group .*non-finite"):
             trainer.train_epoch(ds.groups, 0)
 
+    def test_non_finite_loss_term_names_the_group_and_the_term(self):
+        ds = tiny_dataset(seed=23)
+        cfg = tiny_config(epochs=1)
+        store, branches = build_model(ds, cfg)
+        # sigma = exp(400) is finite, so every step runs; exp(log sigma^2) in the KL overflows
+        store.get("face.embed.logvar.bias")[...] = 800.0
+        trainer = Trainer(store, {"face": branches["face"]}, cfg)
+        with pytest.raises(NumericError,
+                           match=r"^group train-00009: non-finite loss term 'kl'$"):
+            trainer.train_epoch(ds.groups, 0)
+
 
 class TestTrainModel:
     def test_select_best_restores_best_epoch(self):
