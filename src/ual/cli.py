@@ -37,7 +37,8 @@ from .datagen_metrics import (
     settings_from_mapping,
 )
 from .errors import ConfigError, DataError, NumericError, UalError
-from .numerics import ParameterStore, SeededRng, gradient_check, open_data_file
+from .numerics import ParameterStore, SeededRng, check_dims, gradient_check, open_data_file
+from .numerics import parse_json, text_lines
 from .pipeline import (
     ABLATIONS,
     BRANCH_TAGS,
@@ -99,17 +100,9 @@ def _setup_logging() -> None:
 
 
 def parse_kv_file(path) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; '#' comments; blank lines ignored.
-
-    ``path`` is a filesystem path or a packaged resource such as
-    :func:`_bundled` returns.
-    """
+    """Parse flat ``key = value`` lines; '#' comments; blank lines ignored."""
     out: dict[str, str] = {}
-    try:
-        text = (path if hasattr(path, "read_text") else Path(path)).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -185,10 +178,7 @@ def cmd_train(args) -> int:
     train_ds = load_dataset(args.train)
     val_ds = load_dataset(args.val)
     dims = train_ds.dims
-    differ = [f"{key} {val_ds.dims[key]} != {value}"
-              for key, value in dims.items() if val_ds.dims[key] != value]
-    if differ:
-        raise DataError(f"{args.val}: line 1: {', '.join(differ)} of the train set {args.train}")
+    check_dims(val_ds.dims, dims, f"{args.val}: line 1", f"the train set {args.train}")
     tags = BRANCH_TAGS if args.branch == "all" else (args.branch,)
 
     def on_epoch(epoch, breakdowns, eval_result):
@@ -293,10 +283,7 @@ def _restore_from_manifest(manifest: dict, manifest_path: Path):
 
 def cmd_eval(args) -> int:
     manifest_path = Path(args.manifest)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    manifest = parse_json("".join(text_lines(manifest_path, keepends=True)), manifest_path)
     _check_manifest(manifest, manifest_path)
     data_hash = sha256_file(args.data)
     known = [e.get("sha256") for e in manifest["datasets"].values() if isinstance(e, dict)]
@@ -307,11 +294,8 @@ def cmd_eval(args) -> int:
         )
     config, branches, store = _restore_from_manifest(manifest, manifest_path)
     dataset = load_dataset(args.data)
-    differ = [f"{key} {value} != {manifest['dims'][key]}"
-              for key, value in dataset.dims.items() if value != manifest["dims"][key]]
-    if differ:
-        raise DataError(f"{args.data}: line 1: {', '.join(differ)} of the model in the "
-                        f"manifest {manifest_path}")
+    check_dims(dataset.dims, manifest["dims"], f"{args.data}: line 1",
+               f"the model in the manifest {manifest_path}")
     seed = args.seed if args.seed is not None else config.seed
     ablation = args.ablation or manifest.get("ablation", "full")
 

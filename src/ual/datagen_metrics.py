@@ -13,7 +13,8 @@ the two noise phenomena the model is built to survive:
   objects are drawn from a different class's center.
 
 Files are line-delimited JSON: a header record followed by one record per
-group (see ``SCHEMA``).
+group (see ``SCHEMA``), read through ``numerics.text_lines`` and ``parse_json``,
+so a line that is not UTF-8 or not JSON is a ``DataError`` naming it.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError
 from .numerics import SeededRng, _box_muller, _normal_words, _uniforms, open_data_file
+from .numerics import parse_json, text_lines
 
 SCHEMA = "ual-groups/v1"
 DEFAULT_CLASS_NAMES = ("Positive", "Neutral", "Negative")
@@ -93,14 +95,13 @@ class SynthesisSpec:
             v = getattr(self, name)
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
-        if self.num_groups < 1:
-            raise ConfigError("num_groups must be >= 1")
+        for name in ("num_groups", "face_dim", "object_dim", "scene_dim"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
         if not (2 <= self.group_size_min <= self.group_size_max):
             raise ConfigError("group_size_min and group_size_max must satisfy 2 <= min <= max")
         if not (0 <= self.object_count_min <= self.object_count_max):
             raise ConfigError("object_count_min and object_count_max must satisfy 0 <= min <= max")
-        if min(self.face_dim, self.object_dim, self.scene_dim) < 1:
-            raise ConfigError("face_dim, object_dim and scene_dim must be >= 1")
         if self.num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
         for name in ("corrupt_fraction", "inconsistent_fraction"):
@@ -109,8 +110,10 @@ class SynthesisSpec:
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
         if self.corrupt_scale < 1.0:
             raise ConfigError("corrupt_scale must be >= 1")
-        if self.spread < 0.0 or self.center_scale <= 0.0:
-            raise ConfigError("spread must be >= 0 and center_scale > 0")
+        if self.spread < 0.0:
+            raise ConfigError("spread must be >= 0")
+        if self.center_scale <= 0.0:
+            raise ConfigError("center_scale must be > 0")
 
 
 def class_names_for(num_classes: int) -> tuple[str, ...]:
@@ -302,28 +305,13 @@ def _integer(value, what: str, least: int, where: str) -> int:
     return value
 
 
-def _text_lines(path):
-    """The lines of the file ``path``, read and decoded one at a time, and
-    split as ``str.splitlines`` splits the whole text; a line that is not
-    UTF-8 is a :class:`DataError` naming its line."""
-    with open_data_file(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                yield from raw.decode("utf-8").splitlines()
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: not UTF-8 text: {exc}") from exc
-
-
 def load_dataset(path) -> Dataset:
     """Read a dataset file one line at a time; a group id may appear once."""
-    lines = enumerate(_text_lines(path), start=1)
+    lines = enumerate(text_lines(path), start=1)
     _, first = next(lines, (1, None))
     if first is None:
         raise DataError(f"{path}: line 1: empty dataset file")
-    try:
-        header = json.loads(first)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: line 1: bad header: {exc}") from exc
+    header = parse_json(first, path)
     if not isinstance(header, dict) or header.get("schema") != SCHEMA:
         raise DataError(f"{path}: line 1: expected schema {SCHEMA!r}")
     try:
@@ -345,10 +333,7 @@ def load_dataset(path) -> Dataset:
     for lineno, raw in lines:
         if not raw.strip():
             continue
-        try:
-            rec = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: line {lineno}: bad record: {exc}") from exc
+        rec = parse_json(raw, path, lineno)
         where = f"{path}: line {lineno}"
         try:
             gid, label = rec["id"], _integer(rec["label"], "label", 0, where)

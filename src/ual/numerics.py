@@ -1,6 +1,6 @@
-"""Dense float64 arithmetic, a replayable RNG, and manual-backprop units.
+"""Dense float64 arithmetic, a replayable RNG, manual-backprop units, and input readers.
 
-Everything downstream is built on three pieces:
+Everything downstream is built on these pieces:
 
 * shape-checked float64 vectors (plain ``numpy`` arrays; any
   dimension mismatch raises :class:`~ual.errors.ShapeError`, nothing is
@@ -10,7 +10,10 @@ Everything downstream is built on three pieces:
   replayed by an independent implementation,
 * small differentiable units (affine map, softmax cross-entropy) with
   hand-written backward passes, a :class:`ParameterStore` for their
-  weights, and a central-finite-difference :func:`gradient_check`.
+  weights, and a central-finite-difference :func:`gradient_check`,
+* one rule for each step of reading an input file (:func:`open_data_file`,
+  :func:`text_lines`, :func:`parse_json`, :func:`check_dims`); each failure
+  is a :class:`~ual.errors.DataError` naming the file, and its line if known.
 
 The model here is tiny, so float64 is used throughout; gradient checking
 needs the precision anyway.
@@ -19,6 +22,7 @@ needs the precision anyway.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
@@ -252,20 +256,52 @@ def block_normals(seeds, shape: int | tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# file opening and parameter storage
+# reading input files, and parameter storage
 
 PARAM_FORMAT_VERSION = 1
 
 
 def open_data_file(path, mode: str = "r"):
-    """``open(path, mode)``, with an OS failure (a missing file, a missing
-    directory, no permission) raised as a :class:`DataError` naming ``path``."""
+    """``open(path, mode)``, with a failure (a missing file, a missing
+    directory, no permission, a NUL byte in the path) raised as a
+    :class:`DataError` naming ``path``."""
     try:
         if "b" in mode:
             return open(path, mode)
         return open(path, mode, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot open: {exc.strerror or exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte
+        raise DataError(f"{path}: cannot open: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
+def text_lines(path, keepends: bool = False):
+    """The lines of the file ``path``, read and decoded one at a time, and
+    split as ``str.splitlines(keepends)`` splits the whole text (so with
+    ``keepends`` they join to it); a line that is not UTF-8 is a
+    :class:`DataError` naming its line."""
+    with open_data_file(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                yield from raw.decode("utf-8").splitlines(keepends)
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: line {lineno}: not UTF-8 text: {exc}") from exc
+
+
+def parse_json(text: str, path, lineno: int = 1):
+    """``json.loads(text)``, where ``text`` starts on line ``lineno`` of the
+    file ``path``; a syntax error is a :class:`DataError` naming its line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: line {lineno + exc.lineno - 1}: not JSON: {exc.msg} "
+                        f"(column {exc.colno})") from exc
+
+
+def check_dims(dims: dict, expected: dict, where: str, of: str) -> None:
+    """A :class:`DataError` at ``where`` naming each key whose ``dims`` and ``expected`` differ."""
+    differ = [f"{key} {value} != {expected[key]}" for key, value in dims.items()
+              if value != expected[key]]
+    if differ:
+        raise DataError(f"{where}: {', '.join(differ)} of {of}")
 
 
 def _format_float(v: float) -> str:
@@ -349,13 +385,7 @@ class ParameterStore:
         shapes and finite values; anything else is a :class:`DataError`
         naming the file (and the parameter).
         """
-        import json
-
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
-            raise DataError(f"cannot read {path} as JSON: {exc}") from exc
+        doc = parse_json("".join(text_lines(path, keepends=True)), path)
         if not isinstance(doc, dict) or doc.get("version") != PARAM_FORMAT_VERSION:
             raise DataError(f"{path}: unsupported parameter file version")
         params = doc.get("params")

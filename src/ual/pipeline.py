@@ -108,6 +108,7 @@ from .numerics import (
     ParameterStore,
     SeededRng,
     block_normals,
+    check_dims,
     derive_seeds,
     softmax,
     softmax_cross_entropy,
@@ -186,8 +187,10 @@ class TrainingConfig:
             raise ConfigError("fiqe_samples must be >= 2")
         if self.mc_samples < 1:
             raise ConfigError("mc_samples must be >= 1")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ConfigError("epochs must be >= 0")
         if self.fiqe_apply not in ("both", "train", "eval", "off"):
             raise ConfigError(f"fiqe_apply must be both/train/eval/off, got {self.fiqe_apply!r}")
 
@@ -1204,10 +1207,7 @@ def train_model(
     """
     dims = train_ds.dims
     if val_ds is not None:
-        for key, value in dims.items():
-            if val_ds.dims[key] != value:
-                raise DataError(f"train/val disagree on {key}: val {val_ds.dims[key]} != "
-                                f"train {value}")
+        check_dims(val_ds.dims, dims, "the val set", "the train set")
     store = ParameterStore()
     branches = build_branches(config, dims, branch_tags)
     register_branches(store, branches, config.seed)

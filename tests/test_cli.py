@@ -89,6 +89,17 @@ class TestSimulate:
         assert code == 2
         assert "corrupt_fraction" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,message", [
+        ("center_scale = 0", "center_scale must be > 0"),
+        ("spread = -1", "spread must be >= 0"),
+        ("object_dim = 0", "object_dim must be >= 1"),
+    ])
+    def test_range_error_names_one_key(self, tmp_path, capsys, line, message):
+        spec = tmp_path / "bad.gen"
+        spec.write_text(line + "\n")
+        assert run("simulate", "--spec", str(spec), "--out", str(tmp_path / "x.jsonl")) == 2
+        assert capsys.readouterr().err == f"config error: {spec}: {message}\n"
+
     @pytest.mark.parametrize("line,key", [
         ("spread = nan", "spread"),
         ("center_scale = inf", "center_scale"),
@@ -220,7 +231,8 @@ class TestTrain:
         code = run("train", "--train", str(small_run["train"]), "--val", str(small_run["val"]),
                    "--out", str(tmp_path / "m"), "--epochs", "-1")
         assert code == 2
-        assert "epochs >= 0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "epochs must be >= 0" in err and "batch_size" not in err
 
     def test_bad_flag_is_named_with_its_file(self, small_run, tmp_path, capsys):
         data = ("--train", str(small_run["train"]), "--val", str(small_run["val"]))
@@ -651,6 +663,7 @@ class TestBadInputFiles:
         bad, source = files[kind]
         text = source.read_bytes()
         bad.write_bytes(text[:20] + b"\xff" + text[20:])
+        lineno = text[:20].count(b"\n") + 1
         out = str(tmp_path / "out")
         train = ("--train", str(small_run["train"]), "--val", str(small_run["val"]), "--out", out)
         argv = {
@@ -664,21 +677,35 @@ class TestBadInputFiles:
         code = run(*argv[kind])
         err = capsys.readouterr().err
         assert code == 2
-        assert str(bad) in err and "Traceback" not in err
+        assert f"{bad}: line {lineno}: not UTF-8 text" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name", ["manifest.json", "scene.params.json"])
+    def test_truncated_json_file_names_the_line(self, small_run, tmp_path, capsys, name):
+        model = tmp_path / "model"
+        shutil.copytree(small_run["out"], model)
+        bad = model / name
+        lines = bad.read_bytes().splitlines(keepends=True)
+        bad.write_bytes(b"".join(lines[:2]) + lines[2][:len(lines[2]) // 2])
+        code = run("eval", "--manifest", str(model / "manifest.json"),
+                   "--data", str(small_run["val"]), "--out", str(tmp_path / "r"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{bad}: line 3: not JSON: " in err and "Traceback" not in err
 
 
     @pytest.mark.parametrize("edit,detail", [
         (lambda doc: doc["datasets"]["val"].update(sha256=[1]), "does not match the manifest"),
         (lambda doc: doc.update(branches=[]), "manifest key 'branches' names no branch"),
         (lambda doc: doc.update(ablation="fast"), "manifest key 'ablation' is not one of"),
-        (lambda doc: doc["models"].update(face=""), "model of branch 'face': cannot read"),
+        (lambda doc: doc["models"].update(face=""), "cannot open: Is a directory"),
         (lambda doc: doc["config"].update(latent_dim=0), "latent_dim must be >= 1"),
         (lambda doc: doc["dims"].update(num_classes=True),
          "manifest key 'dims': num_classes must be an integer >= 2, got true"),
         (lambda doc: doc["models"].pop("scene"),
          "manifest key 'models' has no file for branch 'scene'"),
+        (lambda doc: doc["models"].update(face="x\u0000y"), "cannot open: embedded null byte"),
     ], ids=["listed-hash", "no-branches", "unknown-ablation", "model-is-a-directory",
-            "invalid-config", "bool-num-classes", "no-model-file"])
+            "invalid-config", "bool-num-classes", "no-model-file", "nul-in-model-path"])
     def test_bad_manifest_value_names_the_manifest(self, small_run, tmp_path, capsys, edit,
                                                    detail):
         model = tmp_path / "model"
@@ -733,7 +760,7 @@ class TestBadInputFiles:
                    "--data", str(small_run["val"]), "--out", str(tmp_path / "r"))
         err = capsys.readouterr().err
         assert code == 2
-        assert f"cannot read {params}" in err and "Traceback" not in err
+        assert f"{params}: cannot open" in err and "Traceback" not in err
 
 
 # single tokens a mutation inserts or writes over one byte: one token can

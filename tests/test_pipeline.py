@@ -930,7 +930,7 @@ class TestTraining:
             num_groups=4, face_dim=7, object_dim=5, scene_dim=4, group_size_min=2,
             group_size_max=4, seed=3,
         ))
-        with pytest.raises(DataError, match="train/val disagree on face_dim: val 7 != train 6"):
+        with pytest.raises(DataError, match="the val set: face_dim 7 != 6 of the train set"):
             train_model(tiny_dataset(), tiny_config(), val_ds=val)
 
     def test_same_seed_identical_loss_logs(self):
