@@ -38,7 +38,7 @@ from .datagen_metrics import (
 )
 from .errors import ConfigError, DataError, NumericError, UalError
 from .numerics import ParameterStore, SeededRng, check_dims, gradient_check, open_data_file
-from .numerics import parse_json, text_lines
+from .numerics import parse_json, read_text, text_lines
 from .pipeline import (
     ABLATIONS,
     BRANCH_TAGS,
@@ -283,7 +283,7 @@ def _restore_from_manifest(manifest: dict, manifest_path: Path):
 
 def cmd_eval(args) -> int:
     manifest_path = Path(args.manifest)
-    manifest = parse_json("".join(text_lines(manifest_path, keepends=True)), manifest_path)
+    manifest = parse_json(read_text(manifest_path), manifest_path)
     _check_manifest(manifest, manifest_path)
     data_hash = sha256_file(args.data)
     known = [e.get("sha256") for e in manifest["datasets"].values() if isinstance(e, dict)]

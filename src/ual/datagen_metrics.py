@@ -95,23 +95,19 @@ class SynthesisSpec:
             v = getattr(self, name)
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
-        for name in ("num_groups", "face_dim", "object_dim", "scene_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        for name, least in (("num_groups", 1), ("face_dim", 1), ("object_dim", 1),
+                            ("scene_dim", 1), ("num_classes", 2), ("corrupt_scale", 1),
+                            ("spread", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if not (2 <= self.group_size_min <= self.group_size_max):
             raise ConfigError("group_size_min and group_size_max must satisfy 2 <= min <= max")
         if not (0 <= self.object_count_min <= self.object_count_max):
             raise ConfigError("object_count_min and object_count_max must satisfy 0 <= min <= max")
-        if self.num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
         for name in ("corrupt_fraction", "inconsistent_fraction"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"{name} must lie in [0, 1], got {v}")
-        if self.corrupt_scale < 1.0:
-            raise ConfigError("corrupt_scale must be >= 1")
-        if self.spread < 0.0:
-            raise ConfigError("spread must be >= 0")
         if self.center_scale <= 0.0:
             raise ConfigError("center_scale must be > 0")
 

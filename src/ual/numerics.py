@@ -12,8 +12,9 @@ Everything downstream is built on these pieces:
   hand-written backward passes, a :class:`ParameterStore` for their
   weights, and a central-finite-difference :func:`gradient_check`,
 * one rule for each step of reading an input file (:func:`open_data_file`,
-  :func:`text_lines`, :func:`parse_json`, :func:`check_dims`); each failure
-  is a :class:`~ual.errors.DataError` naming the file, and its line if known.
+  :func:`read_text` or :func:`text_lines`, :func:`parse_json`,
+  :func:`check_dims`); each failure is a :class:`~ual.errors.DataError`
+  naming the file, and its line if known.
 
 The model here is tiny, so float64 is used throughout; gradient checking
 needs the precision anyway.
@@ -273,17 +274,28 @@ def open_data_file(path, mode: str = "r"):
         raise DataError(f"{path}: cannot open: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
-def text_lines(path, keepends: bool = False):
+def _decode(raw: bytes, path, lineno: int = 1) -> str:
+    """``raw``, which starts on line ``lineno`` of the file ``path``, decoded
+    as UTF-8; bytes that are not UTF-8 are a :class:`DataError` naming their line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = lineno + raw.count(b"\n", 0, exc.start)
+        raise DataError(f"{path}: line {line}: not UTF-8 text: {exc}") from exc
+
+
+def read_text(path) -> str:
+    """The whole text of the file ``path``, read and decoded at once."""
+    with open_data_file(path, "rb") as fh:
+        return _decode(fh.read(), path)
+
+
+def text_lines(path):
     """The lines of the file ``path``, read and decoded one at a time, and
-    split as ``str.splitlines(keepends)`` splits the whole text (so with
-    ``keepends`` they join to it); a line that is not UTF-8 is a
-    :class:`DataError` naming its line."""
+    split as ``str.splitlines`` splits the whole text."""
     with open_data_file(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            try:
-                yield from raw.decode("utf-8").splitlines(keepends)
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}: line {lineno}: not UTF-8 text: {exc}") from exc
+            yield from _decode(raw, path, lineno).splitlines()
 
 
 def parse_json(text: str, path, lineno: int = 1):
@@ -294,6 +306,9 @@ def parse_json(text: str, path, lineno: int = 1):
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: line {lineno + exc.lineno - 1}: not JSON: {exc.msg} "
                         f"(column {exc.colno})") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        where = f"{path}: line {lineno}" if "\n" not in text.rstrip() else f"{path}"
+        raise DataError(f"{where}: not JSON: {exc}") from exc
 
 
 def check_dims(dims: dict, expected: dict, where: str, of: str) -> None:
@@ -385,7 +400,7 @@ class ParameterStore:
         shapes and finite values; anything else is a :class:`DataError`
         naming the file (and the parameter).
         """
-        doc = parse_json("".join(text_lines(path, keepends=True)), path)
+        doc = parse_json(read_text(path), path)
         if not isinstance(doc, dict) or doc.get("version") != PARAM_FORMAT_VERSION:
             raise DataError(f"{path}: unsupported parameter file version")
         params = doc.get("params")

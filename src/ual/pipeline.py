@@ -169,28 +169,18 @@ class TrainingConfig:
             v = getattr(self, name)
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v}")
-        if self.latent_dim < 1:
-            raise ConfigError("latent_dim must be >= 1")
-        for name in ("lambda1", "lambda2", "lambda3", "lambda4", "face_lr", "object_lr",
-                     "scene_lr"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be >= 0")
+        for name, least in (("latent_dim", 1), ("lambda1", 0), ("lambda2", 0), ("lambda3", 0),
+                            ("lambda4", 0), ("face_lr", 0), ("object_lr", 0), ("scene_lr", 0),
+                            ("delta1", 0), ("fiqe_samples", 2), ("mc_samples", 1),
+                            ("batch_size", 1), ("epochs", 0)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if self.lambda1 > 1.0:
             raise ConfigError("lambda1 must lie in [0, 1]")
         if not (0.0 < self.beta < 1.0):
             raise ConfigError("beta must lie in (0, 1)")
-        if self.delta1 < 0.0:
-            raise ConfigError("delta1 must be >= 0")
         if not (0.0 < self.delta2 < 1.0):
             raise ConfigError("delta2 must lie in (0, 1)")
-        if self.fiqe_samples < 2:
-            raise ConfigError("fiqe_samples must be >= 2")
-        if self.mc_samples < 1:
-            raise ConfigError("mc_samples must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
         if self.fiqe_apply not in ("both", "train", "eval", "off"):
             raise ConfigError(f"fiqe_apply must be both/train/eval/off, got {self.fiqe_apply!r}")
 

@@ -692,18 +692,43 @@ class TestBadInputFiles:
         assert code == 2
         assert f"{bad}: line 3: not JSON: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["params", "dataset"])
+    def test_integer_past_the_digit_limit_is_a_data_error(self, small_run, tmp_path, capsys,
+                                                          kind):
+        model = tmp_path / "model"
+        shutil.copytree(small_run["out"], model)
+        huge = "9" * 5000
+        if kind == "params":
+            bad, where = model / "scene.params.json", f"{model / 'scene.params.json'}: "
+            bad.write_text(bad.read_text().replace('"version": 1', f'"version": {huge}', 1))
+            data = small_run["val"]
+        else:
+            bad = data = tmp_path / "val.jsonl"
+            lines = small_run["val"].read_text().splitlines(keepends=True)
+            lines[1] = lines[1].replace('"label": ', f'"label": {huge}', 1)
+            bad.write_text("".join(lines))
+            where = f"{bad}: line 2: "
+        code = run("eval", "--manifest", str(model / "manifest.json"), "--data", str(data),
+                   "--force", "--out", str(tmp_path / "r"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ") and "Traceback" not in err
+        assert f"{where}not JSON: Exceeds the limit" in err
+
 
     @pytest.mark.parametrize("edit,detail", [
         (lambda doc: doc["datasets"]["val"].update(sha256=[1]), "does not match the manifest"),
         (lambda doc: doc.update(branches=[]), "manifest key 'branches' names no branch"),
         (lambda doc: doc.update(ablation="fast"), "manifest key 'ablation' is not one of"),
-        (lambda doc: doc["models"].update(face=""), "cannot open: Is a directory"),
+        (lambda doc: doc["models"].update(face=""),
+         ("model of branch 'face': ", "cannot open: Is a directory")),
         (lambda doc: doc["config"].update(latent_dim=0), "latent_dim must be >= 1"),
         (lambda doc: doc["dims"].update(num_classes=True),
          "manifest key 'dims': num_classes must be an integer >= 2, got true"),
         (lambda doc: doc["models"].pop("scene"),
          "manifest key 'models' has no file for branch 'scene'"),
-        (lambda doc: doc["models"].update(face="x\u0000y"), "cannot open: embedded null byte"),
+        (lambda doc: doc["models"].update(face="x\u0000y"),
+         ("model of branch 'face': ", "cannot open: embedded null byte")),
     ], ids=["listed-hash", "no-branches", "unknown-ablation", "model-is-a-directory",
             "invalid-config", "bool-num-classes", "no-model-file", "nul-in-model-path"])
     def test_bad_manifest_value_names_the_manifest(self, small_run, tmp_path, capsys, edit,
@@ -718,7 +743,8 @@ class TestBadInputFiles:
                    "--out", str(tmp_path / "r"))
         err = capsys.readouterr().err
         assert code == 2
-        assert str(manifest) in err and detail in err
+        assert str(manifest) in err
+        assert all(part in err for part in ((detail,) if isinstance(detail, str) else detail))
 
     def test_manifest_that_is_not_an_object_names_the_manifest(self, small_run, tmp_path,
                                                                 capsys):

@@ -52,7 +52,7 @@ def test_only_open_data_file_calls_open():
 
 @pytest.mark.parametrize("error,scopes", [
     ("OSError", {"numerics.open_data_file", "cli._out_dir"}),
-    ("UnicodeDecodeError", {"numerics.text_lines"}),
+    ("UnicodeDecodeError", {"numerics._decode"}),
     ("JSONDecodeError", {"numerics.parse_json"}),
 ])
 def test_each_read_error_is_caught_in_one_place(error, scopes):
