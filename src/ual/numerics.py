@@ -306,7 +306,7 @@ def parse_json(text: str, path, lineno: int = 1):
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: line {lineno + exc.lineno - 1}: not JSON: {exc.msg} "
                         f"(column {exc.colno})") from exc
-    except ValueError as exc:  # an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # past Python's integer digits or nesting
         where = f"{path}: line {lineno}" if "\n" not in text.rstrip() else f"{path}"
         raise DataError(f"{where}: not JSON: {exc}") from exc
 

@@ -692,16 +692,22 @@ class TestBadInputFiles:
         assert code == 2
         assert f"{bad}: line 3: not JSON: " in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("kind", ["params", "dataset"])
-    def test_integer_past_the_digit_limit_is_a_data_error(self, small_run, tmp_path, capsys,
-                                                          kind):
+    @pytest.mark.parametrize("kind,detail", [
+        ("params", "Exceeds the limit"),
+        ("dataset", "Exceeds the limit"),
+        ("nesting", "maximum recursion depth exceeded"),
+    ])
+    def test_json_past_a_python_limit_is_a_data_error(self, small_run, tmp_path, capsys, kind,
+                                                      detail):
         model = tmp_path / "model"
         shutil.copytree(small_run["out"], model)
-        huge = "9" * 5000
+        huge, data = "9" * 5000, small_run["val"]
         if kind == "params":
             bad, where = model / "scene.params.json", f"{model / 'scene.params.json'}: "
             bad.write_text(bad.read_text().replace('"version": 1', f'"version": {huge}', 1))
-            data = small_run["val"]
+        elif kind == "nesting":
+            bad, where = model / "manifest.json", f"{model / 'manifest.json'}: line 1: "
+            bad.write_text("[" * 100_000)
         else:
             bad = data = tmp_path / "val.jsonl"
             lines = small_run["val"].read_text().splitlines(keepends=True)
@@ -713,7 +719,7 @@ class TestBadInputFiles:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("data error: ") and "Traceback" not in err
-        assert f"{where}not JSON: Exceeds the limit" in err
+        assert f"{where}not JSON: {detail}" in err
 
 
     @pytest.mark.parametrize("edit,detail", [
