@@ -479,6 +479,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+# How main() reports an error, the first class that matches: prefix and exit code
+_ERROR_KINDS = ((ConfigError, "config error", EXIT_DATA), (DataError, "data error", EXIT_DATA),
+                (NumericError, "numeric failure", EXIT_NUMERIC), (UalError, "error", EXIT_DATA))
+# C0 control characters and DEL in an error message (a path, a key) are written as \xNN
+_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), 0x7F)}
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         _setup_logging()
@@ -488,18 +495,11 @@ def main(argv: list[str] | None = None) -> int:
         if exc.message:
             print(exc.message, file=sys.stderr)
         return exc.code
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except UalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        kind, code = next((kind, code) for error, kind, code in _ERROR_KINDS
+                          if isinstance(exc, error))
+        print(f"{kind}: {str(exc).translate(_ESCAPES)}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -291,11 +291,12 @@ def read_text(path) -> str:
 
 
 def text_lines(path):
-    """The lines of the file ``path``, read and decoded one at a time, and
-    split as ``str.splitlines`` splits the whole text."""
+    """The lines of the file ``path``, read and decoded one at a time: split
+    on ``\\n`` only, so line ``i`` is the ``i``-th, as :func:`_decode` counts
+    them, and without their ``\\n`` or ``\\r\\n`` ending."""
     with open_data_file(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            yield from _decode(raw, path, lineno).splitlines()
+            yield _decode(raw, path, lineno).removesuffix("\n").removesuffix("\r")
 
 
 def parse_json(text: str, path, lineno: int = 1):
@@ -535,7 +536,8 @@ def softmax_cross_entropy_grad(probs: np.ndarray, label) -> np.ndarray:
 
 def _label_index(labels: np.ndarray, shape: tuple[int, ...]):
     """Index of each vector's label entry in the ``(-1, C)`` view of a ``shape`` stack."""
-    flat = np.broadcast_to(labels, shape[:-1]).reshape(-1)
+    flat = labels if labels.shape == shape[:-1] else np.broadcast_to(labels, shape[:-1])
+    flat = flat.reshape(-1)
     return np.arange(flat.size), flat
 
 

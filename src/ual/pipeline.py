@@ -41,9 +41,10 @@ Training and inference run groups as stacked arrays: training one
 mini-batch at a time (:meth:`Trainer._batch_loss`), :func:`evaluate_dataset`
 one step of ``_INFER_STEP`` groups at a time. Per step, each branch returns
 ``(G, E, C)`` probabilities for ``E`` sweep entries and flat per-individual
-arrays (:func:`branch_infer`), :func:`predict_group` fuses each group's
-``(E, C)`` slices, and the report's records are built from these arrays only
-when asked for.
+arrays (:func:`branch_infer`), :func:`fuse_predictions` fuses the step's
+stacks in one call, and the report's records are built from these arrays
+only when asked for, with :func:`predict_group` as each group's view of the
+step's fusion.
 
 A step's (or batch's) individuals are stored one way, in training and
 inference alike: as flat rows in group order. Features, Gaussians, noise and
@@ -608,43 +609,45 @@ def register_branches(
 def fuse_predictions(
     predictions: Sequence[BranchPrediction], strategy: str = "pwfs"
 ) -> FusionResult:
-    """Combine branch probability vectors into one, excluding absent branches.
+    """Combine the branches' probabilities into one, with weight 0 for an absent branch.
 
-    ``pwfs`` (proportional-weighted fusion) weights each branch by its share
-    of the total top-class confidence; the other strategies use fixed priors.
-    When every branch is absent (an object-only model on a group without
-    objects), their vectors are fused as given, with equal weights. An
-    ``(E, C)`` stack of ``probs`` is fused row by row, as ``E`` one-vector
-    calls, into ``(E, C)`` probabilities and ``(E,)`` weights.
+    ``pwfs`` (proportional-weighted fusion) weights each present branch by its
+    share of the total top-class confidence; the other strategies use fixed
+    priors. A group with no present branch (an object-only model on a group
+    without objects) fuses every branch as given, with equal weights. A step
+    is fused in one call: ``(G, E, C)`` probabilities and ``(G,)`` present
+    masks (a bool for one ``(C,)`` vector) give ``(G, E, C)`` probabilities
+    and ``(G, E)`` weights per branch. An absent branch only adds exact zeros
+    to the sums, so each group's result equals a fusion of its present
+    branches alone, bit for bit.
     """
     if strategy not in FUSION_STRATEGIES:
         raise ConfigError(f"unknown fusion strategy {strategy!r}")
     if not predictions:
         raise ValueError("no branch predictions to fuse")
-    present = [p for p in predictions if p.present]
     lead = predictions[0].probs.shape[:-1]
-    if not present:
-        present = list(predictions)
-        conf = np.ones(lead + (len(present),))
-    elif strategy == "pwfs":
-        conf = np.stack([p.probs.max(axis=-1) for p in present], axis=-1)
+    present = np.stack([np.expand_dims(p.present, tuple(range(np.ndim(p.present), len(lead))))
+                        for p in predictions], axis=-1)  # (G, 1, B) for a step
+    if strategy == "pwfs":
+        conf = np.stack([p.probs.max(axis=-1) for p in predictions], axis=-1)
     else:
-        priors = _FUSION_PRIORS[strategy]
-        conf = np.broadcast_to([priors[p.branch] for p in present], lead + (len(present),))
-    weights = (conf / conf.sum(axis=-1, keepdims=True)).T  # a row per branch
-    fused = np.zeros_like(present[0].probs)
-    for w, p in zip(weights, present):
-        fused = fused + w[..., None] * p.probs
+        conf = np.array([_FUSION_PRIORS[strategy][p.branch] for p in predictions])
+    conf = np.where(present.any(axis=-1, keepdims=True), np.where(present, conf, 0.0), 1.0)
+    weights = np.broadcast_to(conf / conf.sum(axis=-1, keepdims=True), lead + (len(predictions),))
+    fused = np.zeros_like(predictions[0].probs)
+    for b, p in enumerate(predictions):
+        fused = fused + weights[..., b, None] * p.probs
     fused = fused / fused.sum(axis=-1, keepdims=True)
-    return FusionResult(probs=fused, weights={p.branch: w for p, w in zip(present, weights)})
+    return FusionResult(probs=fused,
+                        weights={p.branch: weights[..., b] for b, p in enumerate(predictions)})
 
 
 # ---------------------------------------------------------------------------
 # inference entry points
 
 # Groups per inference step, sized by memory: a step's face kernel blocks hold up
-# to about 2 MB each (16 groups of 8 kept faces, 64 rounds of 32 dims; see README)
-_INFER_STEP = 16
+# to about 8.4 MB each (64 groups of 8 kept faces, 64 rounds of 32 dims; see README)
+_INFER_STEP = 64
 
 
 def _steps(groups: Sequence[GroupSample]) -> list[Sequence[GroupSample]]:
@@ -689,22 +692,14 @@ def branch_infer(
     return branch.infer(store, groups, draws, counts)
 
 
-def predict_group(
-    group: GroupSample,
-    step: Sequence[BranchPrediction],
-    j: int,
-    fusion: str = "pwfs",
-) -> FusionResult:
-    """Fuse ``group``, position ``j`` of a step of :func:`branch_infer`
-    predictions, in one :func:`fuse_predictions` call on its ``(E, C)``
-    slices; a probability that is not finite (an overflow in a branch)
-    raises :class:`NumericError`."""
-    fused = fuse_predictions(
-        [BranchPrediction(p.branch, p.probs[j], bool(p.present[j])) for p in step], fusion
-    )
-    if not np.isfinite(fused.probs).all():
-        raise NumericError(f"group {group.id}: non-finite fused probabilities")
-    return fused
+def predict_group(group: GroupSample, fused: FusionResult, j: int) -> FusionResult:
+    """The fusion of ``group``, position ``j`` of a step that
+    :func:`fuse_predictions` fused: its ``(E, C)`` probabilities and the
+    ``(E,)`` weights of the branches with a nonzero weight, which are the
+    present ones, or all when none is present. ``group`` names the record
+    (and the ``perfbench`` span) the result is for."""
+    weights = {tag: w[j] for tag, w in fused.weights.items() if w[j].any()}
+    return FusionResult(fused.probs[j], weights)
 
 
 # ---------------------------------------------------------------------------
@@ -775,11 +770,11 @@ def _bucket_rows(sizes: Sequence[int], kept: np.ndarray | None = None
     if kept is not None:
         counts = np.diff(np.searchsorted(kept, np.cumsum(sizes)), prepend=0)
     starts = np.cumsum(counts) - counts
-    buckets = []
-    for n in np.unique(counts).tolist():
-        pos = np.flatnonzero(counts == n)
-        buckets.append((pos, starts[pos][:, None] + np.arange(n)))
-    return buckets
+    order = np.argsort(counts, kind="stable")  # by count, and by position within a count
+    ordered = counts[order]
+    cuts = np.flatnonzero(np.diff(ordered, prepend=-1)).tolist() + [len(order)]
+    return [(order[lo:hi], starts[order[lo:hi]][:, None] + np.arange(ordered[lo]))
+            for lo, hi in zip(cuts, cuts[1:])]
 
 
 def _individual_seeds(stream: SeededRng, groups: Sequence[GroupSample], indices) -> np.ndarray:
@@ -950,7 +945,8 @@ class Trainer:
             return np.column_stack(breakdown.as_row()), grads
         noise, fiqe_noise = streams
         x, sizes = branch.individuals(groups)
-        indices = [np.arange(n) for n in sizes]
+        if noise is not None or fiqe_noise is not None:
+            indices = [np.arange(n) for n in sizes]
         kept = np.arange(len(x))  # the rows the loss reads: all, or the faces the filter keeps
         if fiqe_noise is not None:
             seeds = _individual_seeds(fiqe_noise, groups, indices)
@@ -1106,8 +1102,11 @@ def evaluate_dataset(
                 if tag in branches
             }
         preds = [pred for pred, _ in per_branch.values()]
-        fused = [predict_group(group, preds, j, fusion) for j, group in enumerate(step)]
-        labels["fused"].append(np.argmax([f.probs for f in fused], axis=-1))
+        fused = fuse_predictions(preds, fusion)
+        bad = np.flatnonzero(~np.isfinite(fused.probs).reshape(len(step), -1).all(axis=-1))
+        if bad.size:  # an overflow in a branch
+            raise NumericError(f"group {step[bad[0]].id}: non-finite fused probabilities")
+        labels["fused"].append(np.argmax(fused.probs, axis=-1))
         for pred in preds:
             labels[pred.branch].append(np.argmax(pred.probs, axis=-1))  # the first maximum
         if collect_diagnostics:
@@ -1125,17 +1124,18 @@ def evaluate_dataset(
 
 
 def _group_records(records: list[list[dict]], groups: Sequence[GroupSample], per_branch: dict,
-                   fused: Sequence[FusionResult], labels: np.ndarray) -> None:
+                   fused: FusionResult, labels: np.ndarray) -> None:
     """Append the report's ``group`` records of one inference step to
     ``records``, one list per sweep entry, built from the step's
-    :func:`branch_infer` arrays, its groups' fusion results and their
-    ``(G, E)`` fused classes."""
+    :func:`branch_infer` arrays, its fusion and its ``(G, E)`` fused
+    classes; each group's weights are those :func:`predict_group` gives."""
     listed = {
         tag: (p.present.tolist(), p.probs.tolist(), {k: a.tolist() for k, a in arrays.items()})
         for tag, (p, arrays) in per_branch.items()
     }
     face_lo = object_lo = 0
     for j, (group, pred) in enumerate(zip(groups, labels.tolist())):
+        group_fused = predict_group(group, fused, j)
         n_faces, n_objects = group.faces.shape[0], group.objects.shape[0]
         ids = [f"{group.id}/face{i}" for i in range(n_faces)]  # shared by the entries
         for e, entry_records in enumerate(records):
@@ -1155,8 +1155,8 @@ def _group_records(records: list[list[dict]], groups: Sequence[GroupSample], per
                                         for i in range(n_objects)]
             entry_records.append({
                 "record": "group", "id": group.id, "label": int(group.label), "pred": pred[e],
-                "fused_probs": fused[j].probs[e].tolist(),
-                "weights": {tag: float(w[e]) for tag, w in fused[j].weights.items()},
+                "fused_probs": group_fused.probs[e].tolist(),
+                "weights": {tag: float(w[e]) for tag, w in group_fused.weights.items()},
                 "branches": branches,
             })
         face_lo, object_lo = face_lo + n_faces, object_lo + n_objects

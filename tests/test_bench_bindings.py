@@ -141,13 +141,14 @@ def test_simulate_bindings_record_spans(tmp_path):
     assert [name for name in _SIMULATE_SPANS if name not in recorded] == []
 
 
-def test_sweep_runs_each_group_once(tmp_path):
+def test_sweep_runs_each_group_once(tmp_path, monkeypatch):
     # a sweep of sample counts is one pass over the dataset in steps of
-    # groups: each branch runs once per step and fusion once per group, and
-    # none of them once per count
+    # groups: each branch and the fusion run once per step, the report's
+    # per-group view once per group, and none of them once per count
     from ual import pipeline
     from ual.cli import main
 
+    monkeypatch.setattr(pipeline, "_INFER_STEP", 16)
     spec = tmp_path / "spec.gen"
     spec.write_text(
         "num_groups = 20\ngroup_size_min = 2\ngroup_size_max = 4\nface_dim = 6\n"
@@ -171,7 +172,7 @@ def test_sweep_runs_each_group_once(tmp_path):
     assert steps > 1
     expected = {
         "pipeline.predict_group": 20,
-        "pipeline.fuse": 20,
+        "pipeline.fuse": steps,
         "pipeline.face.infer": steps,
         "pipeline.object.infer": steps,
         "quality_filter.filter_faces": steps,

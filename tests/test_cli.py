@@ -360,6 +360,34 @@ class TestEval:
             for r in rep["pwfs"]
         )
 
+    def test_fusion_runs_once_per_step(self, small_run, tmp_path, monkeypatch):
+        # a validation pass fuses each step in one call and builds no per-group
+        # view; ual eval also builds one per group, for the report's records
+        from ual import pipeline
+
+        calls = []
+
+        def spy(name):
+            real = getattr(pipeline, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("fuse_predictions", "predict_group"):
+            monkeypatch.setattr(pipeline, name, spy(name))
+        monkeypatch.setattr(pipeline, "_INFER_STEP", 5)
+        steps = 3  # of the 12 val groups
+        model = tmp_path / "model"
+        assert run("train", "--config", str(small_run["cfg"]), "--train", str(small_run["train"]),
+                   "--val", str(small_run["val"]), "--out", str(model)) == 0
+        assert calls == ["fuse_predictions"] * (2 * steps)  # 2 epochs
+        calls.clear()
+        assert run("eval", "--manifest", str(model / "manifest.json"), "--data",
+                   str(small_run["val"]), "--mc-samples", "1,4", "--out", str(tmp_path / "r")) == 0
+        assert sorted(calls) == ["fuse_predictions"] * steps + ["predict_group"] * 12
+
     def test_mc_samples_sweep_table(self, small_run, tmp_path, capsys):
         out = tmp_path / "sweep"
         assert run("eval", "--manifest", str(small_run["out"] / "manifest.json"),
@@ -734,7 +762,7 @@ class TestBadInputFiles:
         (lambda doc: doc["models"].pop("scene"),
          "manifest key 'models' has no file for branch 'scene'"),
         (lambda doc: doc["models"].update(face="x\u0000y"),
-         ("model of branch 'face': ", "cannot open: embedded null byte")),
+         ("model of branch 'face': ", "x\\x00y: cannot open: embedded null byte")),
     ], ids=["listed-hash", "no-branches", "unknown-ablation", "model-is-a-directory",
             "invalid-config", "bool-num-classes", "no-model-file", "nul-in-model-path"])
     def test_bad_manifest_value_names_the_manifest(self, small_run, tmp_path, capsys, edit,
@@ -751,6 +779,7 @@ class TestBadInputFiles:
         assert code == 2
         assert str(manifest) in err
         assert all(part in err for part in ((detail,) if isinstance(detail, str) else detail))
+        assert "\x00" not in err  # control characters are written escaped
 
     def test_manifest_that_is_not_an_object_names_the_manifest(self, small_run, tmp_path,
                                                                 capsys):

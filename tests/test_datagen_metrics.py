@@ -342,23 +342,42 @@ class TestDatasetIO:
         with pytest.raises(DataError, match="label 7 out of range"):
             load_dataset(path)
 
-    def test_lines_are_numbered_as_splitlines_numbers_them(self, tmp_path):
+    def test_lines_are_numbered_by_newlines(self, tmp_path):
         ds = self._small()
         path = tmp_path / "d.jsonl"
         save_dataset(ds, path)
         header, *records = path.read_text().splitlines()
-        # CRLF, CR, blank and LF line ends: the file is read line by line,
-        # and each line split again as str.splitlines splits the whole text
-        text = header + "\r\n" + records[0] + "\r\n\n" + records[1] + "\r" + "\n".join(records[2:])
+        # CRLF, blank and LF line ends: the file is split on "\n" only, and a
+        # line's "\r\n" or "\n" end is dropped
+        text = (header + "\r\n" + records[0] + "\r\n\n" + records[1] + "\r\n"
+                + "\n".join(records[2:]))
         path.write_bytes(text.encode())
         loaded = load_dataset(path)
         assert [group.id for group in loaded.groups] == [group.id for group in ds.groups]
         bad = text.replace(records[3], records[3].replace('"label": ', '"label": -', 1))
         path.write_bytes(bad.encode())
-        lineno = bad.splitlines().index(records[3].replace('"label": ', '"label": -', 1)) + 1
+        lineno = bad.split("\n").index(records[3].replace('"label": ', '"label": -', 1)) + 1
         assert lineno == 6
         with pytest.raises(DataError, match=re.escape(f"{path}: line {lineno}: label must be")):
             load_dataset(path)
+
+    def test_line_breaks_inside_a_string_stay_in_their_line(self, tmp_path):
+        # str.splitlines would also cut at these, which JSON allows raw in a
+        # string, as json.dumps(..., ensure_ascii=False) writes them
+        ds = self._small()
+        path = tmp_path / "d.jsonl"
+        save_dataset(ds, path)
+        header, *records = path.read_text().splitlines()
+        ids = ["val-\u2028x", "val-\u2029y", "val-\u0085z"]
+        for i, gid in enumerate(ids):
+            records[i] = json.dumps({**json.loads(records[i]), "id": gid}, ensure_ascii=False)
+        records[4] = records[4].replace('"label": ', '"label": -', 1)
+        path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 6: label must be")):
+            load_dataset(path)
+        del records[4]
+        path.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+        assert [group.id for group in load_dataset(path).groups][:3] == ids
 
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "d.jsonl"

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 from dataclasses import replace
 
@@ -83,7 +84,7 @@ class TestFusion:
             bp("object", [1 / 3, 1 / 3, 1 / 3], present=False),
             bp("scene", [0.6, 0.2, 0.2]),
         ], "pwfs")
-        assert set(result.weights) == {"face", "scene"}
+        assert result.weights == {"face": 0.5, "object": 0.0, "scene": 0.5}
         assert np.allclose(result.probs, [0.6, 0.2, 0.2])
 
     def test_priority_strategies(self):
@@ -97,6 +98,34 @@ class TestFusion:
         face = fuse_predictions(preds, "face-priority")
         assert face.weights["face"] == pytest.approx(1 / 2)
         assert face.weights["object"] == pytest.approx(1 / 4)
+
+    @pytest.mark.parametrize("entries", [1, 3])
+    @pytest.mark.parametrize("strategy", pipeline.FUSION_STRATEGIES)
+    def test_step_fusion_equals_per_group_fusion(self, strategy, entries):
+        # a step of every mix of present and absent branches, and an object-only
+        # model on groups with and without objects, fused in one call; each
+        # group's result equals a fusion of its present branches alone, or of
+        # every branch when none is present, bit for bit
+        mixes = np.array(list(itertools.product([True, False], repeat=3)))
+        rng = SeededRng(4)
+        step = [bp(tag, softmax(rng.normals((len(mixes), entries, 4))), mixes[:, b])
+                for b, tag in enumerate(pipeline.BRANCH_TAGS)]
+        ds = tiny_dataset()
+        cfg = tiny_config()
+        store, branches = build_model(ds, cfg, tags=("object",))
+        objects, _ = branch_infer(branches["object"], ds.groups, store, cfg,
+                                  SeededRng(0).derive("infer"), (1, 5, 3)[:entries])
+        assert 0 < objects.present.sum() < len(ds.groups)
+        for preds in (step, [objects]):
+            fused = fuse_predictions(preds, strategy)
+            for j in range(len(preds[0].probs)):
+                alone = ([bp(p.branch, p.probs[j]) for p in preds if p.present[j]]
+                         or [bp(p.branch, p.probs[j], present=False) for p in preds])
+                want = fuse_predictions(alone, strategy)
+                got = predict_group(None, fused, j)
+                assert _bits(got.probs) == _bits(want.probs)
+                assert {tag: _bits(w) for tag, w in got.weights.items()} == {
+                    tag: _bits(w) for tag, w in want.weights.items()}
 
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
@@ -137,15 +166,15 @@ def tiny_config(**kw):
 
 
 def predict(groups, store, branches, cfg, rng, sample_counts=None, ablation="full"):
-    """One ``branch_infer`` step over ``groups`` per branch, then ``predict_group``
-    per group, as ``evaluate_dataset`` runs them: the steps ``{tag: (prediction,
-    arrays)}`` and each group's fusion result."""
+    """One ``branch_infer`` step over ``groups`` per branch, fused in one
+    ``fuse_predictions`` call, as ``evaluate_dataset`` runs them: the steps
+    ``{tag: (prediction, arrays)}`` and each group's ``predict_group`` view."""
     steps = {
         tag: branch_infer(branch, groups, store, cfg, rng, sample_counts, ablation)
         for tag, branch in branches.items()
     }
-    preds = [pred for pred, _ in steps.values()]
-    return steps, [predict_group(group, preds, j) for j, group in enumerate(groups)]
+    fused = fuse_predictions([pred for pred, _ in steps.values()])
+    return steps, [predict_group(group, fused, j) for j, group in enumerate(groups)]
 
 
 def _bits(a):
@@ -579,6 +608,7 @@ class TestBatchedInference:
     @pytest.mark.parametrize("fiqe_apply", ["eval", "off"])
     @pytest.mark.parametrize("ablation", ["full", "no-ual", "no-fiqe", "no-ual-fiqe"])
     def test_steps_equal_one_group_calls(self, monkeypatch, ablation, fiqe_apply, delta2):
+        monkeypatch.setattr(pipeline, "_INFER_STEP", 16)
         ds = tiny_dataset(num_groups=37, seed=33)
         assert len(ds.groups) % pipeline._INFER_STEP and len(ds.groups) > pipeline._INFER_STEP
         assert any(group.objects.shape[0] == 0 for group in ds.groups)
@@ -613,6 +643,20 @@ class TestBatchedInference:
             assert kept == [1] * len(sizes) if delta2 > 0.99 else 0 < sum(kept) < sum(sizes)
         else:
             assert kept == sizes
+
+    def test_bucket_rows_equal_a_loop_over_the_counts(self):
+        # one bucket per distinct count, ascending, with its groups in order
+        rng = np.random.default_rng(0)
+        for sizes in ([], [3], [2, 0, 2, 1, 3, 1], rng.integers(0, 6, 70).tolist()):
+            bounds = np.cumsum([0, *sizes])
+            for kept in (None, np.flatnonzero(rng.random(bounds[-1]) < 0.6)):
+                flat = np.arange(bounds[-1]) if kept is None else kept
+                rows = [[k for k, i in enumerate(flat) if lo <= i < hi]
+                        for lo, hi in zip(bounds, bounds[1:])]
+                want = [([g for g, r in enumerate(rows) if len(r) == n],
+                         [r for r in rows if len(r) == n]) for n in sorted({len(r) for r in rows})]
+                got = pipeline._bucket_rows(sizes, kept)
+                assert [(pos.tolist(), idx.tolist()) for pos, idx in got] == want
 
     @pytest.mark.parametrize("ablation,fiqe_apply", [("no-ual-fiqe", "eval"), ("no-ual", "off")])
     def test_deterministic_faces_derive_no_streams(self, monkeypatch, ablation, fiqe_apply):
@@ -669,7 +713,7 @@ class TestBatchedInference:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             NumericError, match=f"group {ds.groups[0].id}: non-finite fused"
         ):
-            predict(ds.groups, store, branches, cfg, SeededRng(0).derive("infer"))
+            evaluate_dataset(store, branches, ds, cfg, seed=0)
 
 
 class TestInferenceArrays:
@@ -706,6 +750,7 @@ class TestInferenceArrays:
         assert not hasattr(pipeline, "GroupPrediction")
 
     def test_records_built_only_with_diagnostics(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "_INFER_STEP", 16)
         ds = tiny_dataset(num_groups=20, seed=33)
         cfg = tiny_config(epochs=1)
         store, branches = build_model(ds, cfg)
