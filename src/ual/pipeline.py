@@ -17,8 +17,8 @@ Ablations mirror the model variants used for analysis:
 * ``no-ual``       deterministic face means, quality filtering kept
 * ``no-ual-fiqe``  deterministic face means only (the plain baseline)
 
-Ablation switches apply to the face branch; the object and scene branches
-are unaffected.
+Ablation switches apply to the face branch; objects always sample and scenes
+never do. :func:`_noise` holds this rule for training and inference alike.
 
 RNG streams are derived, not shared: training noise for face ``j`` of group
 ``g`` in epoch ``e`` comes from the stream keyed ``(seed, branch, e, g, j)``,
@@ -239,6 +239,17 @@ def _labels(x: np.ndarray, label, axes: tuple) -> np.ndarray:
     return labels
 
 
+def _features(groups: Sequence[GroupSample], attr: str, in_dim: int) -> list[np.ndarray]:
+    """Each group's ``attr`` (``faces``, ``objects`` or ``scene``); a feature
+    dim other than ``in_dim`` raises :class:`ShapeError` naming the group."""
+    per_group = [getattr(group, attr) for group in groups]
+    for group, x in zip(groups, per_group):
+        if x.shape[-1] != in_dim:
+            kind = attr.removesuffix("s")
+            raise ShapeError(f"group {group.id}: {kind} dim {x.shape[-1]} != model dim {in_dim}")
+    return per_group
+
+
 # ---------------------------------------------------------------------------
 # face branch
 
@@ -262,11 +273,7 @@ class _GaussianBranch:
     def individuals(self, groups: Sequence[GroupSample]) -> tuple[np.ndarray, list[int]]:
         """The ``(F, in_dim)`` features of the individuals (faces or objects)
         of ``groups``, flat in group order, and each group's count."""
-        per_group = [getattr(group, f"{self.tag}s") for group in groups]
-        for group, x in zip(groups, per_group):
-            if x.shape[1] != self.in_dim:
-                raise ShapeError(f"group {group.id}: {self.tag} dim {x.shape[1]} != model dim "
-                                 f"{self.in_dim}")
+        per_group = _features(groups, f"{self.tag}s", self.in_dim)
         return np.concatenate(per_group), [x.shape[0] for x in per_group]
 
     def gaussians(
@@ -387,24 +394,6 @@ class FaceBranch(_GaussianBranch):
 
     # -- quality filter and inference -------------------------------------
 
-    def quality_stage(
-        self,
-        store: ParameterStore,
-        groups: Sequence[GroupSample],
-        eps: np.ndarray,
-        config: TrainingConfig,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The quality filter over the faces of ``groups``, for training and
-        inference: face ``i`` (flat, see :meth:`gaussians`) is sampled with the
-        noise ``eps[i]``, ``(F, fiqe_samples, latent_dim)`` in all, and all
-        faces are scored in one :func:`filter_faces` call. Returns the flat
-        ``mu`` and ``sigma``, the sorted flat indices of the kept faces, as
-        :func:`filter_faces` gives them, and every face's score."""
-        mu, sigma = self.gaussians(store, groups)
-        sizes = [group.faces.shape[0] for group in groups]
-        kept, scores = filter_faces(mu, sigma, eps, config.delta2, sizes)
-        return mu, sigma, np.asarray(kept, dtype=np.intp), scores
-
     def infer(
         self,
         store: ParameterStore,
@@ -420,17 +409,16 @@ class FaceBranch(_GaussianBranch):
         ``quality`` ``(F,)``; when sampling, ``score`` and ``alpha``
         ``(F, E)``, each entry's mean over its rounds (NaN for a dropped
         face). ``draws`` serves the faces' noise; only the kinds the ablation
-        reads are asked for, and MC noise only for the kept faces."""
-        filtered, stochastic = _face_noise(ablation, config, "eval")
+        reads are asked for, and MC noise only for the kept faces. All faces
+        are scored in one :func:`filter_faces` call."""
+        filtered, stochastic = _noise(self.tag, ablation, config, "eval")
         sizes = [group.faces.shape[0] for group in groups]
         arrays: dict[str, np.ndarray] = {}
+        mu, sigma = self.gaussians(store, groups)
+        kept = np.arange(len(mu))
         if filtered:
-            mu, sigma, kept, arrays["quality"] = self.quality_stage(
-                store, groups, draws.fiqe(), config
-            )
-        else:
-            mu, sigma = self.gaussians(store, groups)
-            kept = np.arange(len(mu))
+            kept, arrays["quality"] = filter_faces(mu, sigma, draws.fiqe(), config.delta2, sizes)
+            kept = np.asarray(kept, dtype=np.intp)
         arrays["kept"] = np.isin(np.arange(len(mu)), kept)
         if stochastic:
             arrays["score"] = np.full((len(mu), len(sample_counts)), np.nan)
@@ -504,12 +492,15 @@ class ObjectBranch(_GaussianBranch):
         groups: Sequence[GroupSample],
         draws: _Draws,
         sample_counts: Sequence[int],
+        config: TrainingConfig,
+        ablation: str = "full",
     ) -> tuple[BranchPrediction, dict[str, np.ndarray]]:
         """The prediction of a step of ``groups``, one entry per count of
         ``sample_counts`` (see the module docstring), uniform for a group
         without objects, which is absent; and ``probs``, each object's
         ``(O, E, C)`` mean probabilities, flat in group order. ``draws``
-        serves the objects' MC noise."""
+        serves the objects' MC noise; the objects always sample, whatever
+        the ``config`` and ``ablation``."""
         sizes = np.array([group.objects.shape[0] for group in groups])
         shape = (len(groups), len(sample_counts), self.num_classes)
         probs = np.full(shape, 1.0 / self.num_classes)
@@ -558,18 +549,14 @@ class SceneBranch:
         zero = np.zeros_like(cls)
         return LossBreakdown(cls=cls, kl=zero, rank=zero, rec=zero, total=cls), grads
 
-    def infer(
-        self, store: ParameterStore, groups: Sequence[GroupSample], sample_counts: Sequence[int]
-    ) -> tuple[BranchPrediction, dict[str, np.ndarray]]:
+    def infer(self, store: ParameterStore, groups: Sequence[GroupSample], draws: _Draws,
+              sample_counts: Sequence[int], config: TrainingConfig, ablation: str = "full"
+              ) -> tuple[BranchPrediction, dict[str, np.ndarray]]:
         """The prediction of a step of ``groups``, from one stacked classifier
-        call; the scene draws nothing, so every entry of ``sample_counts`` is
-        the same. It has no per-individual arrays."""
-        for group in groups:
-            if group.scene.shape[0] != self.in_dim:
-                dim = group.scene.shape[0]
-                raise ShapeError(f"group {group.id}: scene dim {dim} != model dim {self.in_dim}")
+        call; the scene reads no ``draws``, so every entry of ``sample_counts``
+        is the same. It has no per-individual arrays."""
         # each scene goes through the classifier as a one-row matrix
-        rows = np.stack([group.scene for group in groups])[:, None]
+        rows = np.stack(_features(groups, "scene", self.in_dim))[:, None]
         probs = softmax(self.classifier.forward(store, rows)[:, 0])[:, None]
         probs = probs.repeat(len(sample_counts), axis=1)
         return BranchPrediction(self.tag, probs, np.ones(len(groups), dtype=bool)), {}
@@ -682,14 +669,10 @@ def branch_infer(
     if ablation not in ABLATIONS:
         raise ConfigError(f"unknown ablation {ablation!r}")
     counts = _sample_counts(sample_counts, config)
-    if isinstance(branch, SceneBranch):
-        return branch.infer(store, groups, counts)
-    if draws is None:
+    if draws is None:  # draws nothing until asked, so the scene's costs nothing
         draws = _Draws(rng, branch.tag, groups, max(counts), config.latent_dim,
                        config.fiqe_samples)
-    if isinstance(branch, FaceBranch):
-        return branch.infer(store, groups, draws, counts, config, ablation=ablation)
-    return branch.infer(store, groups, draws, counts)
+    return branch.infer(store, groups, draws, counts, config, ablation)
 
 
 def predict_group(group: GroupSample, fused: FusionResult, j: int) -> FusionResult:
@@ -720,11 +703,10 @@ class Sgd:
 class Adam:
     """Adam with bias correction (beta1 0.9, beta2 0.999, eps 1e-8)."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -839,9 +821,13 @@ class _KeptDraws(_Draws):
         return block[rows]
 
 
-def _face_noise(ablation: str, config: TrainingConfig, phase: str) -> tuple[bool, bool]:
-    """Whether the face branch under ``ablation`` runs the quality filter in
-    ``phase`` (``"train"`` or ``"eval"``), and whether it samples."""
+def _noise(tag: str, ablation: str, config: TrainingConfig, phase: str) -> tuple[bool, bool]:
+    """Whether branch ``tag`` under ``ablation`` runs the quality filter in
+    ``phase`` (``"train"`` or ``"eval"``), and whether it samples. Objects
+    always sample and scenes never; the ablation and ``fiqe_apply`` act on
+    faces only."""
+    if tag != "face":
+        return False, tag == "object"
     filtered = ablation in ("full", "no-ual") and config.fiqe_apply in ("both", phase)
     return filtered, ablation in ("full", "no-fiqe")
 
@@ -882,24 +868,23 @@ class Trainer:
         per-group rows and gradients come from :meth:`_batch_loss`, and the
         gradients are summed in batch order as a loop over its groups would
         sum them. A branch that trains no group is left out of the result. The
-        noise streams are derived once per epoch, each only where it is read:
-        ``(seed, "train", tag, epoch)`` for a branch that samples, and
-        ``(seed, "train-fiqe", "face", epoch)`` when the face quality filter runs.
+        noise streams are derived once per epoch, each only where :func:`_noise`
+        says it is read: ``(seed, "train", tag, epoch)`` for a branch that
+        samples, and ``(seed, "train-fiqe", tag, epoch)`` for one that runs
+        the quality filter (faces only).
         """
         if not groups:
             raise DataError("cannot train on an empty dataset")
         root = SeededRng(self.config.seed)
-        filtered, stochastic = _face_noise(self.ablation, self.config, "train")
         out: dict[str, LossBreakdown] = {}
         for tag in BRANCH_TAGS:
             if tag not in self.branches:
                 continue
             weights = np.array([group.objects.shape[0] if tag == "object" else 1
                                 for group in groups])
-            face = tag == "face"
-            samples = tag == "object" or face and stochastic
-            streams = (root.derive("train", tag, epoch) if samples else None,
-                       root.derive("train-fiqe", "face", epoch) if face and filtered else None)
+            filtered, stochastic = _noise(tag, self.ablation, self.config, "train")
+            streams = (root.derive("train", tag, epoch) if stochastic else None,
+                       root.derive("train-fiqe", tag, epoch) if filtered else None)
             order = root.derive("shuffle", tag, epoch).permutation(len(groups))
             rows, row_weights = [], []
             for start in range(0, len(groups), self.config.batch_size):
@@ -941,7 +926,8 @@ class Trainer:
         cfg, store, branch = self.config, self.store, self.branches[tag]
         y = np.array([group.label for group in groups])
         if tag == "scene":
-            breakdown, grads = branch.loss_and_grads(store, np.stack([g.scene for g in groups]), y)
+            scenes = np.stack(_features(groups, "scene", branch.in_dim))
+            breakdown, grads = branch.loss_and_grads(store, scenes, y)
             return np.column_stack(breakdown.as_row()), grads
         noise, fiqe_noise = streams
         x, sizes = branch.individuals(groups)
@@ -951,7 +937,8 @@ class Trainer:
         if fiqe_noise is not None:
             seeds = _individual_seeds(fiqe_noise, groups, indices)
             fiqe = block_normals(seeds, (cfg.fiqe_samples, cfg.latent_dim))
-            kept = branch.quality_stage(store, groups, fiqe, cfg)[2]
+            kept = filter_faces(*branch.gaussians(store, groups), fiqe, cfg.delta2, sizes)[0]
+            kept = np.asarray(kept, dtype=np.intp)
         if noise is not None:
             eps = block_normals(_individual_seeds(noise, groups, indices)[kept], cfg.latent_dim)
         terms = np.empty((len(groups), len(_TERMS)))
@@ -1029,14 +1016,13 @@ class NoiseCache:
                  seed: int, ablation: str = "full"):
         self._dataset = dataset
         self._key = (config, seed, ablation, tuple(branches), config.mc_samples)
-        filtered, stochastic = _face_noise(ablation, config, "eval")
-        # the rounds of each kind a pass reads; a kind it does not read keeps no array
-        mc = {"face": stochastic * config.mc_samples, "object": config.mc_samples}
-        fiqe = {"face": filtered * config.fiqe_samples, "object": 0}
+        noise = {tag: _noise(tag, ablation, config, "eval") for tag in branches}
         rng = SeededRng(seed).derive("infer")
+        # the rounds of each kind a pass reads; a kind it does not read keeps no array
         self.steps = [
-            {tag: _KeptDraws(rng, tag, step, mc[tag], config.latent_dim, fiqe[tag])
-             for tag in mc if tag in branches}
+            {tag: _KeptDraws(rng, tag, step, stochastic * config.mc_samples, config.latent_dim,
+                             filtered * config.fiqe_samples)
+             for tag, (filtered, stochastic) in noise.items() if filtered or stochastic}
             for step in _steps(dataset.groups)
         ]
         self.nbytes = sum(draws.nbytes for step in self.steps for draws in step.values())

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from ual.datagen_metrics import GroupSample, SynthesisSpec, generate_dataset
 from ual import pipeline
-from ual.errors import ConfigError, DataError, NumericError
+from ual.errors import ConfigError, DataError, NumericError, ShapeError
 from ual.losses import LossBreakdown
 from ual.numerics import ParameterStore, SeededRng, block_normals, derive_seeds, softmax
 from ual.pipeline import (
@@ -398,7 +399,9 @@ class TestBlockInference:
         sizes = [group.faces.shape[0] for group in groups]
         seeds = derive_seeds(SeededRng(6).derive("stage"), np.arange(sum(sizes)))
         block = block_normals(seeds, (cfg.fiqe_samples, cfg.latent_dim))
-        mu, sigma, kept, scores = branch.quality_stage(store, groups, block, cfg)
+        mu, sigma = branch.gaussians(store, groups)
+        kept, scores = filter_faces(mu, sigma, block, cfg.delta2, sizes)  # one call, all groups
+        kept = np.asarray(kept)
         assert (np.diff(kept) > 0).all()  # flat and sorted, as filter_faces gives it
 
         lo = 0
@@ -1059,7 +1062,10 @@ class TestTraining:
         ds = tiny_dataset(num_groups=6, seed=25)
         cfg = tiny_config(fiqe_apply=fiqe_apply, epochs=1)
         for phase in ("train", "eval"):
-            assert pipeline._face_noise(ablation, cfg, phase) == (filtered[phase], stochastic)
+            assert pipeline._noise("face", ablation, cfg, phase) == (filtered[phase], stochastic)
+            # objects always sample and scenes never, whatever the ablation
+            assert pipeline._noise("object", ablation, cfg, phase) == (False, True)
+            assert pipeline._noise("scene", ablation, cfg, phase) == (False, False)
 
         calls = []  # (name, last argument) of each spied call
 
@@ -1144,6 +1150,30 @@ class TestTrainModel:
         (b,) = evaluate_dataset(store, branches, ds, cfg, seed=5, collect_diagnostics=True)
         assert a.fused_report.to_dict() == b.fused_report.to_dict()
         assert a.records == b.records
+
+
+class TestFeatureDims:
+    """One check names the group whose features do not match the model, in
+    training and inference, for every branch."""
+
+    @pytest.mark.parametrize("attr", ["faces", "objects", "scene"])
+    @pytest.mark.parametrize("run", ["train_model", "branch_infer"])
+    def test_dim_mismatch_names_the_group(self, run, attr):
+        ds = tiny_dataset(seed=26)
+        cfg = tiny_config(epochs=1)
+        # a group with objects, so that the object branch trains and infers it
+        bad = next(g for g, group in enumerate(ds.groups) if group.objects.shape[0])
+        x = getattr(ds.groups[bad], attr)
+        ds.groups[bad] = replace(ds.groups[bad], **{attr: np.concatenate(
+            [x, np.ones(x.shape[:-1] + (1,))], axis=-1)})  # one dim more than the model's
+        tag, dim = attr.removesuffix("s"), x.shape[-1]
+        message = f"group {ds.groups[bad].id}: {tag} dim {dim + 1} != model dim {dim}"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            if run == "train_model":
+                train_model(ds, cfg, branch_tags=(tag,))
+            else:
+                store, branches = build_model(ds, cfg, tags=(tag,))
+                branch_infer(branches[tag], ds.groups, store, cfg, SeededRng(0).derive("infer"))
 
 
 class TestConfig:
