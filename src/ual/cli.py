@@ -481,7 +481,8 @@ def build_parser() -> _Parser:
 
 # How main() reports an error, the first class that matches: prefix and exit code
 _ERROR_KINDS = ((ConfigError, "config error", EXIT_DATA), (DataError, "data error", EXIT_DATA),
-                (NumericError, "numeric failure", EXIT_NUMERIC), (UalError, "error", EXIT_DATA))
+                (NumericError, "numeric failure", EXIT_NUMERIC), (UalError, "error", EXIT_DATA),
+                (MemoryError, "error: out of memory", EXIT_DATA))
 # C0 control characters and DEL in an error message (a path, a key) are written as \xNN
 _ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), 0x7F)}
 
@@ -495,7 +496,7 @@ def main(argv: list[str] | None = None) -> int:
         if exc.message:
             print(exc.message, file=sys.stderr)
         return exc.code
-    except UalError as exc:
+    except (UalError, MemoryError) as exc:
         kind, code = next((kind, code) for error, kind, code in _ERROR_KINDS
                           if isinstance(exc, error))
         print(f"{kind}: {str(exc).translate(_ESCAPES)}", file=sys.stderr)

@@ -91,15 +91,8 @@ class SynthesisSpec:
     partition: str = "train"
 
     def validate(self) -> None:
-        for name in self.__dataclass_fields__:
-            v = getattr(self, name)
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ConfigError(f"{name} must be finite, got {v}")
-        for name, least in (("num_groups", 1), ("face_dim", 1), ("object_dim", 1),
-                            ("scene_dim", 1), ("num_classes", 2), ("corrupt_scale", 1),
-                            ("spread", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}")
+        check_bounds(self, dict(num_groups=1, face_dim=1, object_dim=1, scene_dim=1,
+                                num_classes=2, corrupt_scale=1, spread=0))
         if not (2 <= self.group_size_min <= self.group_size_max):
             raise ConfigError("group_size_min and group_size_max must satisfy 2 <= min <= max")
         if not (0 <= self.object_count_min <= self.object_count_max):
@@ -463,6 +456,17 @@ def compute_metrics(
         macro_f=macro_average(f),
         micro_accuracy=float(diag.sum() / t.shape[0]),
     )
+
+
+def check_bounds(settings, least: dict) -> None:
+    """Refuse a non-finite float field, then a field below its ``least`` entry, in order."""
+    for name in settings.__dataclass_fields__:
+        v = getattr(settings, name)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ConfigError(f"{name} must be finite, got {v}")
+    for name, floor in least.items():
+        if getattr(settings, name) < floor:
+            raise ConfigError(f"{name} must be >= {floor}")
 
 
 def settings_from_mapping(kind, mapping: dict, source: str):

@@ -72,19 +72,27 @@ def _mix64(z):
     return z ^ (z >> _U31)
 
 
-def fnv1a64(data: bytes) -> int:
-    """FNV-1a 64-bit hash; used to fold string keys into RNG stream seeds."""
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
-
 @functools.lru_cache(maxsize=1 << 16)
-def _str_token(part: str) -> np.uint64:
-    # group ids and stream names repeat every epoch: hash each one once
-    return np.uint64(fnv1a64(part.encode("utf-8")))
+def _str_token(part: str) -> np.uint64:  # FNV-1a64; ids repeat every epoch: hash each once
+    h = _FNV_OFFSET
+    for byte in part.encode("utf-8"):
+        h = ((h ^ byte) * _FNV_PRIME) & _MASK64
+    return np.uint64(h)
+
+
+def _token(part):
+    """The token of a ``derive`` part (see :class:`SeededRng`), elementwise over an array part."""
+    if isinstance(part, str):
+        return _str_token(part)
+    if isinstance(part, (int, np.integer)) and not isinstance(part, bool):
+        return _mix64(np.uint64(int(part) & _MASK64))
+    parts = np.asarray(part)
+    if parts.dtype.kind == "U":
+        token = np.array([_str_token(p) for p in parts.ravel().tolist()], dtype=np.uint64)
+        return token.reshape(parts.shape)
+    if parts.size and parts.dtype.kind not in "iu":
+        raise TypeError(f"rng stream key parts must be ints or strs, got {parts.dtype}")
+    return _mix64(parts.astype(np.uint64))
 
 
 def _words(seeds, start: int, k: int) -> np.ndarray:
@@ -152,11 +160,13 @@ class SeededRng:
     ``derive`` folds extra key material into the seed (not the state), so
     child streams are independent of how much the parent has consumed:
     ``child = mix(seed ^ (token + GAMMA))`` applied per part, where ``token``
-    is ``mix(part)`` for ints and FNV-1a64 of the UTF-8 bytes for strings.
+    is ``mix(part mod 2^64)`` for ints and FNV-1a64 of the UTF-8 bytes for
+    strings. One function, :func:`_token`, holds this rule; a bool or a
+    float part is a ``TypeError``.
 
     Because a stream is a pure function of its seed and word index, many
-    streams can be drawn at once: :func:`derive_seeds` applies one ``derive``
-    part to an array of parents or an array of int parts, and
+    streams can be drawn at once: :func:`derive_seeds` applies ``derive``
+    parts to an array of parents, or parts that are arrays of ints or strs, and
     :func:`block_normals` draws row ``i`` exactly as
     ``SeededRng(seeds[i]).normals(shape)`` on a fresh stream would. A block
     is thus bit-identical to the per-stream calls it replaces. Normals are
@@ -168,17 +178,7 @@ class SeededRng:
         self._count = 0  # raw words consumed
 
     def derive(self, *parts: int | str) -> "SeededRng":
-        s = np.uint64(self.seed)
-        with np.errstate(over="ignore"):
-            for part in parts:
-                if isinstance(part, str):
-                    token = _str_token(part)
-                elif isinstance(part, (int, np.integer)):
-                    token = _mix64(np.uint64(int(part) & _MASK64))
-                else:
-                    raise TypeError(f"rng stream key parts must be int or str, got {type(part)!r}")
-                s = _fold(s, token)
-        return SeededRng(int(s))
+        return SeededRng(int(derive_seeds(self, *parts)))
 
     def _raw(self, k: int) -> np.ndarray:
         """Next ``k`` raw uint64 words, vectorized."""
@@ -215,30 +215,19 @@ class SeededRng:
         return np.array(idx, dtype=np.int_)
 
 
-def derive_seeds(parent: SeededRng | np.ndarray, part) -> np.ndarray:
-    """uint64 seeds of ``SeededRng(p).derive(q)`` over arrays of streams.
+def derive_seeds(parent: SeededRng | np.ndarray, *parts) -> np.ndarray:
+    """uint64 seeds of ``SeededRng(p).derive(*parts)`` over arrays of streams.
 
-    ``parent`` is one stream or an array of uint64 seeds; ``part`` is one
-    str suffix (such as ``"fiqe"``), an array of ints, or an array of strs
-    (such as a batch's group ids). The two broadcast, so one call derives a
-    child per group of a batch or per face of a group.
+    ``parent`` is one stream or an array of uint64 seeds; each part is a str
+    suffix (such as ``"fiqe"``), an int, or an array of ints or of strs (such
+    as a batch's group ids). They broadcast, so one call derives a child per
+    group of a batch or per face of a group.
     """
     seeds = np.asarray(parent.seed if isinstance(parent, SeededRng) else parent, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        if isinstance(part, str):
-            token = _str_token(part)
-        else:
-            parts = np.asarray(part)
-            if parts.dtype.kind == "U":
-                token = np.array([_str_token(p) for p in parts.ravel().tolist()], dtype=np.uint64)
-                token = token.reshape(parts.shape)
-            elif parts.size and parts.dtype.kind not in "iu":
-                raise TypeError(
-                    f"rng stream key parts must be ints or strs, got dtype {parts.dtype}"
-                )
-            else:
-                token = _mix64(parts.astype(np.uint64))
-        return np.asarray(_fold(seeds, token), dtype=np.uint64)
+        for part in parts:
+            seeds = _fold(seeds, _token(part))
+    return np.asarray(seeds, dtype=np.uint64)
 
 
 def block_normals(seeds, shape: int | tuple[int, ...]) -> np.ndarray:

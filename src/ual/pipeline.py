@@ -100,7 +100,7 @@ from typing import Sequence
 import numpy as np
 
 from .datagen_metrics import Dataset, GroupSample, MetricsReport, compute_metrics
-from .datagen_metrics import settings_from_mapping
+from .datagen_metrics import check_bounds, settings_from_mapping
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .gaussian_embedding import EmbeddingHead, mc_predict
 from .losses import LossBreakdown, kl_loss, rank_loss, total_face_loss, total_object_loss
@@ -166,16 +166,9 @@ class TrainingConfig:
     select_best: bool = False
 
     def validate(self) -> None:
-        for name in self.__dataclass_fields__:
-            v = getattr(self, name)
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ConfigError(f"{name} must be finite, got {v}")
-        for name, least in (("latent_dim", 1), ("lambda1", 0), ("lambda2", 0), ("lambda3", 0),
-                            ("lambda4", 0), ("face_lr", 0), ("object_lr", 0), ("scene_lr", 0),
-                            ("delta1", 0), ("fiqe_samples", 2), ("mc_samples", 1),
-                            ("batch_size", 1), ("epochs", 0)):
-            if getattr(self, name) < least:
-                raise ConfigError(f"{name} must be >= {least}")
+        check_bounds(self, dict(latent_dim=1, lambda1=0, lambda2=0, lambda3=0, lambda4=0,
+                                face_lr=0, object_lr=0, scene_lr=0, delta1=0, fiqe_samples=2,
+                                mc_samples=1, batch_size=1, epochs=0))
         if self.lambda1 > 1.0:
             raise ConfigError("lambda1 must lie in [0, 1]")
         if not (0.0 < self.beta < 1.0):
@@ -208,7 +201,7 @@ class BranchPrediction:
 @dataclass
 class FusionResult:
     probs: np.ndarray
-    weights: dict[str, float]
+    weights: dict[str, np.ndarray]  # per branch: (G, E) for a step, (E,) for one group
 
 
 def _content_ranks(rows: np.ndarray) -> np.ndarray:
@@ -475,9 +468,8 @@ class ObjectBranch(_GaussianBranch):
         cls = cfg.lambda1 * ce_mu.mean(axis=-1) + (1.0 - cfg.lambda1) * ce_z.mean(axis=-1)
         breakdown = total_object_loss(cls, kl_loss(mu, log_var), cfg)
 
-        onehot = (np.arange(self.num_classes) == per_object).astype(np.float64)[:, None, :]
-        d_logits_mu = (probs_mu - onehot) * (cfg.lambda1 / k)
-        d_logits_z = (probs_z - onehot) * ((1.0 - cfg.lambda1) / k)
+        d_logits_mu = softmax_cross_entropy_grad(probs_mu, per_object) * (cfg.lambda1 / k)
+        d_logits_z = softmax_cross_entropy_grad(probs_z, per_object) * ((1.0 - cfg.lambda1) / k)
         d_mu = self.classifier.backward(store, mu, d_logits_mu, grads)
         d_z = self.classifier.backward(store, z, d_logits_z, grads)
         d_mu = d_mu + d_z + cfg.lambda2 * mu / k
@@ -762,9 +754,8 @@ def _bucket_rows(sizes: Sequence[int], kept: np.ndarray | None = None
 def _individual_seeds(stream: SeededRng, groups: Sequence[GroupSample], indices) -> np.ndarray:
     """Seeds of ``stream.derive(group.id, j)`` for every group and each ``j``
     of its ``indices``, flat in group order."""
-    per_group = derive_seeds(stream, [group.id for group in groups])
-    counts = [len(idx) for idx in indices]
-    return derive_seeds(np.repeat(per_group, counts), np.concatenate(indices))
+    ids = np.repeat([group.id for group in groups], [len(idx) for idx in indices])
+    return derive_seeds(stream, ids, np.concatenate(indices))
 
 
 class _Draws:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ual import cli
 from ual.cli import main, sha256_file
 from ual.datagen_metrics import load_dataset
 from ual.numerics import ParameterStore
@@ -93,6 +94,8 @@ class TestSimulate:
         ("center_scale = 0", "center_scale must be > 0"),
         ("spread = -1", "spread must be >= 0"),
         ("object_dim = 0", "object_dim must be >= 1"),
+        ("object_count_min = 5",
+         "object_count_min and object_count_max must satisfy 0 <= min <= max"),
     ])
     def test_range_error_names_one_key(self, tmp_path, capsys, line, message):
         spec = tmp_path / "bad.gen"
@@ -476,10 +479,33 @@ class TestGradcheckCommand:
         assert f"argument {flag}: needs " in captured.err
         assert captured.out == ""  # no unit and no self-test ran
 
+    def test_failing_check_is_a_numeric_failure(self, capsys):
+        assert run("gradcheck", "--seeds", "1", "--tolerance", "1e-300") == 3
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out
+        assert captured.err == "numeric failure: gradient check failed\n"
+
 
 class TestExitCodes:
     def test_usage_error_is_1(self, capsys):
         assert run("train", "--train", "x") == 1  # missing required flags
+
+    def test_out_of_memory_is_one_line(self, small_run, tmp_path, monkeypatch, capsys):
+        """An allocation too large for memory (a huge ``--mc-samples``) is
+        reported like any other error; the callee raises, so no real
+        allocation is attempted."""
+        message = "Unable to allocate 2.91 TiB for an array with shape (400000000000,)\x00"
+
+        def evaluate(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "evaluate_dataset", evaluate)
+        assert run("eval", "--manifest", str(small_run["out"] / "manifest.json"),
+                   "--data", str(small_run["val"]), "--out", str(tmp_path / "oom")) == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 2.91 TiB for an array with shape "
+            "(400000000000,)\\x00\n"
+        )
 
     def test_missing_dataset_is_2(self, tmp_path, capsys):
         assert run("eval", "--manifest", str(tmp_path / "none.json"),

@@ -141,6 +141,10 @@ class TestSeededRng:
         }
         assert len(seeds) == 5
 
+    def test_integer_needs_a_positive_bound(self):
+        with pytest.raises(ValueError, match=r"^integer\(\) needs n >= 1$"):
+            SeededRng(1).integer(0)
+
     def test_uniform_range(self):
         u = SeededRng(11).uniforms(10_000)
         assert u.min() >= 0.0 and u.max() < 1.0
@@ -305,6 +309,22 @@ class TestParameterStore:
         target.register("also", np.zeros(1))
         with pytest.raises(DataError, match="missing"):
             target.restore(path)
+
+    def test_file_without_params_object(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"version": 1}\n')
+        target = ParameterStore()
+        target.register("known", np.zeros(2))
+        with pytest.raises(DataError) as exc:
+            target.restore(path)
+        assert str(exc.value) == f"{path}: missing 'params' object"
+
+    def test_get_unknown_name(self):
+        store = ParameterStore()
+        store.register("known", np.zeros(2))
+        with pytest.raises(KeyError) as exc:
+            store.get("other")
+        assert exc.value.args == ("unknown parameter 'other'",)
 
     @pytest.mark.parametrize("edit,detail", [
         (lambda entry: entry.pop("shape"), "KeyError: 'shape'"),

@@ -964,6 +964,34 @@ class TestPredictGroup:
 
 
 class TestTraining:
+    @pytest.mark.parametrize("run", ["branch_infer", "Trainer"])
+    def test_unknown_ablation(self, run):
+        ds = tiny_dataset(num_groups=2)
+        cfg = tiny_config()
+        store, branches = build_model(ds, cfg)
+        with pytest.raises(ConfigError) as exc:
+            if run == "Trainer":
+                Trainer(store, branches, cfg, ablation="no-face")
+            else:
+                branch_infer(branches["face"], ds.groups, store, cfg, SeededRng(0),
+                             ablation="no-face")
+        assert str(exc.value) == "unknown ablation 'no-face'"
+
+    def test_epoch_without_groups(self):
+        store, branches = build_model(tiny_dataset(num_groups=2), tiny_config())
+        with pytest.raises(DataError) as exc:
+            Trainer(store, branches, tiny_config()).train_epoch([], 0)
+        assert str(exc.value) == "cannot train on an empty dataset"
+
+    def test_object_noise_rows_must_match_the_objects(self):
+        cfg = tiny_config()
+        store, branches = build_model(tiny_dataset(num_groups=2), cfg)
+        objects = SeededRng(1).normals((1, 2, 5))
+        with pytest.raises(ShapeError) as exc:
+            branches["object"].loss_and_grads(store, objects, np.array([0]), np.zeros((1, 3, 4)),
+                                              cfg)
+        assert str(exc.value) == "3 noise rows for 2 objects"
+
     def test_zero_lr_keeps_params_bit_exact(self):
         ds = tiny_dataset()
         cfg = tiny_config(face_lr=0.0, object_lr=0.0, scene_lr=0.0, epochs=1)
