@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError
 from .numerics import SeededRng, _box_muller, _normal_words, _uniforms, open_data_file
 from .numerics import parse_json, text_lines
 
@@ -364,8 +364,6 @@ def f_measure(precision: float, recall: float) -> float:
 
 def macro_average(values: Sequence[float]) -> float:
     """Unweighted mean over classes (the "Ave" columns)."""
-    if len(values) == 0:
-        raise ValueError("macro_average of an empty sequence")
     return float(np.mean(values))
 
 
@@ -429,10 +427,9 @@ def compute_metrics(
     num_classes: int,
     class_names: Sequence[str] | None = None,
 ) -> MetricsReport:
+    """Metrics of equal-length, nonempty ``y_true`` and ``y_pred`` label sequences."""
     t = np.asarray(y_true, dtype=np.int64)
     p = np.asarray(y_pred, dtype=np.int64)
-    if t.shape != p.shape or t.ndim != 1 or t.shape[0] == 0:
-        raise ShapeError("labels must be equal-length nonempty 1-D sequences")
     if t.min() < 0 or t.max() >= num_classes or p.min() < 0 or p.max() >= num_classes:
         raise DataError(f"labels out of range for {num_classes} classes")
     confusion = np.zeros((num_classes, num_classes), dtype=np.int64)

@@ -37,7 +37,7 @@ class LossBreakdown:
 
 
 def kl_loss(mu: np.ndarray, log_var: np.ndarray) -> np.ndarray:
-    """Mean KL(N(mu, sigma^2) || N(0, I)) over the ``n`` rows of each group
+    """Mean KL(N(mu, sigma^2) || N(0, I)) over the ``n >= 1`` rows of each group
     of ``(G, n, d)`` stacks, as a ``(G,)`` array.
 
     Computed as ``-(1 / 2n) sum_i sum_d (1 + log sigma^2 - mu^2 - sigma^2)``;
@@ -46,21 +46,17 @@ def kl_loss(mu: np.ndarray, log_var: np.ndarray) -> np.ndarray:
     if mu.shape != log_var.shape or mu.ndim != 3:
         raise ShapeError(f"need equal (G, n, d) mu/log_var, got {mu.shape} vs {log_var.shape}")
     n = mu.shape[1]
-    if n == 0:
-        raise ValueError("kl_loss needs at least one individual")
     terms = 1.0 + log_var - np.square(mu) - np.exp(log_var)
     return -0.5 * terms.reshape(mu.shape[0], -1).sum(axis=-1) / n
 
 
 def rank_loss(alpha_high, alpha_low, delta1: float) -> np.ndarray:
     """Margin loss ``max(0, delta1 - (alpha_high - alpha_low))`` of ``(G,)``
-    arrays of one group mean per group.
+    arrays of one group mean per group, with ``delta1 >= 0``.
 
     Groups with fewer than two faces have no high/low partition; callers
     define their rank term as 0 in that case.
     """
-    if delta1 < 0.0:
-        raise ValueError(f"delta1 must be >= 0, got {delta1}")
     high = np.asarray(alpha_high, dtype=np.float64)
     low = np.asarray(alpha_low, dtype=np.float64)
     if high.ndim != 1 or low.shape != high.shape:

@@ -23,8 +23,9 @@ never do. :func:`_noise` holds this rule for training and inference alike.
 RNG streams are derived, not shared: training noise for face ``j`` of group
 ``g`` in epoch ``e`` comes from the stream keyed ``(seed, branch, e, g, j)``,
 inference noise from ``(seed, branch, g, r)`` where ``r`` is the
-individual's dense rank under a content sort. Rank-keyed streams make
-inference invariant to the order individuals are listed in, and a rerun
+individual's dense rank under a content sort. So a reorder of the groups or
+of a group's individuals keeps every inference draw and prediction, though
+probabilities can move in the last bits (sums run in listed order); a rerun
 with the same seed and inputs gives byte-identical models, loss logs and
 reports. The streams of many individuals and their noise blocks are derived
 and drawn in one call (:func:`~ual.numerics.derive_seeds`,
@@ -269,15 +270,14 @@ class _GaussianBranch:
         per_group = _features(groups, f"{self.tag}s", self.in_dim)
         return np.concatenate(per_group), [x.shape[0] for x in per_group]
 
-    def gaussians(
-        self, store: ParameterStore, groups: Sequence[GroupSample]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Flat ``mu`` and ``sigma`` of the individuals of ``groups``, row
-        ``i`` for row ``i`` of :meth:`individuals`, from one head pass on the
-        ``(G, n, in_dim)`` stack of each bucket of equally many. A sigma that
-        is not positive (an underflow) or not finite, or a mu that is not
-        finite, raises :class:`NumericError` naming the first such individual."""
-        x, sizes = self.individuals(groups)
+    def gaussians(self, store: ParameterStore, groups: Sequence[GroupSample], x: np.ndarray,
+                  sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Flat ``mu`` and ``sigma`` of the individuals of ``groups``, row for
+        row of the features ``x`` and counts ``sizes`` that :meth:`individuals`
+        gives, from one head pass on the ``(G, n, in_dim)`` stack of each
+        bucket of equally many. A sigma that is not positive (an underflow)
+        or not finite, or a mu that is not finite, raises
+        :class:`NumericError` naming the first such individual."""
         mu = np.empty((len(x), self.latent_dim))
         sigma = np.empty_like(mu)
         for _, rows in _bucket_rows(sizes):
@@ -405,9 +405,9 @@ class FaceBranch(_GaussianBranch):
         reads are asked for, and MC noise only for the kept faces. All faces
         are scored in one :func:`filter_faces` call."""
         filtered, stochastic = _noise(self.tag, ablation, config, "eval")
-        sizes = [group.faces.shape[0] for group in groups]
+        x, sizes = self.individuals(groups)
         arrays: dict[str, np.ndarray] = {}
-        mu, sigma = self.gaussians(store, groups)
+        mu, sigma = self.gaussians(store, groups, x, sizes)
         kept = np.arange(len(mu))
         if filtered:
             kept, arrays["quality"] = filter_faces(mu, sigma, draws.fiqe(), config.delta2, sizes)
@@ -500,7 +500,8 @@ class ObjectBranch(_GaussianBranch):
         present = np.flatnonzero(sizes)
         if present.size:
             # groups without objects own no rows, so these groups' flat rows are the step's
-            mu, sigma = self.gaussians(store, [groups[p] for p in present])
+            present_groups = [groups[p] for p in present]
+            mu, sigma = self.gaussians(store, present_groups, *self.individuals(present_groups))
             classify = functools.partial(self.classifier.forward, store)
             for pos, rows in _bucket_rows(sizes[present]):  # rows: (G, k)
                 block = draws.mc(rows)
@@ -928,7 +929,8 @@ class Trainer:
         if fiqe_noise is not None:
             seeds = _individual_seeds(fiqe_noise, groups, indices)
             fiqe = block_normals(seeds, (cfg.fiqe_samples, cfg.latent_dim))
-            kept = filter_faces(*branch.gaussians(store, groups), fiqe, cfg.delta2, sizes)[0]
+            kept = filter_faces(*branch.gaussians(store, groups, x, sizes), fiqe, cfg.delta2,
+                                sizes)[0]
             kept = np.asarray(kept, dtype=np.intp)
         if noise is not None:
             eps = block_normals(_individual_seeds(noise, groups, indices)[kept], cfg.latent_dim)
@@ -949,14 +951,14 @@ class Trainer:
         return terms, grads
 
     def _checked_batch(self, tag: str, streams, groups: Sequence[GroupSample]):
-        """:meth:`_batch_loss` with finite rows, under silenced overflow warnings.
+        """:meth:`_batch_loss` with finite rows, with numpy's float warnings silenced.
 
         A batch that fails (an exception or a non-finite loss term) is run
         again one group at a time in batch order, so the error names the first
         failing group, and its first failing check, as a per-group step would.
         """
         failure = None
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 rows, grads = self._batch_loss(tag, streams, groups)
                 if np.isfinite(rows).all():
@@ -969,9 +971,7 @@ class Trainer:
                 except NumericError as exc:
                     raise NumericError(f"group {group.id}: {exc}") from exc
                 _check_finite(rows[0], group.id)
-        if failure is not None:
-            raise failure
-        raise NumericError("non-finite loss in a batch that no single group reproduces")
+        raise failure or NumericError("non-finite loss in a batch that no single group reproduces")
 
 
 # ---------------------------------------------------------------------------

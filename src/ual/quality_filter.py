@@ -67,7 +67,7 @@ def filter_faces(
     threshold: float,
     sizes: Sequence[int],
 ) -> tuple[list[int], np.ndarray]:
-    """Keep the faces whose quality score reaches ``threshold``.
+    """Keep the faces whose quality score reaches ``threshold``, in (0, 1).
 
     ``mu`` and ``sigma`` are the ``(n, dim)`` Gaussians of the faces of
     consecutive groups of ``sizes`` faces each (``[n]`` for one group), and
@@ -77,8 +77,6 @@ def filter_faces(
     empty. Returns the kept row indices in original order and every face's
     score.
     """
-    if not (0.0 < threshold < 1.0):
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     if mu.shape != sigma.shape or eps.ndim != 3 or eps.shape[::2] != mu.shape:
         raise ShapeError(
             f"need (n, dim) mu/sigma and an (n, m, dim) eps block, got "

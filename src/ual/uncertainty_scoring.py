@@ -8,9 +8,10 @@ smallest weight, and faces are aggregated as the alpha-weighted mean of
 their draws.
 
 Raw ``sigma_d * eps_d`` products can be negative or vanish, so the harmonic
-mean runs over ``max(|sigma_d * eps_d|, 1e-8)``: scores stay positive and
-finite, which keeps every alpha (and hence every aggregation weight)
-positive.
+mean runs over ``max(|sigma_d * eps_d|, 1e-8)``: for finite draws, scores
+stay positive and finite, which keeps every alpha (and hence every
+aggregation weight) positive. Nothing here checks it again: a draw that
+overflows gives a non-finite group feature, which the caller refuses.
 
 :func:`uncertainty_kernel` is this algebra, written once over the
 individual axis -2: training calls it on a ``(G, n, d)`` stack of ``G``
@@ -77,22 +78,15 @@ def importance_scalars(scores) -> np.ndarray:
     projection is degenerate and every alpha is 1.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim < 1 or s.shape[-1] < 1:
-        raise ShapeError("scores must be nonempty along the last axis")
     s_min = s.min(axis=-1, keepdims=True)
     s_max = s.max(axis=-1, keepdims=True)
     return np.where(s_max > s_min, s_min + s_max - s, 1.0)
 
 
 def aggregate_group(z: np.ndarray, alphas) -> np.ndarray:
-    """Alpha-weighted mean of the draws over axis -2: ``sum(a z*) / sum(a)``."""
+    """Alpha-weighted mean of the draws over axis -2: ``sum(a z*) / sum(a)``;
+    the weights are positive for finite draws (see the module docstring)."""
     a = np.asarray(alphas, dtype=np.float64)
-    if z.ndim < 2 or z.shape[-2] == 0:
-        raise ValueError("cannot aggregate an empty group")
-    if a.shape != z.shape[:-1]:
-        raise ShapeError(f"weights of shape {a.shape} for draws of shape {z.shape}")
-    if not a.min() > 0.0:  # also rejects NaN
-        raise ValueError("aggregation weights must be strictly positive")
     return (a[..., None] * z).sum(axis=-2) / a.sum(axis=-1)[..., None]
 
 
@@ -107,8 +101,6 @@ def high_low_partition(alphas: np.ndarray, ratio: float) -> tuple[np.ndarray, in
     a = np.asarray(alphas, dtype=np.float64)
     if a.ndim < 1 or a.shape[-1] < 2:
         raise ShapeError("high/low partition needs at least 2 individuals")
-    if not (0.0 < ratio < 1.0):
-        raise ValueError(f"ratio must be in (0, 1), got {ratio}")
     order = np.argsort(-a, axis=-1, kind="stable")
     n_high = min(math.ceil(ratio * a.shape[-1]), a.shape[-1] - 1)
     return order, n_high

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ual import pipeline
 from ual.datagen_metrics import GroupSample
 from ual.errors import ShapeError
 from ual.losses import LossBreakdown
@@ -370,6 +371,22 @@ def test_object_loss_runs_once_per_bucket(monkeypatch):
     # each item of a stack is one group's objects, each group's exactly once
     items = sorted(item.tobytes() for stack in calls for item in stack)
     assert items == sorted(g.objects.tobytes() for g in groups if g.objects.shape[0])
+
+
+def test_filtered_face_batch_reads_its_features_once(monkeypatch):
+    passes = []
+    original = pipeline._features
+
+    def counted(groups, attr, in_dim):
+        passes.append(attr)
+        return original(groups, attr, in_dim)
+
+    monkeypatch.setattr(pipeline, "_features", counted)
+    groups = oracle_groups()[:8]
+    cfg = TrainingConfig(latent_dim=4, batch_size=8, fiqe_samples=4)  # full: the filter runs
+    store, branches = oracle_model(cfg)
+    Trainer(store, {"face": branches["face"]}, cfg).train_epoch(groups, 0)  # one batch
+    assert passes == ["faces"]  # the filter's Gaussians take the loss's flat features
 
 
 def test_trainer_skips_batches_of_weight_zero():

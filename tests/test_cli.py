@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from ual import cli
 from ual.cli import main, sha256_file
 from ual.datagen_metrics import load_dataset
-from ual.numerics import ParameterStore
+from ual.numerics import ParameterStore, SeededRng
+from ual.pipeline import evaluate_dataset
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -206,14 +208,47 @@ class TestTrain:
         assert code == 2
         assert f"config error: {cfg}: {key} must be finite, got nan" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["face_lr", "object_lr", "scene_lr"])
+    @pytest.mark.parametrize("key", ["face_lr", "object_lr", "scene_lr", "delta1"])
     def test_negative_learning_rate_exits_2(self, small_run, tmp_path, capsys, key):
         cfg = tmp_path / "ascent.cfg"
-        cfg.write_text(f"{key} = -1\n")  # gradient ascent
+        cfg.write_text(f"{key} = -1\n")  # gradient ascent, or a negative rank margin
         code = run("train", "--config", str(cfg), "--train", str(small_run["train"]),
                    "--val", str(small_run["val"]), "--out", str(tmp_path / "m"))
         assert code == 2
         assert f"config error: {cfg}: {key} must be >= 0" in capsys.readouterr().err
+
+    def test_threshold_out_of_range_exits_2(self, small_run, tmp_path, capsys):
+        cfg = tmp_path / "threshold.cfg"
+        cfg.write_text("delta2 = 1.5\n")
+        code = run("train", "--config", str(cfg), "--train", str(small_run["train"]),
+                   "--val", str(small_run["val"]), "--out", str(tmp_path / "m"))
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {cfg}: delta2 must lie in (0, 1)\n"
+
+    @pytest.mark.parametrize("ablation,detail", [
+        ("full", "sigma must be strictly positive and finite, and mu finite (source '{}/face0')"),
+        ("no-ual", "sigma must be strictly positive and finite, and mu finite (source '{}/face0')"),
+        ("no-fiqe", "logits contains non-finite values"),
+    ], ids=["full", "no-ual", "no-fiqe"])
+    def test_overflowing_face_is_a_numeric_failure(self, small_run, tmp_path, capsys, ablation,
+                                                   detail):
+        # one face of a group overflows: with one latent dim its sigma is
+        # infinite. no-fiqe checks no sigma before the kernel, so the face's
+        # score is infinite and its weight NaN, and the classifier's input
+        # check names the group
+        data, cfg = tmp_path / "train.jsonl", tmp_path / "latent1.cfg"
+        cfg.write_text(small_run["cfg"].read_text().replace("latent_dim = 4", "latent_dim = 1"))
+        docs = [json.loads(line) for line in small_run["train"].read_text().splitlines()]
+        docs[3]["faces"][0] = [v * 1e150 for v in docs[3]["faces"][0]]
+        data.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would end the run here
+            code = run("train", "--config", str(cfg), "--train", str(data),
+                       "--val", str(small_run["val"]), "--out", str(tmp_path / "m"),
+                       "--epochs", "1", "--ablation", ablation)
+        gid = docs[3]["id"]
+        assert code == 3
+        assert capsys.readouterr().err == f"numeric failure: group {gid}: {detail.format(gid)}\n"
 
     def test_flags_parse_like_config_keys(self, small_run, tmp_path):
         base = "".join(line + "\n" for line in small_run["cfg"].read_text().splitlines()
@@ -422,6 +457,37 @@ class TestEval:
         assert run("eval", "--manifest", str(small_run["out"] / "manifest.json"),
                    "--data", str(other), "--force", "--out", str(tmp_path / "f")) == 0
 
+    def test_reordered_dataset_keeps_predictions(self, small_run):
+        # the groups reversed and each group's faces and objects shuffled: every
+        # noise draw and prediction is kept, and the probabilities can move in
+        # the last bits only, because sums run in listed order
+        manifest = small_run["out"] / "manifest.json"
+        config, branches, store = cli._restore_from_manifest(json.loads(manifest.read_text()),
+                                                             manifest)
+        listed = load_dataset(small_run["val"])
+        rng = SeededRng(11)
+        shuffled = dataclasses.replace(listed, groups=[
+            dataclasses.replace(group, faces=group.faces[rng.permutation(len(group.faces))],
+                                objects=group.objects[rng.permutation(len(group.objects))])
+            for group in reversed(listed.groups)
+        ])
+        a, b = (evaluate_dataset(store, branches, ds, config, config.seed, (1, 25),
+                                 collect_diagnostics=True) for ds in (listed, shuffled))
+        for entry_a, entry_b in zip(a, b):
+            records = {record["id"]: record for record in entry_b.records}
+            for record in entry_a.records:
+                other = records[record["id"]]
+                assert record["pred"] == other["pred"]
+                probs = [(record["fused_probs"], other["fused_probs"])] + [
+                    (record["branches"][tag]["probs"], other["branches"][tag]["probs"])
+                    for tag in branches
+                ]
+                assert max(np.abs(np.subtract(p, q)).max() for p, q in probs) <= 1e-15
+            assert entry_a.fused_report.to_dict() == entry_b.fused_report.to_dict()
+            for tag in branches:
+                assert (entry_a.branch_reports[tag].to_dict()
+                        == entry_b.branch_reports[tag].to_dict())
+
     def test_per_face_diagnostics_in_report(self, small_run):
         records = [
             json.loads(l)
@@ -550,6 +616,12 @@ def _set(lineno, key, value):
     return edit
 
 
+def _replace(lineno, value):
+    def edit(docs):
+        docs[lineno - 1] = value
+    return edit
+
+
 def _zero_dim(key, field):
     def edit(docs):
         docs[0][key] = 0
@@ -582,13 +654,16 @@ class TestBadInputFiles:
         (_set(1, "class_names", [0, 1, 2]), 1, "class_names must be a list of strings"),
         (_one_class, 1, "num_classes must be an integer >= 2, got 1"),
         (_set(3, "id", None), 3, "id must be a string, got null"),
+        (lambda docs: docs[2].pop("id"), 3, "missing id/label: 'id'"),
+        (_replace(3, ["train-00001", 0]), 3,
+         "missing id/label: list indices must be integers or slices, not str"),
         (_header_only, 2, "expected a group record, got the end"),
         (_set(4, "id", "train-00000"), 4, "group id 'train-00000' is already on line 2"),
         (_set(2, "scene", [0.5]), 2, "scene must have 4 dims"),
         (_set(3, "faces", "xxx"), 3, "faces must be a list of vectors"),
     ], ids=["face-dim-0", "object-dim-0", "scene-dim-0", "float-label", "bool-label",
             "float-dim", "string-class-names", "int-class-names", "one-class", "null-id",
-            "header-only", "duplicate-id", "short-scene", "string-faces"])
+            "no-id", "array-record", "header-only", "duplicate-id", "short-scene", "string-faces"])
     def test_bad_dataset_for_training(self, small_run, tmp_path, capsys, edit, lineno, detail):
         data = tmp_path / "bad.jsonl"
         docs = [json.loads(line) for line in small_run["train"].read_text().splitlines()]
@@ -836,6 +911,21 @@ class TestBadInputFiles:
         assert code == 3
         assert detail in capsys.readouterr().err
         assert not (tmp_path / "r" / "report.jsonl").exists()
+
+    def test_model_file_of_another_version(self, small_run, tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(small_run["out"], model)
+        params, manifest = model / "face.params.json", model / "manifest.json"
+        doc = json.loads(params.read_text())
+        doc["version"] = 2
+        params.write_text(json.dumps(doc))
+        code = run("eval", "--manifest", str(manifest), "--data", str(small_run["val"]),
+                   "--out", str(tmp_path / "r"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {manifest}: model of branch 'face': {params}: "
+            "unsupported parameter file version\n"
+        )
 
     def test_params_path_is_a_directory(self, small_run, tmp_path, capsys):
         model = tmp_path / "model"

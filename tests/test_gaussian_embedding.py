@@ -70,7 +70,7 @@ class TestEmbedIndividual:
         group = GroupSample(id="g", label=0, faces=np.ones((2, 6)),
                             objects=np.zeros((0, 5)), scene=np.zeros(4))
         with pytest.raises(NumericError, match="strictly positive .*'g/face0'"):
-            branch.gaussians(store, [group])
+            branch.gaussians(store, [group], *branch.individuals([group]))
 
 
 def draw(mu, sigma, eps):

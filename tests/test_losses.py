@@ -151,8 +151,14 @@ class TestKlLoss:
         assert kl_one([0.0], [0.9]) > 1e-12
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one individual"):
-            kl_loss(np.zeros((1, 0, 2)), np.zeros((1, 0, 2)))
+        # kl_loss divides by the row count, so its callers hold n >= 1: the object
+        # branch refuses k = 0 objects, and every face group keeps a face (the
+        # loader's "at least 1 face", the quality filter's fallback)
+        branch, store = make_branch(ObjectBranch)
+        with pytest.raises(ShapeError) as exc:
+            branch.loss_and_grads(store, np.zeros((1, 0, 4)), np.array([0]), np.zeros((1, 0, 3)),
+                                  TrainingConfig())
+        assert str(exc.value) == "0 noise rows for 0 objects"
 
 
 class TestRankLoss:
@@ -173,8 +179,10 @@ class TestRankLoss:
             assert 0.0 <= v <= 0.2
 
     def test_negative_margin_rejected(self):
-        with pytest.raises(ValueError, match="delta1"):
-            rank_one(1.0, 0.0, -0.1)
+        # the margin is the config's delta1, which its validation holds >= 0
+        with pytest.raises(ConfigError) as exc:
+            TrainingConfig(delta1=-0.1).validate()
+        assert str(exc.value) == "delta1 must be >= 0"
 
 
 class TestRecLoss:

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ual.errors import ShapeError
+from ual.errors import ConfigError, ShapeError
 from ual.numerics import SeededRng, block_normals, derive_seeds
+from ual.pipeline import TrainingConfig
 from ual.quality_filter import fiqe_score, filter_faces
 
 
@@ -152,9 +153,10 @@ class TestFilterFaces:
         assert [kept[i] for i in again] == kept
 
     def test_threshold_validated(self):
-        mu, sigma = gaussians(([0.0], [1.0]))
-        with pytest.raises(ValueError):
-            filter_faces(mu, sigma, eps_block(self._streams(1), 8, 1), 1.5, [1])
+        # the threshold is the config's delta2, which its validation bounds to (0, 1)
+        with pytest.raises(ConfigError) as exc:
+            TrainingConfig(delta2=1.5).validate()
+        assert str(exc.value) == "delta2 must lie in (0, 1)"
 
     def test_shapes_validated(self):
         mu, sigma = gaussians(([0.0, 1.0], [1.0, 1.0]), ([0.0, 1.0], [1.0, 1.0]))

@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ual.errors import ShapeError
-from ual.numerics import SeededRng
+from ual.datagen_metrics import SynthesisSpec, generate_dataset
+from ual.errors import NumericError, ShapeError
+from ual.numerics import ParameterStore, SeededRng
+from ual.pipeline import Trainer, TrainingConfig, build_branches, register_branches
+from ual.quality_filter import filter_faces
 from ual.uncertainty_scoring import (
     SCORE_FLOOR,
     aggregate_group,
@@ -101,13 +106,33 @@ class TestAggregateGroup:
         assert np.array_equal(out.alpha, np.ones((3, 1)))
         assert np.array_equal(out.x_group, out.z[:, 0, :])
 
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_group(np.zeros((0, 2)), np.zeros(0))
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.integers(0, 2**32))
+    @settings(max_examples=30, deadline=None)
+    def test_empty_group_rejected(self, sizes, seed):
+        # no group reaches the kernel empty: the loader refuses a group without
+        # faces ("at least 1 face"), and the quality filter keeps the best face
+        # of a group where none passes
+        rng = SeededRng(seed)
+        n = sum(sizes)
+        mu, sigma = rng.normals((n, 3)), np.exp(rng.normals((n, 3)))
+        kept, _ = filter_faces(mu, sigma, rng.normals((n, 4, 3)), 0.999, sizes)
+        assert np.diff(np.searchsorted(kept, np.cumsum(sizes)), prepend=0).min() >= 1
 
     def test_nonpositive_weights_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate_group(np.array([[1.0], [2.0]]), [1.0, 0.0])
+        # weights are positive for finite draws; a face whose features overflow
+        # gives NaN weights, which training refuses at the classifier's input as
+        # a numeric failure naming the group, with no numpy warning
+        ds = generate_dataset(SynthesisSpec(num_groups=4, face_dim=6, object_dim=5, scene_dim=4,
+                                            seed=1))
+        ds.groups[0].faces[...] *= 1e150
+        cfg = TrainingConfig(latent_dim=4, batch_size=4, epochs=1)
+        store = ParameterStore()
+        branches = build_branches(cfg, ds.dims, ("face",))
+        register_branches(store, branches, cfg.seed)
+        with warnings.catch_warnings(), pytest.raises(NumericError) as exc:
+            warnings.simplefilter("error")
+            Trainer(store, branches, cfg, "no-fiqe").train_epoch(ds.groups, 0)
+        assert str(exc.value) == "group train-00000: logits contains non-finite values"
 
     @given(st.integers(0, 2**32), st.integers(1, 8))
     @settings(max_examples=50, deadline=None)
