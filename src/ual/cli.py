@@ -160,10 +160,14 @@ def cmd_simulate(args) -> int:
         SynthesisSpec, args.spec, "synthetic-default.gen",
         {"seed": args.seed, "num_groups": args.num_groups, "partition": args.partition},
     )
+    start = time.perf_counter()
     # features that overflow are refused, naming the group, by save_dataset
     with np.errstate(over="ignore", invalid="ignore"):
         dataset = generate_dataset(spec)
+    generated = time.perf_counter()
     save_dataset(dataset, args.out)
+    log.debug("simulate: generate %.3f s, save %.3f s",
+              generated - start, time.perf_counter() - generated)
     log.info(
         "wrote %s: %d groups (%s)", args.out, len(dataset), json.dumps(dataset.synthesis_stats)
     )

@@ -28,7 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .numerics import SeededRng, _box_muller, _normal_words, _uniforms, open_data_file
+from .numerics import SeededRng, _box_muller, _normal_words, _uniforms, _word_at, _words
+from .numerics import derive_seeds, open_data_file
 from .numerics import parse_json, text_lines
 
 SCHEMA = "ual-groups/v1"
@@ -111,6 +112,12 @@ def class_names_for(num_classes: int) -> tuple[str, ...]:
     return tuple(f"class{i}" for i in range(num_classes))
 
 
+# The most stream words one chunk of generate_dataset may read: a chunk holds
+# as many groups as fit when each reads all the words its spec allows, and at
+# least one, so the working set does not grow with num_groups
+_CHUNK_WORDS = 1 << 17
+
+
 def generate_dataset(spec: SynthesisSpec) -> Dataset:
     """Generate a synthetic dataset; deterministic given the spec.
 
@@ -133,88 +140,32 @@ def generate_dataset(spec: SynthesisSpec) -> Dataset:
 
     This layout is what one ``uniform``, ``integer`` or ``normals`` call per
     item would consume, and the values are those calls' values bit for bit.
-    The body after the head is drawn as one block of words, as many as a
-    group of its size can use. The picks are walked in order, and one
-    Box-Muller pass covers the noise segments they select: each segment
-    has an even length, so no Box-Muller pair straddles two of them.
+    A word is a pure function of its stream's seed and its index, so the
+    groups are made a chunk at a time, each word read at its index. A chunk
+    holds as many groups as fit in ``_CHUNK_WORDS`` words when each uses all
+    the words its spec allows, and at least one. Per chunk there is one
+    ``derive_seeds`` call, one draw of every group's three head words, one
+    walk over the item slots (face 0, face 1, ..., then the objects), and
+    one Box-Muller pass. Each step of the walk reads every group's picks for
+    one slot at once and moves each group past the words its picks use. The
+    Box-Muller pass covers the noise segments the walk found: each segment
+    has an even length, so no Box-Muller pair straddles two of them. A
+    group's faces, objects and scene are views into its chunk's arrays.
     """
     spec.validate()
     root = SeededRng(spec.seed)
-    centers = root.derive("centers")
-    face_centers = spec.center_scale * centers.normals((spec.num_classes, spec.face_dim))
-    object_centers = spec.center_scale * centers.normals((spec.num_classes, spec.object_dim))
-    scene_centers = spec.center_scale * centers.normals((spec.num_classes, spec.scene_dim))
-
-    n_other = spec.num_classes - 1
-    nw_face, nw_object, nw_scene = (
-        _normal_words(k) for k in (spec.face_dim, spec.object_dim, spec.scene_dim)
-    )
-    face_steps, object_steps = np.arange(nw_face), np.arange(nw_object)
-    clutter_scale = spec.corrupt_scale * spec.spread
-    stats = {"faces": 0, "objects": 0, "corrupted_faces": 0, "inconsistent_individuals": 0}
+    rng = root.derive("centers")
+    centers = tuple(spec.center_scale * rng.normals((spec.num_classes, dim))
+                    for dim in (spec.face_dim, spec.object_dim, spec.scene_dim))
+    most_words = (spec.group_size_max * (3 + 2 * _normal_words(spec.face_dim))
+                  + spec.object_count_max * (2 + _normal_words(spec.object_dim))
+                  + _normal_words(spec.scene_dim))
+    step = max(1, _CHUNK_WORDS // most_words)
+    stats = dict.fromkeys(("faces", "objects", "corrupted_faces", "inconsistent_individuals"), 0)
     groups: list[GroupSample] = []
-    for i in range(spec.num_groups):
-        g = root.derive("group", spec.partition, i)
-        label = g.integer(spec.num_classes)
-        n_faces = spec.group_size_min + g.integer(spec.group_size_max - spec.group_size_min + 1)
-        n_objects = spec.object_count_min + g.integer(
-            spec.object_count_max - spec.object_count_min + 1
-        )
-        words = g._raw(n_faces * (3 + 2 * nw_face) + n_objects * (2 + nw_object) + nw_scene)
-        u = _uniforms(words).tolist()
-        pos = 0  # the next unread word of the block
-        bases: list[int] = []  # the class center of each face, then of each object
-        # where each noise segment starts, by kind
-        face_at: list[int] = []
-        clutter_at: list[int] = []
-        object_at: list[int] = []
-        corrupted: list[int] = []
-        for j in range(n_faces + n_objects):
-            if u[pos] < spec.inconsistent_fraction:
-                other = min(int(u[pos + 1] * n_other), n_other - 1)
-                bases.append((label + 1 + other) % spec.num_classes)
-                stats["inconsistent_individuals"] += 1
-                pos += 2
-            else:
-                bases.append(label)
-                pos += 1
-            if j < n_faces:
-                face_at.append(pos)
-                pos += nw_face + 1
-                if u[pos - 1] < spec.corrupt_fraction:
-                    corrupted.append(j)
-                    clutter_at.append(pos)
-                    pos += nw_face
-            else:
-                object_at.append(pos)
-                pos += nw_object
-        idx = np.concatenate((
-            np.add.outer(np.array(face_at + clutter_at, dtype=np.intp), face_steps).ravel(),
-            np.add.outer(np.array(object_at, dtype=np.intp), object_steps).ravel(),
-            np.arange(pos, pos + nw_scene),
-        ))
-        z = _box_muller(words[idx], idx.size)
-        n_face_rows = n_faces + len(corrupted)
-        face_z = z[: n_face_rows * nw_face].reshape(n_face_rows, nw_face)[:, : spec.face_dim]
-        object_z = z[n_face_rows * nw_face : -nw_scene].reshape(n_objects, nw_object)
-        rows = np.array(bases, dtype=np.intp)
-        faces = face_centers[rows[:n_faces]] + spec.spread * face_z[:n_faces]
-        if corrupted:
-            faces[corrupted] = faces[corrupted] + clutter_scale * np.abs(face_z[n_faces:])
-        objects = object_centers[rows[n_faces:]] + spec.spread * object_z[:, : spec.object_dim]
-        scene = scene_centers[label] + spec.spread * z[-nw_scene:][: spec.scene_dim]
-        stats["faces"] += n_faces
-        stats["objects"] += n_objects
-        stats["corrupted_faces"] += len(corrupted)
-        groups.append(
-            GroupSample(
-                id=f"{spec.partition}-{i:05d}",
-                label=label,
-                faces=faces,
-                objects=objects,
-                scene=scene,
-            )
-        )
+    for lo in range(0, spec.num_groups, step):
+        groups += _generate_chunk(spec, root, range(lo, min(lo + step, spec.num_groups)),
+                                  centers, stats)
     return Dataset(
         face_dim=spec.face_dim,
         object_dim=spec.object_dim,
@@ -224,6 +175,87 @@ def generate_dataset(spec: SynthesisSpec) -> Dataset:
         groups=groups,
         synthesis_stats=stats,
     )
+
+
+def _generate_chunk(spec: SynthesisSpec, root: SeededRng, ids: range,
+                    centers: tuple[np.ndarray, ...], stats: dict) -> list[GroupSample]:
+    """The groups ``ids`` of :func:`generate_dataset`, whose counts are added to ``stats``."""
+    face_centers, object_centers, scene_centers = centers
+    nw_face, nw_object, nw_scene = (
+        _normal_words(k) for k in (spec.face_dim, spec.object_dim, spec.scene_dim)
+    )
+    seeds = derive_seeds(root, "group", spec.partition, np.array(ids))[:, None]
+    spans = np.array([spec.num_classes, spec.group_size_max - spec.group_size_min + 1,
+                      spec.object_count_max - spec.object_count_min + 1])
+    head = np.minimum((_uniforms(_words(seeds, 0, 3)) * spans).astype(np.intp), spans - 1)
+    label = head[:, 0]
+    n_faces = spec.group_size_min + head[:, 1]
+    n_objects = spec.object_count_min + head[:, 2]
+    n_slots = n_faces + n_objects
+
+    # the walk: each slot's class center, first noise word and corruption
+    n_other = spec.num_classes - 1
+    base = np.empty((len(ids), int(n_slots.max())), dtype=np.intp)
+    noise_at = np.empty_like(base)
+    corrupt = np.zeros(base.shape, dtype=bool)
+    at = np.full(len(ids), 3)  # each group's next unread word
+    # the words of a slot from its inconsistency pick on: that pick, the
+    # other class, and the corruption pick after a miss and after a hit
+    reach = np.array([0, 1, nw_face + 1, nw_face + 2])
+    inconsistent = 0
+    for j in range(base.shape[1]):
+        u = _uniforms(_word_at(seeds, at[:, None] + reach))
+        hit = u[:, 0] < spec.inconsistent_fraction
+        other = np.minimum((u[:, 1] * n_other).astype(np.intp), n_other - 1)
+        base[:, j] = np.where(hit, (label + 1 + other) % spec.num_classes, label)
+        noise_at[:, j] = start = at + 1 + hit
+        face = j < n_faces
+        corrupt[:, j] = face & (np.where(hit, u[:, 3], u[:, 2]) < spec.corrupt_fraction)
+        live = j < n_slots
+        inconsistent += int(np.count_nonzero(hit & live))
+        used = np.where(face, nw_face + 1 + nw_face * corrupt[:, j], nw_object)
+        at = np.where(live, start + used, at)
+
+    slots = np.arange(base.shape[1])
+    face_slots = slots < n_faces[:, None]
+    object_slots = ~face_slots & (slots < n_slots[:, None])
+    corrupted = corrupt[face_slots]
+    face_owner = np.repeat(np.arange(len(ids)), n_faces)
+    # the noise segments of each kind, as (group, first word) pairs and a
+    # length; faces and their clutter are one kind
+    face_at = noise_at[face_slots]
+    kinds = (
+        (np.concatenate((face_owner, face_owner[corrupted])),
+         np.concatenate((face_at, face_at[corrupted] + nw_face + 1)), nw_face),
+        (np.repeat(np.arange(len(ids)), n_objects), noise_at[object_slots], nw_object),
+        (np.arange(len(ids)), at, nw_scene),
+    )
+    words = np.concatenate([_word_at(seeds[owner], first[:, None] + np.arange(nw)).ravel()
+                            for owner, first, nw in kinds])
+    z = _box_muller(words, words.size)
+    noise = []
+    for owner, _, nw in kinds:
+        noise.append(z[: owner.size * nw].reshape(owner.size, nw))
+        z = z[owner.size * nw :]
+    n_rows = face_owner.size
+    faces = face_centers[base[face_slots]] + spec.spread * noise[0][:n_rows, : spec.face_dim]
+    clutter = np.abs(noise[0][n_rows:, : spec.face_dim])
+    faces[corrupted] += spec.corrupt_scale * spec.spread * clutter
+    objects = object_centers[base[object_slots]] + spec.spread * noise[1][:, : spec.object_dim]
+    scenes = scene_centers[label] + spec.spread * noise[2][:, : spec.scene_dim]
+
+    stats["faces"] += n_rows
+    stats["objects"] += objects.shape[0]
+    stats["corrupted_faces"] += int(np.count_nonzero(corrupted))
+    stats["inconsistent_individuals"] += inconsistent
+    groups = []
+    f = o = 0  # the group's first face and object row
+    for i, y, nf, no, scene in zip(ids, label.tolist(), n_faces.tolist(), n_objects.tolist(),
+                                   scenes):
+        groups.append(GroupSample(id=f"{spec.partition}-{i:05d}", label=y, faces=faces[f : f + nf],
+                                  objects=objects[o : o + no], scene=scene))
+        f, o = f + nf, o + no
+    return groups
 
 
 # ---------------------------------------------------------------------------

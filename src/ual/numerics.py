@@ -55,7 +55,7 @@ def as_f64(a, name: str = "array") -> np.ndarray:
 # seeded RNG
 
 
-_U11, _U27, _U30, _U31 = (np.uint64(v) for v in (11, 27, 30, 31))
+_U1, _U11, _U27, _U30, _U31 = (np.uint64(v) for v in (1, 11, 27, 30, 31))
 _GAMMA_U = np.uint64(_GAMMA)
 _MIX_A_U = np.uint64(_MIX_A)
 _MIX_B_U = np.uint64(_MIX_B)
@@ -101,9 +101,14 @@ def _words(seeds, start: int, k: int) -> np.ndarray:
     ``seeds`` is one uint64 seed, or an array with a trailing length-1 axis
     for one row of words per stream.
     """
-    idx = np.arange(start + 1, start + k + 1, dtype=np.uint64)
+    return _word_at(seeds, np.arange(start, start + k, dtype=np.uint64))
+
+
+def _word_at(seeds, index) -> np.ndarray:
+    """Raw word ``index`` (0-based, non-negative ints) of the stream(s) ``seeds``;
+    the two broadcast, so each stream can read its own words."""
     with np.errstate(over="ignore"):
-        return _mix64(seeds + idx * _GAMMA_U)
+        return _mix64(seeds + (np.asarray(index, dtype=np.uint64) + _U1) * _GAMMA_U)
 
 
 def _fold(seed, token):

@@ -727,10 +727,19 @@ class Adam:
 _TERMS = ("cls", "kl", "rank", "rec", "total")
 
 
-def _check_finite(row: np.ndarray, group_id: str) -> None:
+def _finite_squares(g: np.ndarray) -> bool:
+    """Whether the sum of squares of ``g`` is finite: an Adam step squares each
+    gradient, and a square that overflows freezes the parameter."""
+    return math.isfinite(np.vdot(g, g))
+
+
+def _check_finite(row: np.ndarray, grads: dict[str, np.ndarray], group_id: str) -> None:
     for term, value in zip(_TERMS, row):
         if not math.isfinite(value):
             raise NumericError(f"group {group_id}: non-finite loss term {term!r}")
+    for name in sorted(grads):
+        if not _finite_squares(grads[name]):
+            raise NumericError(f"group {group_id}: squared gradient of {name!r} is not finite")
 
 
 def _bucket_rows(sizes: Sequence[int], kept: np.ndarray | None = None
@@ -857,8 +866,8 @@ class Trainer:
         is 1 for face and scene and the object count for object, and groups
         (or whole batches) of weight 0 are skipped. The epoch's loss row is
         the mean of the groups' rows under the same weights. Each batch's
-        per-group rows and gradients come from :meth:`_batch_loss`, and the
-        gradients are summed in batch order as a loop over its groups would
+        per-group rows and gradients come from :meth:`_checked_batch`, which
+        sums the gradients in batch order as a loop over its groups would
         sum them. A branch that trains no group is left out of the result. The
         noise streams are derived once per epoch, each only where :func:`_noise`
         says it is read: ``(seed, "train", tag, epoch)`` for a branch that
@@ -885,13 +894,9 @@ class Trainer:
                 if not batch.size:
                     continue
                 members = [groups[int(gi)] for gi in batch]
-                batch_rows, grads = self._checked_batch(tag, streams, members)
-                rows.append(batch_rows)
                 row_weights.append(weights[batch])
-                scales = row_weights[-1] / row_weights[-1].sum()
-                for name, g in grads.items():
-                    g *= scales.reshape((-1,) + (1,) * (g.ndim - 1))
-                    grads[name] = np.add.reduce(g, axis=0)
+                batch_rows, grads = self._checked_batch(tag, streams, members, row_weights[-1])
+                rows.append(batch_rows)
                 self.optimizers[tag].step(self.store, grads)
             if rows:
                 w = np.concatenate(row_weights).astype(np.float64)
@@ -950,28 +955,40 @@ class Trainer:
                 grads[name][pos] = g
         return terms, grads
 
-    def _checked_batch(self, tag: str, streams, groups: Sequence[GroupSample]):
-        """:meth:`_batch_loss` with finite rows, with numpy's float warnings silenced.
+    def _checked_batch(self, tag: str, streams, groups: Sequence[GroupSample],
+                       weights: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The finite ``(G, 5)`` loss rows of :meth:`_batch_loss`, and its
+        gradients summed over the batch with the scales ``weights /
+        weights.sum()``, each with a finite sum of squares; numpy's float
+        warnings are silenced.
 
-        A batch that fails (an exception or a non-finite loss term) is run
-        again one group at a time in batch order, so the error names the first
-        failing group, and its first failing check, as a per-group step would.
+        A batch that fails (an exception, a non-finite loss term or a summed
+        gradient whose squares overflow) is run again one group at a time in
+        batch order, so the error names the first failing group, and its
+        first failing check, as a per-group step would. Only the summed,
+        parameter-shaped gradients are checked in a batch that passes.
         """
         failure = None
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
                 rows, grads = self._batch_loss(tag, streams, groups)
                 if np.isfinite(rows).all():
-                    return rows, grads
+                    scales = weights / weights.sum()
+                    for name, g in grads.items():
+                        g *= scales.reshape((-1,) + (1,) * (g.ndim - 1))
+                        grads[name] = np.add.reduce(g, axis=0)
+                    if all(_finite_squares(g) for g in grads.values()):
+                        return rows, grads
             except (ValueError, ArithmeticError) as exc:  # the errors a group's data can cause
                 failure = exc
             for group in groups:
                 try:
-                    rows, _ = self._batch_loss(tag, streams, [group])
+                    rows, grads = self._batch_loss(tag, streams, [group])
                 except NumericError as exc:
                     raise NumericError(f"group {group.id}: {exc}") from exc
-                _check_finite(rows[0], group.id)
-        raise failure or NumericError("non-finite loss in a batch that no single group reproduces")
+                _check_finite(rows[0], grads, group.id)
+        raise failure or NumericError(
+            "non-finite loss or gradient in a batch that no single group reproduces")
 
 
 # ---------------------------------------------------------------------------

@@ -115,13 +115,15 @@ def test_filter_counters_match_the_report(traced_eval):
     assert 0 < sum(face["kept"] for face in faces) < len(faces)
 
 
-# the span of each binding that `ual simulate` and a read-back call
+# the span of each binding that `ual simulate` and a read-back call; the
+# generator reads its groups' words a chunk at a time, and makes its only
+# SeededRng calls for the class centers
 _SIMULATE_SPANS = (
     "datagen_metrics.generate",
     "datagen_metrics.save",
     "datagen_metrics.load",
-    "numerics.rng.integer",
-    "numerics.rng.uniform",
+    "numerics.rng.derive",
+    "numerics.rng.normals",
 )
 
 

@@ -225,21 +225,26 @@ class TestTrain:
         assert code == 2
         assert capsys.readouterr().err == f"config error: {cfg}: delta2 must lie in (0, 1)\n"
 
-    @pytest.mark.parametrize("ablation,detail", [
-        ("full", "sigma must be strictly positive and finite, and mu finite (source '{}/face0')"),
-        ("no-ual", "sigma must be strictly positive and finite, and mu finite (source '{}/face0')"),
-        ("no-fiqe", "logits contains non-finite values"),
-    ], ids=["full", "no-ual", "no-fiqe"])
+    @pytest.mark.parametrize("ablation,factor,detail", [
+        ("full", 1e150,
+         "sigma must be strictly positive and finite, and mu finite (source '{}/face0')"),
+        ("no-ual", 1e150,
+         "sigma must be strictly positive and finite, and mu finite (source '{}/face0')"),
+        ("no-fiqe", 1e150, "logits contains non-finite values"),
+        ("no-fiqe", -1e150, "squared gradient of 'face.embed.mu.weight' is not finite"),
+    ], ids=["full", "no-ual", "no-fiqe", "no-fiqe-negative"])
     def test_overflowing_face_is_a_numeric_failure(self, small_run, tmp_path, capsys, ablation,
-                                                   detail):
+                                                   factor, detail):
         # one face of a group overflows: with one latent dim its sigma is
         # infinite. no-fiqe checks no sigma before the kernel, so the face's
         # score is infinite and its weight NaN, and the classifier's input
-        # check names the group
+        # check names the group. Scaled by -1e150, its sigma underflows to 0
+        # instead: no score is infinite, every loss term is finite, and the
+        # gradient's squares overflow
         data, cfg = tmp_path / "train.jsonl", tmp_path / "latent1.cfg"
         cfg.write_text(small_run["cfg"].read_text().replace("latent_dim = 4", "latent_dim = 1"))
         docs = [json.loads(line) for line in small_run["train"].read_text().splitlines()]
-        docs[3]["faces"][0] = [v * 1e150 for v in docs[3]["faces"][0]]
+        docs[3]["faces"][0] = [v * factor for v in docs[3]["faces"][0]]
         data.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning would end the run here
@@ -249,6 +254,26 @@ class TestTrain:
         gid = docs[3]["id"]
         assert code == 3
         assert capsys.readouterr().err == f"numeric failure: group {gid}: {detail.format(gid)}\n"
+
+    def test_overflowing_gradient_is_a_numeric_failure(self, tmp_path, capsys):
+        # without sampling or the quality filter, faces scaled by 1e300 give a
+        # finite loss whose gradient's squares overflow: an Adam step on it
+        # would freeze the face parameters, and the run would end with exit 0
+        train, val, data = (tmp_path / name for name in ("train.jsonl", "val.jsonl", "big.jsonl"))
+        assert run("simulate", "--num-groups", "20", "--out", str(train)) == 0
+        assert run("simulate", "--num-groups", "10", "--partition", "val", "--out", str(val)) == 0
+        docs = [json.loads(line) for line in train.read_text().splitlines()]
+        assert docs[3]["id"] == "train-00002"
+        docs[3]["faces"] = [[v * 1e300 for v in face] for face in docs[3]["faces"]]
+        data.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would end the run here
+            code = run("train", "--train", str(data), "--val", str(val),
+                       "--out", str(tmp_path / "m"), "--ablation", "no-ual-fiqe")
+        assert code == 3
+        assert capsys.readouterr().err == ("numeric failure: group train-00002: squared "
+                                           "gradient of 'face.classifier.weight' is not finite\n")
 
     def test_flags_parse_like_config_keys(self, small_run, tmp_path):
         base = "".join(line + "\n" for line in small_run["cfg"].read_text().splitlines()
@@ -1050,6 +1075,23 @@ class TestLogLevelEnv:
             assert re.fullmatch(r"inference: 12 groups, mc_samples 1,4, \d+\.\d{3} s", line)
         report = (tmp_path / level / "report.jsonl").read_bytes()
         assert report == (tmp_path / "plain" / "report.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("level,lines", [("info", 0), ("debug", 1)])
+    def test_debug_level_times_generate_and_save(self, tmp_path, level, lines):
+        argv = ["simulate", "--num-groups", "30", "--seed", "4"]
+        assert run(*argv, "--out", str(tmp_path / "plain.jsonl")) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "ual.cli", *argv, "--out", str(tmp_path / f"{level}.jsonl")],
+            capture_output=True, text=True, env=cli_env(UAL_LOG_LEVEL=level),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ""
+        timed = [line for line in proc.stderr.splitlines() if line.startswith("simulate:")]
+        assert len(timed) == lines
+        for line in timed:
+            assert re.fullmatch(r"simulate: generate \d+\.\d{3} s, save \d+\.\d{3} s", line)
+        data = (tmp_path / f"{level}.jsonl").read_bytes()
+        assert data == (tmp_path / "plain.jsonl").read_bytes()
 
     @pytest.mark.parametrize("level,lines", [("info", 0), ("debug", 2)])
     def test_debug_level_times_each_epoch(self, small_run, tmp_path, level, lines):

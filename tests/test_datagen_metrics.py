@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ual.cli import parse_kv_file
+from ual import datagen_metrics
+from ual.cli import _bundled, parse_kv_file
 from ual.datagen_metrics import (
     Dataset,
     GroupSample,
@@ -94,7 +96,7 @@ def synthesis_specs(draw):
     size_min = draw(st.integers(2, 5))
     objects_min = draw(st.integers(0, 2))
     return SynthesisSpec(
-        num_groups=draw(st.integers(1, 4)),
+        num_groups=draw(st.integers(1, 12)),
         group_size_min=size_min,
         group_size_max=draw(st.integers(size_min, 7)),
         face_dim=draw(st.integers(1, 10)),
@@ -115,17 +117,31 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+# a spec whose groups each read at most 80 words (4 faces of 7 dims, no
+# objects, 3 scene dims): a budget of 320 words makes chunks of 4 groups
+_FOUR_FACES = SynthesisSpec(num_groups=1, group_size_min=4, group_size_max=4, face_dim=7,
+                            object_dim=2, scene_dim=3, object_count_min=0, object_count_max=0)
+
+
 class TestGenerateDataset:
-    @given(synthesis_specs())
-    @example(SynthesisSpec(num_groups=1, group_size_min=4, group_size_max=4, face_dim=7,
-                           object_dim=2, scene_dim=3, object_count_min=0, object_count_max=0))
+    @given(synthesis_specs(), st.integers(1, 400))
+    @example(_FOUR_FACES, datagen_metrics._CHUNK_WORDS)
     @example(SynthesisSpec(num_groups=3, face_dim=33, object_dim=7, scene_dim=5, num_classes=2,
-                           corrupt_fraction=1.0, inconsistent_fraction=1.0))
+                           corrupt_fraction=1.0, inconsistent_fraction=1.0),
+             datagen_metrics._CHUNK_WORDS)
     @example(SynthesisSpec(num_groups=3, face_dim=8, object_dim=4, scene_dim=2, num_classes=5,
-                           corrupt_fraction=0.0, inconsistent_fraction=0.0, spread=0.0))
+                           corrupt_fraction=0.0, inconsistent_fraction=0.0, spread=0.0),
+             datagen_metrics._CHUNK_WORDS)
+    @example(replace(_FOUR_FACES, num_groups=5), 320)  # one group past a chunk boundary
+    @example(replace(_FOUR_FACES, num_groups=3), 79)  # each group larger than the budget
     @settings(max_examples=100, deadline=None)
-    def test_block_walk_equals_scalar_draws(self, spec):
-        got, want = generate_dataset(spec), scalar_generate(spec)
+    def test_block_walk_equals_scalar_draws(self, spec, budget):
+        """Chunks of any size give the per-item draws' bits; small word
+        budgets make the drawn specs span several chunks."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(datagen_metrics, "_CHUNK_WORDS", budget)
+            got = generate_dataset(spec)
+        want = scalar_generate(spec)
         assert got.synthesis_stats == want.synthesis_stats
         assert [g.id for g in got.groups] == [g.id for g in want.groups]
         assert [g.label for g in got.groups] == [g.label for g in want.groups]
@@ -148,6 +164,28 @@ class TestGenerateDataset:
                 key = (g.label, "face")
                 by_label.setdefault(key, row)
                 assert np.array_equal(row, by_label[key])
+
+    def test_working_set_does_not_grow_with_num_groups(self):
+        """The ``tracemalloc`` peak of a run, less what the dataset it returns
+        holds (its arrays, and the objects around them), stays under two
+        chunk budgets of 8-byte words, and is no larger at 4,000 bundled
+        groups than at 1,000."""
+        spec = spec_from_mapping(parse_kv_file(_bundled("synthetic-default.gen")))
+        transient = []
+        for n in (1000, 4000):
+            tracemalloc.start()
+            try:
+                ds = generate_dataset(replace(spec, num_groups=n))
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            arrays = sum(g.faces.nbytes + g.objects.nbytes + g.scene.nbytes for g in ds.groups)
+            assert arrays <= held < 1.5 * arrays
+            transient.append(peak - held)
+            del ds
+        budget = 8 * datagen_metrics._CHUNK_WORDS
+        assert max(transient) < 2 * budget
+        assert transient[1] < transient[0] + budget / 8
 
     def test_deterministic_files(self, tmp_path):
         spec = SynthesisSpec(num_groups=20, seed=7)
