@@ -139,6 +139,14 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _load(path):
+    """``load_dataset(path)``, its wall time logged at debug level."""
+    start = time.perf_counter()
+    dataset = load_dataset(path)
+    log.debug("load: %s, %d groups, %.3f s", path, len(dataset), time.perf_counter() - start)
+    return dataset
+
+
 def _settings(kind, path: str | None, bundled: str, flags: dict):
     """A validated ``kind`` from the file at ``path``, or the bundled file, with
     each flag that was given (not None) set as its key, as text, as a file sets it.
@@ -179,8 +187,8 @@ def cmd_train(args) -> int:
         TrainingConfig, args.config, "synthetic-default.cfg",
         {"seed": args.seed, "epochs": args.epochs},
     )
-    train_ds = load_dataset(args.train)
-    val_ds = load_dataset(args.val)
+    train_ds = _load(args.train)
+    val_ds = _load(args.val)
     dims = train_ds.dims
     check_dims(val_ds.dims, dims, f"{args.val}: line 1", f"the train set {args.train}")
     tags = BRANCH_TAGS if args.branch == "all" else (args.branch,)
@@ -297,7 +305,7 @@ def cmd_eval(args) -> int:
             f"{manifest_path} (use --force to evaluate anyway)"
         )
     config, branches, store = _restore_from_manifest(manifest, manifest_path)
-    dataset = load_dataset(args.data)
+    dataset = _load(args.data)
     check_dims(dataset.dims, manifest["dims"], f"{args.data}: line 1",
                f"the model in the manifest {manifest_path}")
     seed = args.seed if args.seed is not None else config.seed

@@ -13,24 +13,31 @@ the two noise phenomena the model is built to survive:
   objects are drawn from a different class's center.
 
 Files are line-delimited JSON: a header record followed by one record per
-group (see ``SCHEMA``), read through ``numerics.text_lines`` and ``parse_json``,
-so a line that is not UTF-8 or not JSON is a ``DataError`` naming it.
+group (see ``SCHEMA``). Each line is decoded by ``numerics._decode`` and
+parsed by ``parse_json``, so a line that is not UTF-8 or not JSON is a
+``DataError`` naming it. The groups are encoded and decoded a chunk at a
+time, in forked worker processes when there is more than one chunk and more
+than one usable CPU (``_chunk_map``); the bytes, the arrays and the first
+error in file order are those of one record at a time.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import math
 import os
+from contextlib import closing
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, UalError
 from .numerics import SeededRng, _box_muller, _normal_words, _uniforms, _word_at, _words
-from .numerics import derive_seeds, open_data_file
-from .numerics import parse_json, text_lines
+from .numerics import _decode, derive_seeds, open_data_file, parse_json
 
 SCHEMA = "ual-groups/v1"
 DEFAULT_CLASS_NAMES = ("Positive", "Neutral", "Negative")
@@ -262,7 +269,124 @@ def _generate_chunk(spec: SynthesisSpec, root: SeededRng, ids: range,
 # file I/O
 
 
+# The most feature values one chunk of save_dataset encodes, and the most bytes
+# of group lines one chunk of load_dataset reads. A dataset of up to one budget
+# is one chunk, done here with no worker process; a larger one is cut into
+# chunks of even size. Measured on 2 CPUs: larger chunks raise the peak memory
+# of the parent, which holds the chunks in flight, and smaller load chunks made
+# 500 bundled groups load slower than in one chunk
+_SAVE_FLOATS = 1 << 15
+_LOAD_BYTES = 1 << 20
+# The group lines of a file up to this size are loaded in this process: forked
+# workers made `ual train` on the bundled 500/200 files slower overall, since
+# the rest of the run pays for the fork, while 1,000 groups load faster
+_SERIAL_LOAD_BYTES = 6 << 20
+
+
+def _serve(fn, conn) -> None:
+    """A worker process: ``(True, fn(chunk))``, or ``(False, error)``, for
+    each chunk that ``conn`` brings, sent back on it."""
+    while True:
+        chunk = conn.recv()
+        try:
+            reply = True, fn(chunk)
+        except Exception as exc:
+            reply = False, exc
+        conn.send(reply)
+
+
+def _chunk_map(fn, chunks, where, fork: bool = True):
+    """``fn(chunk)`` of each of ``chunks``, yielded in order.
+
+    The calls run in forked worker processes, one per usable CPU but no more
+    than there are chunks, unless ``fork`` is false. An idle worker is sent the next chunk while fewer
+    than two chunks per worker are sent and not yet yielded, so ``chunks`` is
+    read as the results are taken. With one worker, or with no ``fork``, the
+    calls run here. The first error in chunk order is raised; the workers
+    are stopped, pending chunks and all, when the generator ends or is
+    closed. A worker that dies (killed, or out of memory) is a
+    :class:`UalError` naming ``where``.
+    """
+    chunks = iter(chunks)
+    forks = fork and hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
+    ahead = list(itertools.islice(chunks, len(os.sched_getaffinity(0)) if forks else 1))
+    workers = len(ahead)
+    chunks = itertools.chain(ahead, chunks)
+    del ahead  # so that a chunk is held only until it is sent
+    if workers <= 1:
+        yield from map(fn, chunks)
+        return
+    # imported here: about 1.3 MB of modules, which a run with no worker does not hold
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    context = multiprocessing.get_context("fork")
+    processes, idle = [], []  # idle: the connections of the workers with no chunk
+    running: dict = {}  # each busy worker's connection: the index of its chunk
+    replies: dict = {}  # chunk index: its worker's reply, until its turn
+    sent, window = 0, 2 * workers
+    try:
+        for _ in range(workers):
+            conn, theirs = context.Pipe()
+            processes.append(context.Process(target=_serve, args=(fn, theirs), daemon=True))
+            processes[-1].start()
+            theirs.close()  # so that a dead worker's end reads as closed
+            idle.append(conn)
+        for index in itertools.count():
+            while index not in replies:
+                while idle and sent < index + window and (chunk := next(chunks, None)):
+                    conn = idle.pop()
+                    conn.send(chunk)
+                    running[conn], sent = sent, sent + 1
+                if not running:
+                    return
+                for conn in wait(running):
+                    replies[running.pop(conn)] = conn.recv()
+                    idle.append(conn)
+            ok, result = replies.pop(index)
+            if not ok:
+                raise result
+            yield result
+    except (EOFError, ConnectionError) as exc:
+        raise UalError(f"{where}: a worker process died (killed, or out of memory)") from exc
+    finally:
+        for process in processes:
+            process.terminate()
+            process.join()
+            process.close()
+
+
+def _encode_groups(path, groups: list[GroupSample], run: tuple[int, int]) -> bytes:
+    """The lines of the groups ``groups[lo:hi]`` of ``run = (lo, hi)``, one
+    record each, as ASCII (``json`` escapes every other character)."""
+    # json.dumps would write NaN and Infinity, which no JSON reader (and
+    # not load_dataset) accepts
+    encode = json.JSONEncoder(allow_nan=False).encode
+    lines = []
+    for group in groups[slice(*run)]:
+        record = {
+            "id": group.id,
+            "label": int(group.label),
+            "faces": group.faces.tolist(),
+            "objects": group.objects.tolist(),
+            "scene": group.scene.tolist(),
+        }
+        try:
+            lines.append(encode(record) + "\n")
+        except ValueError as exc:
+            raise DataError(f"{path}: group {group.id}: features must be finite") from exc
+    return "".join(lines).encode()
+
+
 def save_dataset(dataset: Dataset, path) -> None:
+    """Write ``dataset`` to ``path``: the header, then one line per group.
+
+    The groups are cut into runs of about ``_SAVE_FLOATS`` feature values
+    each, as evenly as they allow; :func:`_chunk_map` encodes the runs, and
+    their text is written in order. A forked worker has the groups already,
+    so it is sent a run's bounds only. On any failure the file is removed,
+    so that no truncated dataset is left behind.
+    """
     header = {
         "schema": SCHEMA,
         "face_dim": dataset.face_dim,
@@ -271,26 +395,20 @@ def save_dataset(dataset: Dataset, path) -> None:
         "num_classes": dataset.num_classes,
         "class_names": list(dataset.class_names),
     }
-    # json.dumps would write NaN and Infinity, which no JSON reader (and
-    # not load_dataset) accepts
-    encode = json.JSONEncoder(allow_nan=False).encode
-    with open_data_file(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        for group in dataset.groups:
-            record = {
-                "id": group.id,
-                "label": int(group.label),
-                "faces": group.faces.tolist(),
-                "objects": group.objects.tolist(),
-                "scene": group.scene.tolist(),
-            }
-            try:
-                line = encode(record)
-            except ValueError as exc:
-                fh.close()
-                os.remove(path)  # leave no truncated dataset behind
-                raise DataError(f"{path}: group {group.id}: features must be finite") from exc
-            fh.write(line + "\n")
+    groups = dataset.groups
+    ends = np.cumsum([0, *(g.faces.size + g.objects.size + g.scene.size for g in groups)])
+    runs = max(1, math.ceil(ends[-1] / _SAVE_FLOATS))
+    cuts = np.unique(np.searchsorted(ends, np.linspace(0, ends[-1], runs + 1))).tolist()
+    encode = partial(_encode_groups, path, groups)
+    fh = open_data_file(path, "wb")
+    try:
+        with fh, closing(_chunk_map(encode, zip(cuts, cuts[1:]), path)) as blocks:
+            fh.write(json.dumps(header).encode() + b"\n")
+            for block in blocks:
+                fh.write(block)
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _numbers(value: list, shape: tuple[int, ...], what: str, where: str) -> np.ndarray:
@@ -326,58 +444,118 @@ def _integer(value, what: str, least: int, where: str) -> int:
     return value
 
 
-def load_dataset(path) -> Dataset:
-    """Read a dataset file one line at a time; a group id may appear once."""
-    lines = enumerate(text_lines(path), start=1)
-    _, first = next(lines, (1, None))
-    if first is None:
-        raise DataError(f"{path}: line 1: empty dataset file")
-    header = parse_json(first, path)
-    if not isinstance(header, dict) or header.get("schema") != SCHEMA:
-        raise DataError(f"{path}: line 1: expected schema {SCHEMA!r}")
+def _parse_groups(path, dims: dict, chunk: tuple[int, bytes]):
+    """The group records of ``chunk``, whole lines of the file ``path`` from
+    line ``chunk[0]`` on, each decoded, parsed and checked as
+    :func:`load_dataset` says, up to the first error.
+
+    Returns the ids and their lines (the id of the failing record too, if it
+    got past its id check), the chunk's last line, the labels, each group's
+    face and object counts, and the faces, objects and scenes, each kind as
+    one array; and the error, or None.
+    """
+    first, block = chunk
+    ids, id_lines, labels, faces, objects, scenes = [], [], [], [], [], []
     try:
-        dims = {key: _integer(header[key], key, least, f"{path}: line 1")
-                for key, least in _HEADER_INTS.items()}
-        names = header["class_names"]
-    except KeyError as exc:
-        raise DataError(f"{path}: line 1: incomplete header: {exc}") from exc
-    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
-        raise DataError(f"{path}: line 1: class_names must be a list of strings")
-    dataset = Dataset(**dims, class_names=tuple(names))
-    if len(dataset.class_names) != dataset.num_classes:
-        raise DataError(
-            f"{path}: line 1: {len(dataset.class_names)} class_names "
-            f"for {dataset.num_classes} classes"
-        )
-    first_line: dict[str, int] = {}  # each group id's line
-    lineno = 1
-    for lineno, raw in lines:
-        if not raw.strip():
-            continue
-        rec = parse_json(raw, path, lineno)
-        where = f"{path}: line {lineno}"
+        for lineno, raw in enumerate(io.BytesIO(block), start=first):
+            text = _decode(raw, path, lineno).removesuffix("\n").removesuffix("\r")
+            if not text.strip():
+                continue
+            rec = parse_json(text, path, lineno)
+            where = f"{path}: line {lineno}"
+            try:
+                gid, label = rec["id"], _integer(rec["label"], "label", 0, where)
+            except (KeyError, TypeError) as exc:
+                raise DataError(f"{where}: missing id/label: {exc}") from exc
+            if not isinstance(gid, str):
+                raise DataError(f"{where}: id must be a string, got {json.dumps(gid)}")
+            ids.append(gid)
+            id_lines.append(lineno)
+            if label >= dims["num_classes"]:
+                raise DataError(f"{where}: label {label} out of range for "
+                                f"{dims['num_classes']} classes")
+            group_faces = _rows(rec.get("faces"), dims["face_dim"], "faces", where)
+            if group_faces.shape[0] < 1:
+                raise DataError(f"{where}: a group needs at least 1 face")
+            objects.append(_rows(rec.get("objects", []), dims["object_dim"], "objects", where))
+            scene = rec.get("scene")
+            if not isinstance(scene, list) or len(scene) != dims["scene_dim"]:
+                raise DataError(f"{where}: scene must have {dims['scene_dim']} dims")
+            scenes.append(_numbers(scene, (dims["scene_dim"],), "scene", where))
+            faces.append(group_faces)
+            labels.append(label)
+    except DataError as exc:
+        return ids, id_lines, lineno, None, exc
+    arrays = (labels, [len(f) for f in faces], [len(o) for o in objects],
+              *(np.concatenate(rows) if rows else np.empty((0, dims[dim]))
+                for rows, dim in ((faces, "face_dim"), (objects, "object_dim"))),
+              np.array(scenes).reshape(len(scenes), dims["scene_dim"]))
+    return ids, id_lines, lineno, arrays, None
+
+
+def _line_chunks(fh, first: int, size: int):
+    """``(line number, whole lines)`` chunks of the binary file ``fh``, from
+    line ``first`` on, of about ``size`` bytes each."""
+    while block := fh.read(size):
+        block += fh.readline()
+        yield first, block
+        first += block.count(b"\n")
+
+
+def load_dataset(path) -> Dataset:
+    """Read a dataset file; a group id may appear once.
+
+    The header is read and checked here. The group lines are read in chunks
+    of even size, at most about ``_LOAD_BYTES`` bytes each, and each chunk is
+    decoded, parsed and checked by :func:`_parse_groups` through
+    :func:`_chunk_map`, in this process for a file of up to
+    ``_SERIAL_LOAD_BYTES``. Here, in line order, each id is checked against the
+    ids before it, and the first error in the file is raised. A group's
+    faces, objects and scene are views into its chunk's arrays.
+    """
+    with open_data_file(path, "rb") as fh:
+        first = fh.readline()
+        if not first:
+            raise DataError(f"{path}: line 1: empty dataset file")
+        header = parse_json(_decode(first, path).removesuffix("\n").removesuffix("\r"), path)
+        if not isinstance(header, dict) or header.get("schema") != SCHEMA:
+            raise DataError(f"{path}: line 1: expected schema {SCHEMA!r}")
         try:
-            gid, label = rec["id"], _integer(rec["label"], "label", 0, where)
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"{where}: missing id/label: {exc}") from exc
-        if not isinstance(gid, str):
-            raise DataError(f"{where}: id must be a string, got {json.dumps(gid)}")
-        if gid in first_line:
-            raise DataError(f"{where}: group id {gid!r} is already on line {first_line[gid]}")
-        first_line[gid] = lineno
-        if label >= dataset.num_classes:
-            raise DataError(f"{where}: label {label} out of range for {dataset.num_classes} classes")
-        faces = _rows(rec.get("faces"), dataset.face_dim, "faces", where)
-        if faces.shape[0] < 1:
-            raise DataError(f"{where}: a group needs at least 1 face")
-        objects = _rows(rec.get("objects", []), dataset.object_dim, "objects", where)
-        scene = rec.get("scene")
-        if not isinstance(scene, list) or len(scene) != dataset.scene_dim:
-            raise DataError(f"{where}: scene must have {dataset.scene_dim} dims")
-        scene = _numbers(scene, (dataset.scene_dim,), "scene", where)
-        dataset.groups.append(
-            GroupSample(id=gid, label=label, faces=faces, objects=objects, scene=scene)
-        )
+            dims = {key: _integer(header[key], key, least, f"{path}: line 1")
+                    for key, least in _HEADER_INTS.items()}
+            names = header["class_names"]
+        except KeyError as exc:
+            raise DataError(f"{path}: line 1: incomplete header: {exc}") from exc
+        if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+            raise DataError(f"{path}: line 1: class_names must be a list of strings")
+        dataset = Dataset(**dims, class_names=tuple(names))
+        if len(dataset.class_names) != dataset.num_classes:
+            raise DataError(
+                f"{path}: line 1: {len(dataset.class_names)} class_names "
+                f"for {dataset.num_classes} classes"
+            )
+        # chunks of even size, each at most about the budget; a pipe's size reads as 0
+        rest = os.fstat(fh.fileno()).st_size - len(first)
+        size = math.ceil(rest / math.ceil(rest / _LOAD_BYTES)) if rest > 0 else _LOAD_BYTES
+        chunks = _line_chunks(fh, 2, size)
+        first_line: dict[str, int] = {}  # each group id's line
+        lineno = 1
+        parse = partial(_parse_groups, path, dims)
+        with closing(_chunk_map(parse, chunks, path, rest > _SERIAL_LOAD_BYTES)) as parsed:
+            for ids, id_lines, lineno, arrays, error in parsed:
+                for gid, line in zip(ids, id_lines):
+                    if gid in first_line:
+                        raise DataError(f"{path}: line {line}: group id {gid!r} is already "
+                                        f"on line {first_line[gid]}")
+                    first_line[gid] = line
+                if error is not None:
+                    raise error
+                labels, n_faces, n_objects, faces, objects, scenes = arrays
+                f = o = 0  # the group's first face and object row
+                for gid, label, nf, no, scene in zip(ids, labels, n_faces, n_objects, scenes):
+                    dataset.groups.append(GroupSample(id=gid, label=label, faces=faces[f : f + nf],
+                                                      objects=objects[o : o + no], scene=scene))
+                    f, o = f + nf, o + no
     if not dataset.groups:
         raise DataError(f"{path}: line {lineno + 1}: expected a group record, got the end")
     return dataset

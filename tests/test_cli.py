@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ual import cli
+from ual import cli, datagen_metrics
 from ual.cli import main, sha256_file
 from ual.datagen_metrics import load_dataset
 from ual.numerics import ParameterStore, SeededRng
@@ -23,6 +24,7 @@ from ual.pipeline import evaluate_dataset
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+_TEST_PROCESS = os.getpid()
 
 
 def run(*argv):
@@ -598,6 +600,36 @@ class TestExitCodes:
             "(400000000000,)\\x00\n"
         )
 
+    @pytest.mark.parametrize("command", ["simulate", "train", "eval"])
+    def test_a_dead_worker_is_one_line(self, small_run, tmp_path, monkeypatch, capsys, command):
+        """A dataset worker process that dies (here by ``os._exit``; killed or
+        out of memory in use) ends the command with one line and exit 2, and
+        ``simulate`` leaves no file behind. At most two workers start."""
+        def die(*args):
+            if os.getpid() != _TEST_PROCESS:
+                os._exit(1)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(datagen_metrics, "_SAVE_FLOATS", 100)
+        monkeypatch.setattr(datagen_metrics, "_LOAD_BYTES", 2000)
+        monkeypatch.setattr(datagen_metrics, "_SERIAL_LOAD_BYTES", 0)
+        monkeypatch.setattr(datagen_metrics, "_encode_groups", die)
+        monkeypatch.setattr(datagen_metrics, "_parse_groups", die)
+        path = {"simulate": tmp_path / "d.jsonl", "train": small_run["train"],
+                "eval": small_run["val"]}[command]
+        argv = {
+            "simulate": ["--spec", str(small_run["spec"]), "--out", str(path)],
+            "train": ["--config", str(small_run["cfg"]), "--train", str(path),
+                      "--val", str(small_run["val"]), "--out", str(tmp_path / "model")],
+            "eval": ["--manifest", str(small_run["out"] / "manifest.json"), "--data", str(path),
+                     "--out", str(tmp_path / "report")],
+        }[command]
+        assert run(command, *argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: a worker process died (killed, or out of memory)\n")
+        assert not multiprocessing.active_children()
+        assert command != "simulate" or not path.exists()
+
     def test_missing_dataset_is_2(self, tmp_path, capsys):
         assert run("eval", "--manifest", str(tmp_path / "none.json"),
                    "--data", str(tmp_path / "none.jsonl")) == 2
@@ -1092,6 +1124,23 @@ class TestLogLevelEnv:
             assert re.fullmatch(r"simulate: generate \d+\.\d{3} s, save \d+\.\d{3} s", line)
         data = (tmp_path / f"{level}.jsonl").read_bytes()
         assert data == (tmp_path / "plain.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("level", ["info", "debug"])
+    def test_debug_level_times_each_load(self, small_run, tmp_path, level):
+        train = ["train", "--config", str(small_run["cfg"]), "--train", str(small_run["train"]),
+                 "--val", str(small_run["val"]), "--out", str(tmp_path / "model")]
+        evaluate = ["eval", "--manifest", str(small_run["out"] / "manifest.json"),
+                    "--data", str(small_run["val"]), "--out", str(tmp_path / "report")]
+        for argv, loads in ((train, [(small_run["train"], 24), (small_run["val"], 12)]),
+                            (evaluate, [(small_run["val"], 12)])):
+            proc = subprocess.run([sys.executable, "-m", "ual.cli", *argv], capture_output=True,
+                                  text=True, env=cli_env(UAL_LOG_LEVEL=level))
+            assert proc.returncode == 0, proc.stderr
+            timed = [line for line in proc.stderr.splitlines() if line.startswith("load:")]
+            assert len(timed) == (len(loads) if level == "debug" else 0)
+            for line, (path, groups) in zip(timed, loads):
+                assert re.fullmatch(rf"load: {re.escape(str(path))}, {groups} groups, "
+                                    r"\d+\.\d{3} s", line)
 
     @pytest.mark.parametrize("level,lines", [("info", 0), ("debug", 2)])
     def test_debug_level_times_each_epoch(self, small_run, tmp_path, level, lines):

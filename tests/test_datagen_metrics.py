@@ -1,7 +1,10 @@
 import json
 import math
+import multiprocessing
+import os
 import re
 import tracemalloc
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +27,7 @@ from ual.datagen_metrics import (
     save_dataset,
     spec_from_mapping,
 )
-from ual.errors import DataError
+from ual.errors import DataError, UalError
 from ual.numerics import SeededRng
 from ual.pipeline import TrainingConfig, config_from_mapping
 
@@ -422,6 +425,187 @@ class TestDatasetIO:
         path.write_text('{"schema": "other/v9"}\n')
         with pytest.raises(DataError, match="schema"):
             load_dataset(path)
+
+
+_TEST_PROCESS = os.getpid()
+
+
+def _die(*args):
+    """A chunk function that ends the worker process running it at once."""
+    if os.getpid() != _TEST_PROCESS:
+        os._exit(1)
+    raise AssertionError("the chunk ran in the test process")
+
+
+def _out_of_memory(*args):
+    raise MemoryError("Unable to allocate 1.00 TiB")
+
+
+@pytest.fixture
+def chunks_seen(monkeypatch):
+    """Budgets that cut a 40-group file of small dims into several chunks, at
+    most two worker processes, and, for each ``_chunk_map`` call, the list of
+    chunks it took and whether a worker process was running as it went. No
+    worker process may be left when the test ends."""
+    monkeypatch.setattr(datagen_metrics, "_SAVE_FLOATS", 100)
+    monkeypatch.setattr(datagen_metrics, "_LOAD_BYTES", 2000)
+    monkeypatch.setattr(datagen_metrics, "_SERIAL_LOAD_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    calls = []
+    chunk_map = datagen_metrics._chunk_map
+
+    def spy(fn, chunks, where, *fork):
+        seen = []
+        calls.append((seen, running := []))
+
+        def taken(chunks):
+            for chunk in chunks:
+                seen.append(chunk)
+                yield chunk
+
+        with closing(chunk_map(fn, taken(chunks), where, *fork)) as results:
+            for result in results:
+                running.append(bool(multiprocessing.active_children()))
+                yield result
+
+    monkeypatch.setattr(datagen_metrics, "_chunk_map", spy)
+    yield calls
+    assert not multiprocessing.active_children()
+
+
+class TestChunkedIO:
+    """Several chunks, in worker processes, give the bytes, arrays and errors
+    of one record at a time."""
+
+    def _dataset(self):
+        return generate_dataset(SynthesisSpec(
+            num_groups=40, face_dim=4, object_dim=3, scene_dim=2,
+            group_size_min=2, group_size_max=4, seed=11,
+        ))
+
+    def _serial_load(self, monkeypatch, path):
+        """``load_dataset(path)`` with one usable CPU, so in this process."""
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+            return load_dataset(path)
+
+    @staticmethod
+    def _chunk_of(read, line: int) -> int | None:
+        """The index of the chunk, of the ``(first line, lines)`` chunks
+        ``read``, that holds line ``line``; None for the header."""
+        return next((i for i, (first, block) in enumerate(read)
+                     if first <= line < first + block.count(b"\n")), None)
+
+    def _error(self, monkeypatch, path) -> str:
+        """The message of the error that loading ``path`` raises, the same
+        in worker processes and in this process."""
+        with pytest.raises(DataError) as chunked:
+            load_dataset(path)
+        with pytest.raises(DataError) as serial:
+            self._serial_load(monkeypatch, path)
+        assert str(chunked.value) == str(serial.value)
+        return str(chunked.value)
+
+    def test_bytes_and_arrays_equal_one_record_at_a_time(self, tmp_path, monkeypatch,
+                                                          chunks_seen):
+        ds = self._dataset()
+        path = tmp_path / "d.jsonl"
+        save_dataset(ds, path)
+        header = {"schema": datagen_metrics.SCHEMA, "face_dim": 4, "object_dim": 3,
+                  "scene_dim": 2, "num_classes": 3, "class_names": list(ds.class_names)}
+        encode = json.JSONEncoder(allow_nan=False).encode
+        want = [json.dumps(header)] + [
+            encode({"id": g.id, "label": g.label, "faces": g.faces.tolist(),
+                    "objects": g.objects.tolist(), "scene": g.scene.tolist()})
+            for g in ds.groups
+        ]
+        assert path.read_text() == "".join(line + "\n" for line in want)
+        loaded = load_dataset(path)
+        (saved, save_ran), (read, load_ran) = chunks_seen
+        assert len(saved) > 2 and len(read) > 2 and all(save_ran) and all(load_ran)
+        serial = self._serial_load(monkeypatch, path)
+        assert len(chunks_seen) == 3 and not any(chunks_seen[2][1])
+        assert [(g.id, g.label) for g in loaded.groups] == [(g.id, g.label) for g in ds.groups]
+        assert [(g.id, g.label) for g in serial.groups] == [(g.id, g.label) for g in ds.groups]
+        for a, b, c in zip(loaded.groups, serial.groups, ds.groups):
+            for kind in ("faces", "objects", "scene"):
+                assert _same_bits(getattr(a, kind), getattr(b, kind))
+                assert np.array_equal(getattr(a, kind), getattr(c, kind))
+
+    def test_one_cpu_starts_no_process(self, tmp_path, monkeypatch, chunks_seen):
+        ds = self._dataset()
+        save_dataset(ds, tmp_path / "two.jsonl")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        save_dataset(ds, tmp_path / "one.jsonl")
+        assert (tmp_path / "one.jsonl").read_bytes() == (tmp_path / "two.jsonl").read_bytes()
+        assert len(load_dataset(tmp_path / "one.jsonl")) == 40
+        (_, two_cpus), (saved, one_cpu), (read, loaded) = chunks_seen
+        assert all(two_cpus) and len(saved) > 2 and len(read) > 2
+        assert not any(one_cpu) and not any(loaded)
+
+    def test_first_error_in_file_order_wins(self, tmp_path, monkeypatch, chunks_seen):
+        path = tmp_path / "d.jsonl"
+        save_dataset(self._dataset(), path)
+        header, *records = path.read_text().splitlines()
+        # blank lines count: the records after them are on later lines
+        lines = [header, "", "  ", *records[:20], "\r", *records[20:]]
+        path.write_text("".join(line + "\n" for line in lines))
+        assert len(load_dataset(path)) == 40
+        read = chunks_seen[-1][0]
+        # edits that keep each line's length, so the chunks stay as they were
+        label_line = next(n for n, line in enumerate(lines, 1)
+                          if self._chunk_of(read, n) == 1 and '"label": 2' in line)
+        json_line = next(n for n, line in enumerate(lines, 1)
+                         if self._chunk_of(read, n) == 2 and line.startswith("{"))
+        good = lines[label_line - 1]
+        lines[label_line - 1] = good.replace('"label": 2', '"label": 7', 1)
+        lines[json_line - 1] = lines[json_line - 1][:-1] + "]"
+        path.write_text("".join(line + "\n" for line in lines))
+        assert self._error(monkeypatch, path) == (
+            f"{path}: line {label_line}: label 7 out of range for 3 classes")
+        lines[label_line - 1] = good
+        path.write_text("".join(line + "\n" for line in lines))
+        assert self._error(monkeypatch, path).startswith(f"{path}: line {json_line}: not JSON")
+
+    def test_duplicate_id_in_two_chunks_names_both_lines(self, tmp_path, monkeypatch,
+                                                         chunks_seen):
+        path = tmp_path / "d.jsonl"
+        ds = self._dataset()
+        ds.groups[33].id = ds.groups[3].id
+        save_dataset(ds, path)
+        assert self._error(monkeypatch, path) == (
+            f"{path}: line 35: group id {ds.groups[3].id!r} is already on line 5")
+        read = chunks_seen[1][0]
+        assert self._chunk_of(read, 5) < self._chunk_of(read, 35)
+
+    def test_non_finite_feature_in_the_last_chunk_leaves_no_file(self, tmp_path, chunks_seen):
+        ds = self._dataset()
+        ds.groups[-1].faces[0, 1] = math.nan
+        path = tmp_path / "d.jsonl"
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: group {ds.groups[-1].id}: features must be finite")):
+            save_dataset(ds, path)
+        assert not path.exists()
+        (saved, _), = chunks_seen
+        assert len(saved) > 2 and saved[-1][1] == len(ds.groups)
+
+    @pytest.mark.parametrize("chunk_fn,error,message", [
+        (_die, UalError, "a worker process died (killed, or out of memory)"),
+        (_out_of_memory, MemoryError, "Unable to allocate 1.00 TiB"),
+    ])
+    def test_a_failed_worker_is_an_error(self, tmp_path, monkeypatch, chunks_seen,
+                                         chunk_fn, error, message):
+        ds = self._dataset()
+        path = tmp_path / "d.jsonl"
+        save_dataset(ds, path)
+        monkeypatch.setattr(datagen_metrics, "_parse_groups", chunk_fn)
+        with pytest.raises(error, match=re.escape(message)):
+            load_dataset(path)
+        assert not multiprocessing.active_children()
+        monkeypatch.setattr(datagen_metrics, "_encode_groups", chunk_fn)
+        with pytest.raises(error, match=re.escape(message)):
+            save_dataset(ds, tmp_path / "new.jsonl")
+        assert not (tmp_path / "new.jsonl").exists()
 
 
 class TestMetrics:
