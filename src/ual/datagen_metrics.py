@@ -17,8 +17,9 @@ group (see ``SCHEMA``). Each line is decoded by ``numerics._decode`` and
 parsed by ``parse_json``, so a line that is not UTF-8 or not JSON is a
 ``DataError`` naming it. The groups are encoded and decoded a chunk at a
 time, in forked worker processes when there is more than one chunk and more
-than one usable CPU (``_chunk_map``); the bytes, the arrays and the first
-error in file order are those of one record at a time.
+than one usable CPU, and a loaded file is over ``_SERIAL_LOAD_BYTES``
+(``_chunk_map``); the bytes, the arrays and the first error in file order
+are those of one record at a time.
 """
 
 from __future__ import annotations
@@ -273,8 +274,8 @@ def _generate_chunk(spec: SynthesisSpec, root: SeededRng, ids: range,
 # of group lines one chunk of load_dataset reads. A dataset of up to one budget
 # is one chunk, done here with no worker process; a larger one is cut into
 # chunks of even size. Measured on 2 CPUs: larger chunks raise the peak memory
-# of the parent, which holds the chunks in flight, and smaller load chunks made
-# 500 bundled groups load slower than in one chunk
+# of the parent, which holds the chunks in flight, and 512 KiB load chunks made
+# 500 bundled groups load slower than one process did
 _SAVE_FLOATS = 1 << 15
 _LOAD_BYTES = 1 << 20
 # The group lines of a file up to this size are loaded in this process: forked
