@@ -16,8 +16,8 @@ Files are line-delimited JSON: a header record followed by one record per
 group (see ``SCHEMA``). Each line is decoded by ``numerics._decode`` and
 parsed by ``parse_json``, so a line that is not UTF-8 or not JSON is a
 ``DataError`` naming it. The groups are encoded and decoded a chunk at a
-time, in forked worker processes when there is more than one chunk and more
-than one usable CPU, and a loaded file is over ``_SERIAL_LOAD_BYTES``
+time, in forked worker processes when a file is more than
+``_IN_PROCESS_CHUNKS`` chunks and more than one CPU is usable
 (``_chunk_map``); the bytes, the arrays and the first error in file order
 are those of one record at a time.
 """
@@ -272,16 +272,17 @@ def _generate_chunk(spec: SynthesisSpec, root: SeededRng, ids: range,
 
 # The most feature values one chunk of save_dataset encodes, and the most bytes
 # of group lines one chunk of load_dataset reads. A dataset of up to one budget
-# is one chunk, done here with no worker process; a larger one is cut into
-# chunks of even size. Measured on 2 CPUs: larger chunks raise the peak memory
-# of the parent, which holds the chunks in flight, and 512 KiB load chunks made
-# 500 bundled groups load slower than one process did
+# is one chunk; a larger one is cut into chunks of even size. Measured on 2
+# CPUs: larger chunks raise the peak memory of the parent, which holds the
+# chunks in flight, and 512 KiB load chunks made 500 bundled groups load
+# slower than one process did
 _SAVE_FLOATS = 1 << 15
 _LOAD_BYTES = 1 << 20
-# The group lines of a file up to this size are loaded in this process: forked
-# workers made `ual train` on the bundled 500/200 files slower overall, since
-# the rest of the run pays for the fork, while 1,000 groups load faster
-_SERIAL_LOAD_BYTES = 6 << 20
+# A call of up to this many chunks runs in this process: the bundled 200 and
+# 500 groups are 3 and 7 chunks to save, 2 and 4 to load, and forked workers
+# raised the peak memory, and slowed the training, of a run that holds them,
+# while 1,000 groups (13 and 9 chunks) save and load faster with workers
+_IN_PROCESS_CHUNKS = 8
 
 
 def _serve(fn, conn) -> None:
@@ -296,57 +297,49 @@ def _serve(fn, conn) -> None:
         conn.send(reply)
 
 
-def _chunk_map(fn, chunks, where, fork: bool = True):
-    """``fn(chunk)`` of each of ``chunks``, yielded in order.
+def _chunk_map(fn, chunks, count: int, where):
+    """``fn(chunk)`` of each of ``chunks``, ``count`` of them, yielded in order.
 
-    The calls run in forked worker processes, one per usable CPU but no more
-    than there are chunks, unless ``fork`` is false. An idle worker is sent the next chunk while fewer
-    than two chunks per worker are sent and not yet yielded, so ``chunks`` is
-    read as the results are taken. With one worker, or with no ``fork``, the
-    calls run here. The first error in chunk order is raised; the workers
-    are stopped, pending chunks and all, when the generator ends or is
-    closed. A worker that dies (killed, or out of memory) is a
-    :class:`UalError` naming ``where``.
+    The calls run in this process when ``count`` is at most
+    ``_IN_PROCESS_CHUNKS``, when one CPU is usable, or where there is no
+    ``fork``. Otherwise they run in ``min(CPUs, count)`` forked worker
+    processes, by turns: chunk ``i`` goes to worker ``i mod workers``, whose
+    reply is read, in chunk order, before it is sent chunk ``i + workers``.
+    So each worker has one chunk at a time, and ``chunks`` is read as the
+    results are taken. The first error in chunk order is raised; the workers
+    are stopped when the generator ends or is closed. A worker that dies
+    (killed, or out of memory) is a :class:`UalError` naming ``where``.
     """
     chunks = iter(chunks)
-    forks = fork and hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
-    ahead = list(itertools.islice(chunks, len(os.sched_getaffinity(0)) if forks else 1))
-    workers = len(ahead)
-    chunks = itertools.chain(ahead, chunks)
-    del ahead  # so that a chunk is held only until it is sent
-    if workers <= 1:
+    forks = hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
+    workers = min(len(os.sched_getaffinity(0)) if forks else 1, count)
+    if count <= _IN_PROCESS_CHUNKS or workers <= 1:
         yield from map(fn, chunks)
         return
     # imported here: about 1.3 MB of modules, which a run with no worker does not hold
     import multiprocessing
-    from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")
-    processes, idle = [], []  # idle: the connections of the workers with no chunk
-    running: dict = {}  # each busy worker's connection: the index of its chunk
-    replies: dict = {}  # chunk index: its worker's reply, until its turn
-    sent, window = 0, 2 * workers
+    processes, conns = [], []
     try:
-        for _ in range(workers):
+        for chunk in itertools.islice(chunks, workers):
             conn, theirs = context.Pipe()
             processes.append(context.Process(target=_serve, args=(fn, theirs), daemon=True))
             processes[-1].start()
             theirs.close()  # so that a dead worker's end reads as closed
-            idle.append(conn)
+            conn.send(chunk)
+            conns.append(conn)
+        sent = len(conns)
         for index in itertools.count():
-            while index not in replies:
-                while idle and sent < index + window and (chunk := next(chunks, None)):
-                    conn = idle.pop()
-                    conn.send(chunk)
-                    running[conn], sent = sent, sent + 1
-                if not running:
-                    return
-                for conn in wait(running):
-                    replies[running.pop(conn)] = conn.recv()
-                    idle.append(conn)
-            ok, result = replies.pop(index)
+            if index == sent:
+                return
+            conn = conns[index % len(conns)]
+            ok, result = conn.recv()
             if not ok:
                 raise result
+            if (chunk := next(chunks, None)) is not None:
+                conn.send(chunk)
+                sent += 1
             yield result
     except (EOFError, ConnectionError) as exc:
         raise UalError(f"{where}: a worker process died (killed, or out of memory)") from exc
@@ -383,9 +376,10 @@ def save_dataset(dataset: Dataset, path) -> None:
     """Write ``dataset`` to ``path``: the header, then one line per group.
 
     The groups are cut into runs of about ``_SAVE_FLOATS`` feature values
-    each, as evenly as they allow; :func:`_chunk_map` encodes the runs, and
-    their text is written in order. A forked worker has the groups already,
-    so it is sent a run's bounds only. On any failure the file is removed,
+    each, as evenly as they allow; :func:`_chunk_map` encodes the runs, in
+    this process or in workers by their count, and their text is written in
+    order. A forked worker has the groups already, so it is sent a run's
+    bounds only. On any failure the file is removed,
     so that no truncated dataset is left behind.
     """
     header = {
@@ -403,7 +397,7 @@ def save_dataset(dataset: Dataset, path) -> None:
     encode = partial(_encode_groups, path, groups)
     fh = open_data_file(path, "wb")
     try:
-        with fh, closing(_chunk_map(encode, zip(cuts, cuts[1:]), path)) as blocks:
+        with fh, closing(_chunk_map(encode, zip(cuts, cuts[1:]), len(cuts) - 1, path)) as blocks:
             fh.write(json.dumps(header).encode() + b"\n")
             for block in blocks:
                 fh.write(block)
@@ -509,9 +503,9 @@ def load_dataset(path) -> Dataset:
     The header is read and checked here. The group lines are read in chunks
     of even size, at most about ``_LOAD_BYTES`` bytes each, and each chunk is
     decoded, parsed and checked by :func:`_parse_groups` through
-    :func:`_chunk_map`, in this process for a file of up to
-    ``_SERIAL_LOAD_BYTES``. Here, in line order, each id is checked against the
-    ids before it, and the first error in the file is raised. A group's
+    :func:`_chunk_map`, in this process or in workers by their count (one
+    for a pipe). Here, in line order, each id is checked against the ids
+    before it, and the first error in the file is raised. A group's
     faces, objects and scene are views into its chunk's arrays.
     """
     with open_data_file(path, "rb") as fh:
@@ -537,12 +531,12 @@ def load_dataset(path) -> Dataset:
             )
         # chunks of even size, each at most about the budget; a pipe's size reads as 0
         rest = os.fstat(fh.fileno()).st_size - len(first)
-        size = math.ceil(rest / math.ceil(rest / _LOAD_BYTES)) if rest > 0 else _LOAD_BYTES
-        chunks = _line_chunks(fh, 2, size)
+        count = max(1, math.ceil(rest / _LOAD_BYTES))
+        chunks = _line_chunks(fh, 2, math.ceil(rest / count) if rest > 0 else _LOAD_BYTES)
         first_line: dict[str, int] = {}  # each group id's line
         lineno = 1
         parse = partial(_parse_groups, path, dims)
-        with closing(_chunk_map(parse, chunks, path, rest > _SERIAL_LOAD_BYTES)) as parsed:
+        with closing(_chunk_map(parse, chunks, count, path)) as parsed:
             for ids, id_lines, lineno, arrays, error in parsed:
                 for gid, line in zip(ids, id_lines):
                     if gid in first_line:

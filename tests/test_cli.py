@@ -612,7 +612,7 @@ class TestExitCodes:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(datagen_metrics, "_SAVE_FLOATS", 100)
         monkeypatch.setattr(datagen_metrics, "_LOAD_BYTES", 2000)
-        monkeypatch.setattr(datagen_metrics, "_SERIAL_LOAD_BYTES", 0)
+        monkeypatch.setattr(datagen_metrics, "_IN_PROCESS_CHUNKS", 1)
         monkeypatch.setattr(datagen_metrics, "_encode_groups", die)
         monkeypatch.setattr(datagen_metrics, "_parse_groups", die)
         path = {"simulate": tmp_path / "d.jsonl", "train": small_run["train"],

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import re
+import time
 import tracemalloc
 from contextlib import closing
 from dataclasses import replace
@@ -441,20 +442,24 @@ def _out_of_memory(*args):
     raise MemoryError("Unable to allocate 1.00 TiB")
 
 
+def _slow_first(chunk: int) -> tuple[int, int]:
+    """``chunk`` and the id of the process that ran it; chunk 0 takes 0.2 s
+    in a worker process, so the next worker finishes first."""
+    if chunk == 0 and os.getpid() != _TEST_PROCESS:
+        time.sleep(0.2)
+    return chunk, os.getpid()
+
+
 @pytest.fixture
-def chunks_seen(monkeypatch):
-    """Budgets that cut a 40-group file of small dims into several chunks, at
-    most two worker processes, and, for each ``_chunk_map`` call, the list of
-    chunks it took and whether a worker process was running as it went. No
-    worker process may be left when the test ends."""
-    monkeypatch.setattr(datagen_metrics, "_SAVE_FLOATS", 100)
-    monkeypatch.setattr(datagen_metrics, "_LOAD_BYTES", 2000)
-    monkeypatch.setattr(datagen_metrics, "_SERIAL_LOAD_BYTES", 0)
+def chunk_calls(monkeypatch):
+    """Two usable CPUs and, for each ``_chunk_map`` call, the list of chunks
+    it took and whether a worker process was running as it went. No worker
+    process may be left when the test ends."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     calls = []
     chunk_map = datagen_metrics._chunk_map
 
-    def spy(fn, chunks, where, *fork):
+    def spy(fn, chunks, count, where):
         seen = []
         calls.append((seen, running := []))
 
@@ -463,7 +468,7 @@ def chunks_seen(monkeypatch):
                 seen.append(chunk)
                 yield chunk
 
-        with closing(chunk_map(fn, taken(chunks), where, *fork)) as results:
+        with closing(chunk_map(fn, taken(chunks), count, where)) as results:
             for result in results:
                 running.append(bool(multiprocessing.active_children()))
                 yield result
@@ -471,6 +476,17 @@ def chunks_seen(monkeypatch):
     monkeypatch.setattr(datagen_metrics, "_chunk_map", spy)
     yield calls
     assert not multiprocessing.active_children()
+
+
+@pytest.fixture
+def chunks_seen(monkeypatch, chunk_calls):
+    """Budgets that cut a 40-group file of small dims into several chunks,
+    each call of more than one chunk in at most two worker processes, and
+    ``chunk_calls``."""
+    monkeypatch.setattr(datagen_metrics, "_SAVE_FLOATS", 100)
+    monkeypatch.setattr(datagen_metrics, "_LOAD_BYTES", 2000)
+    monkeypatch.setattr(datagen_metrics, "_IN_PROCESS_CHUNKS", 1)
+    return chunk_calls
 
 
 class TestChunkedIO:
@@ -588,6 +604,30 @@ class TestChunkedIO:
         assert not path.exists()
         (saved, _), = chunks_seen
         assert len(saved) > 2 and saved[-1][1] == len(ds.groups)
+
+    @pytest.mark.parametrize("num_groups,forks", [(200, False), (500, False), (1000, True)])
+    def test_bundled_sizes_fork_past_the_threshold(self, tmp_path, chunk_calls,
+                                                   num_groups, forks):
+        """With the default budgets, the bundled 200- and 500-group files
+        save and load in this process, and 1,000 groups in workers."""
+        spec = spec_from_mapping(parse_kv_file(_bundled("synthetic-default.gen")))
+        path = tmp_path / "d.jsonl"
+        save_dataset(generate_dataset(replace(spec, num_groups=num_groups)), path)
+        assert len(load_dataset(path)) == num_groups
+        (saved, save_ran), (read, load_ran) = chunk_calls
+        assert len(saved) > 1 and len(read) > 1
+        assert all(save_ran) == any(save_ran) == forks
+        assert all(load_ran) == any(load_ran) == forks
+
+    def test_replies_come_in_chunk_order(self, chunk_calls):
+        """Chunk ``i`` runs on worker ``i mod 2``, and its result is yielded
+        in its turn, though chunk 1 finishes before chunk 0."""
+        count = datagen_metrics._IN_PROCESS_CHUNKS + 3
+        with closing(datagen_metrics._chunk_map(_slow_first, range(count), count, "x")) as results:
+            chunks, pids = zip(*results)
+        assert chunks == tuple(range(count))
+        assert len(set(pids)) == 2 and _TEST_PROCESS not in pids
+        assert all(pid == pids[i % 2] for i, pid in enumerate(pids))
 
     @pytest.mark.parametrize("chunk_fn,error,message", [
         (_die, UalError, "a worker process died (killed, or out of memory)"),
