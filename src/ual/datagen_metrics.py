@@ -281,7 +281,9 @@ _LOAD_BYTES = 1 << 20
 # A call of up to this many chunks runs in this process: the bundled 200 and
 # 500 groups are 3 and 7 chunks to save, 2 and 4 to load, and forked workers
 # raised the peak memory, and slowed the training, of a run that holds them,
-# while 1,000 groups (13 and 9 chunks) save and load faster with workers
+# while 1,000 groups (13 and 9 chunks) save and load faster with workers. An
+# inference pass's chunks are its steps (pipeline._INFER_STEP groups each): the
+# bundled 200 val groups are 4, and 1,000 groups (16) run faster in workers
 _IN_PROCESS_CHUNKS = 8
 
 
@@ -300,7 +302,10 @@ def _serve(fn, conn) -> None:
 def _chunk_map(fn, chunks, count: int, where):
     """``fn(chunk)`` of each of ``chunks``, ``count`` of them, yielded in order.
 
-    The calls run in this process when ``count`` is at most
+    It serves :func:`save_dataset`, :func:`load_dataset` and
+    :func:`~ual.pipeline.evaluate_dataset`, whose chunks are inference steps.
+    A forked worker holds what ``fn`` holds, so a chunk can be the bounds of
+    a part of it. The calls run in this process when ``count`` is at most
     ``_IN_PROCESS_CHUNKS``, when one CPU is usable, or where there is no
     ``fork``. Otherwise they run in ``min(CPUs, count)`` forked worker
     processes, by turns: chunk ``i`` goes to worker ``i mod workers``, whose

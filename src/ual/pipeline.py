@@ -42,10 +42,13 @@ Training and inference run groups as stacked arrays: training one
 mini-batch at a time (:meth:`Trainer._batch_loss`), :func:`evaluate_dataset`
 one step of ``_INFER_STEP`` groups at a time. Per step, each branch returns
 ``(G, E, C)`` probabilities for ``E`` sweep entries and flat per-individual
-arrays (:func:`branch_infer`), :func:`fuse_predictions` fuses the step's
-stacks in one call, and the report's records are built from these arrays
-only when asked for, with :func:`predict_group` as each group's view of the
-step's fusion.
+arrays (:func:`branch_infer`), and :func:`fuse_predictions` fuses the step's
+stacks in one call. The steps are independent, so a pass of more than
+``_IN_PROCESS_CHUNKS`` steps runs them in forked workers, one per usable CPU
+(:func:`~ual.datagen_metrics._chunk_map`), which return these arrays; a pass
+with a :class:`NoiseCache` runs in the process. The report's records are
+built from the arrays, in step order in the calling process, only when asked
+for, with :func:`predict_group` as each group's view of the step's fusion.
 
 A step's (or batch's) individuals are stored one way, in training and
 inference alike: as flat rows in group order. Features, Gaussians, noise and
@@ -95,11 +98,13 @@ import functools
 import logging
 import math
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import datagen_metrics
 from .datagen_metrics import Dataset, GroupSample, MetricsReport, compute_metrics
 from .datagen_metrics import check_bounds, settings_from_mapping
 from .errors import ConfigError, DataError, NumericError, ShapeError
@@ -630,9 +635,10 @@ def fuse_predictions(
 _INFER_STEP = 64
 
 
-def _steps(groups: Sequence[GroupSample]) -> list[Sequence[GroupSample]]:
-    """``groups`` cut into inference steps of ``_INFER_STEP`` groups."""
-    return [groups[lo : lo + _INFER_STEP] for lo in range(0, len(groups), _INFER_STEP)]
+def _steps(n: int) -> list[tuple[int, int]]:
+    """The ``(lo, hi)`` bounds of ``n`` groups cut into inference steps of
+    ``_INFER_STEP`` groups."""
+    return [(lo, min(lo + _INFER_STEP, n)) for lo in range(0, n, _INFER_STEP)]
 
 
 def _sample_counts(sample_counts: Sequence[int] | None, config: TrainingConfig) -> tuple[int, ...]:
@@ -1028,10 +1034,10 @@ class NoiseCache:
         rng = SeededRng(seed).derive("infer")
         # the rounds of each kind a pass reads; a kind it does not read keeps no array
         self.steps = [
-            {tag: _KeptDraws(rng, tag, step, stochastic * config.mc_samples, config.latent_dim,
-                             filtered * config.fiqe_samples)
+            {tag: _KeptDraws(rng, tag, dataset.groups[lo:hi], stochastic * config.mc_samples,
+                             config.latent_dim, filtered * config.fiqe_samples)
              for tag, (filtered, stochastic) in noise.items() if filtered or stochastic}
-            for step in _steps(dataset.groups)
+            for lo, hi in _steps(len(dataset.groups))
         ]
         self.nbytes = sum(draws.nbytes for step in self.steps for draws in step.values())
 
@@ -1069,42 +1075,45 @@ def evaluate_dataset(
     (default ``(config.mc_samples,)``); returns one result per entry, in
     order, each equal to a one-entry call. With ``collect_diagnostics``, each
     result also holds the report's ``group`` records (:func:`_group_records`).
-    Each step's face and object noise is :func:`branch_infer`'s own
-    :class:`_Draws`, or, with ``noise``, a :class:`NoiseCache` built for this
-    dataset and these arguments, the step's :class:`_KeptDraws` from
-    ``noise.steps``. The results are the same. A step's faces and objects
-    are flat rows run bucket by bucket, as a training batch's are in
-    :meth:`Trainer._batch_loss`.
+    The pass runs in steps of ``_INFER_STEP`` groups (:func:`_infer_step`);
+    a step's faces and objects are flat rows run bucket by bucket, as a
+    training batch's are in :meth:`Trainer._batch_loss`. The steps are
+    independent, so they go through :func:`~ual.datagen_metrics._chunk_map`:
+    up to ``_IN_PROCESS_CHUNKS`` steps run in this process, and more in
+    forked workers, which are sent a step's bounds and return its arrays.
+    Here, in step order, the arrays give the predicted classes and the
+    records. The results and the first error are those of one process; a
+    worker that dies is a :class:`UalError` naming ``inference``. Each step's
+    face and object noise is :func:`branch_infer`'s own :class:`_Draws`, or,
+    with ``noise``, a :class:`NoiseCache` built for this dataset and these
+    arguments, the step's :class:`_KeptDraws` from ``noise.steps``. The
+    results are the same; a pass with ``noise`` runs in this process, since
+    its draws keep the rows they draw for later passes.
     """
     counts = _sample_counts(sample_counts, config)
     if noise is not None and not noise.serves(dataset, config, seed, ablation, branches,
                                               max(counts)):
         raise ValueError("the noise cache was built for another dataset or arguments")
-    rng = SeededRng(seed).derive("infer")
-    y_true = [group.label for group in dataset.groups]
+    groups = dataset.groups
+    bounds = _steps(len(groups))
+    infer = functools.partial(_infer_step, store, branches, groups, config,
+                              SeededRng(seed).derive("infer"), counts, ablation, fusion)
+    if noise is None:
+        steps = datagen_metrics._chunk_map(infer, bounds, len(bounds), "inference")
+    else:
+        steps = (infer(step, draws) for step, draws in zip(bounds, noise.steps))
+    y_true = [group.label for group in groups]
     # each step's (G, E) predicted classes, and its records: the predictions
     # of every group and entry, kept to the end, would hold about 2 MB more
     labels: dict[str, list[np.ndarray]] = {tag: [] for tag in ("fused", *branches)}
     records: list[list[dict]] = [[] for _ in counts]
-    for s, step in enumerate(_steps(dataset.groups)):
-        draws = noise.steps[s] if noise is not None else {}  # {}: branch_infer draws
-        with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite instead
-            per_branch = {
-                tag: branch_infer(branches[tag], step, store, config, rng, counts, ablation,
-                                  draws.get(tag))
-                for tag in BRANCH_TAGS
-                if tag in branches
-            }
-        preds = [pred for pred, _ in per_branch.values()]
-        fused = fuse_predictions(preds, fusion)
-        bad = np.flatnonzero(~np.isfinite(fused.probs).reshape(len(step), -1).all(axis=-1))
-        if bad.size:  # an overflow in a branch
-            raise NumericError(f"group {step[bad[0]].id}: non-finite fused probabilities")
-        labels["fused"].append(np.argmax(fused.probs, axis=-1))
-        for pred in preds:
-            labels[pred.branch].append(np.argmax(pred.probs, axis=-1))  # the first maximum
-        if collect_diagnostics:
-            _group_records(records, step, per_branch, fused, labels["fused"][-1])
+    with closing(steps):
+        for (lo, hi), (per_branch, fused) in zip(bounds, steps):
+            labels["fused"].append(np.argmax(fused.probs, axis=-1))
+            for pred, _ in per_branch.values():
+                labels[pred.branch].append(np.argmax(pred.probs, axis=-1))  # the first maximum
+            if collect_diagnostics:
+                _group_records(records, groups[lo:hi], per_branch, fused, labels["fused"][-1])
 
     def metrics(tag: str, e: int) -> MetricsReport:
         preds = np.concatenate(labels[tag])[:, e].tolist() if labels[tag] else []
@@ -1115,6 +1124,30 @@ def evaluate_dataset(
                    fusion, n)
         for e, n in enumerate(counts)
     ]
+
+
+def _infer_step(store: ParameterStore, branches: dict[str, Branch],
+                groups: Sequence[GroupSample], config: TrainingConfig, rng: SeededRng,
+                counts: tuple[int, ...], ablation: str, fusion: str, bounds: tuple[int, int],
+                draws: dict[str, _KeptDraws] | None = None
+                ) -> tuple[dict[str, tuple[BranchPrediction, dict]], FusionResult]:
+    """The inference step ``groups[lo:hi]`` of ``bounds = (lo, hi)``: each
+    branch's :func:`branch_infer` results, with the step's ``draws`` per
+    branch if given, and their fusion, whose probabilities must be finite."""
+    step = groups[slice(*bounds)]
+    draws = draws or {}  # {}: branch_infer draws
+    with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite instead
+        per_branch = {
+            tag: branch_infer(branches[tag], step, store, config, rng, counts, ablation,
+                              draws.get(tag))
+            for tag in BRANCH_TAGS
+            if tag in branches
+        }
+    fused = fuse_predictions([pred for pred, _ in per_branch.values()], fusion)
+    bad = np.flatnonzero(~np.isfinite(fused.probs).reshape(len(step), -1).all(axis=-1))
+    if bad.size:  # an overflow in a branch
+        raise NumericError(f"group {step[bad[0]].id}: non-finite fused probabilities")
+    return per_branch, fused
 
 
 def _group_records(records: list[list[dict]], groups: Sequence[GroupSample], per_branch: dict,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ual import cli, datagen_metrics
+from ual import cli, datagen_metrics, pipeline
 from ual.cli import main, sha256_file
 from ual.datagen_metrics import load_dataset
 from ual.numerics import ParameterStore, SeededRng
@@ -428,8 +428,6 @@ class TestEval:
     def test_fusion_runs_once_per_step(self, small_run, tmp_path, monkeypatch):
         # a validation pass fuses each step in one call and builds no per-group
         # view; ual eval also builds one per group, for the report's records
-        from ual import pipeline
-
         calls = []
 
         def spy(name):
@@ -600,33 +598,40 @@ class TestExitCodes:
             "(400000000000,)\\x00\n"
         )
 
-    @pytest.mark.parametrize("command", ["simulate", "train", "eval"])
+    @pytest.mark.parametrize("command", ["simulate", "train", "eval", "inference"])
     def test_a_dead_worker_is_one_line(self, small_run, tmp_path, monkeypatch, capsys, command):
-        """A dataset worker process that dies (here by ``os._exit``; killed or
-        out of memory in use) ends the command with one line and exit 2, and
-        ``simulate`` leaves no file behind. At most two workers start."""
+        """A worker process that dies (here by ``os._exit``; killed or out of
+        memory in use) ends the command with one line and exit 2, and
+        ``simulate`` leaves no file behind. At most two workers start. For
+        ``inference``, ``ual eval`` loads its 12 groups in this process, and
+        a worker dies in ``branch_infer`` of one of the 12 one-group steps."""
         def die(*args):
             if os.getpid() != _TEST_PROCESS:
                 os._exit(1)
+            raise AssertionError("the chunk ran in the test process")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(datagen_metrics, "_SAVE_FLOATS", 100)
-        monkeypatch.setattr(datagen_metrics, "_LOAD_BYTES", 2000)
         monkeypatch.setattr(datagen_metrics, "_IN_PROCESS_CHUNKS", 1)
-        monkeypatch.setattr(datagen_metrics, "_encode_groups", die)
-        monkeypatch.setattr(datagen_metrics, "_parse_groups", die)
-        path = {"simulate": tmp_path / "d.jsonl", "train": small_run["train"],
-                "eval": small_run["val"]}[command]
+        if command == "inference":
+            monkeypatch.setattr(pipeline, "_INFER_STEP", 1)
+            monkeypatch.setattr(pipeline, "branch_infer", die)
+        else:
+            monkeypatch.setattr(datagen_metrics, "_SAVE_FLOATS", 100)
+            monkeypatch.setattr(datagen_metrics, "_LOAD_BYTES", 2000)
+            monkeypatch.setattr(datagen_metrics, "_encode_groups", die)
+            monkeypatch.setattr(datagen_metrics, "_parse_groups", die)
+        path = {"simulate": tmp_path / "d.jsonl", "train": small_run["train"]}.get(
+            command, small_run["val"])
         argv = {
             "simulate": ["--spec", str(small_run["spec"]), "--out", str(path)],
             "train": ["--config", str(small_run["cfg"]), "--train", str(path),
                       "--val", str(small_run["val"]), "--out", str(tmp_path / "model")],
-            "eval": ["--manifest", str(small_run["out"] / "manifest.json"), "--data", str(path),
-                     "--out", str(tmp_path / "report")],
-        }[command]
-        assert run(command, *argv) == 2
+        }.get(command, ["--manifest", str(small_run["out"] / "manifest.json"), "--data",
+                        str(path), "--out", str(tmp_path / "report")])
+        assert run("eval" if command == "inference" else command, *argv) == 2
+        where = "inference" if command == "inference" else path
         assert capsys.readouterr().err == (
-            f"error: {path}: a worker process died (killed, or out of memory)\n")
+            f"error: {where}: a worker process died (killed, or out of memory)\n")
         assert not multiprocessing.active_children()
         assert command != "simulate" or not path.exists()
 
@@ -948,12 +953,19 @@ class TestBadInputFiles:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("workers", [False, True], ids=["in-process", "workers"])
     @pytest.mark.parametrize("name,param,value,detail", [
         ("face", "face.embed.logvar.bias", 2000.0, "sigma must be strictly positive and finite"),
         ("scene", "scene.classifier.weight", 1e308, "non-finite fused probabilities"),
     ], ids=["face-sigma", "scene-logits"])
-    def test_overflowing_model_is_a_numeric_failure(self, small_run, tmp_path, capsys, name,
-                                                    param, value, detail):
+    def test_overflowing_model_is_a_numeric_failure(self, small_run, tmp_path, monkeypatch,
+                                                    capsys, name, param, value, detail, workers):
+        """In this process, and with the 12 val groups' inference steps in
+        two worker processes, the failing step's error is the one line."""
+        if workers:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            monkeypatch.setattr(datagen_metrics, "_IN_PROCESS_CHUNKS", 1)
+            monkeypatch.setattr(pipeline, "_INFER_STEP", 1)
         model = tmp_path / "model"
         shutil.copytree(small_run["out"], model)
         params = model / f"{name}.params.json"
@@ -966,8 +978,10 @@ class TestBadInputFiles:
                        "--data", str(small_run["val"]), "--out", str(tmp_path / "r"))
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert code == 3
-        assert detail in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1 and detail in err
         assert not (tmp_path / "r" / "report.jsonl").exists()
+        assert not multiprocessing.active_children()
 
     def test_model_file_of_another_version(self, small_run, tmp_path, capsys):
         model = tmp_path / "model"

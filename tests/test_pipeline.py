@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ual.datagen_metrics import GroupSample, SynthesisSpec, generate_dataset
-from ual import pipeline
+from ual import datagen_metrics, pipeline
 from ual.errors import ConfigError, DataError, NumericError, ShapeError
 from ual.losses import LossBreakdown
 from ual.numerics import ParameterStore, SeededRng, block_normals, derive_seeds, softmax
@@ -610,12 +610,17 @@ class TestBatchedInference:
     @pytest.mark.parametrize("delta2", [0.86, 0.9999], ids=["some-fail", "all-fail"])
     @pytest.mark.parametrize("fiqe_apply", ["eval", "off"])
     @pytest.mark.parametrize("ablation", ["full", "no-ual", "no-fiqe", "no-ual-fiqe"])
-    def test_steps_equal_one_group_calls(self, monkeypatch, ablation, fiqe_apply, delta2):
+    def test_steps_equal_one_group_calls(self, monkeypatch, chunk_calls, ablation, fiqe_apply,
+                                         delta2):
+        """Steps of 16 groups, in this process and in two worker processes,
+        equal one-group steps in workers and in this process with a
+        :class:`NoiseCache`, which starts no worker."""
         monkeypatch.setattr(pipeline, "_INFER_STEP", 16)
         ds = tiny_dataset(num_groups=37, seed=33)
         assert len(ds.groups) % pipeline._INFER_STEP and len(ds.groups) > pipeline._INFER_STEP
         assert any(group.objects.shape[0] == 0 for group in ds.groups)
-        cfg = tiny_config(fiqe_apply=fiqe_apply, delta2=delta2)
+        # the largest count is mc_samples, so a NoiseCache serves the sweep
+        cfg = tiny_config(fiqe_apply=fiqe_apply, delta2=delta2, mc_samples=max(self.COUNTS))
         store, branches = build_model(ds, cfg)
         rng = SeededRng(5).derive("infer")
         steps, fused = predict(ds.groups, store, branches, cfg, rng, self.COUNTS, ablation)
@@ -625,20 +630,21 @@ class TestBatchedInference:
             for e in range(len(self.COUNTS)):
                 assert entry(steps, fused, ds.groups, j, e) == entry(*one, [group], 0, e)
 
-        def evaluate():
+        def evaluate(noise=None):
             return evaluate_dataset(
                 store, branches, ds, cfg, seed=5, sample_counts=self.COUNTS, ablation=ablation,
-                collect_diagnostics=True,
+                collect_diagnostics=True, noise=noise,
             )
 
-        stepped = evaluate()
+        stepped = evaluate()  # 3 steps: in this process
+        monkeypatch.setattr(datagen_metrics, "_IN_PROCESS_CHUNKS", 1)
+        assert _results(evaluate()) == _results(stepped)  # in two workers
         monkeypatch.setattr(pipeline, "_INFER_STEP", 1)
-        for got, want in zip(stepped, evaluate(), strict=True):
-            assert got.records == want.records
-            assert got.fused_report.to_dict() == want.fused_report.to_dict()
-            assert {tag: r.to_dict() for tag, r in got.branch_reports.items()} == {
-                tag: r.to_dict() for tag, r in want.branch_reports.items()
-            }
+        assert _results(evaluate()) == _results(stepped)  # 37 steps in two workers
+        noise = pipeline.NoiseCache(ds, branches, cfg, 5, ablation)
+        assert _results(evaluate(noise)) == _results(stepped)
+        assert [(len(seen), running) for seen, running in chunk_calls] == [
+            (3, [False] * 3), (3, [True] * 3), (37, [True] * 37)]  # none for the cached pass
         kept = [sum(face["kept"] for face in rec["branches"]["face"]["faces"])
                 for rec in stepped[0].records]
         sizes = [group.faces.shape[0] for group in ds.groups]
@@ -708,15 +714,25 @@ class TestBatchedInference:
         with np.errstate(over="ignore"), pytest.raises(NumericError, match=f"'{group.id}/face0'"):
             branch_infer(branches["face"], groups, store, cfg, SeededRng(0).derive("infer"))
 
-    def test_non_finite_fusion_names_the_group(self):
+    @pytest.mark.parametrize("workers", [False, True], ids=["in-process", "workers"])
+    def test_non_finite_fusion_names_the_group(self, monkeypatch, chunk_calls, workers):
+        """The first group whose scene logits overflow, in the third of four
+        steps, is named in this process and in worker processes alike."""
+        monkeypatch.setattr(pipeline, "_INFER_STEP", 3)
+        if workers:
+            monkeypatch.setattr(datagen_metrics, "_IN_PROCESS_CHUNKS", 1)
         ds = tiny_dataset()
+        for g in (7, 10):  # logits of about 1e310 for these two groups only
+            ds.groups[g] = replace(ds.groups[g], scene=ds.groups[g].scene * 1e300)
         cfg = tiny_config()
         store, branches = build_model(ds, cfg)
-        store.get("scene.classifier.weight")[...] = 1e308  # overflows the scene logits
+        store.get("scene.classifier.weight")[...] = 1e10
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            NumericError, match=f"group {ds.groups[0].id}: non-finite fused"
+            NumericError, match=f"^group {ds.groups[7].id}: non-finite fused probabilities$"
         ):
             evaluate_dataset(store, branches, ds, cfg, seed=0)
+        ((_, running),) = chunk_calls
+        assert running == [workers] * 2  # two steps, then the error
 
 
 class TestInferenceArrays:
