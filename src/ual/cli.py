@@ -38,7 +38,7 @@ from .datagen_metrics import (
 )
 from .errors import ConfigError, DataError, NumericError, UalError
 from .numerics import ParameterStore, SeededRng, check_dims, gradient_check, open_data_file
-from .numerics import parse_json, read_text, text_lines
+from .numerics import parse_json, read_text
 from .pipeline import (
     ABLATIONS,
     BRANCH_TAGS,
@@ -100,9 +100,9 @@ def _setup_logging() -> None:
 
 
 def parse_kv_file(path) -> dict[str, str]:
-    """Parse flat ``key = value`` lines; '#' comments; blank lines ignored."""
+    """Parse flat ``key = value`` lines (ended by ``\\n``); '#' comments; blank lines ignored."""
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text_lines(path), start=1):
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -311,20 +311,19 @@ def cmd_eval(args) -> int:
     seed = args.seed if args.seed is not None else config.seed
     ablation = args.ablation or manifest.get("ablation", "full")
 
-    sample_counts = args.mc_samples or [config.mc_samples]
     out_dir = _out_dir(args.out or manifest_path.parent)
     report_path = out_dir / "report.jsonl"
     start = time.perf_counter()
     results = evaluate_dataset(
         store, branches, dataset, config, seed,
-        sample_counts=sample_counts, ablation=ablation, fusion=args.fusion,
+        sample_counts=args.mc_samples, ablation=ablation, fusion=args.fusion,
         collect_diagnostics=True,
     )
+    sweep_rows = [(result.n_samples, result) for result in results]
     log.debug(
         "inference: %d groups, mc_samples %s, %.3f s",
-        len(dataset.groups), ",".join(map(str, sample_counts)), time.perf_counter() - start,
+        len(dataset.groups), ",".join(str(n) for n, _ in sweep_rows), time.perf_counter() - start,
     )
-    sweep_rows = list(zip(sample_counts, results))
     with open_data_file(report_path, "w") as fh:
         for n, result in sweep_rows:
             meta = {

@@ -55,6 +55,11 @@ class GroupSample:
     scene: np.ndarray  # (scene_dim,)
 
 
+# The header's integer fields, in its order, and their least values, as a spec has them:
+# Dataset.dims, so the header too, reads its keys; the header and manifest checks read its values
+_HEADER_INTS = {"face_dim": 1, "object_dim": 1, "scene_dim": 1, "num_classes": 2}
+
+
 @dataclass
 class Dataset:
     face_dim: int
@@ -71,7 +76,7 @@ class Dataset:
     @property
     def dims(self) -> dict[str, int]:
         """The feature dims and the class count, which a model must match."""
-        return {k: getattr(self, k) for k in ("face_dim", "object_dim", "scene_dim", "num_classes")}
+        return {key: getattr(self, key) for key in _HEADER_INTS}
 
 
 @dataclass(frozen=True)
@@ -174,15 +179,8 @@ def generate_dataset(spec: SynthesisSpec) -> Dataset:
     for lo in range(0, spec.num_groups, step):
         groups += _generate_chunk(spec, root, range(lo, min(lo + step, spec.num_groups)),
                                   centers, stats)
-    return Dataset(
-        face_dim=spec.face_dim,
-        object_dim=spec.object_dim,
-        scene_dim=spec.scene_dim,
-        num_classes=spec.num_classes,
-        class_names=class_names_for(spec.num_classes),
-        groups=groups,
-        synthesis_stats=stats,
-    )
+    return Dataset(**{key: getattr(spec, key) for key in _HEADER_INTS}, groups=groups,
+                   class_names=class_names_for(spec.num_classes), synthesis_stats=stats)
 
 
 def _generate_chunk(spec: SynthesisSpec, root: SeededRng, ids: range,
@@ -256,11 +254,17 @@ def _generate_chunk(spec: SynthesisSpec, root: SeededRng, ids: range,
     stats["objects"] += objects.shape[0]
     stats["corrupted_faces"] += int(np.count_nonzero(corrupted))
     stats["inconsistent_individuals"] += inconsistent
+    return _views([f"{spec.partition}-{i:05d}" for i in ids], label.tolist(), n_faces.tolist(),
+                  n_objects.tolist(), faces, objects, scenes)
+
+
+def _views(ids, labels, n_faces, n_objects, faces, objects, scenes) -> list[GroupSample]:
+    """One group per id, in order, whose faces, objects and scene are views into the
+    flat arrays of the groups' rows in group order, ``n_faces`` and ``n_objects`` of each."""
     groups = []
     f = o = 0  # the group's first face and object row
-    for i, y, nf, no, scene in zip(ids, label.tolist(), n_faces.tolist(), n_objects.tolist(),
-                                   scenes):
-        groups.append(GroupSample(id=f"{spec.partition}-{i:05d}", label=y, faces=faces[f : f + nf],
+    for gid, label, nf, no, scene in zip(ids, labels, n_faces, n_objects, scenes):
+        groups.append(GroupSample(id=gid, label=label, faces=faces[f : f + nf],
                                   objects=objects[o : o + no], scene=scene))
         f, o = f + nf, o + no
     return groups
@@ -387,14 +391,7 @@ def save_dataset(dataset: Dataset, path) -> None:
     bounds only. On any failure the file is removed,
     so that no truncated dataset is left behind.
     """
-    header = {
-        "schema": SCHEMA,
-        "face_dim": dataset.face_dim,
-        "object_dim": dataset.object_dim,
-        "scene_dim": dataset.scene_dim,
-        "num_classes": dataset.num_classes,
-        "class_names": list(dataset.class_names),
-    }
+    header = {"schema": SCHEMA, **dataset.dims, "class_names": list(dataset.class_names)}
     groups = dataset.groups
     ends = np.cumsum([0, *(g.faces.size + g.objects.size + g.scene.size for g in groups)])
     runs = max(1, math.ceil(ends[-1] / _SAVE_FLOATS))
@@ -431,10 +428,6 @@ def _rows(value, dim: int, what: str, where: str) -> np.ndarray:
             got = len(row) if isinstance(row, list) else type(row).__name__
             raise DataError(f"{where}: {what}[{i}] must have {dim} dims, got {got}")
     return _numbers(value, (len(value), dim), what, where)
-
-
-# the header's integer fields (a manifest's dims too) and their least values, as a spec has them
-_HEADER_INTS = {"face_dim": 1, "object_dim": 1, "scene_dim": 1, "num_classes": 2}
 
 
 def _integer(value, what: str, least: int, where: str) -> int:
@@ -550,12 +543,7 @@ def load_dataset(path) -> Dataset:
                     first_line[gid] = line
                 if error is not None:
                     raise error
-                labels, n_faces, n_objects, faces, objects, scenes = arrays
-                f = o = 0  # the group's first face and object row
-                for gid, label, nf, no, scene in zip(ids, labels, n_faces, n_objects, scenes):
-                    dataset.groups.append(GroupSample(id=gid, label=label, faces=faces[f : f + nf],
-                                                      objects=objects[o : o + no], scene=scene))
-                    f, o = f + nf, o + no
+                dataset.groups += _views(ids, *arrays)
     if not dataset.groups:
         raise DataError(f"{path}: line {lineno + 1}: expected a group record, got the end")
     return dataset

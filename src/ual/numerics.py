@@ -12,7 +12,7 @@ Everything downstream is built on these pieces:
   hand-written backward passes, a :class:`ParameterStore` for their
   weights, and a central-finite-difference :func:`gradient_check`,
 * one rule for each step of reading an input file (:func:`open_data_file`,
-  :func:`read_text` or :func:`text_lines`, :func:`parse_json`,
+  :func:`read_text`, the one whole-file reader, :func:`parse_json`,
   :func:`check_dims`); each failure is a :class:`~ual.errors.DataError`
   naming the file, and its line if known.
 
@@ -282,15 +282,6 @@ def read_text(path) -> str:
     """The whole text of the file ``path``, read and decoded at once."""
     with open_data_file(path, "rb") as fh:
         return _decode(fh.read(), path)
-
-
-def text_lines(path):
-    """The lines of the file ``path``, read and decoded one at a time: split
-    on ``\\n`` only, so line ``i`` is the ``i``-th, as :func:`_decode` counts
-    them, and without their ``\\n`` or ``\\r\\n`` ending."""
-    with open_data_file(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            yield _decode(raw, path, lineno).removesuffix("\n").removesuffix("\r")
 
 
 def parse_json(text: str, path, lineno: int = 1):

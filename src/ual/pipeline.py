@@ -286,7 +286,8 @@ class _GaussianBranch:
         mu = np.empty((len(x), self.latent_dim))
         sigma = np.empty_like(mu)
         for _, rows in _bucket_rows(sizes):
-            mu[rows], _, sigma[rows] = self.head.forward(store, x[rows])
+            if rows.size:  # groups without objects have no rows
+                mu[rows], _, sigma[rows] = self.head.forward(store, x[rows])
         bad = np.flatnonzero(~np.all((sigma > 0.0) & np.isfinite(sigma) & np.isfinite(mu), -1))
         if bad.size:
             g = int(np.searchsorted(np.cumsum(sizes), bad[0], side="right"))
@@ -495,27 +496,27 @@ class ObjectBranch(_GaussianBranch):
         """The prediction of a step of ``groups``, one entry per count of
         ``sample_counts`` (see the module docstring), uniform for a group
         without objects, which is absent; and ``probs``, each object's
-        ``(O, E, C)`` mean probabilities, flat in group order. ``draws``
-        serves the objects' MC noise; the objects always sample, whatever
-        the ``config`` and ``ablation``."""
-        sizes = np.array([group.objects.shape[0] for group in groups])
+        ``(O, E, C)`` mean probabilities, flat in group order. As for the
+        faces, one :meth:`gaussians` call covers the step, and each bucket
+        of groups with equally many objects, one or more, is one stack.
+        ``draws`` serves the objects' MC noise; the objects always sample,
+        whatever the ``config`` and ``ablation``."""
+        x, sizes = self.individuals(groups)
+        mu, sigma = self.gaussians(store, groups, x, sizes)
         shape = (len(groups), len(sample_counts), self.num_classes)
         probs = np.full(shape, 1.0 / self.num_classes)
-        per_object = np.empty((sizes.sum(),) + shape[1:])
-        present = np.flatnonzero(sizes)
-        if present.size:
-            # groups without objects own no rows, so these groups' flat rows are the step's
-            present_groups = [groups[p] for p in present]
-            mu, sigma = self.gaussians(store, present_groups, *self.individuals(present_groups))
-            classify = functools.partial(self.classifier.forward, store)
-            for pos, rows in _bucket_rows(sizes[present]):  # rows: (G, k)
-                block = draws.mc(rows)
-                bucket_mu, bucket_sigma = mu[rows], sigma[rows]
-                for e, n in enumerate(sample_counts):
-                    bucket = mc_predict(bucket_mu, bucket_sigma, classify, block[:, :, :n])
-                    per_object[rows, e] = bucket
-                    probs[present[pos], e] = bucket.mean(axis=1)
-        return BranchPrediction(self.tag, probs, sizes > 0), {"probs": per_object}
+        per_object = np.empty((len(x),) + shape[1:])
+        classify = functools.partial(self.classifier.forward, store)
+        for pos, rows in _bucket_rows(sizes):  # rows: (G, k)
+            if not rows.size:  # the groups without objects stay uniform
+                continue
+            block = draws.mc(rows)
+            bucket_mu, bucket_sigma = mu[rows], sigma[rows]
+            for e, n in enumerate(sample_counts):
+                bucket = mc_predict(bucket_mu, bucket_sigma, classify, block[:, :, :n])
+                per_object[rows, e] = bucket
+                probs[pos, e] = bucket.mean(axis=1)
+        return BranchPrediction(self.tag, probs, np.array(sizes) > 0), {"probs": per_object}
 
 
 # ---------------------------------------------------------------------------

@@ -839,8 +839,12 @@ class TestBadInputFiles:
         assert code == 2
         assert f"config error: {manifest}: unknown key 'latent_dmi'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kind", ["spec", "config", "dataset", "manifest", "params"])
-    def test_non_utf8_file_names_the_path(self, small_run, tmp_path, capsys, kind):
+    @pytest.mark.parametrize("kind,newlines", [
+        *(pytest.param(kind, 0, id=kind) for kind in ("spec", "config", "dataset", "manifest",
+                                                       "params")),
+        *(pytest.param(kind, 3, id=f"{kind}-line-4") for kind in ("spec", "config")),
+    ])
+    def test_non_utf8_file_names_the_path(self, small_run, tmp_path, capsys, kind, newlines):
         model = tmp_path / "model"
         shutil.copytree(small_run["out"], model)
         manifest = model / "manifest.json"
@@ -853,8 +857,11 @@ class TestBadInputFiles:
         }
         bad, source = files[kind]
         text = source.read_bytes()
-        bad.write_bytes(text[:20] + b"\xff" + text[20:])
-        lineno = text[:20].count(b"\n") + 1
+        # the bad byte goes 20 bytes in, or 2 bytes past the third newline
+        at = len(b"".join(text.splitlines(keepends=True)[:newlines])) + (2 if newlines else 20)
+        bad.write_bytes(text[:at] + b"\xff" + text[at:])
+        lineno = text[:at].count(b"\n") + 1
+        assert lineno == 4 or not newlines
         out = str(tmp_path / "out")
         train = ("--train", str(small_run["train"]), "--val", str(small_run["val"]), "--out", out)
         argv = {

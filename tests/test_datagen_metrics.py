@@ -26,6 +26,7 @@ from ual.datagen_metrics import (
     load_dataset,
     macro_average,
     save_dataset,
+    settings_from_mapping,
     spec_from_mapping,
 )
 from ual.errors import DataError, UalError
@@ -283,6 +284,18 @@ class TestSettingsFiles:
         else:
             assert isinstance(out, kind)
             out.validate()
+
+    @pytest.mark.parametrize("which,name", [("spec", "synthetic-default.gen"),
+                                            ("config", "synthetic-default.cfg")])
+    def test_crlf_file_reads_as_the_lf_file(self, tmp_path, which, name):
+        kind, _ = _SETTINGS[which]
+        lf = _bundled(name).read_bytes()
+        assert b"\r" not in lf
+        path = tmp_path / name
+        path.write_bytes(lf.replace(b"\n", b"\r\n"))
+        mapping, want = parse_kv_file(path), parse_kv_file(_bundled(name))
+        assert mapping == want
+        assert settings_from_mapping(kind, mapping, name) == settings_from_mapping(kind, want, name)
 
 
 class TestDatasetIO:
