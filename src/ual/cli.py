@@ -14,7 +14,6 @@ stderr chatter.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import logging
@@ -193,11 +192,19 @@ def cmd_train(args) -> int:
     check_dims(val_ds.dims, dims, f"{args.val}: line 1", f"the train set {args.train}")
     tags = BRANCH_TAGS if args.branch == "all" else (args.branch,)
 
+    out_dir = _out_dir(args.out)
+    loss_paths = {tag: out_dir / f"{tag}_loss.csv" for tag in tags}
+    val_path = out_dir / "val_metrics.jsonl"
+
+    def write(path, text: str, mode: str = "a") -> None:
+        # one file at a time, so that a failed write names its own file
+        with open_data_file(path, mode) as fh:
+            fh.write(text)
+
     def on_epoch(epoch, breakdowns, eval_result):
         for tag, bd in breakdowns.items():
-            loss_files[tag].write(
-                f"{epoch},{bd.cls!r},{bd.kl!r},{bd.rank!r},{bd.rec!r},{bd.total!r}\n"
-            )
+            write(loss_paths[tag],
+                  f"{epoch},{bd.cls!r},{bd.kl!r},{bd.rank!r},{bd.rec!r},{bd.total!r}\n")
         entry = {"record": "val_epoch", "epoch": epoch}
         for tag, report in eval_result.branch_reports.items():
             entry[tag] = {
@@ -208,26 +215,20 @@ def cmd_train(args) -> int:
             "micro": eval_result.fused_report.micro_accuracy,
             "macro_recall": eval_result.fused_report.macro_recall,
         }
-        val_fh.write(json.dumps(entry) + "\n")
+        write(val_path, json.dumps(entry) + "\n")
         log.info(
             "epoch %d: %s",
             epoch,
             " ".join(f"{t}={bd.total:.4f}" for t, bd in breakdowns.items()),
         )
 
-    out_dir = _out_dir(args.out)
-    with contextlib.ExitStack() as files:  # every file opened so far is closed on a failure
-        loss_files = {
-            tag: files.enter_context(open_data_file(out_dir / f"{tag}_loss.csv", "w"))
-            for tag in tags
-        }
-        for fh in loss_files.values():
-            fh.write("epoch,cls,kl,rank,rec,total\n")
-        val_fh = files.enter_context(open_data_file(out_dir / "val_metrics.jsonl", "w"))
-        result = train_model(
-            train_ds, config, val_ds=val_ds, branch_tags=tags,
-            ablation=args.ablation, on_epoch=on_epoch,
-        )
+    for path in loss_paths.values():
+        write(path, "epoch,cls,kl,rank,rec,total\n", "w")
+    write(val_path, "", "w")
+    result = train_model(
+        train_ds, config, val_ds=val_ds, branch_tags=tags,
+        ablation=args.ablation, on_epoch=on_epoch,
+    )
 
     model_files = {}
     for tag in result.branches:
@@ -344,8 +345,7 @@ def cmd_eval(args) -> int:
                 json.dumps({"record": "fused_metrics", "mc_samples": n,
                             **result.fused_report.to_dict()}) + "\n"
             )
-            for rec in result.records:
-                fh.write(json.dumps({**rec, "mc_samples": n}) + "\n")
+            fh.write(result.lines)
     for n, result in sweep_rows:
         print(f"== mc_samples = {n} (fusion {args.fusion}, ablation {ablation}) ==")
         for tag, report in result.branch_reports.items():

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, UalError
 from .numerics import SeededRng, _box_muller, _normal_words, _uniforms, _word_at, _words
-from .numerics import _decode, derive_seeds, open_data_file, parse_json
+from .numerics import _decode, _remove_partial, derive_seeds, open_data_file, parse_json
 
 SCHEMA = "ual-groups/v1"
 DEFAULT_CLASS_NAMES = ("Positive", "Neutral", "Negative")
@@ -388,8 +388,9 @@ def save_dataset(dataset: Dataset, path) -> None:
     each, as evenly as they allow; :func:`_chunk_map` encodes the runs, in
     this process or in workers by their count, and their text is written in
     order. A forked worker has the groups already, so it is sent a run's
-    bounds only. On any failure the file is removed,
-    so that no truncated dataset is left behind.
+    bounds only. On any failure the file is removed, so that no truncated
+    dataset is left behind; a failed write is :func:`open_data_file`'s
+    data error.
     """
     header = {"schema": SCHEMA, **dataset.dims, "class_names": list(dataset.class_names)}
     groups = dataset.groups
@@ -397,15 +398,15 @@ def save_dataset(dataset: Dataset, path) -> None:
     runs = max(1, math.ceil(ends[-1] / _SAVE_FLOATS))
     cuts = np.unique(np.searchsorted(ends, np.linspace(0, ends[-1], runs + 1))).tolist()
     encode = partial(_encode_groups, path, groups)
-    fh = open_data_file(path, "wb")
-    try:
-        with fh, closing(_chunk_map(encode, zip(cuts, cuts[1:]), len(cuts) - 1, path)) as blocks:
-            fh.write(json.dumps(header).encode() + b"\n")
-            for block in blocks:
-                fh.write(block)
-    except BaseException:
-        os.remove(path)
-        raise
+    with open_data_file(path, "wb") as fh:
+        try:
+            with closing(_chunk_map(encode, zip(cuts, cuts[1:]), len(cuts) - 1, path)) as blocks:
+                fh.write(json.dumps(header).encode() + b"\n")
+                for block in blocks:
+                    fh.write(block)
+        except BaseException:
+            _remove_partial(path)
+            raise
 
 
 def _numbers(value: list, shape: tuple[int, ...], what: str, where: str) -> np.ndarray:

@@ -14,7 +14,10 @@ Everything downstream is built on these pieces:
 * one rule for each step of reading an input file (:func:`open_data_file`,
   :func:`read_text`, the one whole-file reader, :func:`parse_json`,
   :func:`check_dims`); each failure is a :class:`~ual.errors.DataError`
-  naming the file, and its line if known.
+  naming the file, and its line if known. Output files are opened by
+  :func:`open_data_file` too: a failed write is a
+  :class:`~ual.errors.DataError` naming the file, and the partial file is
+  removed.
 
 The model here is tiny, so float64 is used throughout; gradient checking
 needs the precision anyway.
@@ -22,9 +25,11 @@ needs the precision anyway.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -256,16 +261,39 @@ def block_normals(seeds, shape: int | tuple[int, ...]) -> np.ndarray:
 PARAM_FORMAT_VERSION = 1
 
 
+@contextlib.contextmanager
 def open_data_file(path, mode: str = "r"):
-    """``open(path, mode)``, with a failure (a missing file, a missing
+    """``with open_data_file(path, mode) as fh``: ``open(path, mode)``, UTF-8
+    in text mode, with a failure to open (a missing file, a missing
     directory, no permission, a NUL byte in the path) raised as a
-    :class:`DataError` naming ``path``."""
+    :class:`DataError` naming ``path``.
+
+    An ``OSError`` of the body or of the close (a full disk, a failed
+    device) is a failed read or write of the file, a :class:`DataError`
+    naming ``path``; in a writing mode the partial file is removed first
+    (:func:`_remove_partial`). A write fails at the latest when the file is
+    closed, since the close flushes what the writes buffered. So the body
+    should read or write this file only."""
     try:
-        if "b" in mode:
-            return open(path, mode)
-        return open(path, mode, encoding="utf-8")
+        fh = open(path, mode) if "b" in mode else open(path, mode, encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte
         raise DataError(f"{path}: cannot open: {getattr(exc, 'strerror', None) or exc}") from exc
+    try:
+        with fh:
+            yield fh
+    except OSError as exc:
+        writing = "r" not in mode  # "w" or "a"
+        if writing:
+            _remove_partial(path)
+        action = "write" if writing else "read"
+        raise DataError(f"{path}: cannot {action}: {exc.strerror or exc}") from exc
+
+
+def _remove_partial(path) -> None:
+    """Remove the output file ``path`` that a failed write left behind. A
+    device (``/dev/full``) or a path that is gone is left as it is."""
+    if os.path.islink(path) or os.path.isfile(path):
+        os.remove(path)
 
 
 def _decode(raw: bytes, path, lineno: int = 1) -> str:

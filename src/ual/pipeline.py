@@ -45,10 +45,12 @@ one step of ``_INFER_STEP`` groups at a time. Per step, each branch returns
 arrays (:func:`branch_infer`), and :func:`fuse_predictions` fuses the step's
 stacks in one call. The steps are independent, so a pass of more than
 ``_IN_PROCESS_CHUNKS`` steps runs them in forked workers, one per usable CPU
-(:func:`~ual.datagen_metrics._chunk_map`), which return these arrays; a pass
-with a :class:`NoiseCache` runs in the process. The report's records are
-built from the arrays, in step order in the calling process, only when asked
-for, with :func:`predict_group` as each group's view of the step's fusion.
+(:func:`~ual.datagen_metrics._chunk_map`); a pass with a :class:`NoiseCache`
+runs in the process. A step returns only its predicted classes and, when
+asked for, the report's ``group`` lines of each sweep entry as text, built
+and encoded where the step ran (:func:`_infer_step`), with
+:func:`predict_group` as each group's view of the step's fusion; the calling
+process joins the texts in step order and computes the metrics.
 
 A step's (or batch's) individuals are stored one way, in training and
 inference alike: as flat rows in group order. Features, Gaussians, noise and
@@ -95,6 +97,7 @@ a stack of one, because the stacked arithmetic keeps these rules:
 from __future__ import annotations
 
 import functools
+import json
 import logging
 import math
 import time
@@ -1051,11 +1054,20 @@ class NoiseCache:
 
 @dataclass
 class EvalResult:
+    """One sweep entry of :func:`evaluate_dataset`. ``lines`` holds the
+    report's ``group`` lines of the entry, one JSON object per group in
+    dataset order, each ending in ``\\n``, as the steps encoded them; it is
+    empty without ``collect_diagnostics``. ``records`` parses them."""
     branch_reports: dict[str, MetricsReport]
     fused_report: MetricsReport
-    records: list[dict]
+    lines: str
     fusion: str
     n_samples: int
+
+    @property
+    def records(self) -> list[dict]:
+        """The ``group`` records of ``lines``, parsed anew on each read."""
+        return [json.loads(line) for line in self.lines.splitlines()]
 
 
 def evaluate_dataset(
@@ -1075,15 +1087,17 @@ def evaluate_dataset(
     One pass over the dataset serves every entry of ``sample_counts``
     (default ``(config.mc_samples,)``); returns one result per entry, in
     order, each equal to a one-entry call. With ``collect_diagnostics``, each
-    result also holds the report's ``group`` records (:func:`_group_records`).
+    result also holds the report's ``group`` lines (:attr:`EvalResult.lines`).
     The pass runs in steps of ``_INFER_STEP`` groups (:func:`_infer_step`);
     a step's faces and objects are flat rows run bucket by bucket, as a
     training batch's are in :meth:`Trainer._batch_loss`. The steps are
     independent, so they go through :func:`~ual.datagen_metrics._chunk_map`:
     up to ``_IN_PROCESS_CHUNKS`` steps run in this process, and more in
-    forked workers, which are sent a step's bounds and return its arrays.
-    Here, in step order, the arrays give the predicted classes and the
-    records. The results and the first error are those of one process; a
+    forked workers, which are sent a step's bounds. A step returns its
+    predicted classes and, with ``collect_diagnostics``, its ``group`` lines,
+    so the records are built and encoded where the step ran; here, in step
+    order, the classes give the metrics and the texts are joined. The
+    results and the first error are those of one process; a
     worker that dies is a :class:`UalError` naming ``inference``. Each step's
     face and object noise is :func:`branch_infer`'s own :class:`_Draws`, or,
     with ``noise``, a :class:`NoiseCache` built for this dataset and these
@@ -1098,43 +1112,50 @@ def evaluate_dataset(
     groups = dataset.groups
     bounds = _steps(len(groups))
     infer = functools.partial(_infer_step, store, branches, groups, config,
-                              SeededRng(seed).derive("infer"), counts, ablation, fusion)
+                              SeededRng(seed).derive("infer"), counts, ablation, fusion,
+                              collect_diagnostics)
     if noise is None:
         steps = datagen_metrics._chunk_map(infer, bounds, len(bounds), "inference")
     else:
         steps = (infer(step, draws) for step, draws in zip(bounds, noise.steps))
     y_true = [group.label for group in groups]
-    # each step's (G, E) predicted classes, and its records: the predictions
+    # each step's (G, E) predicted classes and each entry's text: the predictions
     # of every group and entry, kept to the end, would hold about 2 MB more
     labels: dict[str, list[np.ndarray]] = {tag: [] for tag in ("fused", *branches)}
-    records: list[list[dict]] = [[] for _ in counts]
+    lines: list[list[str]] = [[] for _ in counts]
     with closing(steps):
-        for (lo, hi), (per_branch, fused) in zip(bounds, steps):
-            labels["fused"].append(np.argmax(fused.probs, axis=-1))
-            for pred, _ in per_branch.values():
-                labels[pred.branch].append(np.argmax(pred.probs, axis=-1))  # the first maximum
-            if collect_diagnostics:
-                _group_records(records, groups[lo:hi], per_branch, fused, labels["fused"][-1])
+        for step_labels, step_lines in steps:
+            for tag, classes in step_labels.items():
+                labels[tag].append(classes)
+            for entry, text in zip(lines, step_lines):
+                entry.append(text)
 
     def metrics(tag: str, e: int) -> MetricsReport:
         preds = np.concatenate(labels[tag])[:, e].tolist() if labels[tag] else []
         return compute_metrics(y_true, preds, dataset.num_classes, dataset.class_names)
 
     return [
-        EvalResult({tag: metrics(tag, e) for tag in branches}, metrics("fused", e), records[e],
-                   fusion, n)
+        EvalResult({tag: metrics(tag, e) for tag in branches}, metrics("fused", e),
+                   "".join(lines[e]), fusion, n)
         for e, n in enumerate(counts)
     ]
 
 
 def _infer_step(store: ParameterStore, branches: dict[str, Branch],
                 groups: Sequence[GroupSample], config: TrainingConfig, rng: SeededRng,
-                counts: tuple[int, ...], ablation: str, fusion: str, bounds: tuple[int, int],
-                draws: dict[str, _KeptDraws] | None = None
-                ) -> tuple[dict[str, tuple[BranchPrediction, dict]], FusionResult]:
+                counts: tuple[int, ...], ablation: str, fusion: str, diagnostics: bool,
+                bounds: tuple[int, int], draws: dict[str, _KeptDraws] | None = None
+                ) -> tuple[dict[str, np.ndarray], list[str]]:
     """The inference step ``groups[lo:hi]`` of ``bounds = (lo, hi)``: each
     branch's :func:`branch_infer` results, with the step's ``draws`` per
-    branch if given, and their fusion, whose probabilities must be finite."""
+    branch if given, are fused, and the fused probabilities must be finite.
+
+    Returns the step's ``(G, E)`` predicted classes, the first maximum, per
+    tag (``fused`` and each branch), and with ``diagnostics`` each sweep
+    entry's ``group`` lines as one text: the records of
+    :func:`_group_records`, each ``json.dumps`` with ``mc_samples`` as its
+    last key. Without ``diagnostics`` no record is built and the list is
+    empty. So a worker sends back labels and text, not the arrays."""
     step = groups[slice(*bounds)]
     draws = draws or {}  # {}: branch_infer draws
     with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite instead
@@ -1148,7 +1169,14 @@ def _infer_step(store: ParameterStore, branches: dict[str, Branch],
     bad = np.flatnonzero(~np.isfinite(fused.probs).reshape(len(step), -1).all(axis=-1))
     if bad.size:  # an overflow in a branch
         raise NumericError(f"group {step[bad[0]].id}: non-finite fused probabilities")
-    return per_branch, fused
+    labels = {"fused": np.argmax(fused.probs, axis=-1)}
+    labels.update((tag, np.argmax(pred.probs, axis=-1)) for tag, (pred, _) in per_branch.items())
+    if not diagnostics:
+        return labels, []
+    records: list[list[dict]] = [[] for _ in counts]
+    _group_records(records, step, per_branch, fused, labels["fused"])
+    return labels, ["".join([json.dumps({**record, "mc_samples": n}) + "\n" for record in entry])
+                    for n, entry in zip(counts, records)]
 
 
 def _group_records(records: list[list[dict]], groups: Sequence[GroupSample], per_branch: dict,
@@ -1156,7 +1184,9 @@ def _group_records(records: list[list[dict]], groups: Sequence[GroupSample], per
     """Append the report's ``group`` records of one inference step to
     ``records``, one list per sweep entry, built from the step's
     :func:`branch_infer` arrays, its fusion and its ``(G, E)`` fused
-    classes; each group's weights are those :func:`predict_group` gives."""
+    classes; each group's weights are those :func:`predict_group` gives.
+    :func:`_infer_step` calls it where the step runs, in a worker process
+    for a pass that runs its steps there."""
     listed = {
         tag: (p.present.tolist(), p.probs.tolist(), {k: a.tolist() for k, a in arrays.items()})
         for tag, (p, arrays) in per_branch.items()

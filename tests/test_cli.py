@@ -397,6 +397,41 @@ class TestMissingPaths:
         assert run("simulate", "--num-groups", "3", "--out", str(target)) == 2
         assert f"data error: {target}: cannot open" in capsys.readouterr().err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("command,name", [
+        ("simulate", "d.jsonl"), ("train", "face_loss.csv"), ("train", "val_metrics.jsonl"),
+        ("train", "face.params.json"), ("eval", "report.jsonl"),
+    ])
+    def test_a_failed_write_is_a_data_error(self, small_run, tmp_path, capsys, command, name):
+        """An output file whose writes fail (a symlink to ``/dev/full``, where
+        every write fails with ENOSPC) ends the command with one line naming
+        it, exit 2, and the partial file is removed. ``val_metrics.jsonl``
+        fails in the first epoch, while the loss files are being written."""
+        target = tmp_path / "out" / name
+        target.parent.mkdir()
+        target.symlink_to("/dev/full")
+        argv = {
+            "simulate": ["--spec", str(small_run["spec"]), "--out", str(target)],
+            "train": ["--config", str(small_run["cfg"]), "--train", str(small_run["train"]),
+                      "--val", str(small_run["val"]), "--out", str(target.parent)],
+            "eval": ["--manifest", str(small_run["out"] / "manifest.json"),
+                     "--data", str(small_run["val"]), "--out", str(target.parent)],
+        }[command]
+        assert run(command, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"data error: {target}: cannot write: No space left on device\n")
+        assert err.count("data error") == 1
+        assert not target.is_symlink()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="no /proc/self/mem")
+    def test_a_failed_read_is_a_data_error(self, small_run, capsys):
+        """A data file whose read fails (``/proc/self/mem`` at offset 0: EIO)
+        is a data error naming it."""
+        assert run("eval", "--manifest", str(small_run["out"] / "manifest.json"),
+                   "--data", "/proc/self/mem") == 2
+        assert capsys.readouterr().err == (
+            "data error: /proc/self/mem: cannot read: Input/output error\n")
+
 
 class TestEval:
     def test_eval_twice_identical_reports(self, small_run, tmp_path):
@@ -450,6 +485,36 @@ class TestEval:
         assert run("eval", "--manifest", str(model / "manifest.json"), "--data",
                    str(small_run["val"]), "--mc-samples", "1,4", "--out", str(tmp_path / "r")) == 0
         assert sorted(calls) == ["fuse_predictions"] * steps + ["predict_group"] * 12
+
+    def test_report_is_the_same_in_workers(self, small_run, tmp_path, monkeypatch, capsys,
+                                           chunk_calls):
+        """``ual eval --mc-samples 1,3`` writes the same report bytes and
+        stdout with its one step in this process and with 12 one-group steps
+        in two workers."""
+        def evaluate(out):
+            assert run("eval", "--manifest", str(small_run["out"] / "manifest.json"),
+                       "--data", str(small_run["val"]), "--mc-samples", "1,3",
+                       "--out", str(out)) == 0
+            return (out / "report.jsonl").read_bytes(), capsys.readouterr().out
+
+        in_process = evaluate(tmp_path / "a")
+        assert chunk_calls[-1][1] == [False]
+        monkeypatch.setattr(datagen_metrics, "_IN_PROCESS_CHUNKS", 1)
+        monkeypatch.setattr(pipeline, "_INFER_STEP", 1)
+        assert evaluate(tmp_path / "b") == in_process
+        assert chunk_calls[-1][1] == [True] * 12
+
+    def test_lines_are_the_report_group_lines(self, small_run, tmp_path):
+        manifest = small_run["out"] / "manifest.json"
+        config, branches, store = cli._restore_from_manifest(json.loads(manifest.read_text()),
+                                                             manifest)
+        results = evaluate_dataset(store, branches, load_dataset(small_run["val"]), config,
+                                   config.seed, (1, 3), collect_diagnostics=True)
+        assert run("eval", "--manifest", str(manifest), "--data", str(small_run["val"]),
+                   "--mc-samples", "1,3", "--out", str(tmp_path / "r")) == 0
+        report = (tmp_path / "r" / "report.jsonl").read_text().splitlines(keepends=True)
+        assert "".join(result.lines for result in results) == "".join(
+            line for line in report if json.loads(line)["record"] == "group")
 
     def test_mc_samples_sweep_table(self, small_run, tmp_path, capsys):
         out = tmp_path / "sweep"

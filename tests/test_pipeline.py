@@ -788,6 +788,28 @@ class TestInferenceArrays:
             store, branches, ds, cfg, seed=5, collect_diagnostics=True
         )[0].fused_report.to_dict()
 
+    def test_workers_build_the_records(self, monkeypatch, chunk_calls):
+        """With the steps in two workers, this process builds no record: the
+        workers send back each entry's lines, one per group."""
+        monkeypatch.setattr(pipeline, "_INFER_STEP", 8)
+        monkeypatch.setattr(datagen_metrics, "_IN_PROCESS_CHUNKS", 1)
+        ds = tiny_dataset(num_groups=20, seed=33)
+        cfg = tiny_config()
+        store, branches = build_model(ds, cfg)
+        built = []
+        build = pipeline._group_records
+        monkeypatch.setattr(pipeline, "_group_records", lambda records, groups, *rest: (
+            built.append(len(groups)), build(records, groups, *rest)))
+        results = evaluate_dataset(store, branches, ds, cfg, seed=5, sample_counts=(1, 4),
+                                   collect_diagnostics=True)
+        ((seen, running),) = chunk_calls
+        assert len(seen) == 3 and running == [True] * 3
+        assert built == []
+        for n, result in zip((1, 4), results):
+            assert len(result.lines.splitlines()) == len(ds.groups)
+            assert [(r["id"], r["mc_samples"]) for r in result.records] == [
+                (group.id, n) for group in ds.groups]
+
 
 def _results(results):
     """:class:`EvalResult` objects as comparable values."""
