@@ -225,6 +225,7 @@ def cmd_train(args) -> int:
     for path in loss_paths.values():
         write(path, "epoch,cls,kl,rank,rec,total\n", "w")
     write(val_path, "", "w")
+    write(out_dir / "manifest.json", "", "w")  # so a failed run leaves no earlier run's model
     result = train_model(
         train_ds, config, val_ds=val_ds, branch_tags=tags,
         ablation=args.ablation, on_epoch=on_epoch,
@@ -320,13 +321,11 @@ def cmd_eval(args) -> int:
         sample_counts=args.mc_samples, ablation=ablation, fusion=args.fusion,
         collect_diagnostics=True,
     )
-    sweep_rows = [(result.n_samples, result) for result in results]
-    log.debug(
-        "inference: %d groups, mc_samples %s, %.3f s",
-        len(dataset.groups), ",".join(str(n) for n, _ in sweep_rows), time.perf_counter() - start,
-    )
+    log.debug("inference: %d groups, mc_samples %s, %.3f s", len(dataset.groups),
+              ",".join(str(result.n_samples) for result in results), time.perf_counter() - start)
     with open_data_file(report_path, "w") as fh:
-        for n, result in sweep_rows:
+        for result in results:
+            n = result.n_samples
             meta = {
                 "record": "run",
                 "mc_samples": n,
@@ -346,18 +345,19 @@ def cmd_eval(args) -> int:
                             **result.fused_report.to_dict()}) + "\n"
             )
             fh.write(result.lines)
-    for n, result in sweep_rows:
-        print(f"== mc_samples = {n} (fusion {args.fusion}, ablation {ablation}) ==")
+    for result in results:
+        print(f"== mc_samples = {result.n_samples} (fusion {args.fusion}, ablation {ablation}) ==")
         for tag, report in result.branch_reports.items():
             print(report.format_table(title=f"[{tag}]"))
         print(result.fused_report.format_table(title="[fused]"))
-    if len(sweep_rows) > 1:
+    if len(results) > 1:
         print("== sweep ==")
         print(f"{'N':>6} {'fused micro':>12} {'face micro':>11}")
-        for n, result in sweep_rows:
+        for result in results:
             face = result.branch_reports.get("face")
             face_str = f"{100 * face.micro_accuracy:11.2f}" if face else " " * 11
-            print(f"{n:>6} {100 * result.fused_report.micro_accuracy:12.2f} {face_str}")
+            fused = 100 * result.fused_report.micro_accuracy
+            print(f"{result.n_samples:>6} {fused:12.2f} {face_str}")
     log.info("wrote %s", report_path)
     return EXIT_OK
 

@@ -15,17 +15,12 @@ the two noise phenomena the model is built to survive:
 Files are line-delimited JSON: a header record followed by one record per
 group (see ``SCHEMA``). Each line is decoded by ``numerics._decode`` and
 parsed by ``parse_json``, so a line that is not UTF-8 or not JSON is a
-``DataError`` naming it. The groups are encoded and decoded a chunk at a
-time, in forked worker processes when a file is more than
-``_IN_PROCESS_CHUNKS`` chunks and more than one CPU is usable
-(``_chunk_map``); the bytes, the arrays and the first error in file order
-are those of one record at a time.
+``DataError`` naming it.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import math
 import os
@@ -36,9 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UalError
+from . import workers
+from .errors import ConfigError, DataError
 from .numerics import SeededRng, _box_muller, _normal_words, _uniforms, _word_at, _words
-from .numerics import _decode, _remove_partial, derive_seeds, open_data_file, parse_json
+from .numerics import _decode, derive_seeds, open_data_file, parse_json
 
 SCHEMA = "ual-groups/v1"
 DEFAULT_CLASS_NAMES = ("Positive", "Neutral", "Negative")
@@ -282,81 +278,6 @@ def _views(ids, labels, n_faces, n_objects, faces, objects, scenes) -> list[Grou
 # slower than one process did
 _SAVE_FLOATS = 1 << 15
 _LOAD_BYTES = 1 << 20
-# A call of up to this many chunks runs in this process: the bundled 200 and
-# 500 groups are 3 and 7 chunks to save, 2 and 4 to load, and forked workers
-# raised the peak memory, and slowed the training, of a run that holds them,
-# while 1,000 groups (13 and 9 chunks) save and load faster with workers. An
-# inference pass's chunks are its steps (pipeline._INFER_STEP groups each): the
-# bundled 200 val groups are 4, and 1,000 groups (16) run faster in workers
-_IN_PROCESS_CHUNKS = 8
-
-
-def _serve(fn, conn) -> None:
-    """A worker process: ``(True, fn(chunk))``, or ``(False, error)``, for
-    each chunk that ``conn`` brings, sent back on it."""
-    while True:
-        chunk = conn.recv()
-        try:
-            reply = True, fn(chunk)
-        except Exception as exc:
-            reply = False, exc
-        conn.send(reply)
-
-
-def _chunk_map(fn, chunks, count: int, where):
-    """``fn(chunk)`` of each of ``chunks``, ``count`` of them, yielded in order.
-
-    It serves :func:`save_dataset`, :func:`load_dataset` and
-    :func:`~ual.pipeline.evaluate_dataset`, whose chunks are inference steps.
-    A forked worker holds what ``fn`` holds, so a chunk can be the bounds of
-    a part of it. The calls run in this process when ``count`` is at most
-    ``_IN_PROCESS_CHUNKS``, when one CPU is usable, or where there is no
-    ``fork``. Otherwise they run in ``min(CPUs, count)`` forked worker
-    processes, by turns: chunk ``i`` goes to worker ``i mod workers``, whose
-    reply is read, in chunk order, before it is sent chunk ``i + workers``.
-    So each worker has one chunk at a time, and ``chunks`` is read as the
-    results are taken. The first error in chunk order is raised; the workers
-    are stopped when the generator ends or is closed. A worker that dies
-    (killed, or out of memory) is a :class:`UalError` naming ``where``.
-    """
-    chunks = iter(chunks)
-    forks = hasattr(os, "sched_getaffinity") and hasattr(os, "fork")
-    workers = min(len(os.sched_getaffinity(0)) if forks else 1, count)
-    if count <= _IN_PROCESS_CHUNKS or workers <= 1:
-        yield from map(fn, chunks)
-        return
-    # imported here: about 1.3 MB of modules, which a run with no worker does not hold
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    processes, conns = [], []
-    try:
-        for chunk in itertools.islice(chunks, workers):
-            conn, theirs = context.Pipe()
-            processes.append(context.Process(target=_serve, args=(fn, theirs), daemon=True))
-            processes[-1].start()
-            theirs.close()  # so that a dead worker's end reads as closed
-            conn.send(chunk)
-            conns.append(conn)
-        sent = len(conns)
-        for index in itertools.count():
-            if index == sent:
-                return
-            conn = conns[index % len(conns)]
-            ok, result = conn.recv()
-            if not ok:
-                raise result
-            if (chunk := next(chunks, None)) is not None:
-                conn.send(chunk)
-                sent += 1
-            yield result
-    except (EOFError, ConnectionError) as exc:
-        raise UalError(f"{where}: a worker process died (killed, or out of memory)") from exc
-    finally:
-        for process in processes:
-            process.terminate()
-            process.join()
-            process.close()
 
 
 def _encode_groups(path, groups: list[GroupSample], run: tuple[int, int]) -> bytes:
@@ -385,12 +306,12 @@ def save_dataset(dataset: Dataset, path) -> None:
     """Write ``dataset`` to ``path``: the header, then one line per group.
 
     The groups are cut into runs of about ``_SAVE_FLOATS`` feature values
-    each, as evenly as they allow; :func:`_chunk_map` encodes the runs, in
-    this process or in workers by their count, and their text is written in
-    order. A forked worker has the groups already, so it is sent a run's
-    bounds only. On any failure the file is removed, so that no truncated
-    dataset is left behind; a failed write is :func:`open_data_file`'s
-    data error.
+    each, as evenly as they allow; :func:`~ual.workers.chunk_map` encodes the
+    runs, in this process or in workers by their count, and their text is
+    written in order. A forked worker has the groups already, so it is sent
+    a run's bounds only. A failure of any kind is raised through
+    :func:`open_data_file`, which removes the file, so that no truncated
+    dataset is left behind.
     """
     header = {"schema": SCHEMA, **dataset.dims, "class_names": list(dataset.class_names)}
     groups = dataset.groups
@@ -398,15 +319,11 @@ def save_dataset(dataset: Dataset, path) -> None:
     runs = max(1, math.ceil(ends[-1] / _SAVE_FLOATS))
     cuts = np.unique(np.searchsorted(ends, np.linspace(0, ends[-1], runs + 1))).tolist()
     encode = partial(_encode_groups, path, groups)
-    with open_data_file(path, "wb") as fh:
-        try:
-            with closing(_chunk_map(encode, zip(cuts, cuts[1:]), len(cuts) - 1, path)) as blocks:
-                fh.write(json.dumps(header).encode() + b"\n")
-                for block in blocks:
-                    fh.write(block)
-        except BaseException:
-            _remove_partial(path)
-            raise
+    blocks = workers.chunk_map(encode, zip(cuts, cuts[1:]), len(cuts) - 1, path)
+    with open_data_file(path, "wb") as fh, closing(blocks):
+        fh.write(json.dumps(header).encode() + b"\n")
+        for block in blocks:
+            fh.write(block)
 
 
 def _numbers(value: list, shape: tuple[int, ...], what: str, where: str) -> np.ndarray:
@@ -502,9 +419,9 @@ def load_dataset(path) -> Dataset:
     The header is read and checked here. The group lines are read in chunks
     of even size, at most about ``_LOAD_BYTES`` bytes each, and each chunk is
     decoded, parsed and checked by :func:`_parse_groups` through
-    :func:`_chunk_map`, in this process or in workers by their count (one
-    for a pipe). Here, in line order, each id is checked against the ids
-    before it, and the first error in the file is raised. A group's
+    :func:`~ual.workers.chunk_map`, in this process or in workers by their
+    count (one for a pipe). Here, in line order, each id is checked against
+    the ids before it, and the first error in the file is raised. A group's
     faces, objects and scene are views into its chunk's arrays.
     """
     with open_data_file(path, "rb") as fh:
@@ -535,7 +452,7 @@ def load_dataset(path) -> Dataset:
         first_line: dict[str, int] = {}  # each group id's line
         lineno = 1
         parse = partial(_parse_groups, path, dims)
-        with closing(_chunk_map(parse, chunks, count, path)) as parsed:
+        with closing(workers.chunk_map(parse, chunks, count, path)) as parsed:
             for ids, id_lines, lineno, arrays, error in parsed:
                 for gid, line in zip(ids, id_lines):
                     if gid in first_line:

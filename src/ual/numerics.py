@@ -16,8 +16,8 @@ Everything downstream is built on these pieces:
   :func:`check_dims`); each failure is a :class:`~ual.errors.DataError`
   naming the file, and its line if known. Output files are opened by
   :func:`open_data_file` too: a failed write is a
-  :class:`~ual.errors.DataError` naming the file, and the partial file is
-  removed.
+  :class:`~ual.errors.DataError` naming the file, and on a failure of any
+  kind the partial file is removed.
 
 The model here is tiny, so float64 is used throughout; gradient checking
 needs the precision anyway.
@@ -270,30 +270,28 @@ def open_data_file(path, mode: str = "r"):
 
     An ``OSError`` of the body or of the close (a full disk, a failed
     device) is a failed read or write of the file, a :class:`DataError`
-    naming ``path``; in a writing mode the partial file is removed first
-    (:func:`_remove_partial`). A write fails at the latest when the file is
+    naming ``path``; any other failure is raised as it is. In a writing
+    mode, a failure of any kind (out of memory and Ctrl-C too) first
+    removes the file, so that no partial output is left, and for an append
+    that is the whole file. A write fails at the latest when the file is
     closed, since the close flushes what the writes buffered. So the body
     should read or write this file only."""
     try:
         fh = open(path, mode) if "b" in mode else open(path, mode, encoding="utf-8")
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte
         raise DataError(f"{path}: cannot open: {getattr(exc, 'strerror', None) or exc}") from exc
+    writing = "r" not in mode  # "w" or "a"
     try:
         with fh:
             yield fh
-    except OSError as exc:
-        writing = "r" not in mode  # "w" or "a"
-        if writing:
-            _remove_partial(path)
+    except BaseException as exc:
+        # a device (/dev/full) or a path that is gone is left as it is
+        if writing and (os.path.islink(path) or os.path.isfile(path)):
+            os.remove(path)
+        if not isinstance(exc, OSError):
+            raise
         action = "write" if writing else "read"
         raise DataError(f"{path}: cannot {action}: {exc.strerror or exc}") from exc
-
-
-def _remove_partial(path) -> None:
-    """Remove the output file ``path`` that a failed write left behind. A
-    device (``/dev/full``) or a path that is gone is left as it is."""
-    if os.path.islink(path) or os.path.isfile(path):
-        os.remove(path)
 
 
 def _decode(raw: bytes, path, lineno: int = 1) -> str:

@@ -44,13 +44,13 @@ one step of ``_INFER_STEP`` groups at a time. Per step, each branch returns
 ``(G, E, C)`` probabilities for ``E`` sweep entries and flat per-individual
 arrays (:func:`branch_infer`), and :func:`fuse_predictions` fuses the step's
 stacks in one call. The steps are independent, so a pass of more than
-``_IN_PROCESS_CHUNKS`` steps runs them in forked workers, one per usable CPU
-(:func:`~ual.datagen_metrics._chunk_map`); a pass with a :class:`NoiseCache`
-runs in the process. A step returns only its predicted classes and, when
-asked for, the report's ``group`` lines of each sweep entry as text, built
-and encoded where the step ran (:func:`_infer_step`), with
-:func:`predict_group` as each group's view of the step's fusion; the calling
-process joins the texts in step order and computes the metrics.
+``workers._IN_PROCESS_CHUNKS`` steps runs them in forked workers, one per
+usable CPU (:func:`~ual.workers.chunk_map`); a pass with a
+:class:`NoiseCache` runs in the process. A step returns only its predicted
+classes and, when asked for, the report's ``group`` lines of each sweep
+entry as text, built and encoded where the step ran (:func:`_infer_step`),
+with :func:`predict_group` as each group's view of the step's fusion; the
+calling process joins the texts in step order and computes the metrics.
 
 A step's (or batch's) individuals are stored one way, in training and
 inference alike: as flat rows in group order. Features, Gaussians, noise and
@@ -107,7 +107,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import datagen_metrics
+from . import workers
 from .datagen_metrics import Dataset, GroupSample, MetricsReport, compute_metrics
 from .datagen_metrics import check_bounds, settings_from_mapping
 from .errors import ConfigError, DataError, NumericError, ShapeError
@@ -1091,8 +1091,8 @@ def evaluate_dataset(
     The pass runs in steps of ``_INFER_STEP`` groups (:func:`_infer_step`);
     a step's faces and objects are flat rows run bucket by bucket, as a
     training batch's are in :meth:`Trainer._batch_loss`. The steps are
-    independent, so they go through :func:`~ual.datagen_metrics._chunk_map`:
-    up to ``_IN_PROCESS_CHUNKS`` steps run in this process, and more in
+    independent, so they go through :func:`~ual.workers.chunk_map`: up to
+    ``workers._IN_PROCESS_CHUNKS`` steps run in this process, and more in
     forked workers, which are sent a step's bounds. A step returns its
     predicted classes and, with ``collect_diagnostics``, its ``group`` lines,
     so the records are built and encoded where the step ran; here, in step
@@ -1115,7 +1115,7 @@ def evaluate_dataset(
                               SeededRng(seed).derive("infer"), counts, ablation, fusion,
                               collect_diagnostics)
     if noise is None:
-        steps = datagen_metrics._chunk_map(infer, bounds, len(bounds), "inference")
+        steps = workers.chunk_map(infer, bounds, len(bounds), "inference")
     else:
         steps = (infer(step, draws) for step, draws in zip(bounds, noise.steps))
     y_true = [group.label for group in groups]

@@ -6,17 +6,17 @@ from contextlib import closing
 
 import pytest
 
-from ual import datagen_metrics
+from ual import workers
 
 
 @pytest.fixture
 def chunk_calls(monkeypatch):
-    """Two usable CPUs and, for each ``_chunk_map`` call, the list of chunks
+    """Two usable CPUs and, for each ``chunk_map`` call, the list of chunks
     it took and whether a worker process was running as it went. No worker
     process may be left when the test ends."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     calls = []
-    chunk_map = datagen_metrics._chunk_map
+    chunk_map = workers.chunk_map
 
     def spy(fn, chunks, count, where):
         seen = []
@@ -32,6 +32,6 @@ def chunk_calls(monkeypatch):
                 running.append(bool(multiprocessing.active_children()))
                 yield result
 
-    monkeypatch.setattr(datagen_metrics, "_chunk_map", spy)
+    monkeypatch.setattr(workers, "chunk_map", spy)
     yield calls
     assert not multiprocessing.active_children()

@@ -1,3 +1,4 @@
+import builtins
 import contextlib
 import dataclasses
 import io
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ual import cli, datagen_metrics, pipeline
+from ual import cli, datagen_metrics, numerics, pipeline
 from ual.cli import main, sha256_file
 from ual.datagen_metrics import load_dataset
 from ual.numerics import ParameterStore, SeededRng
@@ -36,6 +37,32 @@ def cli_env(**extra):
     ``PYTHONPATH``, so that ``python -m ual.cli`` runs without an install."""
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     return {**os.environ, **extra, "PYTHONPATH": path}
+
+
+class _FailingFile:
+    """An open file whose writes raise ``MemoryError`` once 16 characters
+    are written: the write that passes them writes up to there, flushes,
+    and raises."""
+
+    def __init__(self, fh):
+        self._fh, self._room = fh, 16
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+    def write(self, data):
+        if len(data) <= self._room:
+            self._room -= len(data)
+            return self._fh.write(data)
+        self._fh.write(data[:self._room])
+        self._fh.flush()
+        raise MemoryError("probe")
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +284,28 @@ class TestTrain:
         assert code == 3
         assert capsys.readouterr().err == f"numeric failure: group {gid}: {detail.format(gid)}\n"
 
+    def test_a_failed_run_leaves_no_earlier_model(self, small_run, tmp_path, capsys):
+        """A run into the directory of an earlier run fails in its first
+        epoch: it leaves an empty ``manifest.json``, which ``ual eval``
+        refuses, not the earlier run's model."""
+        model = tmp_path / "m"
+        shutil.copytree(small_run["out"], model)
+        data, cfg = tmp_path / "train.jsonl", tmp_path / "latent1.cfg"
+        cfg.write_text(small_run["cfg"].read_text().replace("latent_dim = 4", "latent_dim = 1"))
+        docs = [json.loads(line) for line in small_run["train"].read_text().splitlines()]
+        docs[3]["faces"][0] = [v * 1e150 for v in docs[3]["faces"][0]]
+        data.write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would end the run here
+            assert run("train", "--config", str(cfg), "--train", str(data),
+                       "--val", str(small_run["val"]), "--out", str(model), "--epochs", "1") == 3
+        assert (model / "manifest.json").read_bytes() == b""
+        capsys.readouterr()
+        assert run("eval", "--manifest", str(model / "manifest.json"),
+                   "--data", str(small_run["val"]), "--out", str(tmp_path / "r")) == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {model / 'manifest.json'}: line 1: not JSON: ")
+
     def test_overflowing_gradient_is_a_numeric_failure(self, tmp_path, capsys):
         # without sampling or the quality filter, faces scaled by 1e300 give a
         # finite loss whose gradient's squares overflow: an Adam step on it
@@ -423,6 +472,34 @@ class TestMissingPaths:
         assert err.count("data error") == 1
         assert not target.is_symlink()
 
+    @pytest.mark.parametrize("command,name", [
+        ("simulate", "d.jsonl"), ("train", "face_loss.csv"), ("train", "face.params.json"),
+        ("train", "manifest.json"), ("eval", "report.jsonl"),
+    ])
+    def test_a_write_out_of_memory_leaves_no_file(self, small_run, tmp_path, monkeypatch,
+                                                  capsys, command, name):
+        """A ``MemoryError`` partway through a write of an output file, after
+        part of it is on disk, ends the command as out of memory, exit 2,
+        and the partial file is removed."""
+        def opener(path, mode, **kwargs):
+            fh = builtins.open(path, mode, **kwargs)
+            return _FailingFile(fh) if Path(path).name == name and "r" not in mode else fh
+
+        target = tmp_path / "out" / name
+        argv = {
+            "simulate": ["--spec", str(small_run["spec"]), "--out", str(target)],
+            "train": ["--config", str(small_run["cfg"]), "--train", str(small_run["train"]),
+                      "--val", str(small_run["val"]), "--out", str(target.parent)],
+            "eval": ["--manifest", str(small_run["out"] / "manifest.json"),
+                     "--data", str(small_run["val"]), "--out", str(target.parent)],
+        }[command]
+        target.parent.mkdir()
+        monkeypatch.setattr(numerics, "open", opener, raising=False)
+        assert run(command, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: out of memory: probe\n") and err.count("error") == 1
+        assert not target.exists()
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="no /proc/self/mem")
     def test_a_failed_read_is_a_data_error(self, small_run, capsys):
         """A data file whose read fails (``/proc/self/mem`` at offset 0: EIO)
@@ -499,7 +576,7 @@ class TestEval:
 
         in_process = evaluate(tmp_path / "a")
         assert chunk_calls[-1][1] == [False]
-        monkeypatch.setattr(datagen_metrics, "_IN_PROCESS_CHUNKS", 1)
+        monkeypatch.setattr("ual.workers._IN_PROCESS_CHUNKS", 1)
         monkeypatch.setattr(pipeline, "_INFER_STEP", 1)
         assert evaluate(tmp_path / "b") == in_process
         assert chunk_calls[-1][1] == [True] * 12
@@ -676,7 +753,7 @@ class TestExitCodes:
             raise AssertionError("the chunk ran in the test process")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(datagen_metrics, "_IN_PROCESS_CHUNKS", 1)
+        monkeypatch.setattr("ual.workers._IN_PROCESS_CHUNKS", 1)
         if command == "inference":
             monkeypatch.setattr(pipeline, "_INFER_STEP", 1)
             monkeypatch.setattr(pipeline, "branch_infer", die)
@@ -1036,7 +1113,7 @@ class TestBadInputFiles:
         two worker processes, the failing step's error is the one line."""
         if workers:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-            monkeypatch.setattr(datagen_metrics, "_IN_PROCESS_CHUNKS", 1)
+            monkeypatch.setattr("ual.workers._IN_PROCESS_CHUNKS", 1)
             monkeypatch.setattr(pipeline, "_INFER_STEP", 1)
         model = tmp_path / "model"
         shutil.copytree(small_run["out"], model)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ual import datagen_metrics
+from ual import datagen_metrics, workers
 from ual.cli import _bundled, parse_kv_file
 from ual.datagen_metrics import (
     Dataset,
@@ -470,7 +470,7 @@ def chunks_seen(monkeypatch, chunk_calls):
     ``chunk_calls``."""
     monkeypatch.setattr(datagen_metrics, "_SAVE_FLOATS", 100)
     monkeypatch.setattr(datagen_metrics, "_LOAD_BYTES", 2000)
-    monkeypatch.setattr(datagen_metrics, "_IN_PROCESS_CHUNKS", 1)
+    monkeypatch.setattr(workers, "_IN_PROCESS_CHUNKS", 1)
     return chunk_calls
 
 
@@ -607,8 +607,8 @@ class TestChunkedIO:
     def test_replies_come_in_chunk_order(self, chunk_calls):
         """Chunk ``i`` runs on worker ``i mod 2``, and its result is yielded
         in its turn, though chunk 1 finishes before chunk 0."""
-        count = datagen_metrics._IN_PROCESS_CHUNKS + 3
-        with closing(datagen_metrics._chunk_map(_slow_first, range(count), count, "x")) as results:
+        count = workers._IN_PROCESS_CHUNKS + 3
+        with closing(workers.chunk_map(_slow_first, range(count), count, "x")) as results:
             chunks, pids = zip(*results)
         assert chunks == tuple(range(count))
         assert len(set(pids)) == 2 and _TEST_PROCESS not in pids

@@ -1,8 +1,9 @@
 """Each rule for reading an input file lives in one function of ``src/ual``.
 
-``numerics.open_data_file`` is the only caller of the builtin ``open``, and
-each error that opening, decoding or parsing a file raises is caught in one
-place, so that every reader names the file (and the line) the same way.
+``numerics.open_data_file`` is the only caller of the builtin ``open`` and of
+``os.remove``, which removes a failed output file, and each error that
+opening, decoding or parsing a file raises is caught in one place, so that
+every reader names the file (and the line) the same way.
 """
 
 import ast
@@ -35,6 +36,12 @@ def _calls_open(node) -> bool:
             and node.func.id == "open")
 
 
+def _calls_os_remove(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "remove" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "os")
+
+
 def _catches(name: str):
     """A predicate: ``node`` is an ``except`` clause whose types include ``name``."""
     def predicate(node) -> bool:
@@ -48,6 +55,10 @@ def _catches(name: str):
 
 def test_only_open_data_file_calls_open():
     assert _scopes_holding(_calls_open) == {"numerics.open_data_file"}
+
+
+def test_only_open_data_file_removes_a_file():
+    assert _scopes_holding(_calls_os_remove) == {"numerics.open_data_file"}
 
 
 @pytest.mark.parametrize("error,scopes", [

@@ -13,6 +13,7 @@ from ual.numerics import (
     block_normals,
     derive_seeds,
     gradient_check,
+    open_data_file,
     softmax,
     softmax_cross_entropy,
     softmax_cross_entropy_grad,
@@ -445,3 +446,21 @@ def test_forward_backward_determinism():
         return logits.tobytes(), repr(loss), dx.tobytes(), grads["u.weight"].tobytes()
 
     assert run() == run()
+
+
+@pytest.mark.parametrize("mode", ["w", "a"])
+def test_an_interrupted_write_removes_the_file(tmp_path, mode):
+    """A Ctrl-C in the body of a write or an append removes the file and
+    is raised as it is; a read leaves its file."""
+    path = tmp_path / "out.txt"
+    path.write_text("earlier\n")
+    with pytest.raises(KeyboardInterrupt):
+        with open_data_file(path, mode) as fh:
+            fh.write("partial")
+            raise KeyboardInterrupt
+    assert not path.exists()
+    path.write_text("kept\n")
+    with pytest.raises(KeyboardInterrupt):
+        with open_data_file(path, "r"):
+            raise KeyboardInterrupt
+    assert path.read_text() == "kept\n"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ual.datagen_metrics import GroupSample, SynthesisSpec, generate_dataset
-from ual import datagen_metrics, pipeline
+from ual import pipeline
 from ual.errors import ConfigError, DataError, NumericError, ShapeError
 from ual.losses import LossBreakdown
 from ual.numerics import ParameterStore, SeededRng, block_normals, derive_seeds, softmax
@@ -637,7 +637,7 @@ class TestBatchedInference:
             )
 
         stepped = evaluate()  # 3 steps: in this process
-        monkeypatch.setattr(datagen_metrics, "_IN_PROCESS_CHUNKS", 1)
+        monkeypatch.setattr("ual.workers._IN_PROCESS_CHUNKS", 1)
         assert _results(evaluate()) == _results(stepped)  # in two workers
         monkeypatch.setattr(pipeline, "_INFER_STEP", 1)
         assert _results(evaluate()) == _results(stepped)  # 37 steps in two workers
@@ -720,7 +720,7 @@ class TestBatchedInference:
         steps, is named in this process and in worker processes alike."""
         monkeypatch.setattr(pipeline, "_INFER_STEP", 3)
         if workers:
-            monkeypatch.setattr(datagen_metrics, "_IN_PROCESS_CHUNKS", 1)
+            monkeypatch.setattr("ual.workers._IN_PROCESS_CHUNKS", 1)
         ds = tiny_dataset()
         for g in (7, 10):  # logits of about 1e310 for these two groups only
             ds.groups[g] = replace(ds.groups[g], scene=ds.groups[g].scene * 1e300)
@@ -792,7 +792,7 @@ class TestInferenceArrays:
         """With the steps in two workers, this process builds no record: the
         workers send back each entry's lines, one per group."""
         monkeypatch.setattr(pipeline, "_INFER_STEP", 8)
-        monkeypatch.setattr(datagen_metrics, "_IN_PROCESS_CHUNKS", 1)
+        monkeypatch.setattr("ual.workers._IN_PROCESS_CHUNKS", 1)
         ds = tiny_dataset(num_groups=20, seed=33)
         cfg = tiny_config()
         store, branches = build_model(ds, cfg)
